@@ -1,13 +1,18 @@
 """Density estimation on a grid, bandwidth selection and exact diagnostics.
 
-The estimator averages log-domain kernel evaluations over the sample, one
-grid point at a time (each row is a vectorised pass over the data, so grid
-points can also be evaluated concurrently without changing a single bit of
-the result).  Bandwidth selection offers Silverman's rule-of-thumb with the
-kernel-family mapping (GE kernels take the Gaussian-comparable h, the
-gamma/IG/RIG family takes h**2), the closed-form optimum for the
-mean-parameterised GE kernel, and a numerical minimiser of the approximate
-MISE for the mode-parameterised one.
+The estimator averages log-domain kernel evaluations over the sample.  The
+kernel terms that depend on the grid point alone and those that depend on
+the datum alone are computed once per call; the grid is then processed in
+blocks of rows, each a broadcast over the whole sample, with the block size
+set by a fixed element budget.  Every grid value goes through the same
+operations whatever block it lands in, so the result does not depend on how
+the grid is split.
+
+Bandwidth selection offers Silverman's rule-of-thumb with the kernel-family
+mapping (GE kernels take the Gaussian-comparable h, the gamma/IG/RIG family
+takes h**2), the closed-form optimum for the mean-parameterised GE kernel,
+and a numerical minimiser of the approximate MISE for the mode-parameterised
+one.
 
 ``exact_estimator_moments`` computes E[fhat(x)] and Var[fhat(x)] by adaptive
 quadrature against a known density, giving a deterministic (Monte-Carlo-free)
@@ -35,7 +40,7 @@ from .errors import (
     IntegrationError,
     OptimizationError,
 )
-from .kernels import Kernel, _ge2_shape_pair, _ge_log_pdf, _LOG_ROWS, gam2_shape, log_kernel
+from .kernels import Kernel, _LogKernel, _point_log_kernel, gam2_shape
 from .specfun import DEFAULT_CONFIG, EULER_GAMMA, SpecFunConfig, digamma
 
 __all__ = [
@@ -62,6 +67,11 @@ BANDWIDTH_METHODS = ("silverman", "optimal_ge2", "numeric_ge", "fixed")
 #: Kernel families whose bandwidth is comparable to the Gaussian h; the
 #: remaining kernels take h**2.
 _H_SCALE_KERNELS = (Kernel.GE, Kernel.GE2)
+
+#: Elements per block of the (grid rows, data) kernel matrix: 128 KB per
+#: temporary, which keeps a block in cache.  With more data than this, a
+#: block is one grid row.
+_BLOCK_ELEMENTS = 1 << 14
 
 
 class Sample:
@@ -155,6 +165,20 @@ def _coerce_bandwidth(bandwidth) -> Bandwidth:
     return Bandwidth(float(bandwidth))
 
 
+def _silverman_h(sample: Sample) -> float:
+    """Gaussian rule-of-thumb h = 1.06 * sigma * n**(-1/5), before the family mapping."""
+    sd = float(np.std(sample.values, ddof=1))
+    q75, q25 = np.percentile(sample.values, [75.0, 25.0])
+    sigma = min(sd, (q75 - q25) / 1.349)
+    if sigma <= 0.0:
+        raise DegenerateSampleError("sample has no spread; Silverman bandwidth is undefined")
+    return 1.06 * sigma * sample.n ** -0.2
+
+
+def _silverman_for(kernel: Kernel, h: float) -> Bandwidth:
+    return Bandwidth(h if kernel in _H_SCALE_KERNELS else h * h, "silverman")
+
+
 def silverman_bandwidth(sample: Sample, kernel: Kernel) -> Bandwidth:
     """Rule-of-thumb bandwidth, mapped to the kernel family's scale.
 
@@ -162,14 +186,7 @@ def silverman_bandwidth(sample: Sample, kernel: Kernel) -> Bandwidth:
     kernels use h directly, the gamma/IG/RIG family uses h**2 (their
     bandwidth plays the role of the squared Gaussian one).
     """
-    sd = float(np.std(sample.values, ddof=1))
-    q75, q25 = np.percentile(sample.values, [75.0, 25.0])
-    sigma = min(sd, (q75 - q25) / 1.349)
-    if sigma <= 0.0:
-        raise DegenerateSampleError("sample has no spread; Silverman bandwidth is undefined")
-    h = 1.06 * sigma * sample.n ** -0.2
-    value = h if kernel in _H_SCALE_KERNELS else h * h
-    return Bandwidth(value, "silverman")
+    return _silverman_for(kernel, _silverman_h(sample))
 
 
 def default_grid(sample: Sample, size: int = 512) -> np.ndarray:
@@ -204,24 +221,20 @@ def estimate_density(sample: Sample, kernel: Kernel, bandwidth, grid,
 
     The summation order over data is fixed (sorted sample, one vectorised
     mean per grid point), so results are deterministic and independent of
-    the input ordering; grid points may be evaluated concurrently with
-    bit-identical results.
+    the input ordering; each grid value is bit-identical whether the grid
+    is evaluated whole or split into pieces.
     """
     bw = _coerce_bandwidth(bandwidth)
     b = bw.value
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     _validate_grid(kernel, grid, b)
-    z = sample.values
+    ev = _LogKernel(kernel, grid, b, config)
+    data = ev.data(sample.values)
+    step = max(1, _BLOCK_ELEMENTS // sample.n)
     values = np.empty(grid.size)
-    if kernel is Kernel.GE2:
-        # the shape solve is per grid point, never per (grid point, datum)
-        for j, x in enumerate(grid):
-            log_nu, nu = _ge2_shape_pair(x, b, config)
-            values[j] = float(np.mean(np.exp(_ge_log_pdf(log_nu, nu - 1.0, b, z))))
-    else:
-        row = _LOG_ROWS[kernel]
-        for j, x in enumerate(grid):
-            values[j] = float(np.mean(np.exp(row(x, b, z, config))))
+    for lo in range(0, grid.size, step):
+        block = ev.rows(data, lo, lo + step)
+        values[lo:lo + step] = np.exp(block, out=block).mean(axis=1)
     return DensityEstimate(grid=grid, values=values, kernel=kernel, bandwidth=bw, n=sample.n)
 
 
@@ -383,9 +396,11 @@ def exact_estimator_moments(kernel: Kernel, x: float, b: float, density, n: int,
     """
     _coerce_bandwidth(b)
     lo, hi = _quad_window(kernel, x, b)
+    # location terms (and the ge2 shape solve) once, not at every node
+    log_k = _point_log_kernel(kernel, x, b, config)
 
     def k_at(z):
-        return math.exp(log_kernel(kernel, x, b, z, config))
+        return math.exp(log_k(z))
 
     mass, mass_err = _quad_segments(k_at, lo, hi, epsabs)
     if abs(mass - 1.0) > 1e-8:

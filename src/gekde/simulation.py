@@ -29,12 +29,13 @@ from scipy.optimize import brentq
 from scipy.special import gammainc, gammaincc
 from scipy.integrate import quad
 
-from .errors import CoverageError, DomainError
+from .errors import CoverageError, DomainError, GekdeError
 from .estimator import (
     DensityEstimate,
     Sample,
+    _silverman_for,
+    _silverman_h,
     estimate_density,
-    silverman_bandwidth,
 )
 from .kernels import DEFAULT_KERNELS, Kernel
 from .specfun import log_gamma
@@ -454,9 +455,12 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list:
     def one_replication(r):
         sample = density.sample(config.n, streams[r])
         out = {}
+        h = None  # Silverman's h is kernel-independent: computed once per sample
         for kernel in config.kernels:
             try:
-                bw = silverman_bandwidth(sample, kernel)
+                if h is None:
+                    h = _silverman_h(sample)
+                bw = _silverman_for(kernel, h)
                 if kernel is Kernel.RIG:
                     valid = grid > bw.value
                     if int(valid.sum()) < 2:
@@ -471,10 +475,10 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list:
                     est = estimate_density(sample, kernel, bw, grid)
                     diff = est.values - f_true
                     out[kernel] = (float(np.trapezoid(diff * diff, grid)), False)
-            except Exception as exc:
-                raise type(exc)(
-                    f"replication {r}, kernel {kernel.value}: {exc}"
-                ) from exc
+            except GekdeError as exc:
+                # prefix the context in place: type, fields and traceback survive
+                exc.args = (f"replication {r}, kernel {kernel.value}: {exc}", *exc.args[1:])
+                raise
         return out
 
     if threads <= 1:

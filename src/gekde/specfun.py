@@ -6,7 +6,7 @@ arguments below a cutoff are pushed upward with the recurrences
 the Bernoulli asymptotic series (seven tail terms) is applied.  The inverse
 digamma is solved by Newton iteration with a two-branch initial guess that
 puts every starting point within a handful of quadratically convergent steps
-of the root.
+of the root; on arrays, each entry stops as soon as it has converged.
 
 All functions accept scalars or numpy arrays and are pure; they can be called
 concurrently.  Log-gamma is delegated to scipy's ``gammaln`` behind the same
@@ -182,7 +182,10 @@ def inverse_digamma(y, config: SpecFunConfig = DEFAULT_CONFIG):
 
     Newton iteration ``x <- x - (psi(x) - y) / psi'(x)`` started from
     ``exp(y) + 1/2`` for y >= -2.22 and ``-1/(y + EULER_GAMMA)`` below;
-    both branches sit within a few quadratic steps of the root.
+    both branches sit within a few quadratic steps of the root.  Each
+    entry of an array argument iterates only until its own residual meets
+    the tolerance, so every entry is bit-identical to the scalar solve of
+    that entry, whatever else shares the call.
 
     Raises
     ------
@@ -190,31 +193,35 @@ def inverse_digamma(y, config: SpecFunConfig = DEFAULT_CONFIG):
         If ``|psi(x) - y| <= config.newton_tol`` is not reached within
         ``config.newton_max_iter`` iterations (also when the root exceeds
         the double range, y > ~709.78).  The error carries the last
-        iterate and residual.
+        iterate and the largest residual.
     """
     arr = np.asarray(y, dtype=float)
     if arr.size and not np.all(np.isfinite(arr)):
         raise DomainError("inverse_digamma requires finite arguments")
-    w = np.array(arr, dtype=float, ndmin=1, copy=True)
-    upper = w >= -2.22
-    w[upper] = np.exp(np.minimum(w[upper], 709.0)) + 0.5
-    w[~upper] = -1.0 / (w[~upper] + EULER_GAMMA)
-    target = np.array(arr, dtype=float, ndmin=1)
+    target = arr.ravel()
+    w = np.empty_like(target)
+    upper = target >= -2.22
+    w[upper] = np.exp(np.minimum(target[upper], 709.0)) + 0.5
+    w[~upper] = -1.0 / (target[~upper] + EULER_GAMMA)
     resid = digamma(w, config) - target
+    active = np.flatnonzero(~(np.abs(resid) <= config.newton_tol))
     for _ in range(config.newton_max_iter):
-        if np.all(np.abs(resid) <= config.newton_tol):
+        if not active.size:
             return _maybe_scalar(w.reshape(arr.shape), y)
+        wa = w[active]
         with np.errstate(over="ignore", invalid="ignore"):
-            nxt = w - resid / trigamma(w, config)
+            nxt = wa - resid[active] / trigamma(wa, config)
         bad = ~np.isfinite(nxt) | (nxt <= 0.0)
         if bad.any():
-            nxt[bad] = 0.5 * w[bad]
-        w = nxt
-        resid = digamma(w, config) - target
+            nxt[bad] = 0.5 * wa[bad]
+        w[active] = nxt
+        r = digamma(nxt, config) - target[active]
+        resid[active] = r
+        active = active[~(np.abs(r) <= config.newton_tol)]
     worst = int(np.argmax(np.abs(resid)))
     raise ConvergenceError(
         f"inverse_digamma did not converge within {config.newton_max_iter} "
-        f"iterations (residual {resid.ravel()[worst]:.3e})",
+        f"iterations (residual {resid[worst]:.3e})",
         last_iterate=_maybe_scalar(w.reshape(arr.shape), y),
         residual=float(np.max(np.abs(resid))),
     )

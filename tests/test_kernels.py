@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from gekde import (
     digamma,
     gam2_shape,
     ge2_shape,
+    Sample,
+    estimate_density,
     kernel_pdf,
     log_kernel,
     trigamma,
@@ -206,3 +209,15 @@ class TestValidation:
         for kernel in (Kernel.GE2, Kernel.GAM1, Kernel.GAM2, Kernel.IG):
             with pytest.raises(DomainError):
                 log_kernel(kernel, 0.0, 1.0, 1.0)
+
+
+class TestIgNearOrigin:
+    def test_tiny_location_is_zero_without_warning(self):
+        # z/x overflows at x = 1e-300; the exact log kernel there is -inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_kernel(Kernel.IG, 1e-300, 0.1, 2.0) == -math.inf
+            assert kernel_pdf(Kernel.IG, 1e-300, 0.1, 2.0) == 0.0
+            est = estimate_density(Sample([0.5, 1.0, 2.0]), Kernel.IG, 0.1, [1e-300, 1.0])
+        assert est.values[0] == 0.0
+        assert est.values[1] > 0.0

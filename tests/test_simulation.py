@@ -6,14 +6,17 @@ import pytest
 from scipy import stats
 from scipy.integrate import quad
 
+import gekde.simulation
 from gekde import (
     CONFIGURATIONS,
+    ConvergenceError,
     CoverageError,
     DensityEstimate,
     DomainError,
     ExperimentConfig,
     GammaDensity,
     InverseGammaDensity,
+    IntegrationError,
     InverseWeibullDensity,
     Kernel,
     MixtureDensity,
@@ -206,6 +209,26 @@ class TestRunExperiment:
     def test_unknown_config(self):
         with pytest.raises(DomainError):
             ExperimentConfig("Z")
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("make_error, fields", [
+        (lambda: ConvergenceError("no root", last_iterate=1.5, residual=2e-3),
+         {"last_iterate": 1.5, "residual": 2e-3}),
+        (lambda: IntegrationError("quadrature stalled", achieved=3e-5),
+         {"achieved": 3e-5}),
+    ])
+    def test_errors_keep_type_fields_and_context(self, monkeypatch, threads, make_error, fields):
+        def failing_estimate(*args, **kwargs):
+            raise make_error()
+
+        monkeypatch.setattr(gekde.simulation, "estimate_density", failing_estimate)
+        cfg = ExperimentConfig("A", kernels=(Kernel.GAM1,), n=40, replications=2, seed=1,
+                               grid_size=64)
+        with pytest.raises(type(make_error())) as err:
+            run_experiment(cfg, threads=threads)
+        assert str(err.value).startswith("replication 0, kernel gam1: ")
+        for name, value in fields.items():
+            assert getattr(err.value, name) == value
 
     def test_ig_accepted_when_explicit(self):
         cfg = ExperimentConfig("A", kernels=(Kernel.IG,), n=40, replications=2, seed=1,

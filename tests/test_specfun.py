@@ -146,6 +146,17 @@ class TestInverseDigamma:
         x = inverse_digamma(2.5, cfg)
         assert abs(digamma(x) - 2.5) <= 1e-10
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.floats(min_value=-100.0, max_value=700.0),
+                              st.floats(min_value=-3.0, max_value=40.0)),
+                    min_size=1, max_size=40))
+    def test_array_equals_scalar_calls_bitwise(self, ys):
+        # each entry iterates only until it converges, so sharing a call
+        # with other entries never changes its bits
+        arr = inverse_digamma(np.array(ys))
+        each = np.array([inverse_digamma(y) for y in ys])
+        assert np.array_equal(arr, each)
+
     def test_unrepresentable_root(self):
         # the root exceeds the double range for y beyond ~709.8
         with pytest.raises(ConvergenceError) as err:
