@@ -17,10 +17,12 @@ Exit codes: 0 success, 2 input validation, 3 kernel-domain error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -68,15 +70,34 @@ class CliInputError(ValueError):
 _VALIDATION_ERRORS = (CliInputError, DomainError, DegenerateSampleError, CoverageError)
 _NUMERICAL_ERRORS = (ConvergenceError, IntegrationError, OptimizationError)
 
+# mkstemp creates its file 0600; written files get the mode open() would give
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+_FILE_MODE = 0o666 & ~_UMASK
+
 
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    """Write ``text`` to ``path`` through a unique, fsynced temporary file.
+
+    Concurrent writers of one target each use their own temporary file, so
+    the target always holds one writer's complete payload.
+    """
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), _FILE_MODE)
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _read_positive_column(path: Path, column: str | None) -> np.ndarray:

@@ -41,7 +41,7 @@ from .errors import (
     OptimizationError,
 )
 from .kernels import Kernel, _LogKernel, _point_log_kernel, gam2_shape
-from .specfun import DEFAULT_CONFIG, EULER_GAMMA, SpecFunConfig, digamma
+from .specfun import EULER_GAMMA, digamma
 
 __all__ = [
     "Sample",
@@ -72,6 +72,9 @@ _H_SCALE_KERNELS = (Kernel.GE, Kernel.GE2)
 #: temporary, which keeps a block in cache.  With more data than this, a
 #: block is one grid row.
 _BLOCK_ELEMENTS = 1 << 14
+
+#: Smallest normal double; an h**2 bandwidth below it has lost precision.
+_TINY = np.finfo(float).tiny
 
 
 class Sample:
@@ -166,17 +169,35 @@ def _coerce_bandwidth(bandwidth) -> Bandwidth:
 
 
 def _silverman_h(sample: Sample) -> float:
-    """Gaussian rule-of-thumb h = 1.06 * sigma * n**(-1/5), before the family mapping."""
-    sd = float(np.std(sample.values, ddof=1))
-    q75, q25 = np.percentile(sample.values, [75.0, 25.0])
+    """Gaussian rule-of-thumb h = 1.06 * sigma * n**(-1/5), before the family mapping.
+
+    The spread is measured on the sample scaled by a power of two that puts
+    its maximum in [1/2, 1), so the squares inside ``np.std`` neither
+    overflow (data near 1e300) nor underflow (data near 1e-300).  Scaling by
+    a power of two is exact, so h is bit-identical to the unscaled rule
+    wherever the latter does not overflow or underflow.
+    """
+    e = math.frexp(sample.values[-1])[1]
+    v = np.ldexp(sample.values, -e)
+    sd = float(np.std(v, ddof=1))
+    q75, q25 = np.percentile(v, [75.0, 25.0])
     sigma = min(sd, (q75 - q25) / 1.349)
     if sigma <= 0.0:
         raise DegenerateSampleError("sample has no spread; Silverman bandwidth is undefined")
-    return 1.06 * sigma * sample.n ** -0.2
+    return math.ldexp(1.06 * sigma * sample.n ** -0.2, e)
 
 
 def _silverman_for(kernel: Kernel, h: float) -> Bandwidth:
-    return Bandwidth(h if kernel in _H_SCALE_KERNELS else h * h, "silverman")
+    if kernel in _H_SCALE_KERNELS:
+        return Bandwidth(h, "silverman")
+    b = h * h
+    if not _TINY <= b < math.inf:
+        cause = "overflows" if b == math.inf else "underflows"
+        raise DomainError(
+            f"Silverman bandwidth for {kernel.value}: h**2 {cause} at h = {h!r}; "
+            "rescale the data"
+        )
+    return Bandwidth(b, "silverman")
 
 
 def silverman_bandwidth(sample: Sample, kernel: Kernel) -> Bandwidth:
@@ -215,8 +236,7 @@ def _validate_grid(kernel: Kernel, grid: np.ndarray, b: float) -> None:
         )
 
 
-def estimate_density(sample: Sample, kernel: Kernel, bandwidth, grid,
-                     config: SpecFunConfig = DEFAULT_CONFIG) -> DensityEstimate:
+def estimate_density(sample: Sample, kernel: Kernel, bandwidth, grid) -> DensityEstimate:
     """Kernel density estimate (1/n) sum_i K_{x,b}(X_i) on a grid.
 
     The summation order over data is fixed (sorted sample, one vectorised
@@ -228,7 +248,7 @@ def estimate_density(sample: Sample, kernel: Kernel, bandwidth, grid,
     b = bw.value
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     _validate_grid(kernel, grid, b)
-    ev = _LogKernel(kernel, grid, b, config)
+    ev = _LogKernel(kernel, grid, b)
     data = ev.data(sample.values)
     step = max(1, _BLOCK_ELEMENTS // sample.n)
     values = np.empty(grid.size)
@@ -377,8 +397,7 @@ def _quad_segments(fn, lo: float, hi: float, epsabs: float):
 
 
 def exact_estimator_moments(kernel: Kernel, x: float, b: float, density, n: int,
-                            epsabs: float = 1e-10,
-                            config: SpecFunConfig = DEFAULT_CONFIG) -> Moments:
+                            epsabs: float = 1e-10) -> Moments:
     """Exact mean and variance of the estimator at x under a known density.
 
     Computes ``E[fhat(x)] = integral of K f`` and
@@ -397,7 +416,7 @@ def exact_estimator_moments(kernel: Kernel, x: float, b: float, density, n: int,
     _coerce_bandwidth(b)
     lo, hi = _quad_window(kernel, x, b)
     # location terms (and the ge2 shape solve) once, not at every node
-    log_k = _point_log_kernel(kernel, x, b, config)
+    log_k = _point_log_kernel(kernel, x, b)
 
     def k_at(z):
         return math.exp(log_k(z))

@@ -43,13 +43,7 @@ import math
 import numpy as np
 
 from .errors import BoundaryDegeneracyError, DomainError
-from .specfun import (
-    DEFAULT_CONFIG,
-    EULER_GAMMA,
-    SpecFunConfig,
-    inverse_digamma,
-    log_gamma,
-)
+from .specfun import EULER_GAMMA, inverse_digamma, log_gamma
 
 __all__ = [
     "Kernel",
@@ -99,7 +93,7 @@ def _log1mexp(u):
         return np.where(u > _LOG2, np.log1p(-np.exp(-u)), np.log(-np.expm1(-u)))
 
 
-def _ge2_shape(y, config):
+def _ge2_shape(y):
     """GE2 shape ``nu`` and ``log nu`` at digamma targets ``y = x/b - EULER_GAMMA`` (1-D).
 
     Below ``_ASYMPTOTIC_Y`` the shape comes from one array inverse-digamma
@@ -112,7 +106,7 @@ def _ge2_shape(y, config):
     log_nu = y + np.log1p(-0.5 * np.exp(-y))
     newton = y < _ASYMPTOTIC_Y
     if newton.any():
-        nu_n = inverse_digamma(y[newton], config) - 1.0
+        nu_n = inverse_digamma(y[newton]) - 1.0
         nu[newton] = nu_n
         with np.errstate(divide="ignore", invalid="ignore"):
             log_nu[newton] = np.log(nu_n)
@@ -145,8 +139,7 @@ class _LogKernel:
 
     __slots__ = ("kernel", "b", "loc", "regroup")
 
-    def __init__(self, kernel: Kernel, x: np.ndarray, b: float,
-                 config: SpecFunConfig = DEFAULT_CONFIG):
+    def __init__(self, kernel: Kernel, x: np.ndarray, b: float):
         self.kernel = kernel
         self.b = b
         self.regroup = False
@@ -156,7 +149,7 @@ class _LogKernel:
                 with np.errstate(over="ignore"):
                     shape_m1 = np.expm1(log_shape)
             else:
-                nu, log_shape = _ge2_shape(x / b - EULER_GAMMA, config)
+                nu, log_shape = _ge2_shape(x / b - EULER_GAMMA)
                 if np.any(nu <= 0.0):
                     raise DomainError("ge2 kernel requires x > 0 (shape would not be positive)")
                 shape_m1 = nu - 1.0
@@ -253,7 +246,7 @@ def _validate_point(kernel, x, b):
         raise DomainError(f"{kernel.value} kernel requires x > 0")
 
 
-def _point_log_kernel(kernel: Kernel, x: float, b: float, config: SpecFunConfig = DEFAULT_CONFIG):
+def _point_log_kernel(kernel: Kernel, x: float, b: float):
     """Validate the point (x, b) and return ``z -> log K_{x,b}(z)``.
 
     The location terms are computed here, once; each call of the returned
@@ -261,7 +254,7 @@ def _point_log_kernel(kernel: Kernel, x: float, b: float, config: SpecFunConfig 
     combine, which is what a quadrature integrand needs.
     """
     _validate_point(kernel, x, b)
-    ev = _LogKernel(kernel, np.array([float(x)]), b, config)
+    ev = _LogKernel(kernel, np.array([float(x)]), b)
 
     def log_k(z):
         zarr = np.asarray(z, dtype=float)
@@ -276,7 +269,7 @@ def _point_log_kernel(kernel: Kernel, x: float, b: float, config: SpecFunConfig 
     return log_k
 
 
-def log_kernel(kernel: Kernel, x: float, b: float, z, config: SpecFunConfig = DEFAULT_CONFIG):
+def log_kernel(kernel: Kernel, x: float, b: float, z):
     """Log of the kernel density K at datum z, for the kernel located at x.
 
     Parameters
@@ -298,15 +291,15 @@ def log_kernel(kernel: Kernel, x: float, b: float, z, config: SpecFunConfig = DE
         ln K(z).  ``exp`` of the result matches the closed-form density
         wherever the latter is evaluable in doubles.
     """
-    return _point_log_kernel(kernel, x, b, config)(z)
+    return _point_log_kernel(kernel, x, b)(z)
 
 
-def kernel_pdf(kernel: Kernel, x: float, b: float, z, config: SpecFunConfig = DEFAULT_CONFIG):
+def kernel_pdf(kernel: Kernel, x: float, b: float, z):
     """Kernel density K(z); exp of :func:`log_kernel`."""
-    return np.exp(log_kernel(kernel, x, b, z, config))
+    return np.exp(log_kernel(kernel, x, b, z))
 
 
-def ge2_shape(x: float, b: float, config: SpecFunConfig = DEFAULT_CONFIG) -> float:
+def ge2_shape(x: float, b: float) -> float:
     """Shape nu(x/b) of the mean-parameterised GE kernel.
 
     nu solves ``digamma(nu + 1) = x/b - EULER_GAMMA``, so that a
@@ -319,7 +312,7 @@ def ge2_shape(x: float, b: float, config: SpecFunConfig = DEFAULT_CONFIG) -> flo
         raise DomainError("bandwidth b must be positive and finite")
     if not (math.isfinite(x) and x >= 0.0):
         raise DomainError("ge2_shape requires x >= 0")
-    nu, _ = _ge2_shape(np.array([x / b - EULER_GAMMA]), config)
+    nu, _ = _ge2_shape(np.array([x / b - EULER_GAMMA]))
     return float(nu[0])
 
 

@@ -59,6 +59,11 @@ __all__ = [
 _TINY = np.finfo(float).tiny
 
 
+def _scalar_or_array(out):
+    """A 0-d result as a Python float; arrays pass through."""
+    return out if np.ndim(out) else float(out)
+
+
 def _positive_param(value, name):
     v = float(value)
     if not (math.isfinite(v) and v > 0.0):
@@ -77,13 +82,21 @@ class TrueDensity:
     def cdf(self, x):
         raise NotImplementedError
 
-    def pdf_d1(self, x):
-        """First derivative of the pdf."""
+    def _log_slopes(self, x):
+        """First and second derivatives (s1, s2) of the log pdf at x."""
         raise NotImplementedError
 
+    def pdf_d1(self, x):
+        """First derivative of the pdf: f * s1."""
+        x = np.asarray(x, dtype=float)
+        s1, _ = self._log_slopes(x)
+        return _scalar_or_array(self.pdf(x) * s1)
+
     def pdf_d2(self, x):
-        """Second derivative of the pdf."""
-        raise NotImplementedError
+        """Second derivative of the pdf: f * (s1**2 + s2)."""
+        x = np.asarray(x, dtype=float)
+        s1, s2 = self._log_slopes(x)
+        return _scalar_or_array(self.pdf(x) * (s1 * s1 + s2))
 
     def _scale_hint(self) -> float:
         raise NotImplementedError
@@ -147,27 +160,15 @@ class GammaDensity(TrueDensity):
         k, th = self.shape, self.scale
         with np.errstate(divide="ignore"):
             out = np.exp((k - 1.0) * np.log(x) - x / th - k * math.log(th) - log_gamma(k))
-        return out if out.ndim else float(out)
+        return _scalar_or_array(out)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         out = gammainc(self.shape, x / self.scale)
-        return out if out.ndim else float(out)
+        return _scalar_or_array(out)
 
-    def _log_slope(self, x):
-        return (self.shape - 1.0) / x - 1.0 / self.scale
-
-    def pdf_d1(self, x):
-        x = np.asarray(x, dtype=float)
-        out = self.pdf(x) * self._log_slope(x)
-        return out if np.ndim(out) else float(out)
-
-    def pdf_d2(self, x):
-        x = np.asarray(x, dtype=float)
-        s1 = self._log_slope(x)
-        s2 = -(self.shape - 1.0) / (x * x)
-        out = self.pdf(x) * (s1 * s1 + s2)
-        return out if np.ndim(out) else float(out)
+    def _log_slopes(self, x):
+        return (self.shape - 1.0) / x - 1.0 / self.scale, -(self.shape - 1.0) / (x * x)
 
     def _scale_hint(self):
         return self.shape * self.scale
@@ -193,27 +194,17 @@ class InverseGammaDensity(TrueDensity):
         x = np.asarray(x, dtype=float)
         k, th = self.shape, self.scale
         out = np.exp(k * math.log(th) - (k + 1.0) * np.log(x) - th / x - log_gamma(k))
-        return out if out.ndim else float(out)
+        return _scalar_or_array(out)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         out = gammaincc(self.shape, self.scale / x)
-        return out if out.ndim else float(out)
+        return _scalar_or_array(out)
 
-    def _log_slope(self, x):
-        return self.scale / (x * x) - (self.shape + 1.0) / x
-
-    def pdf_d1(self, x):
-        x = np.asarray(x, dtype=float)
-        out = self.pdf(x) * self._log_slope(x)
-        return out if np.ndim(out) else float(out)
-
-    def pdf_d2(self, x):
-        x = np.asarray(x, dtype=float)
-        s1 = self._log_slope(x)
+    def _log_slopes(self, x):
+        s1 = self.scale / (x * x) - (self.shape + 1.0) / x
         s2 = -2.0 * self.scale / x ** 3 + (self.shape + 1.0) / (x * x)
-        out = self.pdf(x) * (s1 * s1 + s2)
-        return out if np.ndim(out) else float(out)
+        return s1, s2
 
     def _scale_hint(self):
         if self.shape > 1.0:
@@ -247,13 +238,13 @@ class InverseWeibullDensity(TrueDensity):
         with np.errstate(over="ignore"):
             t = np.exp(self._log_t(x))
             out = np.exp(math.log(k / th) + (k + 1.0) * (math.log(th) - np.log(x)) - t)
-        return out if out.ndim else float(out)
+        return _scalar_or_array(out)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         with np.errstate(over="ignore"):
             out = np.exp(-np.exp(self._log_t(x)))
-        return out if out.ndim else float(out)
+        return _scalar_or_array(out)
 
     def quantile(self, p: float) -> float:
         if not 0.0 < p < 1.0:
@@ -266,22 +257,12 @@ class InverseWeibullDensity(TrueDensity):
         # any point where the density is representable
         return np.exp(np.minimum(self._log_t(x), 7.0))
 
-    def pdf_d1(self, x):
-        x = np.asarray(x, dtype=float)
-        k = self.shape
-        t = self._t_clamped(x)
-        s1 = (k * t - (k + 1.0)) / x
-        out = self.pdf(x) * s1
-        return out if np.ndim(out) else float(out)
-
-    def pdf_d2(self, x):
-        x = np.asarray(x, dtype=float)
+    def _log_slopes(self, x):
         k = self.shape
         t = self._t_clamped(x)
         s1 = (k * t - (k + 1.0)) / x
         s2 = ((k + 1.0) - k * (k + 1.0) * t) / (x * x)
-        out = self.pdf(x) * (s1 * s1 + s2)
-        return out if np.ndim(out) else float(out)
+        return s1, s2
 
     def _scale_hint(self):
         return self.scale
@@ -319,7 +300,7 @@ class MixtureDensity(TrueDensity):
         x = np.asarray(x, dtype=float)
         out = sum(w * np.asarray(getattr(c, method)(x), dtype=float)
                   for w, c in zip(self.weights, self.components))
-        return out if np.ndim(out) else float(out)
+        return _scalar_or_array(out)
 
     def pdf(self, x):
         return self._combine("pdf", x)

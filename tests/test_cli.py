@@ -1,10 +1,12 @@
 import json
 import math
+import stat
+import threading
 
 import numpy as np
 import pytest
 
-from gekde.cli import main
+from gekde.cli import _atomic_write, main
 
 
 def write_csv(path, values, header=None):
@@ -225,3 +227,44 @@ class TestDiagnose:
         rc = main(["diagnose", "--kernel", "ge", "--density", "cauchy:1,2",
                    "--x", "2", "--bandwidth", "0.05", "--output", str(tmp_path)])
         assert rc == 2
+
+
+class TestAtomicWrite:
+    def test_concurrent_writers_leave_one_full_payload(self, tmp_path):
+        target = tmp_path / "out.csv"
+        payloads = ["a" * 1_000_000 + "\n", "b" * 1_500_000 + "\n"]
+        for _ in range(10):
+            barrier = threading.Barrier(2)
+            errors = []
+
+            def write(text):
+                barrier.wait(timeout=30)
+                try:
+                    _atomic_write(target, text)
+                except Exception as exc:  # surfaced by the assertion below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=write, args=(p,)) for p in payloads]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert target.read_text() in payloads
+            assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_mode_matches_plain_open(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("x\n")
+        target = tmp_path / "atomic.txt"
+        _atomic_write(target, "x\n")
+        assert stat.S_IMODE(target.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+
+    def test_failed_write_removes_temporary(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            _atomic_write(target, "\udcff")  # a lone surrogate cannot be encoded
+        assert target.read_text() == "old\n"
+        assert list(tmp_path.glob("*.tmp")) == []

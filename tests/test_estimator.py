@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,28 @@ class TestSilverman:
     def test_degenerate_sample(self):
         with pytest.raises(DegenerateSampleError):
             silverman_bandwidth(Sample([1.0, 1.0]), Kernel.GE)
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_extreme_scales(self, scale):
+        # the spread survives at both ends without a numpy warning; h**2 for
+        # the gamma family leaves the double range and says so
+        s = GammaDensity(3.0, 1.0).sample(100, 3)
+        scaled = Sample(s.values * scale)
+        h = silverman_bandwidth(s, Kernel.GE).value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = silverman_bandwidth(scaled, Kernel.GE).value
+            assert abs(got - h * scale) <= 1e-12 * h * scale
+            cause = "overflows" if scale > 1.0 else "underflows"
+            with pytest.raises(DomainError, match=cause):
+                silverman_bandwidth(scaled, Kernel.GAM1)
+
+    def test_power_of_two_scaling_is_exact(self):
+        s = GammaDensity(3.0, 1.0).sample(100, 3)
+        h = silverman_bandwidth(s, Kernel.GE).value
+        for k in (-1000, -7, 9, 1000):
+            scaled = Sample(np.ldexp(s.values, k))
+            assert silverman_bandwidth(scaled, Kernel.GE).value == math.ldexp(h, k)
 
 
 class TestEstimateDensity:

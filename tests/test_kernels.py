@@ -163,6 +163,17 @@ class TestGe2Shape:
         newton = ge2_shape(x, b)
         assert newton == pytest.approx(math.exp(35.0) - 0.5, rel=1e-12)
 
+    @pytest.mark.parametrize("ratio, root", [
+        # nu solving psi(nu + 1) = x/b - EULER_GAMMA, from a 40-digit root-finder
+        (0.01, 0.00610637058938112),
+        (0.03, 0.018483385081997924),
+        (0.1, 0.06358803179820348),
+        (2.0, 3.638675849525134),
+        (10.0, 12366.46810658665),
+    ])
+    def test_matches_high_precision_root(self, ratio, root):
+        assert abs(ge2_shape(ratio, 1.0) - root) <= 1e-13 * root
+
     def test_overflowing_shape_is_inf_but_kernel_finite(self):
         assert ge2_shape(10.0, 0.01) == math.inf
         assert math.isfinite(log_kernel(Kernel.GE2, 10.0, 0.01, 10.0))

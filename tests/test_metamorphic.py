@@ -3,10 +3,12 @@
 ``estimate_density`` computes the kernel's location and datum terms once and
 combines them over blocks of grid rows.  These tests pin what that must not
 change: the value at a grid point does not depend on which other points
-share the call or the block, nor on the order of the data, and it agrees
-with per-point evaluation and with the reference per-row formulas.
+share the call or the block, nor on the order of the data; for the GE
+kernels it scales as 1/c when data, bandwidth and grid are scaled by c; and
+it agrees with per-point evaluation and with the reference per-row formulas.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -60,6 +62,33 @@ def test_sample_permutation_is_bitwise_invariant(kernel, data):
     a = estimate_density(reference, kernel, 0.4, grid)
     b = estimate_density(Sample(data), kernel, 0.4, grid)
     assert np.array_equal(a.values, b.values)
+
+
+@functools.lru_cache(maxsize=None)
+def _config_case(config_id):
+    """n = 100 sample of a configuration and its 64-point ISE-style grid."""
+    density = CONFIGURATIONS[config_id]
+    grid = np.linspace(density.quantile(5e-4), density.quantile(1.0 - 5e-4), 64)
+    return density.sample(100, 31), grid
+
+
+@settings(max_examples=60, deadline=None)
+@given(config_id=st.sampled_from(sorted(CONFIGURATIONS)),
+       kernel=st.sampled_from([Kernel.GE, Kernel.GE2]),
+       k=st.integers(min_value=-900, max_value=900))
+def test_scale_equivariance(config_id, kernel, k):
+    # scaling data, bandwidth and grid by c = 2**k is exact and leaves every
+    # x/b and z/b unchanged; only log(b) moves, so fhat scales as 1/c up to
+    # rounding.  Compared where fhat >= 1e-30, so that fhat/c stays a normal
+    # double for every c; beyond the data the ge left tail underflows to 0.
+    sample, grid = _config_case(config_id)
+    b = silverman_bandwidth(sample, kernel).value
+    base = estimate_density(sample, kernel, b, grid).values
+    c = math.ldexp(1.0, k)
+    scaled = estimate_density(Sample(sample.values * c), kernel, b * c, grid * c).values
+    kept = base >= 1e-30
+    assert np.count_nonzero(kept) >= grid.size // 2
+    np.testing.assert_allclose(scaled[kept] * c, base[kept], rtol=1e-12, atol=0.0)
 
 
 def _wide_case():

@@ -175,10 +175,3 @@ class TestConfig:
             SpecFunConfig(newton_tol=0.0)
         with pytest.raises(DomainError):
             SpecFunConfig(newton_max_iter=0)
-        with pytest.raises(DomainError):
-            SpecFunConfig(asymptotic_cutoff=4.0)
-
-    def test_higher_cutoff_still_accurate(self):
-        cfg = SpecFunConfig(asymptotic_cutoff=10.0)
-        for x, ref in refvals.DIGAMMA.items():
-            assert abs(digamma(x, cfg) - ref) <= 1e-12, x
