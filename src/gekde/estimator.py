@@ -26,6 +26,7 @@ References
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -405,21 +406,29 @@ def exact_estimator_moments(kernel: Kernel, x: float, b: float, density, n: int,
     adaptive quadrature, for deterministic verification of the asymptotic
     bias/variance constants without Monte Carlo noise.  ``density`` is any
     object exposing a scalar ``pdf`` method (see
-    :class:`gekde.simulation.TrueDensity`).
+    :class:`gekde.simulation.TrueDensity`); ``pdf`` must be a pure function
+    of z, because the three quadrature passes (kernel mass, mean, second
+    moment) largely share their nodes, and within one call each node's
+    kernel and density values are computed once and reused.
 
     Raises
     ------
+    DomainError
+        If ``n`` is below 1, or x or b lies outside the kernel's domain.
+    BoundaryDegeneracyError
+        For the ``rig`` kernel at x <= b.
     IntegrationError
         If the quadrature error estimate exceeds the tolerance, or the
         kernel mass over the integration bracket strays from 1.
     """
+    if n < 1:
+        raise DomainError("n must be at least 1")
     _coerce_bandwidth(b)
-    lo, hi = _quad_window(kernel, x, b)
-    # location terms (and the ge2 shape solve) once, not at every node
+    # validates (x, b); location terms (and the ge2 shape solve) once, not at every node
     log_k = _point_log_kernel(kernel, x, b)
-
-    def k_at(z):
-        return math.exp(log_k(z))
+    lo, hi = _quad_window(kernel, x, b)
+    k_at = functools.cache(lambda z: math.exp(log_k(z)))
+    f_at = functools.cache(density.pdf)
 
     mass, mass_err = _quad_segments(k_at, lo, hi, epsabs)
     if abs(mass - 1.0) > 1e-8:
@@ -427,8 +436,8 @@ def exact_estimator_moments(kernel: Kernel, x: float, b: float, density, n: int,
             f"kernel mass {mass!r} deviates from 1 over the quadrature bracket",
             achieved=abs(mass - 1.0),
         )
-    mean, e1 = _quad_segments(lambda z: k_at(z) * density.pdf(z), lo, hi, epsabs)
-    second, e2 = _quad_segments(lambda z: k_at(z) ** 2 * density.pdf(z), lo, hi, epsabs)
+    mean, e1 = _quad_segments(lambda z: k_at(z) * f_at(z), lo, hi, epsabs)
+    second, e2 = _quad_segments(lambda z: k_at(z) ** 2 * f_at(z), lo, hi, epsabs)
     achieved = max(e1, e2, mass_err)
     if achieved > 1e-6:
         raise IntegrationError(

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import gammainc, gammaincc
+from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv
 from scipy.integrate import quad
 
 from .errors import CoverageError, DomainError, GekdeError
@@ -71,6 +71,18 @@ def _positive_param(value, name):
     return v
 
 
+def _store_gamma_constants(density):
+    """Validate (shape, scale) and store k log(theta) and log Gamma(k) once.
+
+    They are plain attributes, not dataclass fields, so equality, hashing
+    and repr still see (shape, scale) alone.
+    """
+    _positive_param(density.shape, "shape")
+    _positive_param(density.scale, "scale")
+    object.__setattr__(density, "_k_log_scale", density.shape * math.log(density.scale))
+    object.__setattr__(density, "_log_gamma_shape", log_gamma(density.shape))
+
+
 class TrueDensity:
     """A closed-form density on (0, inf) with pdf, cdf, derivative and sampler access."""
 
@@ -112,9 +124,13 @@ class TrueDensity:
         return Sample(self._draw(int(n), ss))
 
     def quantile(self, p: float) -> float:
-        """Quantile by root-finding on the cdf."""
+        """The x with cdf(x) = p, for p in (0, 1)."""
         if not 0.0 < p < 1.0:
             raise DomainError("quantile level must lie in (0, 1)")
+        return float(self._quantile(p))
+
+    def _quantile(self, p):
+        """Root of cdf(x) = p by brentq; closed-form families override this."""
         scale = self._scale_hint()
         lo = hi = scale
         for _ in range(2000):
@@ -125,7 +141,7 @@ class TrueDensity:
             if self.cdf(hi) > p:
                 break
             hi *= 2.0
-        return float(brentq(lambda x: self.cdf(x) - p, lo, hi, xtol=1e-12 * scale, rtol=1e-13))
+        return brentq(lambda x: self.cdf(x) - p, lo, hi, xtol=1e-12 * scale, rtol=1e-13)
 
     def roughness(self) -> float:
         """Curvature functional: integral of f''(x)**2 over (0, inf)."""
@@ -152,20 +168,22 @@ class GammaDensity(TrueDensity):
     family = "gamma"
 
     def __post_init__(self):
-        _positive_param(self.shape, "shape")
-        _positive_param(self.scale, "scale")
+        _store_gamma_constants(self)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        k, th = self.shape, self.scale
         with np.errstate(divide="ignore"):
-            out = np.exp((k - 1.0) * np.log(x) - x / th - k * math.log(th) - log_gamma(k))
+            out = np.exp((self.shape - 1.0) * np.log(x) - x / self.scale
+                         - self._k_log_scale - self._log_gamma_shape)
         return _scalar_or_array(out)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         out = gammainc(self.shape, x / self.scale)
         return _scalar_or_array(out)
+
+    def _quantile(self, p):
+        return gammaincinv(self.shape, p) * self.scale
 
     def _log_slopes(self, x):
         return (self.shape - 1.0) / x - 1.0 / self.scale, -(self.shape - 1.0) / (x * x)
@@ -187,19 +205,21 @@ class InverseGammaDensity(TrueDensity):
     family = "inverse_gamma"
 
     def __post_init__(self):
-        _positive_param(self.shape, "shape")
-        _positive_param(self.scale, "scale")
+        _store_gamma_constants(self)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        k, th = self.shape, self.scale
-        out = np.exp(k * math.log(th) - (k + 1.0) * np.log(x) - th / x - log_gamma(k))
+        out = np.exp(self._k_log_scale - (self.shape + 1.0) * np.log(x) - self.scale / x
+                     - self._log_gamma_shape)
         return _scalar_or_array(out)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         out = gammaincc(self.shape, self.scale / x)
         return _scalar_or_array(out)
+
+    def _quantile(self, p):
+        return self.scale / gammainccinv(self.shape, p)
 
     def _log_slopes(self, x):
         s1 = self.scale / (x * x) - (self.shape + 1.0) / x
@@ -246,9 +266,7 @@ class InverseWeibullDensity(TrueDensity):
             out = np.exp(-np.exp(self._log_t(x)))
         return _scalar_or_array(out)
 
-    def quantile(self, p: float) -> float:
-        if not 0.0 < p < 1.0:
-            raise DomainError("quantile level must lie in (0, 1)")
+    def _quantile(self, p):
         return self.scale * (-math.log(p)) ** (-1.0 / self.shape)
 
     def _t_clamped(self, x):
@@ -298,8 +316,7 @@ class MixtureDensity(TrueDensity):
 
     def _combine(self, method, x):
         x = np.asarray(x, dtype=float)
-        out = sum(w * np.asarray(getattr(c, method)(x), dtype=float)
-                  for w, c in zip(self.weights, self.components))
+        out = sum(w * getattr(c, method)(x) for w, c in zip(self.weights, self.components))
         return _scalar_or_array(out)
 
     def pdf(self, x):

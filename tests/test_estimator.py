@@ -4,7 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+import gekde.estimator
 from gekde import (
+    CONFIGURATIONS,
     Bandwidth,
     BoundaryDegeneracyError,
     DegenerateSampleError,
@@ -26,6 +28,8 @@ from gekde import (
     optimal_bandwidth_ge2,
     silverman_bandwidth,
 )
+from gekde.estimator import _quad_segments, _quad_window
+from gekde.kernels import _point_log_kernel
 
 G = EULER_GAMMA
 
@@ -302,3 +306,87 @@ class TestExactMoments:
         m10 = exact_estimator_moments(Kernel.GE, 2.0, 0.05, f, n=10)
         assert m10.variance == pytest.approx(m1.variance / 10.0, rel=1e-12)
         assert m1.mean == pytest.approx(m10.mean, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_n_below_one_rejected(self, n):
+        with pytest.raises(DomainError, match="n must be at least 1"):
+            exact_estimator_moments(Kernel.GE, 2.0, 0.1, GammaDensity(3.0, 1.0), n)
+
+    def test_point_validated_before_bracket(self):
+        # the ig bracket takes sqrt(b x**3): a negative x must fail as a domain error
+        with pytest.raises(DomainError):
+            exact_estimator_moments(Kernel.IG, -1.0, 0.1, GammaDensity(3.0, 1.0), 10)
+
+
+# --- reference: three independent quadrature passes, no node reuse ----------
+
+def _reference_moments(kernel, x, b, density, n, epsabs=1e-10):
+    """Mass, mean and second-moment passes, each evaluating every node afresh."""
+    lo, hi = _quad_window(kernel, x, b)
+    log_k = _point_log_kernel(kernel, x, b)
+
+    def k_at(z):
+        return math.exp(log_k(z))
+
+    mass, _ = _quad_segments(k_at, lo, hi, epsabs)
+    assert abs(mass - 1.0) <= 1e-8
+    mean, _ = _quad_segments(lambda z: k_at(z) * density.pdf(z), lo, hi, epsabs)
+    second, _ = _quad_segments(lambda z: k_at(z) ** 2 * density.pdf(z), lo, hi, epsabs)
+    return mean, (second - mean * mean) / n
+
+
+class _CountingDensity:
+    """Records every node at which ``pdf`` is evaluated."""
+
+    def __init__(self, density):
+        self.density = density
+        self.nodes = []
+
+    def pdf(self, z):
+        self.nodes.append(z)
+        return self.density.pdf(z)
+
+
+# (density, interior x, bandwidth for ge/ge2, bandwidth for the h**2 family)
+_REUSE_CASES = {
+    "gamma3": (GammaDensity(3.0, 1.0), 2.0, 0.1, 0.01),
+    "D": (CONFIGURATIONS["D"], 12.0, 1.0, 0.05),
+}
+
+
+def _reuse_points():
+    for name, (_, x, b_ge, b_sq) in _REUSE_CASES.items():
+        for kernel in Kernel:
+            b = b_ge if kernel in (Kernel.GE, Kernel.GE2) else b_sq
+            for where, at in (("interior", x), ("x=1.5b", 1.5 * b)):
+                yield pytest.param(name, kernel, at, b, id=f"{name}-{kernel.value}-{where}")
+
+
+class TestNodeReuse:
+    @pytest.mark.parametrize("name, kernel, x, b", list(_reuse_points()))
+    def test_bit_identical_to_independent_passes(self, name, kernel, x, b):
+        density = _REUSE_CASES[name][0]
+        m = exact_estimator_moments(kernel, x, b, density, 100)
+        mean, variance = _reference_moments(kernel, x, b, density, 100)
+        assert m.mean.hex() == mean.hex()
+        assert m.variance.hex() == variance.hex()
+
+    @pytest.mark.parametrize("kernel", list(Kernel), ids=lambda k: k.value)
+    def test_each_node_evaluated_once(self, kernel, monkeypatch):
+        kernel_nodes = []
+
+        def counting_point_log_kernel(*args):
+            log_k = _point_log_kernel(*args)
+
+            def counted(z):
+                kernel_nodes.append(z)
+                return log_k(z)
+            return counted
+
+        monkeypatch.setattr(gekde.estimator, "_point_log_kernel", counting_point_log_kernel)
+        b = 0.1 if kernel in (Kernel.GE, Kernel.GE2) else 0.01
+        density = _CountingDensity(GammaDensity(3.0, 1.0))
+        exact_estimator_moments(kernel, 2.0, b, density, 100)
+        assert kernel_nodes and density.nodes
+        assert len(set(kernel_nodes)) == len(kernel_nodes)
+        assert len(set(density.nodes)) == len(density.nodes)

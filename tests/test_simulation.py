@@ -27,6 +27,8 @@ from gekde import (
     mise_summary_json,
     run_experiment,
 )
+from gekde.simulation import TrueDensity
+from gekde.specfun import log_gamma
 
 ALL_DENSITIES = {
     "gamma": GammaDensity(3.0, 1.0),
@@ -97,7 +99,93 @@ class TestTruePdf:
             MixtureDensity((1.0,), (CONFIGURATIONS["D"],))
 
 
+# --- reference: the pdfs with log Gamma(k) and k log(theta) per call ---------
+
+def _scalar_or_array(out):
+    return out if np.ndim(out) else float(out)
+
+
+def _reference_pdf(d, x):
+    x = np.asarray(x, dtype=float)
+    k, th = d.shape, d.scale
+    if isinstance(d, GammaDensity):
+        with np.errstate(divide="ignore"):
+            out = np.exp((k - 1.0) * np.log(x) - x / th - k * math.log(th) - log_gamma(k))
+    else:
+        out = np.exp(k * math.log(th) - (k + 1.0) * np.log(x) - th / x - log_gamma(k))
+    return _scalar_or_array(out)
+
+
+def _gamma_families():
+    """Every gamma and inverse-gamma density of the catalog, components included."""
+    out = {}
+    for name, d in CONFIGURATIONS.items():
+        parts = d.components if isinstance(d, MixtureDensity) else (d,)
+        for i, c in enumerate(parts):
+            if isinstance(c, (GammaDensity, InverseGammaDensity)):
+                out[f"{name}{i}"] = c
+    return out
+
+
+GAMMA_FAMILIES = _gamma_families()
+
+
+def _ise_grid(d):
+    return np.linspace(d.quantile(0.0005), d.quantile(0.9995), 256)
+
+
+class TestStoredConstants:
+    @pytest.mark.parametrize("name", sorted(GAMMA_FAMILIES))
+    def test_pdf_bit_identical_to_per_call_formula(self, name):
+        d = GAMMA_FAMILIES[name]
+        for grid in map(_ise_grid, CONFIGURATIONS.values()):
+            assert np.array_equal(d.pdf(grid), _reference_pdf(d, grid))
+        for x in (0.5, 3.0, 40.0, 1e-300, 1e300):
+            got = d.pdf(x)
+            assert type(got) is float
+            assert got.hex() == _reference_pdf(d, x).hex()
+
+    @pytest.mark.parametrize("name", ["D", "E"])
+    def test_mixture_pdf_bit_identical(self, name):
+        d = CONFIGURATIONS[name]
+        grid = _ise_grid(d)
+        ref = sum(w * _reference_pdf(c, grid) for w, c in zip(d.weights, d.components))
+        assert np.array_equal(d.pdf(grid), ref)
+        assert type(d.pdf(grid[100])) is float
+        assert d.pdf(grid[100]) == ref[100]
+
+    @pytest.mark.parametrize("cls", [GammaDensity, InverseGammaDensity])
+    def test_equality_hash_and_repr_see_fields_only(self, cls):
+        a, b = cls(3.0, 1.0), cls(3.0, 1.0)
+        assert a == b and hash(a) == hash(b)
+        assert a != cls(3.0, 2.0)
+        assert repr(a) == f"{cls.__name__}(shape=3.0, scale=1.0)"
+
+
 class TestQuantiles:
+    # 40-digit roots of the regularised incomplete gamma function (mpmath)
+    @pytest.mark.parametrize("d, p, expected", ids=repr, argvalues=[
+        (GammaDensity(25.0, 0.5), 1.0 - 1e-7, 30.074962395101826671),
+        (GammaDensity(3.0, 1.0), 1e-7, 0.008452163797660234354),
+        (GammaDensity(3.0, 1.0), 0.5, 2.6740603137235603179),
+        (InverseGammaDensity(25.0, 150.0), 1.0 - 1e-7, 21.511757421823401167),
+        (InverseGammaDensity(25.0, 150.0), 0.0005, 3.3496902854007022496),
+    ])
+    def test_closed_form_high_precision(self, d, p, expected):
+        assert d.quantile(p) == pytest.approx(expected, rel=2e-15, abs=0.0)
+
+    @pytest.mark.parametrize("name", sorted(GAMMA_FAMILIES))
+    @pytest.mark.parametrize("p", [1e-7, 0.0005, 0.25, 0.75, 0.9995, 1.0 - 1e-7])
+    def test_closed_form_agrees_with_root_finding(self, name, p):
+        d = GAMMA_FAMILIES[name]
+        assert d.quantile(p) == pytest.approx(TrueDensity._quantile(d, p), rel=1e-10)
+
+    @pytest.mark.parametrize("name", sorted(ALL_DENSITIES))
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, math.nan])
+    def test_level_outside_unit_interval(self, name, p):
+        with pytest.raises(DomainError):
+            ALL_DENSITIES[name].quantile(p)
+
     def test_inverse_weibull_closed_form(self):
         d = InverseWeibullDensity(5.0, 800.0)
         # forced-uniform hook: u = e^-1 maps exactly to the scale
