@@ -18,6 +18,7 @@ estimator ranks strictly worst rather than disappearing from comparisons.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -83,6 +84,10 @@ def _store_gamma_constants(density):
     object.__setattr__(density, "_log_gamma_shape", log_gamma(density.shape))
 
 
+#: Quantile levels that an ISE grid must span.
+_ISE_QUANTILES = (0.0005, 0.9995)
+
+
 class TrueDensity:
     """A closed-form density on (0, inf) with pdf, cdf, derivative and sampler access."""
 
@@ -142,6 +147,14 @@ class TrueDensity:
                 break
             hi *= 2.0
         return brentq(lambda x: self.cdf(x) - p, lo, hi, xtol=1e-12 * scale, rtol=1e-13)
+
+    @functools.cached_property
+    def _ise_range(self) -> tuple:
+        """The ``_ISE_QUANTILES`` quantiles, solved once per density.
+
+        Not a dataclass field, so equality, hashing and repr ignore it.
+        """
+        return tuple(self.quantile(p) for p in _ISE_QUANTILES)
 
     def roughness(self) -> float:
         """Curvature functional: integral of f''(x)**2 over (0, inf)."""
@@ -357,8 +370,6 @@ CONFIGURATIONS = {
     "F": MixtureDensity((2.0 / 3.0, 1.0 / 3.0), (InverseWeibullDensity(5.0, 800.0), InverseWeibullDensity(10.0, 400.0))),
 }
 
-_ISE_QUANTILES = (0.0005, 0.9995)
-
 
 def integrated_squared_error(estimate: DensityEstimate, density: TrueDensity,
                              require_coverage: bool = True) -> float:
@@ -372,7 +383,7 @@ def integrated_squared_error(estimate: DensityEstimate, density: TrueDensity,
     if grid.size < 2:
         raise DomainError("ISE needs a grid with at least 2 points")
     if require_coverage:
-        lo_q, hi_q = (density.quantile(p) for p in _ISE_QUANTILES)
+        lo_q, hi_q = density._ise_range
         slack = 1e-9
         if grid[0] > lo_q * (1.0 + slack) + 1e-12:
             raise CoverageError(
@@ -445,7 +456,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list:
     any ``threads`` value.
     """
     density = CONFIGURATIONS[config.config_id]
-    lo, hi = (density.quantile(p) for p in _ISE_QUANTILES)
+    lo, hi = density._ise_range
     grid = np.linspace(lo, hi, config.grid_size)
     f_true = np.asarray(density.pdf(grid), dtype=float)
     streams = np.random.SeedSequence(config.seed).spawn(config.replications)

@@ -28,8 +28,9 @@ from gekde import (
     optimal_bandwidth_ge2,
     silverman_bandwidth,
 )
-from gekde.estimator import _quad_segments, _quad_window
-from gekde.kernels import _point_log_kernel
+from gekde.estimator import _EXP_ZERO, _exp_rows, _quad_segments, _quad_window
+from gekde.kernels import _LogKernel, _point_log_kernel
+from test_metamorphic import _wide_case
 
 G = EULER_GAMMA
 
@@ -176,6 +177,46 @@ class TestEstimateDensity:
         est = estimate_density(s, Kernel.GE, bw, [1.0])
         assert est.bandwidth is bw
         assert est.n == 2
+
+
+def _underflow_case():
+    """Config E at n = 5000 on a 128-point grid: most ge/ge2 log K underflow."""
+    sample = CONFIGURATIONS["E"].sample(5000, 7)
+    return sample, default_grid(sample, 128)
+
+
+class TestExpUnderflow:
+    def test_cut_exponentiates_to_zero(self):
+        assert np.exp(_EXP_ZERO) == 0.0
+        assert np.exp(-745.0) > 0.0
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_block_exp_bit_identical_to_numpy(self, masked):
+        row = [-np.inf, _EXP_ZERO, np.nextafter(_EXP_ZERO, 0.0), -740.0, -700.0,
+               0.0, np.nan, np.inf]
+        block = np.array([row, row[::-1], np.roll(row, 3)])
+        expect = np.exp(block)
+        _exp_rows(block, masked)
+        assert np.array_equal(block.view(np.uint64), expect.view(np.uint64))
+
+    @pytest.mark.parametrize("kernel", list(Kernel))
+    def test_estimate_bit_identical_to_unmasked_mean(self, kernel, monkeypatch):
+        paths = []
+
+        def recording(block, masked):
+            paths.append(masked)
+            _exp_rows(block, masked)
+
+        monkeypatch.setattr(gekde.estimator, "_exp_rows", recording)
+        sample, grid = _underflow_case()
+        cases = [(sample, silverman_bandwidth(sample, kernel).value, grid), _wide_case()]
+        for sample, b, grid in cases:
+            grid = grid[grid > b] if kernel is Kernel.RIG else grid
+            ev = _LogKernel(kernel, grid, b)
+            expect = np.exp(ev.rows(ev.data(sample.values))).mean(axis=1)
+            got = estimate_density(sample, kernel, b, grid).values
+            assert np.array_equal(got, expect)
+        assert set(paths) == {False, True}
 
 
 class TestOptimalGe2Bandwidth:

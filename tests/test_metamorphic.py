@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
+import gekde.estimator
 from gekde import (
     CONFIGURATIONS,
     EULER_GAMMA,
@@ -30,9 +31,14 @@ from gekde import (
     silverman_bandwidth,
 )
 
-# n = 1500 puts ten grid rows in a block, so a 200-point grid spans 20 blocks
+# the 200-point grid must span several blocks of the estimator's element budget
 _SAMPLE = CONFIGURATIONS["D"].sample(1500, 2024)
 _GRID = default_grid(_SAMPLE, 200)
+_ROWS_PER_BLOCK = max(1, gekde.estimator._BLOCK_ELEMENTS // _SAMPLE.n)
+
+
+def test_grid_spans_several_blocks():
+    assert math.ceil(_GRID.size / _ROWS_PER_BLOCK) >= 8
 
 
 def _fit_grid(kernel):

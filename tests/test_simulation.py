@@ -261,6 +261,29 @@ class TestIse:
             integrated_squared_error(est, d)
         assert integrated_squared_error(est, d, require_coverage=False) == 0.0
 
+    def test_coverage_quantiles_solved_once_per_density(self, monkeypatch):
+        # a fresh mixture, so no earlier call has cached its ISE range
+        ref = CONFIGURATIONS["F"]
+        d = MixtureDensity(ref.weights, ref.components)
+        levels = []
+        original = MixtureDensity._quantile
+
+        def counting(self, p):
+            levels.append(p)
+            return original(self, p)
+
+        monkeypatch.setattr(MixtureDensity, "_quantile", counting)
+        grid = np.linspace(original(d, 0.0005), original(d, 0.9995), 256)
+        values = np.asarray(d.pdf(grid)) * 1.01
+        est = DensityEstimate(grid, values, Kernel.GE, Bandwidth(0.1), 10)
+        first = integrated_squared_error(est, d)
+        second = integrated_squared_error(est, d)
+        assert sorted(levels) == [0.0005, 0.9995]
+        diff = values - np.asarray(d.pdf(grid))
+        direct = float(np.trapezoid(diff * diff, grid))
+        assert first.hex() == second.hex() == direct.hex()
+        assert d == ref and hash(d) == hash(ref) and repr(d) == repr(ref)
+
 
 class TestRunExperiment:
     def test_single_replication(self):
