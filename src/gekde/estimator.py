@@ -45,7 +45,7 @@ from .errors import (
     IntegrationError,
     OptimizationError,
 )
-from .kernels import Kernel, _LogKernel, _point_log_kernel, gam2_shape
+from .kernels import _TINY, Kernel, _LogKernel, _point_log_kernel, gam2_shape
 from .specfun import EULER_GAMMA, digamma
 
 __all__ = [
@@ -91,9 +91,6 @@ _EXP_ZERO = -746.0
 #: 18 ns more on such an entry than on a normal result, and masking costs
 #: about 1.2 ns on every entry: below a 1/16 share the plain exp is as fast.
 _PROBE_DIVISOR = 32
-
-#: Smallest normal double; an h**2 bandwidth below it has lost precision.
-_TINY = np.finfo(float).tiny
 
 
 class Sample:
@@ -184,7 +181,7 @@ class Moments(NamedTuple):
 def _coerce_bandwidth(bandwidth) -> Bandwidth:
     if isinstance(bandwidth, Bandwidth):
         return bandwidth
-    return Bandwidth(float(bandwidth))
+    return Bandwidth(bandwidth)  # converts, and raises DomainError on a non-number
 
 
 def _silverman_h(sample: Sample) -> float:
@@ -446,17 +443,21 @@ def exact_estimator_moments(kernel: Kernel, x: float, b: float, density, n: int,
     Computes ``E[fhat(x)] = integral of K f`` and
     ``Var[fhat(x)] = (integral of K^2 f - (integral of K f)^2) / n`` by
     adaptive quadrature, for deterministic verification of the asymptotic
-    bias/variance constants without Monte Carlo noise.  ``density`` is any
-    object exposing a scalar ``pdf`` method (see
-    :class:`gekde.simulation.TrueDensity`); ``pdf`` must be a pure function
-    of z, because the three quadrature passes (kernel mass, mean, second
-    moment) largely share their nodes, and within one call each node's
-    kernel and density values are computed once and reused.
+    bias/variance constants without Monte Carlo noise.  ``b`` is a number or
+    a :class:`Bandwidth`.  ``density`` is any object exposing a scalar
+    ``pdf`` method (see :class:`gekde.simulation.TrueDensity`); ``pdf`` must
+    be a pure function of z, because the three quadrature passes (kernel
+    mass, mean, second moment) largely share their nodes, and within one
+    call each node's kernel and density values are computed once and reused.
+    Each node is a Python float, so the kernel and a ``TrueDensity`` take
+    their float paths, which build no array and give the bits of the array
+    evaluators.
 
     Raises
     ------
     DomainError
-        If ``n`` is below 1, or x or b lies outside the kernel's domain.
+        If ``n`` is below 1, b is not a positive finite number, or x or b
+        lies outside the kernel's domain.
     BoundaryDegeneracyError
         For the ``rig`` kernel at x <= b.
     IntegrationError
@@ -465,7 +466,7 @@ def exact_estimator_moments(kernel: Kernel, x: float, b: float, density, n: int,
     """
     if n < 1:
         raise DomainError("n must be at least 1")
-    _coerce_bandwidth(b)
+    b = _coerce_bandwidth(b).value
     # validates (x, b); location terms (and the ge2 shape solve) once, not at every node
     log_k = _point_log_kernel(kernel, x, b)
     lo, hi = _quad_window(kernel, x, b)

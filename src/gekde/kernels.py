@@ -19,8 +19,12 @@ row of data z and works in three steps: the terms that depend on x alone
 inverse-digamma solve) are computed once per location, the terms that
 depend on z alone (``log z``, ``z/b``, ``log(1 - exp(-z/b))``) once per
 datum, and a broadcast combine forms the (locations, data) block of log
-kernel values.  ``log_kernel`` is the single-location case; the estimator
-runs the combine over blocks of grid rows.
+kernel values.  The estimator runs the combine over blocks of grid rows;
+``log_kernel`` is the single-location case.  A single datum given as a
+float (a quadrature node) takes a float transcription of the per-datum
+terms and the combine, on the same location terms: the same numpy ufuncs
+and the same arithmetic in the same order, so its value has the block
+path's bits without building an array.
 
 References
 ----------
@@ -58,6 +62,8 @@ _LOG2 = math.log(2.0)
 _LOG_SHAPE_DIRECT_MAX = 700.0   # largest log-shape evaluated without regrouping
 _ASYMPTOTIC_U = 36.0            # z/b beyond which log1p(-e^-u) = -e^-u to machine precision
 _ASYMPTOTIC_Y = 36.0            # digamma argument beyond which psi-inverse(y) = e^y + 1/2 exactly
+_LOG_DBL_MAX = math.log(np.finfo(float).max)  # np.exp overflows to inf above this, and only there
+_TINY = np.finfo(float).tiny    # smallest normal double
 
 
 class Kernel(enum.Enum):
@@ -161,7 +167,13 @@ class _LogKernel:
             shape = x / b + 1.0 if kernel is Kernel.GAM1 else _gam2_shape(x, b)
             terms = (shape - 1.0, shape * math.log(b), log_gamma(shape))
         elif kernel is Kernel.IG:
-            terms = (x, 2.0 * b * x)
+            denom = 2.0 * b * x
+            if np.any(denom < _TINY):
+                raise DomainError(
+                    f"ig kernel: 2*b*x underflows at x = {float(x[denom < _TINY][0])!r}, "
+                    f"b = {b!r}; rescale the data"
+                )
+            terms = (x, denom)
         else:
             s = x - b
             terms = (s, s / (2.0 * b))
@@ -246,25 +258,79 @@ def _validate_point(kernel, x, b):
         raise DomainError(f"{kernel.value} kernel requires x > 0")
 
 
+def _float_log_kernel(ev: _LogKernel):
+    """``z -> log K`` for the one location of ``ev``, on a positive finite float.
+
+    A transcription of ``ev.rows(ev.data(...))`` for a single datum, bit for
+    bit: the location terms are read once as floats, every transcendental is
+    the numpy ufunc the block path applies (on a scalar it runs the same
+    loop), the combine is float arithmetic in the block path's order, and
+    each ``np.where`` is an ``if`` that takes the same branch.  The branches
+    keep every ufunc off its divide-by-zero and overflow cases, so no
+    ``np.errstate`` is needed; float arithmetic itself never warns, and no
+    divisor here can be zero (``_LogKernel`` rejects an ``ig`` denominator
+    below the smallest normal double).
+    """
+    kernel, b = ev.kernel, ev.b
+    loc = [t.item() for t in ev.loc]
+    if kernel in _GE_FAMILY:
+        c0, shape_m1, log_shape, big = loc
+
+        def log_k(z):
+            u = z / b
+            if u > _LOG2:
+                L = float(np.log1p(-np.exp(-u)))
+            elif u > 0.0:
+                L = float(np.log(-np.expm1(-u)))
+            else:  # z/b underflowed to 0: log(0)
+                L = -math.inf
+            if big:
+                if u > _ASYMPTOTIC_U:
+                    log_neg_l = -u + float(np.log1p(0.5 * np.exp(-u)))
+                else:  # here L < 0
+                    log_neg_l = float(np.log(-L))
+                e = log_shape + log_neg_l
+                T = -math.inf if e > _LOG_DBL_MAX else -float(np.exp(e))
+            else:
+                T = shape_m1 * L
+            return c0 + T - u
+
+        return log_k
+    if kernel in _GAMMA_FAMILY:
+        shape_m1, shape_log_b, log_gamma_shape = loc
+        return lambda z: shape_m1 * float(np.log(z)) - z / b - shape_log_b - log_gamma_shape
+    c = -0.5 * math.log(2.0 * math.pi * b)  # as in ``data``
+    if kernel is Kernel.IG:
+        x, denom = loc
+        return lambda z: (c - 1.5 * float(np.log(z))) - (z / x - 2.0 + x / z) / denom
+    s, half_s_over_b = loc
+    return lambda z: (c - 0.5 * float(np.log(z))) - (z / s - 2.0 + s / z) * half_s_over_b
+
+
 def _point_log_kernel(kernel: Kernel, x: float, b: float):
     """Validate the point (x, b) and return ``z -> log K_{x,b}(z)``.
 
     The location terms are computed here, once; each call of the returned
     function checks its data and computes only the per-datum terms and the
-    combine, which is what a quadrature integrand needs.
+    combine, which is what a quadrature integrand needs.  An array of data
+    runs the block combine; a single datum runs ``_float_log_kernel`` and
+    returns a Python float with the same bits.
     """
     _validate_point(kernel, x, b)
     ev = _LogKernel(kernel, np.array([float(x)]), b)
+    at_float = _float_log_kernel(ev)
 
     def log_k(z):
-        zarr = np.asarray(z, dtype=float)
-        if zarr.ndim == 0:  # quadrature calls this once per node: keep it lean
-            if not 0.0 < float(zarr) < math.inf:
-                raise DomainError("kernel argument z must be positive and finite")
-            return float(ev.rows(ev.data(zarr.reshape(1)))[0, 0])
-        if zarr.size and (not np.all(np.isfinite(zarr)) or np.any(zarr <= 0.0)):
+        if type(z) is not float:
+            zarr = np.asarray(z, dtype=float)
+            if zarr.ndim:
+                if zarr.size and (not np.all(np.isfinite(zarr)) or np.any(zarr <= 0.0)):
+                    raise DomainError("kernel argument z must be positive and finite")
+                return ev.rows(ev.data(zarr.ravel()))[0].reshape(zarr.shape)
+            z = float(zarr)
+        if not 0.0 < z < math.inf:
             raise DomainError("kernel argument z must be positive and finite")
-        return ev.rows(ev.data(zarr.ravel()))[0].reshape(zarr.shape)
+        return at_float(z)
 
     return log_k
 

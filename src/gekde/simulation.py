@@ -62,7 +62,17 @@ _TINY = np.finfo(float).tiny
 
 def _scalar_or_array(out):
     """A 0-d result as a Python float; arrays pass through."""
-    return out if np.ndim(out) else float(out)
+    return out if isinstance(out, np.ndarray) and out.ndim else float(out)
+
+
+def _scalar_or_asarray(x):
+    """A float as a numpy scalar, anything else as a float array.
+
+    numpy scalar arithmetic has the bits and the warnings of 0-d array
+    arithmetic, without building the array; a Python float would raise on
+    division by zero and on ``**`` overflow instead.
+    """
+    return np.float64(x) if isinstance(x, float) else np.asarray(x, dtype=float)
 
 
 def _positive_param(value, name):
@@ -93,8 +103,28 @@ class TrueDensity:
 
     family = "abstract"
 
-    def pdf(self, x):
+    def _log_pdf(self, x):
+        """Log of the pdf, by one formula for a float and for an array.
+
+        At positive finite x it must not overflow, divide by zero or go
+        invalid: ``pdf`` calls it there without an ``np.errstate``.
+        """
         raise NotImplementedError
+
+    def pdf(self, x):
+        """The density at x: a Python float for a scalar, else an array.
+
+        A positive finite float (a quadrature node) goes straight to
+        ``_log_pdf``, with no array and no ``np.errstate``; anything else is
+        made an array first.  Both paths run the same numpy ufuncs and the
+        same arithmetic, so a float gets the bits of a 0-d array.
+        """
+        if isinstance(x, float) and 0.0 < x < math.inf:
+            return float(np.exp(self._log_pdf(x)))
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore"):  # log(0) at x = 0
+            out = np.exp(self._log_pdf(x))
+        return _scalar_or_array(out)
 
     def cdf(self, x):
         raise NotImplementedError
@@ -105,13 +135,13 @@ class TrueDensity:
 
     def pdf_d1(self, x):
         """First derivative of the pdf: f * s1."""
-        x = np.asarray(x, dtype=float)
+        x = _scalar_or_asarray(x)
         s1, _ = self._log_slopes(x)
         return _scalar_or_array(self.pdf(x) * s1)
 
     def pdf_d2(self, x):
         """Second derivative of the pdf: f * (s1**2 + s2)."""
-        x = np.asarray(x, dtype=float)
+        x = _scalar_or_asarray(x)
         s1, s2 = self._log_slopes(x)
         return _scalar_or_array(self.pdf(x) * (s1 * s1 + s2))
 
@@ -183,12 +213,9 @@ class GammaDensity(TrueDensity):
     def __post_init__(self):
         _store_gamma_constants(self)
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            out = np.exp((self.shape - 1.0) * np.log(x) - x / self.scale
-                         - self._k_log_scale - self._log_gamma_shape)
-        return _scalar_or_array(out)
+    def _log_pdf(self, x):
+        return ((self.shape - 1.0) * np.log(x) - x / self.scale
+                - self._k_log_scale - self._log_gamma_shape)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -220,11 +247,9 @@ class InverseGammaDensity(TrueDensity):
     def __post_init__(self):
         _store_gamma_constants(self)
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.exp(self._k_log_scale - (self.shape + 1.0) * np.log(x) - self.scale / x
-                     - self._log_gamma_shape)
-        return _scalar_or_array(out)
+    def _log_pdf(self, x):
+        return (self._k_log_scale - (self.shape + 1.0) * np.log(x) - self.scale / x
+                - self._log_gamma_shape)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -236,7 +261,7 @@ class InverseGammaDensity(TrueDensity):
 
     def _log_slopes(self, x):
         s1 = self.scale / (x * x) - (self.shape + 1.0) / x
-        s2 = -2.0 * self.scale / x ** 3 + (self.shape + 1.0) / (x * x)
+        s2 = -2.0 * self.scale / np.power(x, 3) + (self.shape + 1.0) / (x * x)
         return s1, s2
 
     def _scale_hint(self):
@@ -265,13 +290,13 @@ class InverseWeibullDensity(TrueDensity):
         # log of t = (theta/x)**k
         return self.shape * (math.log(self.scale) - np.log(x))
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _log_pdf(self, x):
         k, th = self.shape, self.scale
-        with np.errstate(over="ignore"):
-            t = np.exp(self._log_t(x))
-            out = np.exp(math.log(k / th) + (k + 1.0) * (math.log(th) - np.log(x)) - t)
-        return _scalar_or_array(out)
+        # log(theta/x), capped where t = (theta/x)**k passes e**709: t then
+        # outweighs the other terms and the pdf is +0.0, capped or not, but
+        # exp(k * d) no longer overflows (and x = 0 gives 0.0, not nan)
+        d = np.minimum(math.log(th) - np.log(x), 709.0 / k)
+        return math.log(k / th) + (k + 1.0) * d - np.exp(k * d)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -328,7 +353,8 @@ class MixtureDensity(TrueDensity):
         object.__setattr__(self, "components", comps)
 
     def _combine(self, method, x):
-        x = np.asarray(x, dtype=float)
+        if not isinstance(x, float):  # a float stays one, for the components' float paths
+            x = np.asarray(x, dtype=float)
         out = sum(w * getattr(c, method)(x) for w, c in zip(self.weights, self.components))
         return _scalar_or_array(out)
 

@@ -353,6 +353,19 @@ class TestExactMoments:
         with pytest.raises(DomainError, match="n must be at least 1"):
             exact_estimator_moments(Kernel.GE, 2.0, 0.1, GammaDensity(3.0, 1.0), n)
 
+    @pytest.mark.parametrize("b", [Bandwidth(0.1), "0.1", np.float64(0.1)],
+                             ids=["Bandwidth", "str", "float64"])
+    def test_bandwidth_coerced_like_a_float(self, b):
+        f = GammaDensity(3.0, 1.0)
+        ref = exact_estimator_moments(Kernel.GE, 2.0, 0.1, f, 100)
+        m = exact_estimator_moments(Kernel.GE, 2.0, b, f, 100)
+        assert (m.mean.hex(), m.variance.hex()) == (ref.mean.hex(), ref.variance.hex())
+
+    @pytest.mark.parametrize("b", ["wide", None, [0.1], -0.1, math.nan])
+    def test_bad_bandwidth_is_domain_error(self, b):
+        with pytest.raises(DomainError):
+            exact_estimator_moments(Kernel.GE, 2.0, b, GammaDensity(3.0, 1.0), 100)
+
     def test_point_validated_before_bracket(self):
         # the ig bracket takes sqrt(b x**3): a negative x must fail as a domain error
         with pytest.raises(DomainError):
@@ -361,18 +374,30 @@ class TestExactMoments:
 
 # --- reference: three independent quadrature passes, no node reuse ----------
 
-def _reference_moments(kernel, x, b, density, n, epsabs=1e-10):
-    """Mass, mean and second-moment passes, each evaluating every node afresh."""
+def _reference_moments(kernel, x, b, density, n, epsabs=1e-10, arrays=False):
+    """Mass, mean and second-moment passes, each evaluating every node afresh.
+
+    With ``arrays`` each node goes through arrays instead of the float paths:
+    the kernel's block combine on a 1-element array, the density's 0-d path.
+    """
     lo, hi = _quad_window(kernel, x, b)
     log_k = _point_log_kernel(kernel, x, b)
+    if arrays:
+        def k_at(z):
+            return math.exp(log_k(np.array([z]))[0])
 
-    def k_at(z):
-        return math.exp(log_k(z))
+        def f_at(z):
+            return float(density.pdf(np.array(z)))
+    else:
+        def k_at(z):
+            return math.exp(log_k(z))
+
+        f_at = density.pdf
 
     mass, _ = _quad_segments(k_at, lo, hi, epsabs)
     assert abs(mass - 1.0) <= 1e-8
-    mean, _ = _quad_segments(lambda z: k_at(z) * density.pdf(z), lo, hi, epsabs)
-    second, _ = _quad_segments(lambda z: k_at(z) ** 2 * density.pdf(z), lo, hi, epsabs)
+    mean, _ = _quad_segments(lambda z: k_at(z) * f_at(z), lo, hi, epsabs)
+    second, _ = _quad_segments(lambda z: k_at(z) ** 2 * f_at(z), lo, hi, epsabs)
     return mean, (second - mean * mean) / n
 
 
@@ -409,6 +434,14 @@ class TestNodeReuse:
         density = _REUSE_CASES[name][0]
         m = exact_estimator_moments(kernel, x, b, density, 100)
         mean, variance = _reference_moments(kernel, x, b, density, 100)
+        assert m.mean.hex() == mean.hex()
+        assert m.variance.hex() == variance.hex()
+
+    @pytest.mark.parametrize("name, kernel, x, b", list(_reuse_points()))
+    def test_bit_identical_to_array_evaluation(self, name, kernel, x, b):
+        density = _REUSE_CASES[name][0]
+        m = exact_estimator_moments(kernel, x, b, density, 100)
+        mean, variance = _reference_moments(kernel, x, b, density, 100, arrays=True)
         assert m.mean.hex() == mean.hex()
         assert m.variance.hex() == variance.hex()
 

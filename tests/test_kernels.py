@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
@@ -10,16 +12,20 @@ from gekde import (
     BoundaryDegeneracyError,
     DomainError,
     EULER_GAMMA,
+    GammaDensity,
+    GekdeError,
     Kernel,
     digamma,
     gam2_shape,
     ge2_shape,
     Sample,
     estimate_density,
+    exact_estimator_moments,
     kernel_pdf,
     log_kernel,
     trigamma,
 )
+from gekde.kernels import _LogKernel, _point_log_kernel
 
 
 def kernel_mass(kernel, x, b, weight=None):
@@ -232,3 +238,135 @@ class TestIgNearOrigin:
             est = estimate_density(Sample([0.5, 1.0, 2.0]), Kernel.IG, 0.1, [1e-300, 1.0])
         assert est.values[0] == 0.0
         assert est.values[1] > 0.0
+
+
+class TestIgDenominatorUnderflow:
+    """2*b*x below the smallest normal double: a typed error on every path."""
+
+    X = B = 1e-200
+
+    def _raises(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="underflows"):
+                call()
+
+    def test_scalar(self):
+        self._raises(lambda: log_kernel(Kernel.IG, self.X, self.B, 1.0))
+
+    def test_array(self):
+        self._raises(lambda: log_kernel(Kernel.IG, self.X, self.B, np.array([0.5, 1.0])))
+
+    def test_estimate_density(self):
+        sample = Sample([0.5, 1.0, 2.0])
+        self._raises(lambda: estimate_density(sample, Kernel.IG, self.B, [self.X, 1.0]))
+
+    def test_exact_moments(self):
+        density = GammaDensity(3.0, 1.0)
+        self._raises(lambda: exact_estimator_moments(Kernel.IG, self.X, self.B, density, 10))
+
+    def test_smallest_normal_denominator_is_accepted(self):
+        b = np.finfo(float).tiny / 2.0
+        assert math.isfinite(log_kernel(Kernel.IG, 1.0, b, 1.0))
+
+
+# --- the float path of a single datum against the block combine -------------
+
+def _block_value(kernel, x, b, z):
+    """log K through ``rows(data([z]))``, or the GekdeError type it raises."""
+    try:
+        log_k = _point_log_kernel(kernel, x, b)  # an array datum runs the block combine
+    except GekdeError as exc:
+        return type(exc)
+    with np.errstate(all="ignore"):  # the block path may warn at these extremes
+        return float(log_k(np.array([z]))[0]).hex()
+
+
+def _float_value(kernel, x, b, z):
+    """log K through the float path; any RuntimeWarning fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            log_k = _point_log_kernel(kernel, x, b)
+        except GekdeError as exc:
+            return type(exc)
+        got = log_k(z)
+    assert type(got) is float
+    return got.hex()
+
+
+_B_GE, _B_SQ = 0.1, 0.01
+
+
+def _edge_cases():
+    """(kernel, x, b, z) at the extremes and on every branch of the combine."""
+    for kernel in Kernel:
+        b = _B_GE if kernel in (Kernel.GE, Kernel.GE2) else _B_SQ
+        x = 2.0
+        for z in (5e-324, 1e-300, 1e300, x, 1.3 * x, 0.69 * b, 0.7 * b, 36.5 * b):
+            yield pytest.param(kernel, x, b, z, id=f"{kernel.value}-z={z:g}")
+    for kernel in (Kernel.GE, Kernel.GE2):
+        # z/b underflows to 0, so log(1 - exp(-z/b)) is log(0)
+        yield pytest.param(kernel, 20.0, 10.0, 5e-324, id=f"{kernel.value}-u=0")
+        # z/b overflows to inf
+        yield pytest.param(kernel, 1.0, 1e-10, 1e300, id=f"{kernel.value}-u=inf")
+        # x/b > 700: the regrouped product, on both log(-L) branches, and where
+        # exp(log shape + log(-L)) overflows
+        for x, z in ((72.0, 3.0), (72.0, 72.0), (80.0, 80.0), (80.0, 1e-4), (80.0, 3.5),
+                     (80.0, 3.7), (80.0, 5e-324), (80.0, 1e300)):
+            yield pytest.param(kernel, x, 0.1, z, id=f"{kernel.value}-regrouped-x={x:g}-z={z:g}")
+    edge = math.nextafter(_B_SQ, math.inf)
+    for x in (edge, _B_SQ * (1.0 + 1e-12), _B_SQ):  # the last is outside the domain
+        for z in (5e-324, 1e-12, _B_SQ, 1.0, 1e300):
+            yield pytest.param(Kernel.RIG, x, _B_SQ, z, id=f"rig-x={x!r}-z={z:g}")
+    yield pytest.param(Kernel.IG, 1e-300, 0.1, 2.0, id="ig-z/x-overflows")
+    yield pytest.param(Kernel.IG, 1e300, 0.1, 5e-324, id="ig-x/z-overflows")
+    yield pytest.param(Kernel.IG, 1e-200, 1e-200, 1.0, id="ig-denominator-underflows")
+
+
+class TestFloatPath:
+    @pytest.mark.parametrize("kernel, x, b, z", list(_edge_cases()))
+    def test_edge_cases_match_block_path(self, kernel, x, b, z):
+        assert _float_value(kernel, x, b, z) == _block_value(kernel, x, b, z)
+
+    @pytest.mark.parametrize("kernel", list(Kernel), ids=lambda k: k.value)
+    def test_around_the_location_matches_block_path(self, kernel):
+        b = _B_GE if kernel in (Kernel.GE, Kernel.GE2) else _B_SQ
+        for x in (0.37, 2.0, 9.0):
+            for z in x * np.geomspace(0.2, 5.0, 101):
+                assert _float_value(kernel, x, b, z) == _block_value(kernel, x, b, z), (x, z)
+
+    @settings(max_examples=400, deadline=None)
+    @given(kernel=st.sampled_from(list(Kernel)),
+           log_b=st.floats(-40.0, 10.0),
+           log_r=st.floats(-12.0, 8.0),
+           log_zx=st.one_of(st.floats(-3.0, 3.0), st.floats(-60.0, 60.0)),
+           raw_z=st.one_of(st.none(), st.floats(min_value=5e-324, max_value=1e308)))
+    def test_matches_block_path_bit_for_bit(self, kernel, log_b, log_r, log_zx, raw_z):
+        b = math.exp(log_b)
+        r = math.exp(log_r)
+        x = b * (1.0 + r) if kernel is Kernel.RIG else b * r
+        z = x * math.exp(log_zx) if raw_z is None else raw_z
+        assume(0.0 < z < math.inf)
+        assert _float_value(kernel, x, b, z) == _block_value(kernel, x, b, z)
+
+    @pytest.mark.parametrize("kernel", list(Kernel), ids=lambda k: k.value)
+    def test_scalar_builds_no_block(self, kernel, monkeypatch):
+        log_k = _point_log_kernel(kernel, 2.0, 0.1)
+        expected = log_k(np.array([1.5, 2.5]))
+
+        def no_block(*args, **kwargs):
+            raise AssertionError("a scalar datum went through the block combine")
+
+        monkeypatch.setattr(_LogKernel, "data", no_block)
+        monkeypatch.setattr(_LogKernel, "rows", no_block)
+        for z, want in zip((1.5, np.float64(2.5)), expected):
+            got = log_k(z)
+            assert type(got) is float
+            assert got.hex() == float(want).hex()
+        assert type(log_k(np.array(1.5))) is float
+
+    @pytest.mark.parametrize("z", [0.0, -1.0, math.inf, math.nan])
+    def test_scalar_outside_domain(self, z):
+        with pytest.raises(DomainError):
+            _point_log_kernel(Kernel.GAM1, 2.0, 0.1)(z)

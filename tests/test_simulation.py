@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +161,98 @@ class TestStoredConstants:
         assert a == b and hash(a) == hash(b)
         assert a != cls(3.0, 2.0)
         assert repr(a) == f"{cls.__name__}(shape=3.0, scale=1.0)"
+
+
+def _reference_inverse_weibull_pdf(d, x):
+    """The inverse Weibull pdf with t = (theta/x)**k left to overflow to inf."""
+    x = np.asarray(x, dtype=float)
+    k, th = d.shape, d.scale
+    with np.errstate(over="ignore"):
+        t = np.exp(k * (math.log(th) - np.log(x)))
+        out = np.exp(math.log(k / th) + (k + 1.0) * (math.log(th) - np.log(x)) - t)
+    return _scalar_or_array(out)
+
+
+def _every_density():
+    """Every configuration, and every component of the mixtures."""
+    out = dict(CONFIGURATIONS)
+    for name, d in CONFIGURATIONS.items():
+        for i, c in enumerate(getattr(d, "components", ())):
+            out[f"{name}{i}"] = c
+    return out
+
+
+EVERY_DENSITY = _every_density()
+
+
+def _probe_points(d):
+    """Float points across the ISE range and a little beyond it."""
+    lo, hi = d._ise_range
+    return [float(v) for v in np.linspace(lo, hi, 97)] + [0.5 * lo, 2.0 * hi]
+
+
+class TestFloatPath:
+    """A float x takes the float path; it must give the 0-d array path's bits."""
+
+    @pytest.mark.parametrize("name", sorted(EVERY_DENSITY))
+    @pytest.mark.parametrize("method", ["pdf", "pdf_d1", "pdf_d2"])
+    def test_float_bits_equal_0d_array(self, name, method):
+        d = EVERY_DENSITY[name]
+        f = getattr(d, method)
+        for x in _probe_points(d):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = f(x)
+                via_numpy_scalar = f(np.float64(x))
+            ref = f(np.array(x))
+            assert type(got) is float and type(via_numpy_scalar) is float
+            assert got.hex() == ref.hex() == via_numpy_scalar.hex(), (name, method, x)
+
+    @pytest.mark.parametrize("name", sorted(EVERY_DENSITY))
+    def test_pdf_at_extreme_floats_is_quiet(self, name):
+        d = EVERY_DENSITY[name]
+        for x in (5e-324, 1e-300, 1e-70, 1e300, 1.7e308):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = d.pdf(x)
+            with np.errstate(all="ignore"):
+                ref = d.pdf(np.array(x))
+            assert type(got) is float and got.hex() == ref.hex(), (name, x)
+            assert 0.0 <= got < math.inf
+
+    @pytest.mark.parametrize("name", sorted(EVERY_DENSITY))
+    def test_derivatives_at_extreme_floats_match_0d_array(self, name):
+        # x*x and x**3 underflow or overflow here: numpy scalars give inf or
+        # nan as a 0-d array does, where Python floats would raise
+        d = EVERY_DENSITY[name]
+        for x in (5e-324, 1e-200, 1e-100, 1e100, 1e200, 1.7e308):
+            for method in ("pdf_d1", "pdf_d2"):
+                f = getattr(d, method)
+                with np.errstate(all="ignore"):
+                    got, ref = f(x), f(np.array(x))
+                assert type(got) is float and got.hex() == ref.hex(), (name, method, x)
+
+    @pytest.mark.parametrize("name", ["C", "F0", "F1"])
+    def test_inverse_weibull_cap_changes_no_value(self, name):
+        d = EVERY_DENSITY[name]
+        xs = np.concatenate([np.linspace(*d._ise_range, 256), [5e-324, 1e-300, 1e-70, 1e-30]])
+        assert np.array_equal(d.pdf(xs), _reference_inverse_weibull_pdf(d, xs))
+        for x in xs:
+            assert d.pdf(float(x)).hex() == _reference_inverse_weibull_pdf(d, x).hex()
+
+    def test_inverse_weibull_is_zero_at_origin(self):
+        # exp(t) overflowed here before, and the pdf read nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert CONFIGURATIONS["C"].pdf(np.array([0.0, 1e-70])).tolist() == [0.0, 0.0]
+
+    def test_roughness_unchanged_by_float_path(self, monkeypatch):
+        d = CONFIGURATIONS["D"]
+        fast = d.roughness()
+        # every pdf_d2 node through a 0-d array, the pdf inside it too
+        monkeypatch.setattr(gekde.simulation, "_scalar_or_asarray",
+                            lambda x: np.asarray(x, dtype=float))
+        assert fast.hex() == d.roughness().hex()
 
 
 class TestQuantiles:
