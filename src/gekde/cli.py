@@ -297,6 +297,8 @@ def cmd_simulate(args) -> int:
     config_id = args.config.upper()
     if config_id not in CONFIGURATIONS:
         raise CliInputError(f"unknown configuration {args.config!r}; expected A-F")
+    if args.threads < 1:
+        raise CliInputError(f"--threads must be at least 1, not {args.threads}")
     kernels = _kernel_list(args)
     config = ExperimentConfig(
         config_id=config_id,
@@ -426,7 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--kernel", action="append", default=None,
                        help="kernel name (repeatable); default: ge ge2 gam1 gam2 rig")
     p_sim.add_argument("--grid-size", type=int, default=256, help="ISE grid size")
-    p_sim.add_argument("--threads", type=int, default=1, help="replication thread count")
+    p_sim.add_argument("--threads", type=int, default=1,
+                       help="chunks of replications run at once (at least 1)")
     p_sim.add_argument("--output", default=".", help="output directory")
     p_sim.add_argument("--format", choices=["csv", "json"], default="csv")
     p_sim.set_defaults(func=cmd_simulate)

@@ -4,8 +4,13 @@ The estimator averages log-domain kernel evaluations over the sample.  The
 kernel terms that depend on the grid point alone and those that depend on
 the datum alone are computed once per call; the grid is then processed in
 blocks of rows, each a broadcast over the whole sample, with the block size
-set by a fixed element budget.  Each block is exponentiated in place and
-summed along its rows; the sums are divided by n once, after the last block.
+set by a fixed element budget.  One routine, ``_estimate_batch``, does this
+for a stack of R samples with R bandwidths (the replications of a Monte
+Carlo cell): the location and data terms of all R samples are computed in
+one pass, and the combine runs over blocks of grid rows of one sample at a
+time; ``estimate_density`` is its one-sample case.  Each block is
+exponentiated in place and summed along its rows; the sums are divided by n
+once, after the last block.
 The GE kernels put most of log K below ``_EXP_ZERO``, where ``np.exp``
 returns +0.0 but slowly; a block with many such entries writes the 0.0
 itself (see ``_exp_rows``).  Every grid value goes through the same
@@ -14,9 +19,9 @@ the grid is split.
 
 Bandwidth selection offers Silverman's rule-of-thumb with the kernel-family
 mapping (GE kernels take the Gaussian-comparable h, the gamma/IG/RIG family
-takes h**2), the closed-form optimum for the mean-parameterised GE kernel,
-and a numerical minimiser of the approximate MISE for the mode-parameterised
-one.
+takes h**2; one vectorised pass serves a stack of samples), the closed-form
+optimum for the mean-parameterised GE kernel, and a numerical minimiser of
+the approximate MISE for the mode-parameterised one.
 
 ``exact_estimator_moments`` computes E[fhat(x)] and Var[fhat(x)] by adaptive
 quadrature against a known density, giving a deterministic (Monte-Carlo-free)
@@ -184,36 +189,43 @@ def _coerce_bandwidth(bandwidth) -> Bandwidth:
     return Bandwidth(bandwidth)  # converts, and raises DomainError on a non-number
 
 
-def _silverman_h(sample: Sample) -> float:
-    """Gaussian rule-of-thumb h = 1.06 * sigma * n**(-1/5), before the family mapping.
+def _silverman_h(values: np.ndarray) -> np.ndarray:
+    """Gaussian rule-of-thumb h = 1.06 * sigma * n**(-1/5) for each row of sorted samples.
 
-    The spread is measured on the sample scaled by a power of two that puts
-    its maximum in [1/2, 1), so the squares inside ``np.std`` neither
-    overflow (data near 1e300) nor underflow (data near 1e-300).  Scaling by
-    a power of two is exact, so h is bit-identical to the unscaled rule
-    wherever the latter does not overflow or underflow.
+    ``values`` is (R, n), one sorted sample per row, and the result is the
+    R values of h before the family mapping.  The spread is measured on each
+    sample scaled by a power of two that puts its maximum in [1/2, 1), so
+    the squares inside ``np.std`` neither overflow (data near 1e300) nor
+    underflow (data near 1e-300).  Scaling by a power of two is exact, so h
+    is bit-identical to the unscaled rule wherever the latter does not
+    overflow or underflow; and every row goes through the same operations
+    as a single sample would, so a row's h does not depend on the others.
     """
-    e = math.frexp(sample.values[-1])[1]
-    v = np.ldexp(sample.values, -e)
-    sd = float(np.std(v, ddof=1))
-    q75, q25 = np.percentile(v, [75.0, 25.0])
-    sigma = min(sd, (q75 - q25) / 1.349)
-    if sigma <= 0.0:
+    e = np.frexp(values[:, -1])[1][:, None]
+    v = np.ldexp(values, -e)
+    sd = np.std(v, axis=1, ddof=1)
+    q75, q25 = np.percentile(v, [75.0, 25.0], axis=1)
+    sigma = np.minimum(sd, (q75 - q25) / 1.349)
+    if not np.all(sigma > 0.0):
         raise DegenerateSampleError("sample has no spread; Silverman bandwidth is undefined")
-    return math.ldexp(1.06 * sigma * sample.n ** -0.2, e)
+    return np.ldexp(1.06 * sigma * values.shape[1] ** -0.2, e[:, 0])
 
 
-def _silverman_for(kernel: Kernel, h: float) -> Bandwidth:
+def _silverman_b(kernel: Kernel, h: np.ndarray) -> np.ndarray:
+    """The family mapping of Silverman's h, for an array of h values."""
     if kernel in _H_SCALE_KERNELS:
-        return Bandwidth(h, "silverman")
-    b = h * h
-    if not _TINY <= b < math.inf:
-        cause = "overflows" if b == math.inf else "underflows"
+        return h
+    with np.errstate(over="ignore"):
+        b = h * h
+    bad = ~((b >= _TINY) & (b < math.inf))
+    if bad.any():
+        at = float(h[bad][0])
+        cause = "overflows" if at * at == math.inf else "underflows"
         raise DomainError(
-            f"Silverman bandwidth for {kernel.value}: h**2 {cause} at h = {h!r}; "
+            f"Silverman bandwidth for {kernel.value}: h**2 {cause} at h = {at!r}; "
             "rescale the data"
         )
-    return Bandwidth(b, "silverman")
+    return b
 
 
 def silverman_bandwidth(sample: Sample, kernel: Kernel) -> Bandwidth:
@@ -223,7 +235,8 @@ def silverman_bandwidth(sample: Sample, kernel: Kernel) -> Bandwidth:
     kernels use h directly, the gamma/IG/RIG family uses h**2 (their
     bandwidth plays the role of the squared Gaussian one).
     """
-    return _silverman_for(kernel, _silverman_h(sample))
+    b = _silverman_b(kernel, _silverman_h(sample.values[None, :]))
+    return Bandwidth(float(b[0]), "silverman")
 
 
 def default_grid(sample: Sample, size: int = 512) -> np.ndarray:
@@ -267,13 +280,46 @@ def _exp_rows(block: np.ndarray, masked: bool) -> None:
         np.exp(block, out=block)
 
 
+def _estimate_batch(values: np.ndarray, kernel: Kernel, b: np.ndarray,
+                    grid: np.ndarray) -> np.ndarray:
+    """Estimates of R samples on one grid: an (R, G) array.
+
+    ``values`` is (R, n), one sorted sample per row, and ``b`` holds the R
+    bandwidths.  The location terms are computed once for all (sample, grid
+    point) pairs and the data terms once per datum; the combine then runs,
+    sample by sample, over blocks of grid rows within the
+    ``_BLOCK_ELEMENTS`` budget.  Each row goes through the operations of a
+    single-sample call, so a sample's estimate does not depend on which
+    others share the batch.
+    """
+    _validate_grid(kernel, grid, float(b.max()))
+    n = values.shape[1]
+    ev = _LogKernel(kernel, grid, b[:, None])
+    data = ev.data(values)
+    step = max(1, _BLOCK_ELEMENTS // n)
+    k = n // _PROBE_DIVISOR
+    probe = np.array([k, -1 - k])
+    out = np.empty((b.size, grid.size))
+    for r in range(b.size):
+        sub, dest = ev.take(r), out[r]
+        dat = tuple(None if t is None else t[r] for t in data)
+        for lo in range(0, grid.size, step):
+            block = sub.rows(dat, lo, lo + step)
+            _exp_rows(block, masked=not (block[:, probe] > _EXP_ZERO).all())
+            np.add.reduce(block, axis=1, out=dest[lo:lo + step])
+    out /= n
+    return out
+
+
 def estimate_density(sample: Sample, kernel: Kernel, bandwidth, grid) -> DensityEstimate:
     """Kernel density estimate (1/n) sum_i K_{x,b}(X_i) on a grid.
 
     The summation order over data is fixed (sorted sample, one row sum per
     grid point, then one division by n), so results are deterministic and
     independent of the input ordering; each grid value is bit-identical
-    whether the grid is evaluated whole or split into pieces.
+    whether the grid is evaluated whole or split into pieces.  This is the
+    one-sample case of the batched evaluator that ``run_experiment`` runs
+    on all the replications of a cell, with the same bits.
 
     A block whose log K reaches ``_EXP_ZERO`` at its probe columns (see
     ``_PROBE_DIVISOR``) is exponentiated with the underflowing entries
@@ -281,20 +327,8 @@ def estimate_density(sample: Sample, kernel: Kernel, bandwidth, grid) -> Density
     affects only speed.
     """
     bw = _coerce_bandwidth(bandwidth)
-    b = bw.value
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    _validate_grid(kernel, grid, b)
-    ev = _LogKernel(kernel, grid, b)
-    data = ev.data(sample.values)
-    step = max(1, _BLOCK_ELEMENTS // sample.n)
-    k = sample.n // _PROBE_DIVISOR
-    probe = np.array([k, -1 - k])
-    values = np.empty(grid.size)
-    for lo in range(0, grid.size, step):
-        block = ev.rows(data, lo, lo + step)
-        _exp_rows(block, masked=not (block[:, probe] > _EXP_ZERO).all())
-        np.add.reduce(block, axis=1, out=values[lo:lo + step])
-    values /= sample.n
+    values = _estimate_batch(sample.values[None, :], kernel, np.array([bw.value]), grid)[0]
     return DensityEstimate(grid=grid, values=values, kernel=kernel, bandwidth=bw, n=sample.n)
 
 

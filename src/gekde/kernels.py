@@ -19,12 +19,16 @@ row of data z and works in three steps: the terms that depend on x alone
 inverse-digamma solve) are computed once per location, the terms that
 depend on z alone (``log z``, ``z/b``, ``log(1 - exp(-z/b))``) once per
 datum, and a broadcast combine forms the (locations, data) block of log
-kernel values.  The estimator runs the combine over blocks of grid rows;
-``log_kernel`` is the single-location case.  A single datum given as a
-float (a quadrature node) takes a float transcription of the per-datum
-terms and the combine, on the same location terms: the same numpy ufuncs
-and the same arithmetic in the same order, so its value has the block
-path's bits without building an array.
+kernel values.  The bandwidth may also be a column of R bandwidths, one per
+sample of a stack of R samples (the replications of a Monte Carlo cell):
+the location terms are then (R, locations) and the data terms (R, data),
+and the combine takes one sample of the stack at a time, each entry through
+the same operations as with a scalar bandwidth.  The estimator runs the
+combine over blocks of grid rows; ``log_kernel`` is the single-location
+case.  A single datum given as a float (a quadrature node) takes a float
+transcription of the per-datum terms and the combine, on the same location
+terms: the same numpy ufuncs and the same arithmetic in the same order, so
+its value has the block path's bits without building an array.
 
 References
 ----------
@@ -99,8 +103,20 @@ def _log1mexp(u):
         return np.where(u > _LOG2, np.log1p(-np.exp(-u)), np.log(-np.expm1(-u)))
 
 
+def _log_each(b):
+    """``math.log`` of a bandwidth, or of each entry of an array of them.
+
+    ``np.log`` may differ from ``math.log`` in the last bit, so a batch of
+    bandwidths takes the scalar function per entry and every term that
+    depends on log b keeps the bits it has with a single bandwidth.
+    """
+    if isinstance(b, np.ndarray):
+        return np.array([math.log(v) for v in b.ravel().tolist()]).reshape(b.shape)
+    return math.log(b)
+
+
 def _ge2_shape(y):
-    """GE2 shape ``nu`` and ``log nu`` at digamma targets ``y = x/b - EULER_GAMMA`` (1-D).
+    """GE2 shape ``nu`` and ``log nu`` at digamma targets ``y = x/b - EULER_GAMMA`` (any shape).
 
     Below ``_ASYMPTOTIC_Y`` the shape comes from one array inverse-digamma
     solve; ``log nu`` is meaningful only where ``nu > 0``.  Above it the
@@ -137,18 +153,23 @@ class _LogKernel:
     3. the broadcast combine (:meth:`rows`) of a block of locations against
        all data.
 
-    Every entry of the combined block goes through the same floating-point
-    operations in the same order, whatever the block's size, so results do
-    not depend on how a grid is split into blocks.  Locations must already
-    be validated for the kernel and data must be positive and finite.
+    ``b`` is a float, or an (R, 1) column of bandwidths for a stack of R
+    samples: the location terms are then (R, G) and :meth:`data` takes an
+    (R, n) array, one sample per row.  Every entry of the combined block
+    goes through the same floating-point operations in the same order,
+    whatever the block's size and however many samples share it, so results
+    do not depend on how a grid or a stack is split into blocks.  Locations
+    must already be validated for the kernel and data must be positive and
+    finite.
     """
 
-    __slots__ = ("kernel", "b", "loc", "regroup")
+    __slots__ = ("kernel", "b", "loc", "regroup", "special")
 
-    def __init__(self, kernel: Kernel, x: np.ndarray, b: float):
+    def __init__(self, kernel: Kernel, x: np.ndarray, b):
         self.kernel = kernel
         self.b = b
-        self.regroup = False
+        self.regroup = self.special = False
+        log_b = _log_each(b)
         if kernel in _GE_FAMILY:
             if kernel is Kernel.GE:
                 log_shape = x / b
@@ -159,31 +180,42 @@ class _LogKernel:
                 if np.any(nu <= 0.0):
                     raise DomainError("ge2 kernel requires x > 0 (shape would not be positive)")
                 shape_m1 = nu - 1.0
-            # beyond exp(700) the product (shape - 1) * log1p(-e^-u) is regrouped
+            # beyond exp(700) the product (shape - 1) * log1p(-e^-u) is
+            # regrouped; at shape 1 it is 0 even where z/b underflows and
+            # log1p(-e^-u) is -inf
             big = log_shape > _LOG_SHAPE_DIRECT_MAX
-            self.regroup = bool(big.any())
-            terms = (log_shape - math.log(b), shape_m1, log_shape, big)
+            special = big | (shape_m1 == 0.0)
+            self.special = bool(special.any())
+            self.regroup = self.special and bool(big.any())
+            terms = (log_shape - log_b, shape_m1, log_shape, special)
         elif kernel in _GAMMA_FAMILY:
             shape = x / b + 1.0 if kernel is Kernel.GAM1 else _gam2_shape(x, b)
-            terms = (shape - 1.0, shape * math.log(b), log_gamma(shape))
+            terms = (shape - 1.0, shape * log_b, log_gamma(shape))
         elif kernel is Kernel.IG:
             denom = 2.0 * b * x
             if np.any(denom < _TINY):
+                at = np.argwhere(denom < _TINY)[0]
+                b_at = b if np.ndim(b) == 0 else b.ravel()[at[0]]
                 raise DomainError(
-                    f"ig kernel: 2*b*x underflows at x = {float(x[denom < _TINY][0])!r}, "
-                    f"b = {b!r}; rescale the data"
+                    f"ig kernel: 2*b*x underflows at x = {float(x[at[-1]])!r}, "
+                    f"b = {float(b_at)!r}; rescale the data"
                 )
-            terms = (x, denom)
+            terms = (np.broadcast_to(x, denom.shape), denom)
         else:
             s = x - b
             terms = (s, s / (2.0 * b))
-        self.loc = tuple(t[:, None] for t in terms)  # columns, broadcast against data rows
+        self.loc = tuple(t[..., None] for t in terms)  # columns, broadcast against data rows
 
     def data(self, z: np.ndarray) -> tuple:
-        """Per-datum terms for a 1-D array of data."""
+        """Per-datum terms: z is 1-D, or (R, n) for a column of R bandwidths.
+
+        Each term gains an axis before its last, so that it broadcasts
+        against the location columns.
+        """
         kernel, b = self.kernel, self.b
         if kernel in _GE_FAMILY:
-            u = z / b
+            with np.errstate(over="ignore"):  # z/b = inf is right: log K = -inf
+                u = z / b
             L = _log1mexp(u)
             log_neg_l = None
             if self.regroup:
@@ -191,26 +223,47 @@ class _LogKernel:
                     u > _ASYMPTOTIC_U,
                     -u + np.log1p(0.5 * np.exp(-u)),
                     np.log(-np.where(L < 0.0, L, -1.0)),
-                )
-            return u, L, log_neg_l
+                )[..., None, :]
+            return u[..., None, :], L[..., None, :], log_neg_l
         if kernel in _GAMMA_FAMILY:
-            return np.log(z), z / b
-        c = -0.5 * math.log(2.0 * math.pi * b)
-        return z, c - (1.5 if kernel is Kernel.IG else 0.5) * np.log(z)
+            return np.log(z)[..., None, :], (z / b)[..., None, :]
+        c = -0.5 * _log_each(2.0 * math.pi * b)
+        base = c - (1.5 if kernel is Kernel.IG else 0.5) * np.log(z)
+        return z[..., None, :], base[..., None, :]
+
+    def take(self, r: int) -> "_LogKernel":
+        """The evaluator of sample ``r`` of a stack, for :meth:`rows`.
+
+        Its location terms are (G, 1) columns, as with a scalar bandwidth;
+        pass it the data terms of the same sample (``t[r]`` of each term of
+        :meth:`data`).
+        """
+        sub = object.__new__(_LogKernel)
+        sub.kernel, sub.regroup, sub.special = self.kernel, self.regroup, self.special
+        sub.b = self.b[r]
+        sub.loc = tuple(t[r] for t in self.loc)
+        return sub
 
     def rows(self, dat: tuple, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """log K for locations ``lo:hi`` against all data: a (rows, n) array."""
+        """log K for locations ``lo:hi`` against all data: a (rows, n) array.
+
+        The location terms are (G, 1) columns: those of a scalar bandwidth,
+        or of one sample of a stack (see :meth:`take`).
+        """
         kernel = self.kernel
         loc = self.loc if hi is None else tuple(t[lo:hi] for t in self.loc)
         if kernel in _GE_FAMILY:
-            c0, shape_m1, log_shape, big = loc
+            c0, shape_m1, log_shape, special = loc
             u, L, log_neg_l = dat
-            if self.regroup and big.any():
-                big = big[:, 0]
-                T = np.empty((big.size, u.size))
-                T[~big] = shape_m1[~big] * L
-                with np.errstate(over="ignore"):
-                    T[big] = -np.exp(log_shape[big] + log_neg_l)
+            if self.special and special.any():
+                special = special[:, 0]
+                big = special & (log_shape[:, 0] > _LOG_SHAPE_DIRECT_MAX)
+                T = np.empty((special.size, u.shape[-1]))
+                T[~special] = shape_m1[~special] * L
+                if big.any():
+                    with np.errstate(over="ignore"):
+                        T[big] = -np.exp(log_shape[big] + log_neg_l)
+                T[special & ~big] = -0.0  # shape 1: (shape - 1) * L is 0
             else:
                 T = shape_m1 * L
             out = np.add(c0, T, out=T)
@@ -225,19 +278,19 @@ class _LogKernel:
             out -= log_gamma_shape
             return out
         z, base = dat
-        if kernel is Kernel.IG:
-            x, denom = loc
-            with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # an overflowing quotient is log K = -inf
+            if kernel is Kernel.IG:
+                x, denom = loc
                 q = z / x
                 q -= 2.0
                 q += x / z
                 q /= denom
-        else:
-            s, half_s_over_b = loc
-            q = z / s
-            q -= 2.0
-            q += s / z
-            q *= half_s_over_b
+            else:
+                s, half_s_over_b = loc
+                q = z / s
+                q -= 2.0
+                q += s / z
+                q *= half_s_over_b
         return np.subtract(base, q, out=q)
 
 
@@ -274,7 +327,7 @@ def _float_log_kernel(ev: _LogKernel):
     kernel, b = ev.kernel, ev.b
     loc = [t.item() for t in ev.loc]
     if kernel in _GE_FAMILY:
-        c0, shape_m1, log_shape, big = loc
+        c0, shape_m1, log_shape, special = loc
 
         def log_k(z):
             u = z / b
@@ -284,15 +337,17 @@ def _float_log_kernel(ev: _LogKernel):
                 L = float(np.log(-np.expm1(-u)))
             else:  # z/b underflowed to 0: log(0)
                 L = -math.inf
-            if big:
+            if not special:
+                T = shape_m1 * L
+            elif log_shape > _LOG_SHAPE_DIRECT_MAX:
                 if u > _ASYMPTOTIC_U:
                     log_neg_l = -u + float(np.log1p(0.5 * np.exp(-u)))
                 else:  # here L < 0
                     log_neg_l = float(np.log(-L))
                 e = log_shape + log_neg_l
                 T = -math.inf if e > _LOG_DBL_MAX else -float(np.exp(e))
-            else:
-                T = shape_m1 * L
+            else:  # shape 1, as in the block path
+                T = -0.0
             return c0 + T - u
 
         return log_k

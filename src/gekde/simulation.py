@@ -9,11 +9,17 @@ bit-identical for a given (config, seed) under any thread count.
 
 Integrated squared error is the trapezoid rule of (fhat - f)**2 over the
 estimate grid, which the harness spans from the 0.05% to the 99.95%
-quantile of the true density.  A reciprocal-inverse-Gaussian estimate is
-undefined at grid points below its bandwidth; such points are skipped and
-the truncation is flagged in the report.  When no valid grid point remains
-at all, the replication's ISE is recorded as ``inf`` so a fully degenerate
-estimator ranks strictly worst rather than disappearing from comparisons.
+quantile of the true density; one row-wise routine serves
+``integrated_squared_error`` and the harness.  The harness evaluates the
+replications of a cell together: their samples are stacked, Silverman's h is
+computed for all of them in one pass, and each kernel takes one batched
+estimate of the stack and one row-wise ISE, with the bits of per-replication
+calls.  A reciprocal-inverse-Gaussian estimate is undefined at grid points
+below its bandwidth; such points are skipped (the replications that keep the
+same points share a batch) and the truncation is flagged in the report.
+When no valid grid point remains at all, the replication's ISE is recorded
+as ``inf`` so a fully degenerate estimator ranks strictly worst rather than
+disappearing from comparisons.
 """
 
 from __future__ import annotations
@@ -34,9 +40,9 @@ from .errors import CoverageError, DomainError, GekdeError
 from .estimator import (
     DensityEstimate,
     Sample,
-    _silverman_for,
+    _estimate_batch,
+    _silverman_b,
     _silverman_h,
-    estimate_density,
 )
 from .kernels import DEFAULT_KERNELS, Kernel
 from .specfun import log_gamma
@@ -122,7 +128,7 @@ class TrueDensity:
         if isinstance(x, float) and 0.0 < x < math.inf:
             return float(np.exp(self._log_pdf(x)))
         x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):  # log(0) at x = 0
+        with np.errstate(divide="ignore", over="ignore"):  # log(0) at x = 0, x/theta = inf
             out = np.exp(self._log_pdf(x))
         return _scalar_or_array(out)
 
@@ -133,17 +139,30 @@ class TrueDensity:
         """First and second derivatives (s1, s2) of the log pdf at x."""
         raise NotImplementedError
 
+    def _times_pdf(self, x, slopes):
+        """f * slopes(s1, s2), and 0.0 where the pdf is 0 and the product nan.
+
+        Where the pdf has underflowed to 0 (x near 0 or far out) the log
+        slopes may overflow or divide by a zero ``x * x``, and 0 * inf is
+        nan; the derivative is 0 there.  Wherever the product is a number it
+        is kept, so a positive pdf gives the bits of the plain product (a
+        scalar with a positive pdf takes it directly).
+        """
+        f = self.pdf(x)
+        x = _scalar_or_asarray(x)
+        if isinstance(f, float) and f > 0.0:
+            return float(f * slopes(*self._log_slopes(x)))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            out = f * slopes(*self._log_slopes(x))
+        return _scalar_or_array(np.where((f == 0.0) & np.isnan(out), 0.0, out))
+
     def pdf_d1(self, x):
         """First derivative of the pdf: f * s1."""
-        x = _scalar_or_asarray(x)
-        s1, _ = self._log_slopes(x)
-        return _scalar_or_array(self.pdf(x) * s1)
+        return self._times_pdf(x, lambda s1, s2: s1)
 
     def pdf_d2(self, x):
         """Second derivative of the pdf: f * (s1**2 + s2)."""
-        x = _scalar_or_asarray(x)
-        s1, s2 = self._log_slopes(x)
-        return _scalar_or_array(self.pdf(x) * (s1 * s1 + s2))
+        return self._times_pdf(x, lambda s1, s2: s1 * s1 + s2)
 
     def _scale_hint(self) -> float:
         raise NotImplementedError
@@ -248,7 +267,11 @@ class InverseGammaDensity(TrueDensity):
         _store_gamma_constants(self)
 
     def _log_pdf(self, x):
-        return (self._k_log_scale - (self.shape + 1.0) * np.log(x) - self.scale / x
+        # log x is at least log(5e-324) = -744.4 at x > 0; the floor changes
+        # no value there, and at x = 0 it keeps (k+1) log x finite, so that
+        # theta/x = inf gives log f = -inf instead of inf - inf
+        log_x = np.maximum(np.log(x), -745.0)
+        return (self._k_log_scale - (self.shape + 1.0) * log_x - self.scale / x
                 - self._log_gamma_shape)
 
     def cdf(self, x):
@@ -419,8 +442,17 @@ def integrated_squared_error(estimate: DensityEstimate, density: TrueDensity,
             raise CoverageError(
                 f"grid ends at {grid[-1]!r}, below the {_ISE_QUANTILES[1]:.2%} quantile {hi_q!r}"
             )
-    diff = estimate.values - density.pdf(grid)
-    return float(np.trapezoid(diff * diff, grid))
+    return float(_ise_rows(estimate.values, density.pdf(grid), grid))
+
+
+def _ise_rows(values: np.ndarray, f_true: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Trapezoid rule of (fhat - f)**2 over ``grid``, for each row of ``values``.
+
+    Each row gets the bits of the one-dimensional rule: the same
+    differences, and a pairwise sum along the row.
+    """
+    diff = values - f_true
+    return np.trapezoid(diff * diff, grid, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -472,62 +504,109 @@ class MiseReport:
         return cls(config_id, kernel, n, arr, mean, var, truncated)
 
 
+#: Replications per batch are capped so that a batch's per-sample and
+#: per-location terms stay near this many elements each (2 MB).
+_BATCH_ELEMENTS = 1 << 18
+
+
+def _fit_cell(values: np.ndarray, config: ExperimentConfig, grid: np.ndarray,
+              f_true: np.ndarray, replication: int | None = None) -> dict:
+    """ISE of each kernel on a stack of samples: kernel -> (ISEs, truncated flags).
+
+    ``values`` is (R, n), one sorted sample per row.  Each kernel takes one
+    batched estimate of all R samples and one row-wise trapezoid.  A ``rig``
+    bandwidth truncates the grid to the points above it; replications that
+    keep the same points share a batch, and those left with fewer than 2
+    points record ``inf``.  With ``replication`` (a single sample), a
+    :class:`GekdeError` is raised with "replication r, kernel k: " before
+    its message.
+    """
+    out = {}
+    h = None
+    for kernel in config.kernels:
+        if kernel in out:  # a kernel listed twice is fitted once
+            continue
+        try:
+            if h is None:  # Silverman's h is kernel-independent: computed once per sample
+                h = _silverman_h(values)
+            b = _silverman_b(kernel, h)
+            if kernel is Kernel.RIG:
+                cut = np.searchsorted(grid, b, side="right")  # grid points at or below b
+                ise = np.full(b.size, math.inf)
+                for k in np.unique(cut):
+                    if grid.size - k < 2:
+                        continue  # estimator undefined on the whole range: rank worst
+                    rows = cut == k
+                    est = _estimate_batch(values[rows], kernel, b[rows], grid[k:])
+                    ise[rows] = _ise_rows(est, f_true[k:], grid[k:])
+                out[kernel] = (ise, cut > 0)
+            else:
+                est = _estimate_batch(values, kernel, b, grid)
+                out[kernel] = (_ise_rows(est, f_true, grid), np.zeros(b.size, dtype=bool))
+        except GekdeError as exc:
+            if replication is not None:
+                # prefix the context in place: type, fields and traceback survive
+                exc.args = (f"replication {replication}, kernel {kernel.value}: {exc}",
+                            *exc.args[1:])
+            raise
+    return out
+
+
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> list:
     """Run the Monte Carlo experiment; one :class:`MiseReport` per kernel.
 
     Each replication draws its sample from a stream spawned off
-    ``config.seed``, computes the Silverman bandwidth per kernel and
-    records the ISE on the quantile-spanning grid.  Replications are
-    independent and merged by index, so the output is bit-identical for
-    any ``threads`` value.
+    ``config.seed``.  The replications are split into contiguous chunks
+    (``threads`` of them, or more where a chunk's samples would pass
+    ``_BATCH_ELEMENTS``); a chunk computes every sample's Silverman h in one vectorised pass and,
+    per kernel, one batched estimate of all its samples on the
+    quantile-spanning grid and one row-wise ISE.  Each replication's ISE
+    has the bits of a one-sample ``estimate_density`` and
+    ``integrated_squared_error``, so the output is bit-identical for any
+    ``threads`` value, which sets how many chunks run at once (never more
+    than there are chunks).
+
+    A :class:`GekdeError` in a chunk is raised for its lowest failing
+    replication, found by running the chunk's replications one at a time,
+    with "replication r, kernel k: " before its message and its type and
+    fields intact.
     """
     density = CONFIGURATIONS[config.config_id]
     lo, hi = density._ise_range
     grid = np.linspace(lo, hi, config.grid_size)
     f_true = np.asarray(density.pdf(grid), dtype=float)
-    streams = np.random.SeedSequence(config.seed).spawn(config.replications)
+    reps = config.replications
+    streams = np.random.SeedSequence(config.seed).spawn(reps)
+    per_batch = max(1, _BATCH_ELEMENTS // max(config.n, grid.size))
+    chunks = max(min(threads, reps), -(-reps // per_batch))
+    edges = [reps * i // chunks for i in range(chunks + 1)]
 
-    def one_replication(r):
-        sample = density.sample(config.n, streams[r])
-        out = {}
-        h = None  # Silverman's h is kernel-independent: computed once per sample
-        for kernel in config.kernels:
-            try:
-                if h is None:
-                    h = _silverman_h(sample)
-                bw = _silverman_for(kernel, h)
-                if kernel is Kernel.RIG:
-                    valid = grid > bw.value
-                    if int(valid.sum()) < 2:
-                        # estimator undefined on the whole range: rank worst
-                        out[kernel] = (math.inf, True)
-                        continue
-                    est = estimate_density(sample, kernel, bw, grid[valid])
-                    diff = est.values - f_true[valid]
-                    ise = float(np.trapezoid(diff * diff, grid[valid]))
-                    out[kernel] = (ise, not bool(valid.all()))
-                else:
-                    est = estimate_density(sample, kernel, bw, grid)
-                    diff = est.values - f_true
-                    out[kernel] = (float(np.trapezoid(diff * diff, grid)), False)
-            except GekdeError as exc:
-                # prefix the context in place: type, fields and traceback survive
-                exc.args = (f"replication {r}, kernel {kernel.value}: {exc}", *exc.args[1:])
-                raise
-        return out
+    def one_chunk(i):
+        first = edges[i]
+        values = np.stack([density.sample(config.n, streams[r]).values
+                           for r in range(first, edges[i + 1])])
+        try:
+            return _fit_cell(values, config, grid, f_true)
+        except GekdeError:
+            pass
+        return _joined([_fit_cell(values[j:j + 1], config, grid, f_true, replication=first + j)
+                        for j in range(values.shape[0])])
 
-    if threads <= 1:
-        rows = [one_replication(r) for r in range(config.replications)]
+    if threads <= 1 or chunks == 1:
+        results = [one_chunk(i) for i in range(chunks)]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one_replication, range(config.replications)))
+        with ThreadPoolExecutor(max_workers=min(threads, chunks)) as pool:
+            results = list(pool.map(one_chunk, range(chunks)))
+    joined = _joined(results)
+    return [MiseReport.from_ises(config.config_id, kernel, config.n, joined[kernel][0],
+                                 bool(joined[kernel][1].any()))
+            for kernel in config.kernels]
 
-    reports = []
-    for kernel in config.kernels:
-        ises = [row[kernel][0] for row in rows]
-        truncated = any(row[kernel][1] for row in rows)
-        reports.append(MiseReport.from_ises(config.config_id, kernel, config.n, ises, truncated))
-    return reports
+
+def _joined(parts: list) -> dict:
+    """``_fit_cell`` results of consecutive replications, joined in order."""
+    return {kernel: tuple(np.concatenate([p[kernel][i] for p in parts]) for i in (0, 1))
+            for kernel in parts[0]}
 
 
 def mise_records_csv(reports: Sequence[MiseReport]) -> str:

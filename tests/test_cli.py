@@ -177,6 +177,14 @@ class TestSimulate:
     def test_unknown_config_exit_2(self, tmp_path):
         assert main(["simulate", "--config", "Q", "--output", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):
+        rc = main(["simulate", "--config", "A", "--n", "40", "--reps", "2",
+                   "--grid-size", "64", "--threads", threads, "--output", str(tmp_path)])
+        assert rc == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_summary_json(self, tmp_path):
         rc = main(["simulate", "--config", "A", "--n", "40", "--reps", "3",
                    "--seed", "4", "--grid-size", "64", "--kernel", "ge",

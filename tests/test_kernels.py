@@ -370,3 +370,64 @@ class TestFloatPath:
     def test_scalar_outside_domain(self, z):
         with pytest.raises(DomainError):
             _point_log_kernel(Kernel.GAM1, 2.0, 0.1)(z)
+
+
+# --- extremes of the block path: quiet, and the right value at shape 1 -------
+
+def _quietly(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return call()
+
+
+class TestOverflowIsQuiet:
+    """A quotient that overflows gives log K = -inf without a RuntimeWarning."""
+
+    @pytest.mark.parametrize("kernel", [Kernel.GE, Kernel.GE2])
+    def test_ge_family_z_over_b(self, kernel):
+        got = _quietly(lambda: log_kernel(kernel, 1.0, 1e-10, np.array([1e300, 2.0])))
+        assert got[0] == -math.inf and math.isfinite(got[1])
+        est = _quietly(lambda: estimate_density(Sample([1.0, 1e300]), kernel, 1e-10, [1.0, 2.0]))
+        assert np.all(np.isfinite(est.values))
+
+    def test_rig_s_over_z(self):
+        got = _quietly(lambda: log_kernel(Kernel.RIG, 1.0, 0.5, np.array([1e-310, 1.0])))
+        assert got[0] == -math.inf and math.isfinite(got[1])
+        assert _quietly(lambda: log_kernel(Kernel.RIG, 1.0, 0.5, 1e-310)) == -math.inf
+        est = _quietly(lambda: estimate_density(Sample([1e-310, 1.0]), Kernel.RIG, 0.5,
+                                                [1.0, 2.0]))
+        assert np.all(np.isfinite(est.values)) and np.all(est.values > 0.0)
+
+    def test_rig_z_over_s(self):
+        edge = math.nextafter(0.5, math.inf)  # s = x - b is one ulp
+        got = _quietly(lambda: log_kernel(Kernel.RIG, edge, 0.5, np.array([1e300])))
+        assert got[0] == -math.inf
+
+    @pytest.mark.parametrize("kernel", [Kernel.GE, Kernel.GAM1])
+    def test_kernel_above_dbl_max_still_warns(self, kernel):
+        # b = 1e-310 puts K near 1/b, above the largest double: that overflow
+        # is not a quotient's and is reported
+        sample = Sample([1e-310, 2e-310, 3e-310])
+        with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
+            est = estimate_density(sample, kernel, 1e-310, [1e-310, 2e-310])
+        assert np.all(np.isinf(est.values))
+
+
+class TestUnitShape:
+    """Shape 1 (ge at x = 0, ge2 at x = b): log K = -log b - z/b, even where z/b is 0."""
+
+    @pytest.mark.parametrize("kernel, x, b", [(Kernel.GE, 0.0, 10.0), (Kernel.GE, 0.0, 1e10),
+                                              (Kernel.GE, 5e-324, 10.0),
+                                              (Kernel.GE2, 1e10, 1e10), (Kernel.GE2, 2.0, 2.0)])
+    @pytest.mark.parametrize("z", [5e-324, 1e-320, 1e-300, 0.5, 3.0])
+    def test_exponential_kernel(self, kernel, x, b, z):
+        want = -math.log(b) - z / b
+        log_k = _point_log_kernel(kernel, x, b)
+        block = _quietly(lambda: log_k(np.array([z])))[0]
+        assert _float_value(kernel, x, b, z) == float(block).hex() == want.hex()
+
+    def test_estimate_at_origin(self):
+        sample = Sample([5e-324, 1e-300, 0.5, 2.0])
+        est = _quietly(lambda: estimate_density(sample, Kernel.GE, 10.0, [0.0, 1.0]))
+        expect = np.mean(np.exp(-math.log(10.0) - sample.values / 10.0))
+        assert est.values[0] == pytest.approx(expect, rel=1e-15)

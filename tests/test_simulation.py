@@ -22,12 +22,17 @@ from gekde import (
     Kernel,
     MixtureDensity,
     Bandwidth,
+    Sample,
+    estimate_density,
     integrated_squared_error,
     mise_records_csv,
     mise_summary,
     mise_summary_json,
     run_experiment,
+    silverman_bandwidth,
 )
+from gekde.estimator import _BLOCK_ELEMENTS, _estimate_batch
+from gekde.kernels import _LogKernel
 from gekde.simulation import TrueDensity
 from gekde.specfun import log_gamma
 
@@ -246,6 +251,29 @@ class TestFloatPath:
             warnings.simplefilter("error")
             assert CONFIGURATIONS["C"].pdf(np.array([0.0, 1e-70])).tolist() == [0.0, 0.0]
 
+    @pytest.mark.parametrize("name", sorted(EVERY_DENSITY))
+    def test_derivatives_are_zero_where_pdf_underflows(self, name):
+        # the log slopes overflow or divide by a zero x*x here; 0 * inf was nan
+        d = EVERY_DENSITY[name]
+        xs = [0.0, 5e-324, 1e-300, 1e-160, 1e-80, 1.7e308]
+        for method in ("pdf_d1", "pdf_d2"):
+            f = getattr(d, method)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                arr = f(np.array(xs))
+                floats = [f(x) for x in xs]
+            pdf = d.pdf(np.array(xs))
+            assert np.all(np.isfinite(arr)) and np.all(np.isfinite(floats)), (name, method)
+            assert [v == 0.0 for v in arr[pdf == 0.0]] == [True] * int(np.sum(pdf == 0.0))
+            assert [v.hex() for v in floats] == [float(v).hex() for v in arr]
+
+    def test_inverse_gamma_is_zero_at_origin(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d in (CONFIGURATIONS["B"], InverseGammaDensity(2.0, 1.0), CONFIGURATIONS["E"]):
+                assert d.pdf(0.0) == 0.0
+                assert d.pdf(np.array([0.0, 5e-324])).tolist() == [0.0, 0.0]
+
     def test_roughness_unchanged_by_float_path(self, monkeypatch):
         d = CONFIGURATIONS["D"]
         fast = d.roughness()
@@ -425,7 +453,7 @@ class TestRunExperiment:
         def failing_estimate(*args, **kwargs):
             raise make_error()
 
-        monkeypatch.setattr(gekde.simulation, "estimate_density", failing_estimate)
+        monkeypatch.setattr(gekde.simulation, "_estimate_batch", failing_estimate)
         cfg = ExperimentConfig("A", kernels=(Kernel.GAM1,), n=40, replications=2, seed=1,
                                grid_size=64)
         with pytest.raises(type(make_error())) as err:
@@ -439,6 +467,174 @@ class TestRunExperiment:
                                grid_size=64)
         rep, = run_experiment(cfg)
         assert np.all(np.isfinite(rep.per_replication_ise))
+
+
+def _reference_cell(cfg):
+    """run_experiment as a per-replication loop of the public calls.
+
+    Returns {kernel: (ISE hex strings, truncated)}.
+    """
+    density = CONFIGURATIONS[cfg.config_id]
+    grid = np.linspace(*density._ise_range, cfg.grid_size)
+    f_true = density.pdf(grid)
+    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.replications)
+    out = {kernel: ([], False) for kernel in cfg.kernels}
+    for r in range(cfg.replications):
+        sample = density.sample(cfg.n, streams[r])
+        for kernel in cfg.kernels:
+            bw = silverman_bandwidth(sample, kernel)
+            keep = grid > bw.value if kernel is Kernel.RIG else np.ones(grid.size, dtype=bool)
+            ises, truncated = out[kernel]
+            out[kernel] = (ises, truncated or not keep.all())
+            if keep.sum() < 2:
+                ises.append(math.inf.hex())
+                continue
+            est = estimate_density(sample, kernel, bw, grid[keep])
+            diff = est.values - f_true[keep]
+            ises.append(float(np.trapezoid(diff * diff, grid[keep])).hex())
+    return out
+
+
+def _cell(reports):
+    return {rep.kernel: ([float(v).hex() for v in rep.per_replication_ise], rep.truncated)
+            for rep in reports}
+
+
+class TestBatchedExperiment:
+    """Every replication of the batched pass has the bits of the one-sample calls."""
+
+    @pytest.mark.parametrize("config_id", list("ABCDEF"))
+    def test_bit_identical_to_per_replication_loop(self, config_id):
+        cfg = ExperimentConfig(config_id, kernels=tuple(Kernel), n=50, replications=5,
+                               seed=31, grid_size=64)
+        assert _cell(run_experiment(cfg)) == _reference_cell(cfg)
+
+    def test_rig_partly_and_fully_truncated(self):
+        cfg = ExperimentConfig("D", kernels=(Kernel.RIG, Kernel.GE), n=4, replications=6,
+                               seed=4, grid_size=64)
+        got = _cell(run_experiment(cfg))
+        assert got == _reference_cell(cfg)
+        ises = [float.fromhex(v) for v in got[Kernel.RIG][0]]
+        # untruncated, partly truncated at two different points, and undefined
+        density = CONFIGURATIONS["D"]
+        grid = np.linspace(*density._ise_range, 64)
+        streams = np.random.SeedSequence(4).spawn(6)
+        cuts = [int(np.sum(grid <= silverman_bandwidth(density.sample(4, s), Kernel.RIG).value))
+                for s in streams]
+        assert 0 in cuts and 64 in cuts and len({c for c in cuts if 0 < c < 63}) >= 2
+        assert [math.isinf(v) for v in ises] == [c >= 63 for c in cuts]
+        assert got[Kernel.RIG][1]
+
+    @pytest.mark.parametrize("n, replications", [(100, 12), (1500, 3)])
+    def test_one_and_several_blocks_per_sample(self, n, replications):
+        # at n = 100 a block holds a sample's whole grid; at n = 1500 one
+        # sample's grid spans several blocks
+        rows_per_block = _BLOCK_ELEMENTS // n
+        assert (rows_per_block >= 64) if n == 100 else (rows_per_block * 3 < 64)
+        cfg = ExperimentConfig("A", kernels=tuple(Kernel), n=n, replications=replications,
+                               seed=5, grid_size=64)
+        assert _cell(run_experiment(cfg)) == _reference_cell(cfg)
+
+    def test_more_threads_than_replications(self):
+        cfg = ExperimentConfig("B", kernels=(Kernel.GE, Kernel.GAM2, Kernel.RIG), n=30,
+                               replications=3, seed=9, grid_size=64)
+        reports = run_experiment(cfg, threads=8)
+        assert _cell(reports) == _reference_cell(cfg)
+        assert mise_records_csv(reports) == mise_records_csv(run_experiment(cfg, threads=1))
+
+    def test_batch_budget_splits_into_chunks(self, monkeypatch):
+        # 3 samples of a 64-point grid per batch: 7 replications run as
+        # chunks of 2, 2 and 3
+        monkeypatch.setattr(gekde.simulation, "_BATCH_ELEMENTS", 192)
+        sizes = []
+
+        def recording(values, kernel, b, grid):
+            sizes.append(values.shape[0])
+            return _estimate_batch(values, kernel, b, grid)
+
+        monkeypatch.setattr(gekde.simulation, "_estimate_batch", recording)
+        cfg = ExperimentConfig("C", kernels=(Kernel.GE, Kernel.GAM1), n=50, replications=7,
+                               seed=12, grid_size=64)
+        assert _cell(run_experiment(cfg)) == _reference_cell(cfg)
+        assert sizes == [2, 2, 2, 2, 3, 3]
+
+    def test_one_batched_estimate_per_kernel(self, monkeypatch):
+        calls = []
+
+        def counting(values, kernel, b, grid):
+            calls.append((kernel, values.shape[0]))
+            return _estimate_batch(values, kernel, b, grid)
+
+        monkeypatch.setattr(gekde.simulation, "_estimate_batch", counting)
+        cfg = ExperimentConfig("A", kernels=(Kernel.GE, Kernel.GE2, Kernel.GAM1), n=40,
+                               replications=7, seed=3, grid_size=64)
+        run_experiment(cfg)
+        assert calls == [(Kernel.GE, 7), (Kernel.GE2, 7), (Kernel.GAM1, 7)]
+
+    def test_kernel_listed_twice_reports_twice(self):
+        cfg = ExperimentConfig("A", kernels=(Kernel.GE, Kernel.GAM1, Kernel.GE), n=40,
+                               replications=3, seed=6, grid_size=64)
+        reports = run_experiment(cfg, threads=2)
+        assert [rep.kernel for rep in reports] == [Kernel.GE, Kernel.GAM1, Kernel.GE]
+        ref = _reference_cell(ExperimentConfig("A", kernels=(Kernel.GE, Kernel.GAM1), n=40,
+                                               replications=3, seed=6, grid_size=64))
+        for rep in reports:
+            assert _cell([rep])[rep.kernel] == ref[rep.kernel]
+        lines = mise_records_csv(reports).strip().split("\n")
+        assert len(lines) == 1 + 3 * 3 and lines[1:4] == lines[7:10]
+
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    def test_error_at_one_replication_names_it(self, monkeypatch, threads):
+        cfg = ExperimentConfig("A", kernels=(Kernel.GE, Kernel.GAM1), n=30, replications=6,
+                               seed=2, grid_size=64)
+        streams = np.random.SeedSequence(cfg.seed).spawn(cfg.replications)
+        bad = CONFIGURATIONS["A"].sample(cfg.n, streams[3]).values
+
+        def failing(values, kernel, b, grid):
+            if kernel is Kernel.GAM1 and any(np.array_equal(row, bad) for row in values):
+                raise ConvergenceError("no root", last_iterate=1.5, residual=2e-3)
+            return _estimate_batch(values, kernel, b, grid)
+
+        monkeypatch.setattr(gekde.simulation, "_estimate_batch", failing)
+        with pytest.raises(ConvergenceError) as err:
+            run_experiment(cfg, threads=threads)
+        assert str(err.value) == "replication 3, kernel gam1: no root"
+        assert (err.value.last_iterate, err.value.residual) == (1.5, 2e-3)
+
+
+class TestEstimateBatch:
+    """Rows of ``_estimate_batch`` against the scalar-bandwidth combine."""
+
+    @staticmethod
+    def _single(values, kernel, b, grid):
+        ev = _LogKernel(kernel, grid, b)
+        with np.errstate(over="ignore"):
+            return np.exp(ev.rows(ev.data(values))).mean(axis=1)
+
+    @pytest.mark.parametrize("kernel", [Kernel.GE, Kernel.GE2])
+    def test_regrouped_rows_in_some_samples_only(self, kernel):
+        # x/b reaches 1200 for the bandwidths 0.01 and 0.012, and stays below
+        # 24 for 0.5 and 2.0
+        rng = np.random.default_rng(17)
+        values = np.sort(rng.uniform(0.02, 13.0, (4, 300)), axis=1)
+        b = np.array([0.01, 0.5, 0.012, 2.0])
+        grid = np.linspace(0.05, 12.0, 200)
+        regrouped = [bool(_LogKernel(kernel, grid, v).regroup) for v in b]
+        assert regrouped == [True, False, True, False]
+        got = _estimate_batch(values, kernel, b, grid)
+        for r in range(b.size):
+            assert np.array_equal(got[r], self._single(values[r], kernel, b[r], grid)), r
+
+    @pytest.mark.parametrize("kernel", list(Kernel), ids=lambda k: k.value)
+    @pytest.mark.parametrize("reps, n", [(11, 60), (2, 2000)])
+    def test_rows_equal_single_sample_combine(self, kernel, reps, n):
+        rng = np.random.default_rng(reps)
+        values = np.sort(rng.gamma(5.0, 1.0, (reps, n)), axis=1)
+        b = rng.uniform(0.2, 0.6, reps)
+        grid = np.linspace(0.7, 15.0, 97)
+        got = _estimate_batch(values, kernel, b, grid)
+        for r in range(reps):
+            assert np.array_equal(got[r], self._single(values[r], kernel, b[r], grid)), r
 
 
 class TestSerialization:
