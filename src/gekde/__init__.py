@@ -19,9 +19,7 @@ from .errors import (
     OptimizationError,
 )
 from .specfun import (
-    DEFAULT_CONFIG,
     EULER_GAMMA,
-    SpecFunConfig,
     digamma,
     inverse_digamma,
     log_gamma,
@@ -76,8 +74,7 @@ __all__ = [
     "GekdeError", "DomainError", "DegenerateSampleError", "BoundaryDegeneracyError",
     "CoverageError", "ConvergenceError", "IntegrationError", "OptimizationError",
     # special functions
-    "EULER_GAMMA", "SpecFunConfig", "DEFAULT_CONFIG",
-    "log_gamma", "digamma", "trigamma", "inverse_digamma",
+    "EULER_GAMMA", "log_gamma", "digamma", "trigamma", "inverse_digamma",
     # kernels
     "Kernel", "DEFAULT_KERNELS", "log_kernel", "kernel_pdf", "ge2_shape", "gam2_shape",
     # estimator

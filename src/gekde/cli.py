@@ -182,10 +182,10 @@ def _parse_density(spec: str):
         ) from None
 
 
-def _kernel_list(args, default=DEFAULT_KERNELS):
+def _kernel_list(args):
     if args.kernel:
         return tuple(Kernel.parse(k) for k in args.kernel)
-    return tuple(default)
+    return DEFAULT_KERNELS
 
 
 def _gamma_reference(sample: Sample) -> GammaDensity:

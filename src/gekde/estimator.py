@@ -20,8 +20,8 @@ the grid is split.
 Bandwidth selection offers Silverman's rule-of-thumb with the kernel-family
 mapping (GE kernels take the Gaussian-comparable h, the gamma/IG/RIG family
 takes h**2; one vectorised pass serves a stack of samples), the closed-form
-optimum for the mean-parameterised GE kernel, and a numerical minimiser of
-the approximate MISE for the mode-parameterised one.
+optimum for the mean-parameterised GE kernel, and for the mode-parameterised
+one the minimiser of the approximate MISE, the root of a quartic.
 
 ``exact_estimator_moments`` computes E[fhat(x)] and Var[fhat(x)] by adaptive
 quadrature against a known density, giving a deterministic (Monte-Carlo-free)
@@ -42,6 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from .errors import (
     BoundaryDegeneracyError,
@@ -96,6 +97,9 @@ _EXP_ZERO = -746.0
 #: 18 ns more on such an entry than on a normal result, and masking costs
 #: about 1.2 ns on every entry: below a 1/16 share the plain exp is as fast.
 _PROBE_DIVISOR = 32
+
+#: Absolute quadrature tolerance of ``exact_estimator_moments``.
+_QUAD_EPSABS = 1e-10
 
 
 class Sample:
@@ -347,31 +351,20 @@ def optimal_bandwidth_ge2(roughness: float, n: int) -> Bandwidth:
     return Bandwidth(value, "optimal_ge2")
 
 
-def _golden_section(f, a: float, b: float, rel_tol: float) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > rel_tol * b:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+def numeric_bandwidth_ge(a1: float, a2: float, n: int) -> Bandwidth:
+    """Minimiser of the approximate MISE of the GE estimator.
 
-
-def numeric_bandwidth_ge(a1: float, a2: float, n: int, rel_tol: float = 1e-8) -> Bandwidth:
-    """Numerical minimiser of the approximate MISE of the GE estimator.
-
-    Minimises ``M(b) = b**3 g (g**2 + pi**2/6) a1 + b**2 g**2 a2 + 1/(4 b n)``
-    over (0, b_max] by golden-section search, where ``g`` is Euler's
-    constant, ``a1`` is the integral of f'(x) f''(x) and ``a2`` the integral
-    of f'(x)**2.  The bracket ``b_max = 10 (4 a2 g**2 n)**(-1/3)`` comfortably
-    contains the stationary point of the quadratic-plus-variance part.
+    Minimises ``M(b) = c3 b**3 + c2 b**2 + 1/(4 b n)``, with
+    ``c3 = g (g**2 + pi**2/6) a1`` and ``c2 = g**2 a2``, where ``g`` is
+    Euler's constant, ``a1`` the integral of f'(x) f''(x) and ``a2`` that of
+    f'(x)**2.  M is stationary where ``12 n c3 b**4 + 8 n c2 b**3 = 1``.
+    With ``b = b0 t`` and ``b0 = (8 n c2)**(-1/3)``, the optimum at a1 = 0,
+    this reads ``kappa t**4 + t**3 = 1`` with ``kappa = 12 n c3 b0**4``.  The
+    left side is 0 at t = 0 and increases up to t = -3/(4 kappa), or for
+    every t if kappa >= 0.  So M has an interior minimum exactly when
+    ``kappa > -(3/4) 4**(-1/3)``, and its first root then lies in
+    ``(0, 4**(1/3)]``, where ``brentq`` solves it.  At or below that bound M
+    decreases for every b, and :class:`OptimizationError` is raised.
     """
     if not (math.isfinite(a2) and a2 > 0.0):
         raise DomainError("a2 (integral of f'(x)**2) must be positive and finite")
@@ -380,21 +373,23 @@ def numeric_bandwidth_ge(a1: float, a2: float, n: int, rel_tol: float = 1e-8) ->
     if n < 2:
         raise DomainError("n must be at least 2")
     g = EULER_GAMMA
-    c3 = g * (g * g + math.pi ** 2 / 6.0) * a1
-    c2 = g * g * a2
-    quarter_n = 4.0 * n
+    # b0 = (8 n c2)**(-1/3), and kappa = 12 n c3 b0**4 = 1.5 (c3 / c2) b0 as
+    # 8 n c2 b0**3 = 1; a2 enters no product that can underflow to 0
+    b0 = (8.0 * n * a2 * g * g) ** (-1.0 / 3.0)
+    kappa = 1.5 * (g * g + math.pi ** 2 / 6.0) / g * (a1 / a2) * b0
+    t_max = 4.0 ** (1.0 / 3.0)
 
-    def mise(b):
-        return (c3 * b + c2) * b * b + 1.0 / (quarter_n * b)
+    def stationary(t):
+        return kappa * t ** 4 + t ** 3 - 1.0
 
-    b_max = 10.0 * (4.0 * a2 * g * g * n) ** (-1.0 / 3.0)
-    b_star = _golden_section(mise, 1e-12 * b_max, b_max, rel_tol)
-    if b_star >= b_max * (1.0 - 1e-5) or not math.isfinite(mise(b_star)):
+    if not (math.isfinite(kappa) and stationary(t_max) > 0.0):
         raise OptimizationError(
-            "approximate MISE has no interior minimum on (0, b_max]; "
-            "the cubic curvature term dominates"
+            f"approximate MISE has no interior minimum: kappa = {kappa!r} is not a "
+            "finite number above -(3/4) 4**(-1/3); the cubic curvature term dominates"
         )
-    return Bandwidth(b_star, "numeric_ge")
+    # brentq stops on its relative tolerance alone (4 eps), also for small t
+    t = brentq(stationary, 0.0, t_max, xtol=_TINY)
+    return Bandwidth(b0 * t, "numeric_ge")
 
 
 def asymptotic_bias(kernel: Kernel, regime: AsymptoticRegime, b: float,
@@ -470,8 +465,7 @@ def _quad_segments(fn, lo: float, hi: float, epsabs: float):
     return total + v, err + abs(e)
 
 
-def exact_estimator_moments(kernel: Kernel, x: float, b: float, density, n: int,
-                            epsabs: float = 1e-10) -> Moments:
+def exact_estimator_moments(kernel: Kernel, x: float, b: float, density, n: int) -> Moments:
     """Exact mean and variance of the estimator at x under a known density.
 
     Computes ``E[fhat(x)] = integral of K f`` and
@@ -507,14 +501,14 @@ def exact_estimator_moments(kernel: Kernel, x: float, b: float, density, n: int,
     k_at = functools.cache(lambda z: math.exp(log_k(z)))
     f_at = functools.cache(density.pdf)
 
-    mass, mass_err = _quad_segments(k_at, lo, hi, epsabs)
+    mass, mass_err = _quad_segments(k_at, lo, hi, _QUAD_EPSABS)
     if abs(mass - 1.0) > 1e-8:
         raise IntegrationError(
             f"kernel mass {mass!r} deviates from 1 over the quadrature bracket",
             achieved=abs(mass - 1.0),
         )
-    mean, e1 = _quad_segments(lambda z: k_at(z) * f_at(z), lo, hi, epsabs)
-    second, e2 = _quad_segments(lambda z: k_at(z) ** 2 * f_at(z), lo, hi, epsabs)
+    mean, e1 = _quad_segments(lambda z: k_at(z) * f_at(z), lo, hi, _QUAD_EPSABS)
+    second, e2 = _quad_segments(lambda z: k_at(z) ** 2 * f_at(z), lo, hi, _QUAD_EPSABS)
     achieved = max(e1, e2, mass_err)
     if achieved > 1e-6:
         raise IntegrationError(

@@ -140,6 +140,16 @@ def _gam2_shape(x, b):
     return np.where(x >= 2.0 * b, r, 0.25 * r * r + 1.0)
 
 
+def _rescale_error(kernel, what, bad, x, b):
+    """DomainError naming the kernel and the first (x, b) at which ``bad`` holds."""
+    at = np.argwhere(bad)[0]
+    b_at = b if np.ndim(b) == 0 else b.ravel()[at[0]]
+    return DomainError(
+        f"{kernel.value} kernel: {what} at x = {float(x[at[-1]])!r}, "
+        f"b = {float(b_at)!r}; rescale the data"
+    )
+
+
 class _LogKernel:
     """log K_{x,b}(z) for a column of locations x against a row of data z.
 
@@ -160,7 +170,8 @@ class _LogKernel:
     whatever the block's size and however many samples share it, so results
     do not depend on how a grid or a stack is split into blocks.  Locations
     must already be validated for the kernel and data must be positive and
-    finite.
+    finite.  A location where x/b overflows (every kernel but ``ig``) or
+    2*b*x underflows (``ig``) raises :class:`DomainError`.
     """
 
     __slots__ = ("kernel", "b", "loc", "regroup", "special")
@@ -170,13 +181,18 @@ class _LogKernel:
         self.b = b
         self.regroup = self.special = False
         log_b = _log_each(b)
+        if kernel is not Kernel.IG:
+            with np.errstate(over="ignore"):
+                r = x / b
+            if not np.isfinite(r).all():
+                raise _rescale_error(kernel, "x/b overflows", ~np.isfinite(r), x, b)
         if kernel in _GE_FAMILY:
             if kernel is Kernel.GE:
-                log_shape = x / b
+                log_shape = r
                 with np.errstate(over="ignore"):
                     shape_m1 = np.expm1(log_shape)
             else:
-                nu, log_shape = _ge2_shape(x / b - EULER_GAMMA)
+                nu, log_shape = _ge2_shape(r - EULER_GAMMA)
                 if np.any(nu <= 0.0):
                     raise DomainError("ge2 kernel requires x > 0 (shape would not be positive)")
                 shape_m1 = nu - 1.0
@@ -189,17 +205,13 @@ class _LogKernel:
             self.regroup = self.special and bool(big.any())
             terms = (log_shape - log_b, shape_m1, log_shape, special)
         elif kernel in _GAMMA_FAMILY:
-            shape = x / b + 1.0 if kernel is Kernel.GAM1 else _gam2_shape(x, b)
+            shape = r + 1.0 if kernel is Kernel.GAM1 else _gam2_shape(x, b)
             terms = (shape - 1.0, shape * log_b, log_gamma(shape))
         elif kernel is Kernel.IG:
             denom = 2.0 * b * x
-            if np.any(denom < _TINY):
-                at = np.argwhere(denom < _TINY)[0]
-                b_at = b if np.ndim(b) == 0 else b.ravel()[at[0]]
-                raise DomainError(
-                    f"ig kernel: 2*b*x underflows at x = {float(x[at[-1]])!r}, "
-                    f"b = {float(b_at)!r}; rescale the data"
-                )
+            bad = denom < _TINY
+            if bad.any():
+                raise _rescale_error(kernel, "2*b*x underflows", bad, x, b)
             terms = (np.broadcast_to(x, denom.shape), denom)
         else:
             s = x - b

@@ -6,16 +6,14 @@ reference values digamma and trigamma are accurate to about 1e-15 absolute.
 The inverse digamma is solved by Newton iteration with a two-branch initial
 guess that puts every starting point within a handful of quadratically
 convergent steps of the root; on arrays, each entry stops as soon as it has
-converged.  It is the one routine with tuning knobs (:class:`SpecFunConfig`).
+converged.  It stops at an absolute residual of ``_NEWTON_TOL`` and gives up
+after ``_NEWTON_MAX_ITER`` steps.
 
 All functions accept scalars or numpy arrays and are pure; they can be called
 concurrently.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import digamma as _scipy_digamma
@@ -26,8 +24,6 @@ from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "EULER_GAMMA",
-    "SpecFunConfig",
-    "DEFAULT_CONFIG",
     "log_gamma",
     "digamma",
     "trigamma",
@@ -38,30 +34,11 @@ __all__ = [
 EULER_GAMMA = 0.57721566490153286060651209008240243
 
 
-@dataclass(frozen=True)
-class SpecFunConfig:
-    """Tuning knobs for the inverse-digamma Newton solve.
+#: Absolute tolerance on ``|digamma(x) - y|`` for the inverse-digamma solve.
+_NEWTON_TOL = 1e-12
 
-    Attributes
-    ----------
-    newton_tol : float
-        Absolute tolerance on ``|digamma(x) - y|`` for the inverse-digamma
-        Newton iteration.
-    newton_max_iter : int
-        Iteration budget before a :class:`ConvergenceError` is raised.
-    """
-
-    newton_tol: float = 1e-12
-    newton_max_iter: int = 100
-
-    def __post_init__(self):
-        if not (self.newton_tol > 0.0 and math.isfinite(self.newton_tol)):
-            raise DomainError("newton_tol must be positive and finite")
-        if self.newton_max_iter < 1:
-            raise DomainError("newton_max_iter must be at least 1")
-
-
-DEFAULT_CONFIG = SpecFunConfig()
+#: Newton steps before the inverse-digamma solve raises ConvergenceError.
+_NEWTON_MAX_ITER = 100
 
 
 def _as_positive_array(x, name):
@@ -110,7 +87,7 @@ def trigamma(x):
     return _maybe_scalar(_scipy_polygamma(1, arr), x)
 
 
-def inverse_digamma(y, config: SpecFunConfig = DEFAULT_CONFIG):
+def inverse_digamma(y):
     """Inverse of the digamma function: x > 0 with digamma(x) = y.
 
     Newton iteration ``x <- x - (psi(x) - y) / psi'(x)`` started from
@@ -123,8 +100,8 @@ def inverse_digamma(y, config: SpecFunConfig = DEFAULT_CONFIG):
     Raises
     ------
     ConvergenceError
-        If ``|psi(x) - y| <= config.newton_tol`` is not reached within
-        ``config.newton_max_iter`` iterations (also when the root exceeds
+        If ``|psi(x) - y| <= _NEWTON_TOL`` is not reached within
+        ``_NEWTON_MAX_ITER`` iterations (also when the root exceeds
         the double range, y > ~709.78).  The error carries the last
         iterate and the largest residual.
     """
@@ -137,8 +114,8 @@ def inverse_digamma(y, config: SpecFunConfig = DEFAULT_CONFIG):
     w[upper] = np.exp(np.minimum(target[upper], 709.0)) + 0.5
     w[~upper] = -1.0 / (target[~upper] + EULER_GAMMA)
     resid = digamma(w) - target
-    active = np.flatnonzero(~(np.abs(resid) <= config.newton_tol))
-    for _ in range(config.newton_max_iter):
+    active = np.flatnonzero(~(np.abs(resid) <= _NEWTON_TOL))
+    for _ in range(_NEWTON_MAX_ITER):
         if not active.size:
             return _maybe_scalar(w.reshape(arr.shape), y)
         wa = w[active]
@@ -150,10 +127,10 @@ def inverse_digamma(y, config: SpecFunConfig = DEFAULT_CONFIG):
         w[active] = nxt
         r = digamma(nxt) - target[active]
         resid[active] = r
-        active = active[~(np.abs(r) <= config.newton_tol)]
+        active = active[~(np.abs(r) <= _NEWTON_TOL)]
     worst = int(np.argmax(np.abs(resid)))
     raise ConvergenceError(
-        f"inverse_digamma did not converge within {config.newton_max_iter} "
+        f"inverse_digamma did not converge within {_NEWTON_MAX_ITER} "
         f"iterations (residual {resid[worst]:.3e})",
         last_iterate=_maybe_scalar(w.reshape(arr.shape), y),
         residual=float(np.max(np.abs(resid))),

@@ -270,6 +270,40 @@ class TestNumericGeBandwidth:
         with pytest.raises(OptimizationError):
             numeric_bandwidth_ge(-1.0, 1e-6, 100)
 
+    @staticmethod
+    def _coefficients(a1, a2):
+        return G * (G * G + math.pi ** 2 / 6.0) * a1, G * G * a2
+
+    # +-1e-17 is what the plug-in integrals give for near-symmetric densities
+    @pytest.mark.parametrize("a1", [0.0, 1e-17, -1e-17, -0.002, 1.0, 53.0])
+    def test_stationary_point(self, a1):
+        a2, n = 0.03, 250
+        c3, c2 = self._coefficients(a1, a2)
+        b = numeric_bandwidth_ge(a1, a2, n).value
+        assert abs(12.0 * n * c3 * b ** 4 + 8.0 * n * c2 * b ** 3 - 1.0) <= 1e-13
+
+    def test_existence_bound(self):
+        # with b0 = (8 n c2)**(-1/3), an interior minimum exists iff
+        # kappa = 12 n c3 b0**4 > -(3/4) 4**(-1/3)
+        a2, n = 0.03, 250
+        _, c2 = self._coefficients(0.0, a2)
+        b0 = (8.0 * n * c2) ** (-1.0 / 3.0)
+        kappa_min = -0.75 * 4.0 ** (-1.0 / 3.0)
+
+        def a1_at(kappa):
+            return kappa / (12.0 * n * b0 ** 4) / (G * (G * G + math.pi ** 2 / 6.0))
+
+        with pytest.raises(OptimizationError):
+            numeric_bandwidth_ge(a1_at(kappa_min * (1.0 + 1e-9)), a2, n)
+        b = numeric_bandwidth_ge(a1_at(kappa_min * (1.0 - 1e-9)), a2, n).value
+        # the minimum merges with the maximum at t = 4**(1/3) on the bound
+        assert b == pytest.approx(4.0 ** (1.0 / 3.0) * b0, rel=1e-3)
+
+    def test_smallest_positive_a2(self):
+        # g**2 a2 underflows to 0 here; (8 n c2)**(-1/3) must not divide by it
+        b = numeric_bandwidth_ge(0.0, 5e-324, 2).value
+        assert 1e100 < b < math.inf
+
 
 class TestAsymptoticFormulas:
     def test_ge_interior(self):

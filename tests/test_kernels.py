@@ -270,6 +270,41 @@ class TestIgDenominatorUnderflow:
         assert math.isfinite(log_kernel(Kernel.IG, 1.0, b, 1.0))
 
 
+_X_OVER_B_KERNELS = [Kernel.GE, Kernel.GE2, Kernel.GAM1, Kernel.GAM2, Kernel.RIG]
+
+
+class TestLocationOverflow:
+    """x/b beyond the largest double: a typed error naming kernel, x and b."""
+
+    X, B = 1e300, 1e-10
+
+    def _raises(self, kernel, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as err:
+                call()
+        msg = str(err.value)
+        for part in (f"{kernel.value} kernel", "x/b overflows", "x = 1e+300", "b = 1e-10",
+                     "rescale the data"):
+            assert part in msg
+
+    @pytest.mark.parametrize("kernel", _X_OVER_B_KERNELS)
+    def test_log_kernel(self, kernel):
+        self._raises(kernel, lambda: log_kernel(kernel, self.X, self.B, np.array([self.X, 1.0])))
+        self._raises(kernel, lambda: log_kernel(kernel, self.X, self.B, 1.0))
+
+    @pytest.mark.parametrize("kernel", _X_OVER_B_KERNELS)
+    def test_estimate_density(self, kernel):
+        sample = Sample([0.5, 1.0, 2.0])
+        self._raises(kernel, lambda: estimate_density(sample, kernel, self.B, [1.0, self.X]))
+
+    @pytest.mark.parametrize("kernel", _X_OVER_B_KERNELS)
+    def test_bandwidth_column(self, kernel):
+        # the second sample of the stack overflows; the message names its b
+        b = np.array([[1.0], [self.B]])
+        self._raises(kernel, lambda: _LogKernel(kernel, np.array([2.0, self.X]), b))
+
+
 # --- the float path of a single datum against the block combine -------------
 
 def _block_value(kernel, x, b, z):

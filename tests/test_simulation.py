@@ -274,6 +274,32 @@ class TestFloatPath:
                 assert d.pdf(0.0) == 0.0
                 assert d.pdf(np.array([0.0, 5e-324])).tolist() == [0.0, 0.0]
 
+    @pytest.mark.parametrize("scale", [0.5, 2.0])
+    def test_exponential_at_origin(self, scale):
+        # shape 1 is the exponential density: (shape - 1) * log(0) was nan here
+        d = GammaDensity(1.0, scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert d.pdf(0.0) == pytest.approx(1.0 / scale, rel=1e-15)
+            assert d.pdf(np.array([0.0, 5e-324])) == pytest.approx(1.0 / scale, rel=1e-15)
+            assert d.pdf_d1(0.0) == pytest.approx(-1.0 / scale ** 2, rel=1e-15)
+            for x in (0.0, 1e-300):
+                assert d.pdf_d2(x) == pytest.approx(1.0 / scale ** 3, rel=1e-15)
+                assert d.pdf_d2(np.array([x])) == pytest.approx(1.0 / scale ** 3, rel=1e-15)
+
+    def test_exponential_bits_at_positive_x(self):
+        # the general formula with its (shape - 1) = 0 terms, where it is defined
+        d = GammaDensity(1.0, 2.0)
+        xs = np.array([1e-150, 0.3, 1.0, 7.5, 1e300])
+        f = np.exp(0.0 * np.log(xs) - xs / 2.0 - d._k_log_scale - d._log_gamma_shape)
+        s1 = 0.0 / xs - 1.0 / 2.0
+        with np.errstate(over="ignore"):
+            s2 = -0.0 / (xs * xs)
+        for got, want in ((d.pdf(xs), f), (d.pdf_d1(xs), f * s1), (d.pdf_d2(xs), f * (s1 * s1 + s2))):
+            assert got.tobytes() == want.tobytes()
+        for x, want in zip(xs.tolist(), f.tolist()):
+            assert d.pdf(x).hex() == want.hex()
+
     def test_roughness_unchanged_by_float_path(self, monkeypatch):
         d = CONFIGURATIONS["D"]
         fast = d.roughness()

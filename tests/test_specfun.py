@@ -10,7 +10,6 @@ from gekde import (
     ConvergenceError,
     DomainError,
     EULER_GAMMA,
-    SpecFunConfig,
     digamma,
     inverse_digamma,
     log_gamma,
@@ -141,11 +140,6 @@ class TestInverseDigamma:
         xs = inverse_digamma(ys)
         assert np.max(np.abs(digamma(xs) - ys)) <= 1e-12
 
-    def test_residual_tolerance_honoured(self):
-        cfg = SpecFunConfig(newton_tol=1e-10)
-        x = inverse_digamma(2.5, cfg)
-        assert abs(digamma(x) - 2.5) <= 1e-10
-
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.one_of(st.floats(min_value=-100.0, max_value=700.0),
                               st.floats(min_value=-3.0, max_value=40.0)),
@@ -167,11 +161,3 @@ class TestInverseDigamma:
     def test_domain(self):
         with pytest.raises(DomainError):
             inverse_digamma(math.inf)
-
-
-class TestConfig:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            SpecFunConfig(newton_tol=0.0)
-        with pytest.raises(DomainError):
-            SpecFunConfig(newton_max_iter=0)
