@@ -12,10 +12,15 @@ time; ``estimate_density`` is its one-sample case.  Each block is
 exponentiated in place and summed along its rows; the sums are divided by n
 once, after the last block.
 The GE kernels put most of log K below ``_EXP_ZERO``, where ``np.exp``
-returns +0.0 but slowly; a block with many such entries writes the 0.0
-itself (see ``_exp_rows``).  Every grid value goes through the same
-operations whatever block it lands in, so the result does not depend on how
-the grid is split.
+returns +0.0 but slowly.  A block of several rows with many such entries
+writes the 0.0 itself (see ``_exp_rows``).  A one-row block (more than
+``_BLOCK_ELEMENTS // 2`` data) computes only the data window its row can
+reach: each row of log K is a log density in the datum, so it is unimodal
+in the sorted data, and a coarse pass finds where it rises above the cut
+(see ``_data_windows``).  The window is exponentiated into a zero-filled
+row, and the whole row is summed, so the pairwise sum keeps its bits.
+Every grid value goes through the same operations whatever block it lands
+in, so the result does not depend on how the grid is split.
 
 Bandwidth selection offers Silverman's rule-of-thumb with the kernel-family
 mapping (GE kernels take the Gaussian-comparable h, the gamma/IG/RIG family
@@ -97,6 +102,11 @@ _EXP_ZERO = -746.0
 #: 18 ns more on such an entry than on a normal result, and masking costs
 #: about 1.2 ns on every entry: below a 1/16 share the plain exp is as fast.
 _PROBE_DIVISOR = 32
+
+#: A one-row block finds its data window from log K at every 32nd datum:
+#: the coarse pass costs 1/32 of the row, and the window is at most 31
+#: data wider on each side than the entries ``np.exp`` would not round to 0.
+_WINDOW_STRIDE = 32
 
 #: Absolute quadrature tolerance of ``exact_estimator_moments``.
 _QUAD_EPSABS = 1e-10
@@ -284,6 +294,56 @@ def _exp_rows(block: np.ndarray, masked: bool) -> None:
         np.exp(block, out=block)
 
 
+def _columns(dat: tuple, cols) -> tuple:
+    """The data terms of one sample (see ``_LogKernel.take``) at columns ``cols``."""
+    return tuple(None if t is None else t[:, cols] for t in dat)
+
+
+def _data_windows(ev: _LogKernel, dat: tuple, n: int):
+    """Per grid row, the data window [start, stop) outside which log K <= ``_EXP_ZERO``.
+
+    ``ev`` and ``dat`` are one sample's evaluator and data terms, the data
+    sorted.  A row of log K is a log density in the datum, so it is unimodal
+    in the sorted data, and its entries above any level form one run.  A row
+    above the cut at the probe columns of ``_PROBE_DIVISOR`` has at most 1/16
+    of its entries below it and is whole, [0, n).  The other rows are
+    evaluated at every ``_WINDOW_STRIDE``-th datum, from the first, in row
+    chunks of ``_BLOCK_ELEMENTS // 2`` entries, fewer than one grid row
+    holds, so the pass needs less memory than a row's combine.  The
+    coarse points at or below the cut on either side of those above it (or,
+    with none above, of the coarse maximum) lie on the row's flanks, so
+    every datum beyond them is at or below the cut too; a run that reaches
+    the last coarse point keeps the data after it.  The 0.87 between
+    the cut and -745.13, where ``np.exp`` stops rounding to +0.0, absorbs the
+    rounding wobble of a flank.  A row with a NaN or a non-finite coarse
+    maximum is whole.
+    """
+    k = n // _PROBE_DIVISOR
+    whole = (ev.rows(_columns(dat, [k, n - 1 - k])) > _EXP_ZERO).all(axis=1)
+    start = np.zeros(whole.size, dtype=np.intp)
+    stop = np.full(whole.size, n, dtype=np.intp)
+    need = np.flatnonzero(~whole)
+    if not need.size:
+        return start, stop
+    cols = np.arange(0, n, _WINDOW_STRIDE)
+    coarse_dat = _columns(dat, cols)
+    last = cols.size - 1
+    chunk = max(1, _BLOCK_ELEMENTS // 2 // cols.size)
+    for lo in range(need[0], need[-1] + 1, chunk):
+        coarse = ev.rows(coarse_dat, lo, lo + chunk)
+        top = coarse > _EXP_ZERO
+        peak = coarse.max(axis=1)
+        top |= ~top.any(axis=1, keepdims=True) & (coarse == peak[:, None])
+        first = top.argmax(axis=1)
+        final = last - top[:, ::-1].argmax(axis=1)
+        j0 = np.where(first > 0, cols[first - 1] + 1, 0)
+        j1 = np.where(final < last, cols[np.minimum(final + 1, last)], n)
+        windowed = np.isfinite(peak) & ~whole[lo:lo + chunk]
+        start[lo:lo + chunk] = np.where(windowed, j0, 0)
+        stop[lo:lo + chunk] = np.where(windowed, j1, n)
+    return start, stop
+
+
 def _estimate_batch(values: np.ndarray, kernel: Kernel, b: np.ndarray,
                     grid: np.ndarray) -> np.ndarray:
     """Estimates of R samples on one grid: an (R, G) array.
@@ -295,6 +355,13 @@ def _estimate_batch(values: np.ndarray, kernel: Kernel, b: np.ndarray,
     ``_BLOCK_ELEMENTS`` budget.  Each row goes through the operations of a
     single-sample call, so a sample's estimate does not depend on which
     others share the batch.
+
+    With more than ``_BLOCK_ELEMENTS // 2`` data a block is one grid row,
+    and the combine and ``np.exp`` run only on the row's data window (see
+    ``_data_windows``), written into a zero-filled row; entries outside it
+    are those ``np.exp`` would round to +0.0.  The whole row is then summed,
+    as on the other path: numpy's pairwise sum groups entries by position,
+    so summing the window alone would change the bits.
     """
     _validate_grid(kernel, grid, float(b.max()))
     n = values.shape[1]
@@ -307,6 +374,21 @@ def _estimate_batch(values: np.ndarray, kernel: Kernel, b: np.ndarray,
     for r in range(b.size):
         sub, dest = ev.take(r), out[r]
         dat = tuple(None if t is None else t[r] for t in data)
+        if step == 1:
+            start, stop = _data_windows(sub, dat, n)
+            row = np.empty((1, n))
+            for g, (j0, j1) in enumerate(zip(start.tolist(), stop.tolist())):
+                if j1 - j0 == n:
+                    block = sub.rows(dat, g, g + 1)
+                    np.exp(block, out=block)
+                else:
+                    block = row
+                    row[:, :j0] = 0.0
+                    row[:, j1:] = 0.0
+                    np.exp(sub.rows(_columns(dat, slice(j0, j1)), g, g + 1),
+                           out=row[:, j0:j1])
+                np.add.reduce(block, axis=1, out=dest[g:g + 1])
+            continue
         for lo in range(0, grid.size, step):
             block = sub.rows(dat, lo, lo + step)
             _exp_rows(block, masked=not (block[:, probe] > _EXP_ZERO).all())
@@ -327,8 +409,11 @@ def estimate_density(sample: Sample, kernel: Kernel, bandwidth, grid) -> Density
 
     A block whose log K reaches ``_EXP_ZERO`` at its probe columns (see
     ``_PROBE_DIVISOR``) is exponentiated with the underflowing entries
-    masked.  Both paths give the bits of ``np.exp``, so the choice of path
-    affects only speed.
+    masked.  With more than ``_BLOCK_ELEMENTS // 2`` data a block is one
+    grid row, and only the row's data window is combined and exponentiated
+    (see ``_data_windows``); the row is still summed whole, zeros included,
+    in the same order.  Every path gives the bits of ``np.exp`` and of the
+    full row sum, so the choice of path affects only speed.
     """
     bw = _coerce_bandwidth(bandwidth)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
@@ -365,6 +450,13 @@ def numeric_bandwidth_ge(a1: float, a2: float, n: int) -> Bandwidth:
     ``kappa > -(3/4) 4**(-1/3)``, and its first root then lies in
     ``(0, 4**(1/3)]``, where ``brentq`` solves it.  At or below that bound M
     decreases for every b, and :class:`OptimizationError` is raised.
+
+    Where ``8 n c2`` overflows, b0 is taken in factored form.  Above
+    ``kappa = 2**72`` the root is ``t = kappa**(-1/4) (1 - kappa**(-3/4)/4 +
+    ...)``, whose correction is below half an ulp, so ``b = (12 n c3)**(-1/4)``
+    to double precision, also where kappa overflows; ``brentq`` would need
+    more than its 100 steps there.  An optimum outside the double range
+    raises :class:`OptimizationError`.
     """
     if not (math.isfinite(a2) and a2 > 0.0):
         raise DomainError("a2 (integral of f'(x)**2) must be positive and finite")
@@ -373,23 +465,34 @@ def numeric_bandwidth_ge(a1: float, a2: float, n: int) -> Bandwidth:
     if n < 2:
         raise DomainError("n must be at least 2")
     g = EULER_GAMMA
+    c = g * g + math.pi ** 2 / 6.0
     # b0 = (8 n c2)**(-1/3), and kappa = 12 n c3 b0**4 = 1.5 (c3 / c2) b0 as
     # 8 n c2 b0**3 = 1; a2 enters no product that can underflow to 0
     b0 = (8.0 * n * a2 * g * g) ** (-1.0 / 3.0)
-    kappa = 1.5 * (g * g + math.pi ** 2 / 6.0) / g * (a1 / a2) * b0
+    if b0 == 0.0:  # 8 n a2 g**2 overflows
+        b0 = (8.0 * n * g * g) ** (-1.0 / 3.0) * a2 ** (-1.0 / 3.0)
+    kappa = 1.5 * c / g * (a1 / a2) * b0
     t_max = 4.0 ** (1.0 / 3.0)
 
     def stationary(t):
         return kappa * t ** 4 + t ** 3 - 1.0
 
-    if not (math.isfinite(kappa) and stationary(t_max) > 0.0):
+    if kappa > 2.0 ** 72:
+        b = (12.0 * n * g * c) ** -0.25 * a1 ** -0.25
+    elif math.isfinite(kappa) and stationary(t_max) > 0.0:
+        # brentq stops on its relative tolerance alone (4 eps), also for small t
+        b = b0 * brentq(stationary, 0.0, t_max, xtol=_TINY)
+    else:
         raise OptimizationError(
             f"approximate MISE has no interior minimum: kappa = {kappa!r} is not a "
             "finite number above -(3/4) 4**(-1/3); the cubic curvature term dominates"
         )
-    # brentq stops on its relative tolerance alone (4 eps), also for small t
-    t = brentq(stationary, 0.0, t_max, xtol=_TINY)
-    return Bandwidth(b0 * t, "numeric_ge")
+    if not 0.0 < b < math.inf:
+        raise OptimizationError(
+            f"approximate-MISE optimum {'underflows' if b == 0.0 else 'overflows'} the "
+            f"double range at a1 = {a1!r}, a2 = {a2!r}, n = {n!r}"
+        )
+    return Bandwidth(b, "numeric_ge")
 
 
 def asymptotic_bias(kernel: Kernel, regime: AsymptoticRegime, b: float,

@@ -1,5 +1,7 @@
+import functools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from gekde import (
     DegenerateSampleError,
     DomainError,
     EULER_GAMMA,
+    ExperimentConfig,
     GammaDensity,
     INTERIOR,
     Kernel,
@@ -26,9 +29,17 @@ from gekde import (
     kernel_pdf,
     numeric_bandwidth_ge,
     optimal_bandwidth_ge2,
+    run_experiment,
     silverman_bandwidth,
 )
-from gekde.estimator import _EXP_ZERO, _exp_rows, _quad_segments, _quad_window
+from gekde.estimator import (
+    _EXP_ZERO,
+    _WINDOW_STRIDE,
+    _data_windows,
+    _exp_rows,
+    _quad_segments,
+    _quad_window,
+)
 from gekde.kernels import _LogKernel, _point_log_kernel
 from test_metamorphic import _wide_case
 
@@ -219,6 +230,139 @@ class TestExpUnderflow:
         assert set(paths) == {False, True}
 
 
+#: One grid row per block: the estimator's data-window path.
+_WINDOW_N = gekde.estimator._BLOCK_ELEMENTS // 2 + 1
+
+
+@functools.cache
+def _window_sample(config_id):
+    return CONFIGURATIONS[config_id].sample(_WINDOW_N, 31)
+
+
+def _silverman_cases(label, sample, scale=0):
+    """Each kernel at its Silverman bandwidth; data, b and grid scaled by 2**scale."""
+    grid = default_grid(sample, 48)
+    cases = []
+    for kernel in Kernel:
+        b = silverman_bandwidth(sample, kernel).value
+        g = grid[grid > b] if kernel is Kernel.RIG else grid
+        cases.append((f"{label}-{kernel.value}", kernel, Sample(np.ldexp(sample.values, scale)),
+                      math.ldexp(b, scale), np.ldexp(g, scale)))
+    return cases
+
+
+def _window_cases():
+    """(label, kernel, sample, b, grid) cases for the one-row-block path."""
+    d, e = _window_sample("D"), _window_sample("E")
+    cases = (_silverman_cases("D", d) + _silverman_cases("E", e)
+             + _silverman_cases("E*2^40", e, 40) + _silverman_cases("E*2^-40", e, -40)
+             + _silverman_cases("D-tied", Sample(np.ceil(d.values * 4.0) / 4.0)))
+    # x = 0 (shape 1), x/b past 700 from x = 28, and rows beyond the data
+    # (up to x = 50), all of whose log K underflow
+    cases.append(("ge-edges", Kernel.GE, d, 0.04, np.linspace(0.0, 50.0, 41)))
+    # nu < 1 where x < b: log K falls from the first datum on
+    cases.append(("ge2-nu<1", Kernel.GE2, d, 2.0, np.linspace(0.1, 30.0, 40)))
+    b = silverman_bandwidth(d, Kernel.RIG).value
+    cases.append(("rig-edge", Kernel.RIG, d, b,
+                  np.concatenate([[np.nextafter(b, np.inf), b * (1.0 + 1e-9)],
+                                  np.linspace(1.01 * b, 40.0, 30)])))
+    return cases
+
+
+class TestDataWindow:
+    """The windowed combine of one-row blocks against the full kernel matrix."""
+
+    @staticmethod
+    def _full(kernel, sample, b, grid):
+        ev = _LogKernel(kernel, grid, b)
+        return ev, ev.data(sample.values), ev.rows(ev.data(sample.values))
+
+    @pytest.mark.parametrize("case", _window_cases(), ids=lambda c: c[0])
+    def test_bit_identical_and_skips_only_underflow(self, case):
+        _, kernel, sample, b, grid = case
+        ev, dat, log_k = self._full(kernel, sample, b, grid)
+        with np.errstate(over="ignore"):
+            expect = np.exp(log_k).mean(axis=1)
+        got = estimate_density(sample, kernel, b, grid).values
+        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+        start, stop = _data_windows(ev, dat, sample.n)
+        for g in range(grid.size):
+            assert np.all(log_k[g, :start[g]] <= _EXP_ZERO), g
+            assert np.all(log_k[g, stop[g]:] <= _EXP_ZERO), g
+
+    def test_window_shapes_covered(self):
+        n = _WINDOW_N
+        seen = set()
+        underflow_rows = 0
+        for _, kernel, sample, b, grid in _window_cases():
+            ev, dat, log_k = self._full(kernel, sample, b, grid)
+            start, stop = _data_windows(ev, dat, n)
+            seen |= {(bool(j0 == 0), bool(j1 == n)) for j0, j1 in zip(start, stop)}
+            flat = np.max(log_k, axis=1) <= _EXP_ZERO
+            underflow_rows += int(flat.sum())
+            assert np.all(stop[flat] - start[flat] < 2 * _WINDOW_STRIDE)
+            assert np.all(estimate_density(sample, kernel, b, grid).values[flat] == 0.0)
+        # windows at the first datum, the last, both (whole rows) and neither
+        assert seen == {(True, False), (False, True), (True, True), (False, False)}
+        assert underflow_rows > 0
+
+    def test_tail_and_non_finite_rows(self):
+        class Rows:
+            """Stands in for an evaluator: log K rows given as a matrix."""
+
+            def __init__(self, log_k):
+                self.log_k = log_k
+                self.loc = (log_k[:, :1],)
+
+            def rows(self, dat, lo=0, hi=None):
+                return self.log_k[lo:hi][:, dat[0][0]]
+
+        n = 200
+        # unimodal rows peaking at datum 100, above the cut from 63 to 137
+        log_k = np.tile(-20.0 * np.abs(np.arange(n) - 100.0), (6, 1))
+        log_k[1, 0] = np.nan      # NaN at a coarse datum
+        log_k[2, 96] = np.inf     # an infinite coarse maximum
+        log_k[3] = -np.inf
+        # rising to the last datum, past the last coarse one: above the cut
+        # from datum 162, and nowhere
+        log_k[4] = -20.0 * (n - 1.0 - np.arange(n))
+        log_k[5] = log_k[4] - 800.0
+        start, stop = _data_windows(Rows(log_k), (np.arange(n)[None, :],), n)
+        # the coarse data are 0, 32, ..., 192
+        assert (start[0], stop[0]) == (33, 160)
+        assert start[1:4].tolist() == [0, 0, 0] and stop[1:4].tolist() == [n, n, n]
+        assert start[4:].tolist() == [161, 161] and stop[4:].tolist() == [n, n]
+
+    @pytest.mark.parametrize("kernel", list(Kernel), ids=lambda k: k.value)
+    def test_grid_split_invariance(self, kernel):
+        sample = _window_sample("E")
+        b = silverman_bandwidth(sample, kernel).value
+        grid = default_grid(sample, 48)
+        grid = grid[grid > b] if kernel is Kernel.RIG else grid
+        whole = estimate_density(sample, kernel, b, grid).values
+        parts = [estimate_density(sample, kernel, b, piece).values
+                 for piece in np.split(grid, [1, 7, 20, 21])]
+        assert np.array_equal(whole, np.concatenate(parts))
+
+    def test_reached_only_by_one_row_blocks(self, monkeypatch):
+        calls = []
+
+        def recording(ev, dat, n):
+            calls.append(n)
+            return _data_windows(ev, dat, n)
+
+        monkeypatch.setattr(gekde.estimator, "_data_windows", recording)
+        sample = _window_sample("D")
+        estimate_density(sample, Kernel.GE, 0.5, default_grid(sample, 8))
+        assert calls == [_WINDOW_N]
+        calls.clear()
+        small = Sample(sample.values[:_WINDOW_N - 1])
+        estimate_density(small, Kernel.GE, 0.5, default_grid(small, 8))
+        # a benchmark-sized Monte Carlo cell: n = 100 on a 256-point grid
+        run_experiment(ExperimentConfig("F", n=100, replications=8, seed=3, grid_size=256))
+        assert calls == []
+
+
 class TestOptimalGe2Bandwidth:
     def test_unit_exponential_roughness(self):
         # integral of f''^2 for the unit exponential is 1/2
@@ -266,7 +410,7 @@ class TestNumericGeBandwidth:
             numeric_bandwidth_ge(0.0, -1.0, 100)
 
     def test_no_interior_minimum(self):
-        # strongly negative cubic coefficient: MISE decreases toward b_max
+        # strongly negative cubic coefficient: MISE decreases for every b
         with pytest.raises(OptimizationError):
             numeric_bandwidth_ge(-1.0, 1e-6, 100)
 
@@ -303,6 +447,33 @@ class TestNumericGeBandwidth:
         # g**2 a2 underflows to 0 here; (8 n c2)**(-1/3) must not divide by it
         b = numeric_bandwidth_ge(0.0, 5e-324, 2).value
         assert 1e100 < b < math.inf
+
+    @staticmethod
+    def _exact_residual(a1, a2, n, b):
+        """(12 n c3 b**4 + 8 n c2 b**3) - 1 in exact rational arithmetic: no overflow."""
+        c3, c2 = (Fraction(G * (G * G + math.pi ** 2 / 6.0)) * Fraction(a1),
+                  Fraction(G * G) * Fraction(a2))
+        bf = Fraction(b)
+        return float(12 * n * c3 * bf ** 4 + 8 * n * c2 * bf ** 3 - 1)
+
+    # 8 n a2 g**2 overflows in the first; kappa (about 8e307) in the second
+    @pytest.mark.parametrize("a1, a2, expect", [(0.0, 1e308, 3.35e-104),
+                                                (1e308, 1.0, 1.64e-78)])
+    def test_optimum_past_overflowing_products(self, a1, a2, expect):
+        b = numeric_bandwidth_ge(a1, a2, 100).value
+        assert b == pytest.approx(expect, rel=1e-3)
+        assert abs(self._exact_residual(a1, a2, 100, b)) <= 1e-13
+
+    @pytest.mark.parametrize("a1", [1e20, 1e25, 1e60, 1e200, 1.7e308])
+    def test_large_kappa(self, a1):
+        # the quartic term dominates; from about a1/a2 = 1e60 brentq on
+        # (0, 4**(1/3)] needs more than its 100 steps
+        b = numeric_bandwidth_ge(a1, 1e-3, 100).value
+        assert abs(self._exact_residual(a1, 1e-3, 100, b)) <= 1e-13
+
+    def test_optimum_outside_double_range(self):
+        with pytest.raises(OptimizationError, match="underflows the double range"):
+            numeric_bandwidth_ge(1.0, 1.0, 10 ** 308)
 
 
 class TestAsymptoticFormulas:
