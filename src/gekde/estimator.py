@@ -451,7 +451,10 @@ def numeric_bandwidth_ge(a1: float, a2: float, n: int) -> Bandwidth:
     ``(0, 4**(1/3)]``, where ``brentq`` solves it.  At or below that bound M
     decreases for every b, and :class:`OptimizationError` is raised.
 
-    Where ``8 n c2`` overflows, b0 is taken in factored form.  Above
+    b0 is the reciprocal of ``np.cbrt``, within about an ulp: the power
+    ``** (-1/3)`` has a rounded exponent, whose error ``log(8 n c2)``
+    multiplies (4e-14 at 8 n c2 = 1e302).  Where ``8 n c2`` overflows or is
+    subnormal, b0 is taken in factored form.  Above
     ``kappa = 2**72`` the root is ``t = kappa**(-1/4) (1 - kappa**(-3/4)/4 +
     ...)``, whose correction is below half an ulp, so ``b = (12 n c3)**(-1/4)``
     to double precision, also where kappa overflows; ``brentq`` would need
@@ -468,9 +471,11 @@ def numeric_bandwidth_ge(a1: float, a2: float, n: int) -> Bandwidth:
     c = g * g + math.pi ** 2 / 6.0
     # b0 = (8 n c2)**(-1/3), and kappa = 12 n c3 b0**4 = 1.5 (c3 / c2) b0 as
     # 8 n c2 b0**3 = 1; a2 enters no product that can underflow to 0
-    b0 = (8.0 * n * a2 * g * g) ** (-1.0 / 3.0)
-    if b0 == 0.0:  # 8 n a2 g**2 overflows
-        b0 = (8.0 * n * g * g) ** (-1.0 / 3.0) * a2 ** (-1.0 / 3.0)
+    b0_cubed_inv = 8.0 * n * a2 * g * g
+    if _TINY <= b0_cubed_inv < math.inf:
+        b0 = 1.0 / float(np.cbrt(b0_cubed_inv))
+    else:  # the product overflows, or is subnormal and has lost digits
+        b0 = 1.0 / float(np.cbrt(8.0 * n * g * g) * np.cbrt(a2))
     kappa = 1.5 * c / g * (a1 / a2) * b0
     t_max = 4.0 ** (1.0 / 3.0)
 

@@ -13,6 +13,16 @@ product ``(shape - 1) * log1p(-exp(-z/b))`` is regrouped as
 ``-exp(log_shape + log(-L))``, with the asymptotic branch
 ``L ~ -exp(-z/b) - exp(-2 z/b)/2`` once ``z/b > 36`` (below double epsilon).
 
+The ``ig`` and ``rig`` exponents, ``(x/(2b)) (z/x - 2 + x/z)`` with scale x
+or ``s = x - b``, are formed without that sum, which cancels near z = s:
+``rig`` takes ``((z - s)/z) ((z - s)/(2b))`` and ``ig`` takes ``e * e/(2 b z)``
+with ``e = (z - x)/x``.  Each reciprocal is a per-datum (``1/z``,
+``1/(2 b z)``) or per-location (``1/x``, ``1/(2b)``) term, so an entry
+costs a subtraction and multiplications.  Every factor is a ratio that
+overflows only where the exponent nearly does, and the exponent is exactly
+0 at z = s.  A location whose reciprocal term would overflow raises
+:class:`DomainError`.
+
 One evaluator serves every caller.  It takes a column of locations x and a
 row of data z and works in three steps: the terms that depend on x alone
 (shapes, the gamma normaliser, the ``ge2`` shape from one array
@@ -66,8 +76,18 @@ _LOG2 = math.log(2.0)
 _LOG_SHAPE_DIRECT_MAX = 700.0   # largest log-shape evaluated without regrouping
 _ASYMPTOTIC_U = 36.0            # z/b beyond which log1p(-e^-u) = -e^-u to machine precision
 _ASYMPTOTIC_Y = 36.0            # digamma argument beyond which psi-inverse(y) = e^y + 1/2 exactly
-_LOG_DBL_MAX = math.log(np.finfo(float).max)  # np.exp overflows to inf above this, and only there
+_DBL_MAX = float(np.finfo(float).max)  # largest double
+_LOG_DBL_MAX = math.log(_DBL_MAX)  # np.exp overflows to inf above this, and only there
 _TINY = np.finfo(float).tiny    # smallest normal double
+
+#: Below this x/b the GE2 shape is the inverted series of
+#: ``psi(1 + nu) + EULER_GAMMA = zeta(2) nu - zeta(3) nu**2 + zeta(4) nu**3 - ...``
+#: (Abramowitz & Stegun 6.3.14), whose coefficients, highest power first, are
+#: ``_SERIES_NU``: nu = (6/pi**2) r + (zeta(3)/zeta(2)**3) r**2 + ... to r**5.
+#: The terms left out are below 2e-18 of nu there (against a 50-digit root).
+_SERIES_R = 1e-3
+_SERIES_NU = (0.004810711440165366, 0.024237565814346062, 0.09212914889612564,
+              0.27007198834520158, 0.6079271018540267)
 
 
 class Kernel(enum.Enum):
@@ -115,23 +135,32 @@ def _log_each(b):
     return math.log(b)
 
 
-def _ge2_shape(y):
-    """GE2 shape ``nu`` and ``log nu`` at digamma targets ``y = x/b - EULER_GAMMA`` (any shape).
+def _ge2_shape(r):
+    """GE2 shape ``nu`` and ``log nu`` at ``r = x/b`` (an array of any shape).
 
-    Below ``_ASYMPTOTIC_Y`` the shape comes from one array inverse-digamma
-    solve; ``log nu`` is meaningful only where ``nu > 0``.  Above it the
-    closed form ``exp(y) - 1/2`` is used, with ``log nu`` kept finite where
-    ``nu`` overflows to inf (y > 709.7).
+    nu solves ``psi(1 + nu) = y`` with ``y = r - EULER_GAMMA``.  Below
+    ``_SERIES_R`` it is the inverted series in r itself (``y`` would have
+    lost r against EULER_GAMMA), below ``_ASYMPTOTIC_Y`` one array
+    inverse-digamma solve; ``log nu`` is meaningful only where ``nu > 0``.
+    Above it the closed form ``exp(y) - 1/2`` is used, with ``log nu`` kept
+    finite where ``nu`` overflows to inf (y > 709.7).
     """
+    y = r - EULER_GAMMA
     with np.errstate(over="ignore"):
         nu = np.where(y > 709.7, math.inf, np.exp(y) - 0.5)
     log_nu = y + np.log1p(-0.5 * np.exp(-y))
-    newton = y < _ASYMPTOTIC_Y
-    if newton.any():
-        nu_n = inverse_digamma(y[newton]) - 1.0
-        nu[newton] = nu_n
-        with np.errstate(divide="ignore", invalid="ignore"):
+    series = r < _SERIES_R
+    newton = (y < _ASYMPTOTIC_Y) & ~series
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if newton.any():
+            nu_n = inverse_digamma(y[newton]) - 1.0
+            nu[newton] = nu_n
             log_nu[newton] = np.log(nu_n)
+        if series.any():
+            r_s = r[series]
+            nu_s = r_s * np.polyval(_SERIES_NU, r_s)
+            nu[series] = nu_s
+            log_nu[series] = np.log(nu_s)
     return nu, log_nu
 
 
@@ -150,6 +179,13 @@ def _rescale_error(kernel, what, bad, x, b):
     )
 
 
+def _reject_inf(kernel, what, t, x, b):
+    """Raise the :func:`_rescale_error` for ``what`` where a location term ``t`` is inf."""
+    bad = np.isinf(t)
+    if bad.any():
+        raise _rescale_error(kernel, what, bad, x, b)
+
+
 class _LogKernel:
     """log K_{x,b}(z) for a column of locations x against a row of data z.
 
@@ -158,8 +194,9 @@ class _LogKernel:
 
     1. per-location terms (the constructor): shapes, log-shapes, the gamma
        normaliser and the GE2 shape solve, once for every x;
-    2. per-datum terms (:meth:`data`): ``log z``, ``z/b`` and
-       ``log(1 - exp(-z/b))``, once for every z;
+    2. per-datum terms (:meth:`data`): ``log z``, ``z/b``,
+       ``log(1 - exp(-z/b))`` and the reciprocals ``1/z`` (``rig``) and
+       ``1/(2 b z)`` (``ig``), once for every z;
     3. the broadcast combine (:meth:`rows`) of a block of locations against
        all data.
 
@@ -170,8 +207,13 @@ class _LogKernel:
     whatever the block's size and however many samples share it, so results
     do not depend on how a grid or a stack is split into blocks.  Locations
     must already be validated for the kernel and data must be positive and
-    finite.  A location where x/b overflows (every kernel but ``ig``) or
-    2*b*x underflows (``ig``) raises :class:`DomainError`.
+    finite.  A location where x/b overflows (every kernel but ``ig``),
+    2*b*x underflows or 1/x overflows (``ig``), or 1/(x - b) or 1/(2b)
+    overflows (``rig``) raises :class:`DomainError`.  The ``ig`` and ``rig``
+    combine is a subtraction and multiplications, and its factors are
+    ratios; at z = x
+    (``ig``) or z = x - b (``rig``) these guards keep every factor finite,
+    so the quadratic term there is exactly 0, never ``0 * inf``.
     """
 
     __slots__ = ("kernel", "b", "loc", "regroup", "special")
@@ -192,7 +234,7 @@ class _LogKernel:
                 with np.errstate(over="ignore"):
                     shape_m1 = np.expm1(log_shape)
             else:
-                nu, log_shape = _ge2_shape(r - EULER_GAMMA)
+                nu, log_shape = _ge2_shape(r)
                 if np.any(nu <= 0.0):
                     raise DomainError("ge2 kernel requires x > 0 (shape would not be positive)")
                 shape_m1 = nu - 1.0
@@ -208,14 +250,25 @@ class _LogKernel:
             shape = r + 1.0 if kernel is Kernel.GAM1 else _gam2_shape(x, b)
             terms = (shape - 1.0, shape * log_b, log_gamma(shape))
         elif kernel is Kernel.IG:
+            # 2*b*x >= tiny keeps 1/(2 b z) finite at z = x, where the
+            # quadratic term is 0
             denom = 2.0 * b * x
             bad = denom < _TINY
             if bad.any():
                 raise _rescale_error(kernel, "2*b*x underflows", bad, x, b)
-            terms = (np.broadcast_to(x, denom.shape), denom)
+            with np.errstate(over="ignore"):
+                inv_x = np.broadcast_to(1.0 / x, denom.shape)
+            _reject_inf(kernel, "1/x overflows", inv_x, x, b)
+            terms = (np.broadcast_to(x, denom.shape), inv_x)
         else:
+            # a finite 1/(x - b) keeps 1/z finite at z = x - b, where the
+            # quadratic term is 0, and a finite 1/(2b) keeps it 0 there
             s = x - b
-            terms = (s, s / (2.0 * b))
+            with np.errstate(over="ignore"):
+                _reject_inf(kernel, "1/(x - b) overflows", 1.0 / s, x, b)
+                half_inv_b = np.broadcast_to(0.5 / b, s.shape)
+            _reject_inf(kernel, "1/(2b) overflows", half_inv_b, x, b)
+            terms = (s, half_inv_b)
         self.loc = tuple(t[..., None] for t in terms)  # columns, broadcast against data rows
 
     def data(self, z: np.ndarray) -> tuple:
@@ -240,8 +293,15 @@ class _LogKernel:
         if kernel in _GAMMA_FAMILY:
             return np.log(z)[..., None, :], (z / b)[..., None, :]
         c = -0.5 * _log_each(2.0 * math.pi * b)
-        base = c - (1.5 if kernel is Kernel.IG else 0.5) * np.log(z)
-        return z[..., None, :], base[..., None, :]
+        with np.errstate(over="ignore", divide="ignore"):  # an infinite reciprocal is log K = -inf
+            if kernel is Kernel.IG:
+                base = c - 1.5 * np.log(z)
+                # 1/(2 b z), never 0: where 2 b z overflows, 1/DBL_MAX
+                w = 1.0 / np.minimum(2.0 * b * z, _DBL_MAX)
+            else:
+                base = c - 0.5 * np.log(z)
+                w = 1.0 / z
+        return z[..., None, :], base[..., None, :], w[..., None, :]
 
     def take(self, r: int) -> "_LogKernel":
         """The evaluator of sample ``r`` of a stack, for :meth:`rows`.
@@ -289,20 +349,20 @@ class _LogKernel:
             out -= shape_log_b
             out -= log_gamma_shape
             return out
-        z, base = dat
-        with np.errstate(over="ignore"):  # an overflowing quotient is log K = -inf
+        z, base, w = dat
+        with np.errstate(over="ignore"):  # an overflowing product is log K = -inf
             if kernel is Kernel.IG:
-                x, denom = loc
-                q = z / x
-                q -= 2.0
-                q += x / z
-                q /= denom
+                x, inv_x = loc
+                e = np.subtract(z, x)
+                e *= inv_x
+                q = e * w
+                q *= e
             else:
-                s, half_s_over_b = loc
-                q = z / s
-                q -= 2.0
-                q += s / z
-                q *= half_s_over_b
+                s, half_inv_b = loc
+                d = np.subtract(z, s)
+                q = d * w
+                d *= half_inv_b
+                q *= d
         return np.subtract(base, q, out=q)
 
 
@@ -332,9 +392,9 @@ def _float_log_kernel(ev: _LogKernel):
     loop), the combine is float arithmetic in the block path's order, and
     each ``np.where`` is an ``if`` that takes the same branch.  The branches
     keep every ufunc off its divide-by-zero and overflow cases, so no
-    ``np.errstate`` is needed; float arithmetic itself never warns, and no
-    divisor here can be zero (``_LogKernel`` rejects an ``ig`` denominator
-    below the smallest normal double).
+    ``np.errstate`` is needed; float arithmetic itself never warns, and the
+    one divisor that can be zero, an ``ig`` 2 b z that underflows, takes the
+    inf that numpy's division gives it.
     """
     kernel, b = ev.kernel, ev.b
     loc = [t.item() for t in ev.loc]
@@ -368,10 +428,22 @@ def _float_log_kernel(ev: _LogKernel):
         return lambda z: shape_m1 * float(np.log(z)) - z / b - shape_log_b - log_gamma_shape
     c = -0.5 * math.log(2.0 * math.pi * b)  # as in ``data``
     if kernel is Kernel.IG:
-        x, denom = loc
-        return lambda z: (c - 1.5 * float(np.log(z))) - (z / x - 2.0 + x / z) / denom
-    s, half_s_over_b = loc
-    return lambda z: (c - 0.5 * float(np.log(z))) - (z / s - 2.0 + s / z) * half_s_over_b
+        x, inv_x = loc
+
+        def log_k(z):
+            t = 2.0 * b * z
+            w = 1.0 / min(t, _DBL_MAX) if t > 0.0 else math.inf
+            e = (z - x) * inv_x
+            return (c - 1.5 * float(np.log(z))) - (e * w) * e
+
+        return log_k
+    s, half_inv_b = loc
+
+    def log_k(z):
+        d = z - s
+        return (c - 0.5 * float(np.log(z))) - (d * (1.0 / z)) * (d * half_inv_b)
+
+    return log_k
 
 
 def _point_log_kernel(kernel: Kernel, x: float, b: float):
@@ -436,7 +508,9 @@ def ge2_shape(x: float, b: float) -> float:
     """Shape nu(x/b) of the mean-parameterised GE kernel.
 
     nu solves ``digamma(nu + 1) = x/b - EULER_GAMMA``, so that a
-    GE(nu, rate 1/b) variable has mean exactly x.  Beyond
+    GE(nu, rate 1/b) variable has mean exactly x.  Below x/b = 1e-3 nu is
+    the inverted series of ``digamma(nu + 1) + EULER_GAMMA`` in x/b, which
+    keeps its relative precision down to the smallest x/b.  Beyond
     ``x/b - EULER_GAMMA >= 36`` the closed asymptotic inverse
     ``exp(y) + 1/2`` is already exact to double precision and is used
     directly; the result overflows to inf once x/b exceeds ~710.
@@ -445,7 +519,7 @@ def ge2_shape(x: float, b: float) -> float:
         raise DomainError("bandwidth b must be positive and finite")
     if not (math.isfinite(x) and x >= 0.0):
         raise DomainError("ge2_shape requires x >= 0")
-    nu, _ = _ge2_shape(np.array([x / b - EULER_GAMMA]))
+    nu, _ = _ge2_shape(np.array([x / b]))
     return float(nu[0])
 
 

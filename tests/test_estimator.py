@@ -464,6 +464,15 @@ class TestNumericGeBandwidth:
         assert b == pytest.approx(expect, rel=1e-3)
         assert abs(self._exact_residual(a1, a2, 100, b)) <= 1e-13
 
+    # b0 from a cube root, not from ** (-1/3), whose rounded exponent is
+    # off by 4e-14 here; the factored b0 where 8 n a2 g**2 overflows, and
+    # where it is subnormal
+    @pytest.mark.parametrize("a1, a2, n", [(1e300, 1e300, 100), (0.0, 1e308, 100),
+                                           (0.0, 5e-324, 2)])
+    def test_cube_root_residual(self, a1, a2, n):
+        b = numeric_bandwidth_ge(a1, a2, n).value
+        assert abs(self._exact_residual(a1, a2, n, b)) <= 1e-15
+
     @pytest.mark.parametrize("a1", [1e20, 1e25, 1e60, 1e200, 1.7e308])
     def test_large_kappa(self, a1):
         # the quartic term dominates; from about a1/a2 = 1e60 brentq on

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -179,6 +180,29 @@ class TestGe2Shape:
     ])
     def test_matches_high_precision_root(self, ratio, root):
         assert abs(ge2_shape(ratio, 1.0) - root) <= 1e-13 * root
+
+    @pytest.mark.parametrize("ratio", [1e-3, 9.9e-4, 1e-4, 1e-6, 1e-9, 1e-12, 1e-15, 1e-16,
+                                       1e-17, 1e-50, 1e-150, 1e-300])
+    def test_small_ratio_matches_mpmath_root(self, ratio):
+        # psi(1 + nu) = x/b - EULER_GAMMA loses x/b against EULER_GAMMA; the
+        # root is solved here at enough digits to keep x/b.  At 1e-3 the
+        # Newton solve runs, good to about 1e-13; below it the series, to
+        # about an ulp.
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40 - int(math.log10(ratio))):
+            r = mp.mpf(ratio)
+            root = mp.findroot(lambda v: mp.digamma(1 + v) + mp.euler - r, 6 * r / mp.pi ** 2)
+            tol = 1e-12 if ratio >= 1e-3 else 1e-15
+            assert abs(ge2_shape(ratio, 1.0) - root) <= tol * root
+
+    def test_estimate_proportional_to_tiny_location(self):
+        # nu ~ (6/pi**2) x/b as x -> 0, so fhat(x)/x tends to a constant; every
+        # positive grid point has a positive shape
+        grid = np.array([1e-300, 1e-200, 1e-100, 1e-50, 1e-17, 1e-12, 1e-9])
+        est = _quietly(lambda: estimate_density(Sample([0.5, 1.0, 2.0]), Kernel.GE2, 1.0,
+                                                grid))
+        ratio = est.values / grid
+        np.testing.assert_allclose(ratio, ratio[0], rtol=1e-9, atol=0.0)
 
     def test_overflowing_shape_is_inf_but_kernel_finite(self):
         assert ge2_shape(10.0, 0.01) == math.inf
@@ -407,6 +431,91 @@ class TestFloatPath:
             _point_log_kernel(Kernel.GAM1, 2.0, 0.1)(z)
 
 
+# --- the ig/rig quadratic term: accuracy, and exactly 0 at the location ------
+
+def _both_paths(kernel, x, b, z):
+    """log K through the block path and the float path, each without a warning."""
+    log_k = _quietly(lambda: _point_log_kernel(kernel, x, b))
+    block = _quietly(lambda: float(log_k(np.array([z]))[0]))
+    return block, _quietly(lambda: log_k(z))
+
+
+def _mp_terms(kernel, x, b, z):
+    """The three terms of log K at 40 digits: normaliser, log z and quadratic term.
+
+    For rig the scale is ``x - b`` rounded to a double, as the kernel takes
+    it: that rounding comes before any form of the quadratic term.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        s = mp.mpf(x) if kernel is Kernel.IG else mp.mpf(x - b)
+        b, z = mp.mpf(b), mp.mpf(z)
+        c = -mp.log(2 * mp.pi * b) / 2
+        if kernel is Kernel.IG:
+            return c, -1.5 * mp.log(z), -(z - s) ** 2 / (2 * b * s * s * z)
+        return c, -mp.log(z) / 2, -(z - s) ** 2 / (2 * b * z)
+
+
+class TestIgRigQuadraticTerm:
+    """(z - s)**2 / (2 b z) for rig, (z - x)**2 / (2 b x**2 z) for ig, without cancellation."""
+
+    @pytest.mark.parametrize("kernel", [Kernel.IG, Kernel.RIG], ids=lambda k: k.value)
+    @pytest.mark.parametrize("b", [1e-4, 1e-2, 1.0])
+    @pytest.mark.parametrize("delta", [-1e-9, 1e-9, -1e-6, 1e-6, 1e-3, 1.0, 10.0])
+    def test_matches_40_digits_around_the_location(self, kernel, b, delta):
+        # z = s (1 + delta), s the location (ig) or x - b (rig); the error is
+        # at most 4 ulp of the largest of the three terms
+        for s in (0.37, 1.0, 3.0):
+            x = s if kernel is Kernel.IG else s + b
+            z = (x if kernel is Kernel.IG else x - b) * (1.0 + delta)
+            terms = _mp_terms(kernel, x, b, z)
+            want = float(sum(terms))
+            tol = 4.0 * math.ulp(max(abs(float(t)) for t in terms))
+            for got in _both_paths(kernel, x, b, z):
+                assert abs(got - want) <= tol, (s, got, want)
+
+    @pytest.mark.parametrize("kernel, x, b", [
+        (Kernel.IG, 1e-300, 0.1),
+        (Kernel.IG, 1.0, np.finfo(float).tiny / 2.0),  # the smallest accepted 2*b*x
+        (Kernel.IG, np.finfo(float).tiny, 0.5),        # the same, at the smallest x
+        (Kernel.RIG, 2e-300, 1e-300),                  # x - b = 1e-300
+        (Kernel.RIG, 1.3, 0.2),
+    ])
+    def test_zero_at_the_location(self, kernel, x, b):
+        # at z = x (ig) or z = x - b (rig) the quadratic term is exactly 0, so
+        # log K is the base term, finite, and no 0 * inf arises
+        z = x if kernel is Kernel.IG else x - b
+        k = 1.5 if kernel is Kernel.IG else 0.5
+        want = -0.5 * math.log(2.0 * math.pi * b) - k * float(np.log(z))
+        assert math.isfinite(want)
+        assert _both_paths(kernel, x, b, z) == (want, want)
+
+    @pytest.mark.parametrize("kernel", [Kernel.IG, Kernel.RIG], ids=lambda k: k.value)
+    def test_data_terms_quiet_where_the_reciprocal_overflows(self, kernel):
+        ev = _LogKernel(kernel, np.array([1.0]), 0.5)
+        dat = _quietly(lambda: ev.data(np.array([1e-310, 1.0])))
+        got = _quietly(lambda: ev.rows(dat))[0]
+        assert got[0] == -math.inf and math.isfinite(got[1])
+
+    def test_ig_where_2bz_overflows(self):
+        # 1/(2 b z) is kept above 0, so an infinite (z - x)/x gives log K =
+        # -inf, the exact value's overflow, not inf * 0
+        assert _both_paths(Kernel.IG, 0.1, 1.0, 1e308) == (-math.inf, -math.inf)
+
+    @pytest.mark.parametrize("kernel, x, b, what", [
+        (Kernel.IG, 1e-310, 1e300, "1/x overflows"),
+        (Kernel.RIG, math.nextafter(1e-300, math.inf), 1e-300, "1/(x - b) overflows"),
+        (Kernel.RIG, 1e-300, 1e-310, "1/(2b) overflows"),
+    ])
+    def test_overflowing_location_reciprocal_is_rejected(self, kernel, x, b, what):
+        sample = Sample([0.5, 1.0, 2.0])
+        for call in (lambda: log_kernel(kernel, x, b, 1.0),
+                     lambda: log_kernel(kernel, x, b, np.array([0.5, 1.0])),
+                     lambda: estimate_density(sample, kernel, b, [x])):
+            with pytest.raises(DomainError, match=re.escape(what)):
+                _quietly(call)
+
+
 # --- extremes of the block path: quiet, and the right value at shape 1 -------
 
 def _quietly(call):
@@ -434,9 +543,12 @@ class TestOverflowIsQuiet:
         assert np.all(np.isfinite(est.values)) and np.all(est.values > 0.0)
 
     def test_rig_z_over_s(self):
+        # z/s overflows, but the exact log K, (z - s)**2/(2 b z) below the
+        # base term, is about -1e300: finite, and no factor of the combine
+        # overflows
         edge = math.nextafter(0.5, math.inf)  # s = x - b is one ulp
         got = _quietly(lambda: log_kernel(Kernel.RIG, edge, 0.5, np.array([1e300])))
-        assert got[0] == -math.inf
+        assert got[0] == pytest.approx(-1e300, rel=1e-15)
 
     @pytest.mark.parametrize("kernel", [Kernel.GE, Kernel.GAM1])
     def test_kernel_above_dbl_max_still_warns(self, kernel):

@@ -158,9 +158,12 @@ def _ref_row(kernel, x, b, z):
         return _ref_gamma(gam2_shape(x, b), b, z)
     c = -0.5 * math.log(2.0 * math.pi * b)
     if kernel is Kernel.IG:
-        return c - 1.5 * np.log(z) - (z / x - 2.0 + x / z) / (2.0 * b * x)
-    s = x - b
-    return c - 0.5 * np.log(z) - (s / (2.0 * b)) * (z / s - 2.0 + s / z)
+        # (z - x)**2 / (2 b x**2 z) as ((z - x)/x)**2 / (2 b z)
+        e = (z - x) * (1.0 / x)
+        return c - 1.5 * np.log(z) - (e * (1.0 / (2.0 * b * z))) * e
+    # (z - s)**2 / (2 b z) as ((z - s)/z) * ((z - s)/(2 b))
+    d = z - (x - b)
+    return c - 0.5 * np.log(z) - (d * (1.0 / z)) * (d * (0.5 / b))
 
 
 @pytest.mark.parametrize("wide", [False, True])
