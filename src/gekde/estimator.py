@@ -17,8 +17,11 @@ writes the 0.0 itself (see ``_exp_rows``).  A one-row block (more than
 ``_BLOCK_ELEMENTS // 2`` data) computes only the data window its row can
 reach: each row of log K is a log density in the datum, so it is unimodal
 in the sorted data, and a coarse pass finds where it rises above the cut
-(see ``_data_windows``).  The window is exponentiated into a zero-filled
-row, and the whole row is summed, so the pairwise sum keeps its bits.
+(see ``_data_windows``).  The window is exponentiated into a row buffer
+that holds +0.0 everywhere else, and the whole row is summed, so the
+pairwise sum keeps its bits.  The buffer is zeroed once per sample; after
+that a window re-zeroes only the entries of the previous window that it
+does not cover, not the whole rest of the row.
 Every grid value goes through the same operations whatever block it lands
 in, so the result does not depend on how the grid is split.
 
@@ -358,10 +361,14 @@ def _estimate_batch(values: np.ndarray, kernel: Kernel, b: np.ndarray,
 
     With more than ``_BLOCK_ELEMENTS // 2`` data a block is one grid row,
     and the combine and ``np.exp`` run only on the row's data window (see
-    ``_data_windows``), written into a zero-filled row; entries outside it
-    are those ``np.exp`` would round to +0.0.  The whole row is then summed,
-    as on the other path: numpy's pairwise sum groups entries by position,
-    so summing the window alone would change the bits.
+    ``_data_windows``), written into a row buffer that is +0.0 outside it;
+    entries outside it are those ``np.exp`` would round to +0.0.  The
+    buffer is zeroed once per sample and then holds +0.0 outside the last
+    window written, so each window zeroes only the part of the previous one
+    it does not cover: far fewer entries than the rest of the row.  The
+    whole row is then summed, as on the other path: numpy's pairwise sum
+    groups entries by position, so summing the window alone would change
+    the bits.
     """
     _validate_grid(kernel, grid, float(b.max()))
     n = values.shape[1]
@@ -376,17 +383,19 @@ def _estimate_batch(values: np.ndarray, kernel: Kernel, b: np.ndarray,
         dat = tuple(None if t is None else t[r] for t in data)
         if step == 1:
             start, stop = _data_windows(sub, dat, n)
-            row = np.empty((1, n))
+            # +0.0 outside [p0, p1), the last window written
+            row, p0, p1 = np.zeros((1, n)), 0, 0
             for g, (j0, j1) in enumerate(zip(start.tolist(), stop.tolist())):
                 if j1 - j0 == n:
                     block = sub.rows(dat, g, g + 1)
                     np.exp(block, out=block)
                 else:
                     block = row
-                    row[:, :j0] = 0.0
-                    row[:, j1:] = 0.0
+                    row[:, p0:min(p1, j0)] = 0.0  # the old window left of the new
+                    row[:, max(p0, j1):p1] = 0.0  # and right of it
                     np.exp(sub.rows(_columns(dat, slice(j0, j1)), g, g + 1),
                            out=row[:, j0:j1])
+                    p0, p1 = j0, j1
                 np.add.reduce(block, axis=1, out=dest[g:g + 1])
             continue
         for lo in range(0, grid.size, step):
@@ -411,9 +420,11 @@ def estimate_density(sample: Sample, kernel: Kernel, bandwidth, grid) -> Density
     ``_PROBE_DIVISOR``) is exponentiated with the underflowing entries
     masked.  With more than ``_BLOCK_ELEMENTS // 2`` data a block is one
     grid row, and only the row's data window is combined and exponentiated
-    (see ``_data_windows``); the row is still summed whole, zeros included,
-    in the same order.  Every path gives the bits of ``np.exp`` and of the
-    full row sum, so the choice of path affects only speed.
+    (see ``_data_windows``), into a row buffer kept at +0.0 outside it by
+    zeroing only what the previous window wrote outside the new one; the
+    row is still summed whole, zeros included, in the same order.  Every
+    path gives the bits of ``np.exp`` and of the full row sum, so the choice
+    of path affects only speed.
     """
     bw = _coerce_bandwidth(bandwidth)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))

@@ -13,6 +13,15 @@ product ``(shape - 1) * log1p(-exp(-z/b))`` is regrouped as
 ``-exp(log_shape + log(-L))``, with the asymptotic branch
 ``L ~ -exp(-z/b) - exp(-2 z/b)/2`` once ``z/b > 36`` (below double epsilon).
 
+The GE and gamma kernels share one combine,
+``log K = (c0 + (shape - 1) L) - z/b``: L is ``log(1 - exp(-z/b))`` for the
+GE kernels and ``log z`` for the gamma kernels, and c0 is one per-location
+term, ``log shape - log b`` for GE and the whole gamma normaliser
+``-(shape log b + log Gamma(shape))`` for gamma.  Either family then costs
+three full-width operations per kernel-matrix entry: a multiplication, an
+addition and a subtraction.  Chen's gamma kernels need the special function
+Gamma only once per location, never per entry.
+
 The ``ig`` and ``rig`` exponents, ``(x/(2b)) (z/x - 2 + x/z)`` with scale x
 or ``s = x - b``, are formed without that sum, which cancels near z = s:
 ``rig`` takes ``((z - s)/z) ((z - s)/(2b))`` and ``ig`` takes ``e * e/(2 b z)``
@@ -115,6 +124,8 @@ DEFAULT_KERNELS = (Kernel.GE, Kernel.GE2, Kernel.GAM1, Kernel.GAM2, Kernel.RIG)
 
 _GE_FAMILY = (Kernel.GE, Kernel.GE2)
 _GAMMA_FAMILY = (Kernel.GAM1, Kernel.GAM2)
+#: The kernels that share the combine ``(c0 + (shape - 1) L) - z/b``.
+_EXP_FAMILIES = _GE_FAMILY + _GAMMA_FAMILY
 
 
 def _log1mexp(u):
@@ -192,13 +203,19 @@ class _LogKernel:
     The evaluation runs in three steps, so that no term is computed more
     often than the axis it depends on requires:
 
-    1. per-location terms (the constructor): shapes, log-shapes, the gamma
-       normaliser and the GE2 shape solve, once for every x;
+    1. per-location terms (the constructor): shapes, log-shapes, the GE2
+       shape solve and the constant term c0, once for every x;
     2. per-datum terms (:meth:`data`): ``log z``, ``z/b``,
        ``log(1 - exp(-z/b))`` and the reciprocals ``1/z`` (``rig``) and
        ``1/(2 b z)`` (``ig``), once for every z;
     3. the broadcast combine (:meth:`rows`) of a block of locations against
        all data.
+
+    The GE and gamma families share one combine, ``(c0 + (shape - 1) L) -
+    z/b``, on the location terms ``(c0, shape - 1, ...)`` and the data terms
+    ``(z/b, L, ...)``; the gamma c0 is the whole normaliser, so an entry
+    costs three operations in either family.  Only GE shapes reach the
+    shape-1 and regrouped rows (``special``).
 
     ``b`` is a float, or an (R, 1) column of bandwidths for a stack of R
     samples: the location terms are then (R, G) and :meth:`data` takes an
@@ -248,7 +265,7 @@ class _LogKernel:
             terms = (log_shape - log_b, shape_m1, log_shape, special)
         elif kernel in _GAMMA_FAMILY:
             shape = r + 1.0 if kernel is Kernel.GAM1 else _gam2_shape(x, b)
-            terms = (shape - 1.0, shape * log_b, log_gamma(shape))
+            terms = (-(shape * log_b + log_gamma(shape)), shape - 1.0)
         elif kernel is Kernel.IG:
             # 2*b*x >= tiny keeps 1/(2 b z) finite at z = x, where the
             # quadratic term is 0
@@ -278,9 +295,11 @@ class _LogKernel:
         against the location columns.
         """
         kernel, b = self.kernel, self.b
-        if kernel in _GE_FAMILY:
+        if kernel in _EXP_FAMILIES:
             with np.errstate(over="ignore"):  # z/b = inf is right: log K = -inf
                 u = z / b
+            if kernel in _GAMMA_FAMILY:
+                return u[..., None, :], np.log(z)[..., None, :], None
             L = _log1mexp(u)
             log_neg_l = None
             if self.regroup:
@@ -290,8 +309,6 @@ class _LogKernel:
                     np.log(-np.where(L < 0.0, L, -1.0)),
                 )[..., None, :]
             return u[..., None, :], L[..., None, :], log_neg_l
-        if kernel in _GAMMA_FAMILY:
-            return np.log(z)[..., None, :], (z / b)[..., None, :]
         c = -0.5 * _log_each(2.0 * math.pi * b)
         with np.errstate(over="ignore", divide="ignore"):  # an infinite reciprocal is log K = -inf
             if kernel is Kernel.IG:
@@ -324,11 +341,11 @@ class _LogKernel:
         """
         kernel = self.kernel
         loc = self.loc if hi is None else tuple(t[lo:hi] for t in self.loc)
-        if kernel in _GE_FAMILY:
-            c0, shape_m1, log_shape, special = loc
+        if kernel in _EXP_FAMILIES:
+            c0, shape_m1 = loc[:2]
             u, L, log_neg_l = dat
-            if self.special and special.any():
-                special = special[:, 0]
+            if self.special and loc[3].any():
+                log_shape, special = loc[2], loc[3][:, 0]
                 big = special & (log_shape[:, 0] > _LOG_SHAPE_DIRECT_MAX)
                 T = np.empty((special.size, u.shape[-1]))
                 T[~special] = shape_m1[~special] * L
@@ -340,14 +357,6 @@ class _LogKernel:
                 T = shape_m1 * L
             out = np.add(c0, T, out=T)
             out -= u
-            return out
-        if kernel in _GAMMA_FAMILY:
-            shape_m1, shape_log_b, log_gamma_shape = loc
-            log_z, zb = dat
-            out = shape_m1 * log_z
-            out -= zb
-            out -= shape_log_b
-            out -= log_gamma_shape
             return out
         z, base, w = dat
         with np.errstate(over="ignore"):  # an overflowing product is log K = -inf
@@ -398,12 +407,16 @@ def _float_log_kernel(ev: _LogKernel):
     """
     kernel, b = ev.kernel, ev.b
     loc = [t.item() for t in ev.loc]
-    if kernel in _GE_FAMILY:
-        c0, shape_m1, log_shape, special = loc
+    if kernel in _EXP_FAMILIES:
+        c0, shape_m1 = loc[:2]
+        gamma = kernel in _GAMMA_FAMILY
+        log_shape, special = (0.0, False) if gamma else loc[2:]
 
         def log_k(z):
             u = z / b
-            if u > _LOG2:
+            if gamma:
+                L = float(np.log(z))
+            elif u > _LOG2:
                 L = float(np.log1p(-np.exp(-u)))
             elif u > 0.0:
                 L = float(np.log(-np.expm1(-u)))
@@ -423,9 +436,6 @@ def _float_log_kernel(ev: _LogKernel):
             return c0 + T - u
 
         return log_k
-    if kernel in _GAMMA_FAMILY:
-        shape_m1, shape_log_b, log_gamma_shape = loc
-        return lambda z: shape_m1 * float(np.log(z)) - z / b - shape_log_b - log_gamma_shape
     c = -0.5 * math.log(2.0 * math.pi * b)  # as in ``data``
     if kernel is Kernel.IG:
         x, inv_x = loc

@@ -386,6 +386,16 @@ class MixtureDensity(TrueDensity):
         return _scalar_or_array(out)
 
     def pdf(self, x):
+        """The weighted sum of the component pdfs, in ``_combine``'s order.
+
+        A positive finite float (a quadrature node) sums the components'
+        float pdfs directly, with the bits of ``_combine``.
+        """
+        if isinstance(x, float) and 0.0 < x < math.inf:
+            total = 0.0
+            for w, c in zip(self.weights, self.components):
+                total += w * c.pdf(x)
+            return total
         return self._combine("pdf", x)
 
     def cdf(self, x):

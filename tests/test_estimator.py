@@ -333,6 +333,54 @@ class TestDataWindow:
         assert start[1:4].tolist() == [0, 0, 0] and stop[1:4].tolist() == [n, n, n]
         assert start[4:].tolist() == [161, 161] and stop[4:].tolist() == [n, n]
 
+    def test_row_buffer_zeroed_between_windows(self, monkeypatch):
+        # the windowed row buffer is re-zeroed only where the last window
+        # written is not covered by the next; a stale entry there would enter
+        # the row sum.  Consecutive windows shrink, grow, shift right and
+        # left, jump to a disjoint range on either side, start at 0, end at
+        # n, repeat, follow a whole row, and come first in a sample
+        n = _WINDOW_N
+        windows = [(100, 5000), (200, 4000), (50, 6000), (3000, 9000), (1000, 7000),
+                   (10000, 12000), (500, 900), (0, 3000), (14000, n), (0, n), (8000, 8100),
+                   (8000, 8100), (8050, 8051), (0, 1), (n - 1, n), (5, n - 5)]
+        # the second sample starts with the whole row and takes the rest reversed
+        per_sample = [windows, [windows[9]] + windows[:9][::-1] + windows[10:][::-1]]
+        rng = np.random.default_rng(8)
+        log_k = rng.uniform(-1000.0, _EXP_ZERO, (2, len(windows), n))
+        log_k[:, :, ::7] = -np.inf
+        for r, sample_windows in enumerate(per_sample):
+            for g, (j0, j1) in enumerate(sample_windows):
+                log_k[r, g, j0:j1] = rng.uniform(-30.0, 0.0, j1 - j0)
+
+        class Rows:
+            """One sample's log K rows, with the windows its rows are given."""
+
+            def __init__(self, r):
+                self.log_k, self.windows = log_k[r], per_sample[r]
+
+            def rows(self, dat, lo=0, hi=None):
+                return self.log_k[lo:hi][:, dat[0][0]]
+
+        class Stack:
+            """Stands in for the evaluator of a stack of two samples."""
+
+            def data(self, values):
+                return (np.broadcast_to(np.arange(n), (values.shape[0], 1, n)),)
+
+            def take(self, r):
+                return Rows(r)
+
+        def windows_of(ev, dat, size):
+            assert size == n
+            return tuple(np.array(w, dtype=np.intp) for w in zip(*ev.windows))
+
+        monkeypatch.setattr(gekde.estimator, "_LogKernel", lambda kernel, grid, b: Stack())
+        monkeypatch.setattr(gekde.estimator, "_data_windows", windows_of)
+        grid = np.arange(1.0, len(windows) + 1.0)
+        got = gekde.estimator._estimate_batch(np.ones((2, n)), Kernel.GE, np.ones(2), grid)
+        expect = np.exp(log_k).mean(axis=2)
+        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+
     @pytest.mark.parametrize("kernel", list(Kernel), ids=lambda k: k.value)
     def test_grid_split_invariance(self, kernel):
         sample = _window_sample("E")

@@ -516,6 +516,44 @@ class TestIgRigQuadraticTerm:
                 _quietly(call)
 
 
+# --- the gamma kernels: accuracy of the combine against 40 digits -----------
+
+#: x/b of each case: gam1 shapes from 1 + 1e-9 to 1e6; gam2 shapes from
+#: 1 + 1e-9 (6.4e-5**2/4) on its quadratic branch, x = 2b where the branches
+#: meet, and up to 1e6 on its linear branch.
+_GAMMA_RATIOS = (
+    [(Kernel.GAM1, r) for r in (1e-9, 1e-3, 0.5, 1.0, 2.0, 37.5, 1e3, 1e6 - 1.0)]
+    + [(Kernel.GAM2, r) for r in (6.4e-5, 0.1, 1.5, 2.0, 2.5, 37.5, 1e3, 1e6)])
+
+
+class TestGammaLogKernelAccuracy:
+    """log K = (k - 1) log z - z/b - k log b - log Gamma(k), to within the rounding of its terms."""
+
+    @pytest.mark.parametrize("kernel, r", _GAMMA_RATIOS, ids=lambda v: getattr(v, "value", v))
+    def test_matches_40_digits(self, kernel, r):
+        # the shape is the double the kernel takes: its rounding comes before
+        # any form of log K.  Data and b are scaled by 2**-600, 1 and 2**600,
+        # which leaves the shape as it is and moves only log b.  The error is
+        # at most 4 eps of the sum of the four terms' magnitudes.
+        mp = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        for b0 in (1e-2, 0.7, 3.0):
+            for scale in (-600, 0, 600):
+                b = math.ldexp(b0, scale)
+                x = r * b
+                k = x / b + 1.0 if kernel is Kernel.GAM1 else gam2_shape(x, b)
+                for m in (1e-3, 0.3, 1.0, 1.0 + 1e-6, 3.0, 30.0):
+                    z = k * b * m
+                    with mp.workdps(40):
+                        kk, bb, zz = mp.mpf(k), mp.mpf(b), mp.mpf(z)
+                        terms = ((kk - 1) * mp.log(zz), -zz / bb, -kk * mp.log(bb),
+                                 -mp.loggamma(kk))
+                        want = sum(terms)
+                        tol = 4.0 * eps * float(sum(abs(t) for t in terms))
+                    for got in _both_paths(kernel, x, b, z):
+                        assert abs(float(mp.mpf(got) - want)) <= tol, (b0, scale, m, got)
+
+
 # --- extremes of the block path: quiet, and the right value at shape 1 -------
 
 def _quietly(call):
@@ -527,7 +565,8 @@ def _quietly(call):
 class TestOverflowIsQuiet:
     """A quotient that overflows gives log K = -inf without a RuntimeWarning."""
 
-    @pytest.mark.parametrize("kernel", [Kernel.GE, Kernel.GE2])
+    # the gamma kernels take the same z/b data term as the GE family
+    @pytest.mark.parametrize("kernel", [Kernel.GE, Kernel.GE2, Kernel.GAM1, Kernel.GAM2])
     def test_ge_family_z_over_b(self, kernel):
         got = _quietly(lambda: log_kernel(kernel, 1.0, 1e-10, np.array([1e300, 2.0])))
         assert got[0] == -math.inf and math.isfinite(got[1])

@@ -137,7 +137,9 @@ def _ref_ge(log_shape, shape_m1, b, z):
 
 
 def _ref_gamma(shape, b, z):
-    return (shape - 1.0) * np.log(z) - z / b - shape * math.log(b) - gammaln(shape)
+    # the normaliser shape log b + log Gamma(shape) is one term, added first
+    c0 = -(shape * math.log(b) + gammaln(shape))
+    return (c0 + (shape - 1.0) * np.log(z)) - z / b
 
 
 def _ref_row(kernel, x, b, z):

@@ -213,6 +213,18 @@ class TestFloatPath:
             assert type(got) is float and type(via_numpy_scalar) is float
             assert got.hex() == ref.hex() == via_numpy_scalar.hex(), (name, method, x)
 
+    @pytest.mark.parametrize("name", ["D", "E", "F"])
+    def test_mixture_float_pdf_sums_components_directly(self, name, monkeypatch):
+        d = CONFIGURATIONS[name]
+        points = _probe_points(d)
+        want = [d.pdf(np.array(x)).hex() for x in points]
+
+        def no_combine(*args):
+            raise AssertionError("a float went through _combine")
+
+        monkeypatch.setattr(MixtureDensity, "_combine", no_combine)
+        assert [d.pdf(x).hex() for x in points] == want
+
     @pytest.mark.parametrize("name", sorted(EVERY_DENSITY))
     def test_pdf_at_extreme_floats_is_quiet(self, name):
         d = EVERY_DENSITY[name]

@@ -1,0 +1,114 @@
+"""SHA-256 digests of gekde's benchmark outputs, per workload and kernel.
+
+Run from the repository root::
+
+    python3 tools/output_digests.py                      # digests of this checkout
+    python3 tools/output_digests.py --src OTHER/src      # of another checkout's gekde
+    python3 tools/output_digests.py --dump a.npz         # also keep the raw outputs
+    python3 tools/output_digests.py --against a.npz      # and compare them with a dump
+
+It evaluates every catalogue input of the benchmark (``bench/workloads.py``,
+imported read-only): the 96 ``estimate_large`` estimates, the per-replication
+ISEs of the 128 ``mc_cells`` cells, and the ``diagnose_exact`` moments (mean
+and variance).  Each line gives one workload and kernel, the number of values
+and the SHA-256 of their float64 bytes in catalogue order, so two checkouts
+whose outputs keep every bit print the same lines.  The first line names the
+machine: nproc and the Python, numpy and scipy versions.
+
+With ``--against``, a kernel whose digest differs from the dump's also gets
+its largest deviation: for an estimate, the largest ``|fhat - fhat_ref|``
+over the estimate's maximum; for an ISE or a moment, the largest relative
+deviation.  Runs single-threaded and takes a few seconds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import platform
+import sys
+from collections import defaultdict
+from pathlib import Path
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np
+import scipy
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _collect(workloads) -> dict:
+    """{(workload, kernel): [one float64 array per catalogue input]}."""
+    out = defaultdict(list)
+    refs = defaultdict(dict)
+    for op in workloads.EstimateLarge.catalogue(refs):
+        est = op.run()
+        out["estimate_large", est.kernel.value].append(np.asarray(est.values, dtype=float))
+    for op in workloads.McCells.catalogue(refs):
+        for report in op.run():
+            out["mc_cells", report.kernel.value].append(
+                np.asarray(report.per_replication_ise, dtype=float))
+    for op in workloads.DiagnoseExact.catalogue(refs):
+        inp, m = op.run()
+        out["diagnose_exact", inp.kernel.value].append(np.array([m.mean, m.variance]))
+    return out
+
+
+def _deviation(workload: str, got: list, ref: list) -> float:
+    """Largest deviation of ``got`` from ``ref``, scaled as the module docstring says."""
+    worst = 0.0
+    for g, r in zip(got, ref):
+        if workload == "estimate_large":
+            scale = np.full(r.shape, np.max(np.abs(r)))
+        else:
+            scale = np.abs(r)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            dev = np.where(g == r, 0.0, np.abs(g - r) / scale)
+        worst = max(worst, float(np.max(dev, initial=0.0)))
+    return worst
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="directory holding the gekde package to digest (default: ./src)")
+    parser.add_argument("--dump", type=Path, help="write the raw outputs to this .npz file")
+    parser.add_argument("--against", type=Path,
+                        help="compare with the raw outputs of an earlier --dump")
+    args = parser.parse_args(argv)
+
+    sys.path[:0] = [str(args.src.resolve()), str(ROOT / "bench")]
+    import gekde
+    import workloads
+
+    print(f"nproc {os.cpu_count()}  python {platform.python_version()}  "
+          f"numpy {np.__version__}  scipy {scipy.__version__}  gekde {gekde.__file__}")
+    outputs = _collect(workloads)
+    flat = {f"{w}/{k}": np.concatenate(v) for (w, k), v in outputs.items()}
+    ref = dict(np.load(args.against)) if args.against else None
+    for (workload, kernel), arrays in outputs.items():
+        name = f"{workload}/{kernel}"
+        digest = hashlib.sha256(flat[name].tobytes()).hexdigest()
+        line = f"{workload:15s} {kernel:5s} {flat[name].size:6d} values  {digest}"
+        if ref is not None:
+            want = ref.get(name)
+            if want is None:
+                line += "  (not in the dump)"
+            elif want.size != flat[name].size:
+                line += f"  differs: {want.size} values in the dump"
+            elif np.array_equal(flat[name].view(np.uint64), want.view(np.uint64)):
+                line += "  same bits"
+            else:
+                parts = np.split(want, np.cumsum([a.size for a in arrays])[:-1])
+                line += f"  differs: max deviation {_deviation(workload, arrays, parts):.3g}"
+        print(line)
+    if args.dump:
+        np.savez(args.dump, **flat)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
