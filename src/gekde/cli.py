@@ -40,6 +40,8 @@ from .estimator import (
     Bandwidth,
     INTERIOR,
     Sample,
+    _domain_start,
+    _family_b,
     asymptotic_bias,
     asymptotic_variance,
     boundary_regime,
@@ -50,7 +52,7 @@ from .estimator import (
     optimal_bandwidth_ge2,
     silverman_bandwidth,
 )
-from .kernels import DEFAULT_KERNELS, Kernel
+from .kernels import _GE_FAMILY, DEFAULT_KERNELS, Kernel
 from .simulation import (
     CONFIGURATIONS,
     ExperimentConfig,
@@ -188,34 +190,39 @@ def _kernel_list(args):
     return DEFAULT_KERNELS
 
 
-def _gamma_reference(sample: Sample) -> GammaDensity:
-    """Gamma reference fitted by moments, for plug-in bandwidth rules."""
-    m = float(np.mean(sample.values))
-    v = float(np.var(sample.values, ddof=1))
+def _gamma_reference(sample: Sample) -> tuple[GammaDensity, float]:
+    """Gamma reference fitted by moments, as (the unit-scale density, its scale).
+
+    The moments are those of the sample scaled by a power of two, as in
+    ``_silverman_h``; the plug-in optima scale exactly with the scale.
+    """
+    e = int(np.frexp(sample.values[-1])[1])
+    scaled = np.ldexp(sample.values, -e)
+    m = float(np.mean(scaled))
+    v = float(np.var(scaled, ddof=1))
     if v <= 0.0:
         raise DegenerateSampleError("sample has no spread; plug-in reference is undefined")
-    return GammaDensity(m * m / v, v / m)
+    return GammaDensity(m * m / v, 1.0), math.ldexp(v / m, e)
 
 
-def _bandwidth_for(sample: Sample, kernel: Kernel, args) -> Bandwidth:
+def _bandwidth_rule(sample: Sample, args):
+    """``kernel -> Bandwidth`` under the bandwidth flags; a plug-in h is computed once."""
     if args.bandwidth is not None:
         if len(args.bandwidth) != 1:
             raise CliInputError("estimate takes exactly one --bandwidth value")
-        return Bandwidth(args.bandwidth[0])
+        return lambda kernel: Bandwidth(args.bandwidth[0])
     method = (args.bandwidth_method or "silverman").replace("-", "_")
     if method == "silverman":
-        return silverman_bandwidth(sample, kernel)
-    ref = _gamma_reference(sample)
+        return lambda kernel: silverman_bandwidth(sample, kernel)
+    unit, scale = _gamma_reference(sample)
     if method == "optimal_ge2":
-        bw = optimal_bandwidth_ge2(ref.roughness(), sample.n)
+        bw = optimal_bandwidth_ge2(unit.roughness(), sample.n)
     elif method == "numeric_ge":
-        (a1, a2), _ = _a_integrals(ref)
-        bw = numeric_bandwidth_ge(a1, a2, sample.n)
+        bw = numeric_bandwidth_ge(*_a_integrals(unit), sample.n)
     else:
         raise CliInputError(f"unknown bandwidth method {args.bandwidth_method!r}")
-    if kernel in (Kernel.GE, Kernel.GE2):
-        return bw
-    return Bandwidth(bw.value ** 2, bw.method)
+    h = np.array([bw.value * scale])
+    return lambda kernel: Bandwidth(float(_family_b(kernel, h)[0]), method)
 
 
 def _a_integrals(density):
@@ -226,7 +233,7 @@ def _a_integrals(density):
     a1, _ = quad(lambda x: float(density.pdf_d1(x)) * float(density.pdf_d2(x)),
                  0.0, hi, limit=200)
     a2, _ = quad(lambda x: float(density.pdf_d1(x)) ** 2, 0.0, hi, limit=200)
-    return (a1, a2), hi
+    return a1, a2
 
 
 def cmd_estimate(args) -> int:
@@ -238,19 +245,18 @@ def cmd_estimate(args) -> int:
     grid = _parse_grid(args.grid) if explicit_grid else default_grid(sample)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
+    bandwidth = _bandwidth_rule(sample, args)
     written = []
     for kernel in kernels:
-        bw = _bandwidth_for(sample, kernel, args)
+        bw = bandwidth(kernel)
         kgrid = grid
-        truncated = False
-        if kernel is Kernel.RIG and not explicit_grid:
-            # the automatic grid may dip below the RIG domain; clip rather
-            # than fail (an explicit --grid is honoured strictly)
-            kgrid = grid[grid > bw.value]
-            truncated = kgrid.size < grid.size
+        if not explicit_grid:
+            # the automatic grid may dip below the rig domain, x > b; clip
+            # rather than fail (an explicit --grid is honoured strictly)
+            kgrid = grid[_domain_start(kernel, grid, bw.value):]
             if kgrid.size < 2:
                 raise BoundaryDegeneracyError(
-                    f"RIG bandwidth {bw.value!r} leaves no valid grid point"
+                    f"{kernel.value} bandwidth {bw.value!r} leaves no valid grid point"
                 )
         est = estimate_density(sample, kernel, bw, kgrid)
         meta = {
@@ -261,7 +267,7 @@ def cmd_estimate(args) -> int:
             "grid_min": float(est.grid[0]),
             "grid_max": float(est.grid[-1]),
             "grid_size": int(est.grid.size),
-            "grid_truncated": truncated,
+            "grid_truncated": est.grid.size < grid.size,
             "source": path.name,
         }
         stem = f"{path.stem}_{kernel.value}"
@@ -328,7 +334,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_diagnose(args) -> int:
     kernel = Kernel.parse(args.kernel_name)
-    if kernel not in (Kernel.GE, Kernel.GE2):
+    if kernel not in _GE_FAMILY:
         raise CliInputError("diagnose supports the ge and ge2 kernels only")
     density = _parse_density(args.density)
     b_list = args.bandwidth

@@ -25,11 +25,12 @@ does not cover, not the whole rest of the row.
 Every grid value goes through the same operations whatever block it lands
 in, so the result does not depend on how the grid is split.
 
-Bandwidth selection offers Silverman's rule-of-thumb with the kernel-family
-mapping (GE kernels take the Gaussian-comparable h, the gamma/IG/RIG family
-takes h**2; one vectorised pass serves a stack of samples), the closed-form
-optimum for the mean-parameterised GE kernel, and for the mode-parameterised
-one the minimiser of the approximate MISE, the root of a quartic.
+Bandwidth selection offers Silverman's rule-of-thumb (one vectorised pass
+serves a stack of samples), the closed-form optimum for the
+mean-parameterised GE kernel, and for the mode-parameterised one the
+minimiser of the approximate MISE, the root of a quartic.  ``_family_b``
+maps their h to each kernel's scale (h for GE, h**2 for gamma/IG/RIG), and
+``_domain_start`` is where a grid enters the kernel's domain (``rig``: x > b).
 
 ``exact_estimator_moments`` computes E[fhat(x)] and Var[fhat(x)] by adaptive
 quadrature against a known density, giving a deterministic (Monte-Carlo-free)
@@ -53,13 +54,13 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .errors import (
-    BoundaryDegeneracyError,
     DegenerateSampleError,
     DomainError,
     IntegrationError,
     OptimizationError,
 )
-from .kernels import _TINY, Kernel, _LogKernel, _point_log_kernel, gam2_shape
+from .kernels import (_GAMMA_FAMILY, _GE_FAMILY, _TINY, Kernel, _LogKernel,
+                      _point_log_kernel, _validate_point, gam2_shape)
 from .specfun import EULER_GAMMA, digamma
 
 __all__ = [
@@ -82,10 +83,6 @@ __all__ = [
 ]
 
 BANDWIDTH_METHODS = ("silverman", "optimal_ge2", "numeric_ge", "fixed")
-
-#: Kernel families whose bandwidth is comparable to the Gaussian h; the
-#: remaining kernels take h**2.
-_H_SCALE_KERNELS = (Kernel.GE, Kernel.GE2)
 
 #: Elements per block of the (grid rows, data) kernel matrix: 256 KB per
 #: temporary.  A block's combine makes a few such temporaries, which must
@@ -228,9 +225,9 @@ def _silverman_h(values: np.ndarray) -> np.ndarray:
     return np.ldexp(1.06 * sigma * values.shape[1] ** -0.2, e[:, 0])
 
 
-def _silverman_b(kernel: Kernel, h: np.ndarray) -> np.ndarray:
-    """The family mapping of Silverman's h, for an array of h values."""
-    if kernel in _H_SCALE_KERNELS:
+def _family_b(kernel: Kernel, h: np.ndarray) -> np.ndarray:
+    """The kernel's bandwidths for an array of Gaussian-comparable h: h or h**2."""
+    if kernel in _GE_FAMILY:
         return h
     with np.errstate(over="ignore"):
         b = h * h
@@ -239,8 +236,7 @@ def _silverman_b(kernel: Kernel, h: np.ndarray) -> np.ndarray:
         at = float(h[bad][0])
         cause = "overflows" if at * at == math.inf else "underflows"
         raise DomainError(
-            f"Silverman bandwidth for {kernel.value}: h**2 {cause} at h = {at!r}; "
-            "rescale the data"
+            f"{kernel.value} bandwidth: h**2 {cause} at h = {at!r}; rescale the data"
         )
     return b
 
@@ -249,10 +245,9 @@ def silverman_bandwidth(sample: Sample, kernel: Kernel) -> Bandwidth:
     """Rule-of-thumb bandwidth, mapped to the kernel family's scale.
 
     h = 1.06 * sigma * n**(-1/5) with sigma = min(sd, IQR/1.349); the GE
-    kernels use h directly, the gamma/IG/RIG family uses h**2 (their
-    bandwidth plays the role of the squared Gaussian one).
+    kernels use h directly, the gamma/IG/RIG family uses h**2.
     """
-    b = _silverman_b(kernel, _silverman_h(sample.values[None, :]))
+    b = _family_b(kernel, _silverman_h(sample.values[None, :]))
     return Bandwidth(float(b[0]), "silverman")
 
 
@@ -270,16 +265,14 @@ def _validate_grid(kernel: Kernel, grid: np.ndarray, b: float) -> None:
         raise DomainError("grid points must be finite")
     if np.any(np.diff(grid) <= 0.0):
         raise DomainError("grid points must be strictly increasing")
-    if kernel is Kernel.GE:
-        if grid[0] < 0.0:
-            raise DomainError("GE kernel requires grid points >= 0")
-    elif grid[0] <= 0.0:
-        raise DomainError(f"{kernel.value} kernel requires grid points > 0")
-    if kernel is Kernel.RIG and grid[0] <= b:
-        offender = float(grid[grid <= b][0])
-        raise BoundaryDegeneracyError(
-            f"RIG kernel is undefined at grid point {offender!r} <= bandwidth {b!r}"
-        )
+    _validate_point(kernel, float(grid[0]), b)
+
+
+def _domain_start(kernel: Kernel, grid: np.ndarray, b):
+    """Per bandwidth, the index of the first grid point in the domain (``rig``: above b)."""
+    if kernel is Kernel.RIG:
+        return np.searchsorted(grid, b, side="right")
+    return np.zeros(np.shape(b), dtype=np.intp)
 
 
 def _exp_rows(block: np.ndarray, masked: bool) -> None:
@@ -558,9 +551,9 @@ def asymptotic_variance(regime: AsymptoticRegime, b: float, n: int, fx: float) -
 
 def _quad_window(kernel: Kernel, x: float, b: float):
     """(lo, hi) bracket holding essentially all kernel mass."""
-    if kernel in (Kernel.GE, Kernel.GE2):
+    if kernel in _GE_FAMILY:
         return max(0.0, x - 30.0 * b), x + 60.0 * b
-    if kernel in (Kernel.GAM1, Kernel.GAM2):
+    if kernel in _GAMMA_FAMILY:
         k = (x / b + 1.0) if kernel is Kernel.GAM1 else gam2_shape(x, b)
         m, sd = k * b, math.sqrt(k) * b
         return max(0.0, m - 15.0 * sd), m + 15.0 * sd + 15.0 * b
@@ -604,9 +597,9 @@ def exact_estimator_moments(kernel: Kernel, x: float, b: float, density, n: int)
     ------
     DomainError
         If ``n`` is below 1, b is not a positive finite number, or x or b
-        lies outside the kernel's domain.
+        lies outside the kernel's domain (x <= 0 for every kernel but ``ge``).
     BoundaryDegeneracyError
-        For the ``rig`` kernel at x <= b.
+        For the ``rig`` kernel at 0 < x <= b.
     IntegrationError
         If the quadrature error estimate exceeds the tolerance, or the
         kernel mass over the integration bracket strays from 1.

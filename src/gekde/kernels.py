@@ -376,20 +376,20 @@ class _LogKernel:
 
 
 def _validate_point(kernel, x, b):
+    """The domain table: ``ge`` needs x >= 0, every other kernel x > 0, ``rig`` x > b."""
     if not (math.isfinite(b) and b > 0.0):
         raise DomainError("bandwidth b must be positive and finite")
     if not math.isfinite(x):
         raise DomainError("evaluation point x must be finite")
-    if kernel is Kernel.RIG:
-        if x <= b:
-            raise BoundaryDegeneracyError(
-                f"RIG kernel is undefined at x={x!r} with b={b!r}: it uses x - b as a scale"
-            )
-    elif kernel is Kernel.GE:
+    if kernel is Kernel.GE:
         if x < 0.0:
             raise DomainError("GE kernel requires x >= 0")
     elif x <= 0.0:
         raise DomainError(f"{kernel.value} kernel requires x > 0")
+    elif kernel is Kernel.RIG and x <= b:
+        raise BoundaryDegeneracyError(
+            f"RIG kernel is undefined at x={x!r} with b={b!r}: it uses x - b as a scale"
+        )
 
 
 def _float_log_kernel(ev: _LogKernel):

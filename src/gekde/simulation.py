@@ -15,11 +15,10 @@ replications of a cell together: their samples are stacked, Silverman's h is
 computed for all of them in one pass, and each kernel takes one batched
 estimate of the stack and one row-wise ISE, with the bits of per-replication
 calls.  A reciprocal-inverse-Gaussian estimate is undefined at grid points
-below its bandwidth; such points are skipped (the replications that keep the
-same points share a batch) and the truncation is flagged in the report.
-When no valid grid point remains at all, the replication's ISE is recorded
-as ``inf`` so a fully degenerate estimator ranks strictly worst rather than
-disappearing from comparisons.
+at or below its bandwidth; the estimator's ``_domain_start`` cuts them, and
+the truncation is flagged in the report.  When fewer than two grid points
+remain, the replication's ISE is recorded as ``inf`` so a fully degenerate
+estimator ranks strictly worst rather than disappearing from comparisons.
 """
 
 from __future__ import annotations
@@ -40,8 +39,9 @@ from .errors import CoverageError, DomainError, GekdeError
 from .estimator import (
     DensityEstimate,
     Sample,
+    _domain_start,
     _estimate_batch,
-    _silverman_b,
+    _family_b,
     _silverman_h,
 )
 from .kernels import DEFAULT_KERNELS, Kernel
@@ -526,13 +526,13 @@ def _fit_cell(values: np.ndarray, config: ExperimentConfig, grid: np.ndarray,
               f_true: np.ndarray, replication: int | None = None) -> dict:
     """ISE of each kernel on a stack of samples: kernel -> (ISEs, truncated flags).
 
-    ``values`` is (R, n), one sorted sample per row.  Each kernel takes one
-    batched estimate of all R samples and one row-wise trapezoid.  A ``rig``
-    bandwidth truncates the grid to the points above it; replications that
-    keep the same points share a batch, and those left with fewer than 2
-    points record ``inf``.  With ``replication`` (a single sample), a
-    :class:`GekdeError` is raised with "replication r, kernel k: " before
-    its message.
+    ``values`` is (R, n), one sorted sample per row.  Each kernel maps
+    Silverman's h to its scale (``_family_b``) and cuts the grid where its
+    domain starts (``_domain_start``; only ``rig`` cuts).  Replications with
+    the same cut share one batched estimate and one row-wise trapezoid; those
+    left with fewer than 2 points record ``inf``.  With ``replication`` (a
+    single sample), a :class:`GekdeError` is raised with "replication r,
+    kernel k: " before its message.
     """
     out = {}
     h = None
@@ -542,20 +542,16 @@ def _fit_cell(values: np.ndarray, config: ExperimentConfig, grid: np.ndarray,
         try:
             if h is None:  # Silverman's h is kernel-independent: computed once per sample
                 h = _silverman_h(values)
-            b = _silverman_b(kernel, h)
-            if kernel is Kernel.RIG:
-                cut = np.searchsorted(grid, b, side="right")  # grid points at or below b
-                ise = np.full(b.size, math.inf)
-                for k in np.unique(cut):
-                    if grid.size - k < 2:
-                        continue  # estimator undefined on the whole range: rank worst
-                    rows = cut == k
-                    est = _estimate_batch(values[rows], kernel, b[rows], grid[k:])
-                    ise[rows] = _ise_rows(est, f_true[k:], grid[k:])
-                out[kernel] = (ise, cut > 0)
-            else:
-                est = _estimate_batch(values, kernel, b, grid)
-                out[kernel] = (_ise_rows(est, f_true, grid), np.zeros(b.size, dtype=bool))
+            b = _family_b(kernel, h)
+            cut = _domain_start(kernel, grid, b)
+            ise = np.full(b.size, math.inf)
+            for k in np.unique(cut):
+                if grid.size - k < 2:
+                    continue  # estimator undefined on the whole range: rank worst
+                rows = cut == k
+                est = _estimate_batch(values[rows], kernel, b[rows], grid[k:])
+                ise[rows] = _ise_rows(est, f_true[k:], grid[k:])
+            out[kernel] = (ise, cut > 0)
         except GekdeError as exc:
             if replication is not None:
                 # prefix the context in place: type, fields and traceback survive

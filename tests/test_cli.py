@@ -107,6 +107,13 @@ class TestEstimate:
                    "--grid", "1:10:20"])
         assert rc == 3
 
+    def test_rig_explicit_grid_at_zero_exit_2(self, tmp_path):
+        data = tmp_path / "two.csv"
+        write_csv(data, [5.0, 6.0])
+        rc = main(["estimate", str(data), "--kernel", "rig", "--bandwidth", "2.0",
+                   "--grid", "0:10:20", "--output", str(tmp_path / "out")])
+        assert rc == 2
+
     def test_unknown_kernel_exit_2(self, tmp_path):
         data = tmp_path / "two.csv"
         write_csv(data, [1.0, 2.0])
@@ -153,6 +160,72 @@ class TestEstimate:
             main(["estimate", str(narrow_sample_csv), "--bandwidth", "1",
                   "--bandwidth-method", "silverman"])
         assert exc.value.code == 2
+
+    def test_rig_clips_automatic_grid(self, narrow_sample_csv, tmp_path):
+        from gekde import Kernel, Sample, default_grid, estimate_density, silverman_bandwidth
+
+        # at 100 times the fixture's scale the rig bandwidth, h**2, lies inside the grid
+        data = tmp_path / "wide.csv"
+        write_csv(data, np.loadtxt(narrow_sample_csv, skiprows=1) * 100.0)
+        out = tmp_path / "out"
+        names = [k.value for k in Kernel]
+        rc = main(["estimate", str(data), "--output", str(out)]
+                  + [arg for name in names for arg in ("--kernel", name)])
+        assert rc == 0
+        s = Sample(np.loadtxt(data))
+        grid = default_grid(s)
+        for name in names:
+            meta = json.loads((out / f"wide_{name}.json").read_text())
+            assert meta["grid_truncated"] is (name == "rig"), name
+            assert (meta["grid_size"] < grid.size) is (name == "rig"), name
+        b = silverman_bandwidth(s, Kernel.RIG).value
+        kept = grid[grid > b]
+        meta = json.loads((out / "wide_rig.json").read_text())
+        assert meta["bandwidth"] == b
+        assert meta["grid_min"] == kept[0] and meta["grid_size"] == kept.size
+        arr = np.loadtxt(out / "wide_rig.csv", delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(arr[:, 0], kept)
+        np.testing.assert_array_equal(arr[:, 1], estimate_density(s, Kernel.RIG, b, kept).values)
+
+    def test_rig_bandwidth_above_automatic_grid_exit_3(self, narrow_sample_csv, tmp_path,
+                                                        capsys):
+        data = tmp_path / "huge.csv"
+        write_csv(data, np.loadtxt(narrow_sample_csv, skiprows=1) * 1e40)
+        rc = main(["estimate", str(data), "--kernel", "rig", "--output", str(tmp_path / "out")])
+        assert rc == 3
+        assert "leaves no valid grid point" in capsys.readouterr().err
+
+
+class TestPlugInScale:
+    """The plug-in rules run on a unit-scale reference: h scales exactly with the data."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", ["optimal-ge2", "numeric-ge"])
+    @pytest.mark.parametrize("k", [-600, -260, 0, 260, 600])
+    def test_power_of_two_scaling(self, narrow_sample_csv, tmp_path, capsys, method, k):
+        values = np.loadtxt(narrow_sample_csv, skiprows=1)
+
+        def run(scale):
+            data = tmp_path / f"obs{scale}.csv"
+            write_csv(data, np.ldexp(values, scale))
+            out = tmp_path / f"out{scale}"
+            rc = main(["estimate", str(data), "--kernel", "ge", "--kernel", "gam1",
+                       "--bandwidth-method", method, "--output", str(out)])
+            bws = {p.stem.split("_")[-1]: json.loads(p.read_text())["bandwidth"]
+                   for p in out.glob("*.json")}
+            return rc, bws
+
+        rc, unit = run(0)
+        assert rc == 0
+        rc, got = run(k)
+        assert got["ge"] == math.ldexp(unit["ge"], k)
+        if abs(k) < 500:
+            assert rc == 0
+            assert got["gam1"] == math.ldexp(unit["gam1"], 2 * k)
+        else:  # h**2 leaves the double range
+            assert rc == 2 and "gam1" not in got
+            err = capsys.readouterr().err
+            assert "h**2" in err and "rescale the data" in err
 
 
 class TestSimulate:

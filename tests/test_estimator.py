@@ -37,10 +37,11 @@ from gekde.estimator import (
     _WINDOW_STRIDE,
     _data_windows,
     _exp_rows,
+    _domain_start,
     _quad_segments,
     _quad_window,
 )
-from gekde.kernels import _LogKernel, _point_log_kernel
+from gekde.kernels import _LogKernel, _point_log_kernel, log_kernel
 from test_metamorphic import _wide_case
 
 G = EULER_GAMMA
@@ -188,6 +189,62 @@ class TestEstimateDensity:
         est = estimate_density(s, Kernel.GE, bw, [1.0])
         assert est.bandwidth is bw
         assert est.n == 2
+
+
+def _raised(call):
+    """The type of the exception ``call()`` raises, or None."""
+    try:
+        call()
+    except Exception as exc:  # compared by type below
+        return type(exc)
+    return None
+
+
+class TestDomain:
+    GRID = np.array([0.5, 1.0, 1.5, 2.0])
+
+    @pytest.mark.parametrize("b, start", [
+        (1.0, 2),      # b on a grid point: that point is cut
+        (1.2, 2),      # b between points
+        (0.1, 0),      # b below grid[0]
+        (2.0, 4),      # b on the last point: nothing left
+        (3.0, 4),      # b above the grid
+    ])
+    def test_rig_start(self, b, start):
+        got = _domain_start(Kernel.RIG, self.GRID, b)
+        assert got == start
+        assert np.all(self.GRID[got:] > b) and np.all(self.GRID[:got] <= b)
+
+    def test_rig_start_per_bandwidth(self):
+        b = np.array([1.0, 1.2, 0.1, 2.0, 3.0])
+        np.testing.assert_array_equal(_domain_start(Kernel.RIG, self.GRID, b),
+                                      [2, 2, 0, 4, 4])
+
+    @pytest.mark.parametrize("kernel", [k for k in Kernel if k is not Kernel.RIG],
+                             ids=lambda k: k.value)
+    def test_other_kernels_keep_the_grid(self, kernel):
+        b = np.array([0.1, 1.0, 3.0])
+        got = _domain_start(kernel, self.GRID, b)
+        assert got.dtype == np.intp
+        np.testing.assert_array_equal(got, [0, 0, 0])
+        assert _domain_start(kernel, self.GRID, 3.0) == 0
+
+    @pytest.mark.parametrize("kernel", list(Kernel), ids=lambda k: k.value)
+    @pytest.mark.parametrize("x", [-1.0, 0.0, 0.25, 0.5, 1.0],
+                             ids=["x=-1", "x=0", "x=b/2", "x=b", "x=2b"])
+    def test_grid_and_point_agree(self, kernel, x):
+        """The estimator and the kernel reject a location with the same type."""
+        b = 0.5
+        s = Sample([0.5, 1.0, 2.0])
+        on_grid = _raised(lambda: estimate_density(s, kernel, b, [x, x + 1.0]))
+        at_point = _raised(lambda: log_kernel(kernel, x, b, 1.0))
+        assert on_grid is at_point
+        if x < 0.0 or (x == 0.0 and kernel is not Kernel.GE):
+            assert on_grid is DomainError
+        elif kernel is Kernel.RIG and x <= b:
+            assert on_grid is BoundaryDegeneracyError
+        else:
+            assert on_grid is None
 
 
 def _underflow_case():
