@@ -205,6 +205,15 @@ def _gamma_reference(sample: Sample) -> tuple[GammaDensity, float]:
     return GammaDensity(m * m / v, 1.0), math.ldexp(v / m, e)
 
 
+#: Per plug-in rule, the gamma-reference shape at or below which the
+#: functional it integrates diverges, and that functional: f''**2 ~ x**(2k - 6)
+#: and f' f'' ~ x**(2k - 5) at 0.
+_PLUG_IN_SHAPE_MIN = {
+    "optimal_ge2": (2.5, "f''**2"),
+    "numeric_ge": (2.0, "f' f''"),
+}
+
+
 def _bandwidth_rule(sample: Sample, args):
     """``kernel -> Bandwidth`` under the bandwidth flags; a plug-in h is computed once."""
     if args.bandwidth is not None:
@@ -214,26 +223,33 @@ def _bandwidth_rule(sample: Sample, args):
     method = (args.bandwidth_method or "silverman").replace("-", "_")
     if method == "silverman":
         return lambda kernel: silverman_bandwidth(sample, kernel)
+    if method not in _PLUG_IN_SHAPE_MIN:
+        raise CliInputError(f"unknown bandwidth method {args.bandwidth_method!r}")
     unit, scale = _gamma_reference(sample)
+    bound, integrand = _PLUG_IN_SHAPE_MIN[method]
+    if not unit.shape > bound:
+        raise DomainError(
+            f"{method.replace('_', '-')} integrates {integrand} of a gamma reference, which "
+            f"diverges at 0 for shape k <= {bound}; the sample's fitted shape is "
+            f"k = {unit.shape:.6g}. Use --bandwidth-method silverman or --bandwidth"
+        )
     if method == "optimal_ge2":
         bw = optimal_bandwidth_ge2(unit.roughness(), sample.n)
-    elif method == "numeric_ge":
-        bw = numeric_bandwidth_ge(*_a_integrals(unit), sample.n)
     else:
-        raise CliInputError(f"unknown bandwidth method {args.bandwidth_method!r}")
+        # the integral of f' f'' is [f'**2 / 2] over (0, inf), 0 for k > 2:
+        # f' vanishes at both ends
+        bw = numeric_bandwidth_ge(0.0, _a2_integral(unit), sample.n)
     h = np.array([bw.value * scale])
     return lambda kernel: Bandwidth(float(_family_b(kernel, h)[0]), method)
 
 
-def _a_integrals(density):
-    """(integral of f' f'', integral of f'^2) for the plug-in reference."""
+def _a2_integral(density):
+    """The integral of f'**2 for the plug-in reference."""
     from scipy.integrate import quad
 
     hi = density.quantile(1.0 - 1e-9)
-    a1, _ = quad(lambda x: float(density.pdf_d1(x)) * float(density.pdf_d2(x)),
-                 0.0, hi, limit=200)
     a2, _ = quad(lambda x: float(density.pdf_d1(x)) ** 2, 0.0, hi, limit=200)
-    return a1, a2
+    return a2
 
 
 def cmd_estimate(args) -> int:

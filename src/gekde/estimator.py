@@ -3,12 +3,16 @@
 The estimator averages log-domain kernel evaluations over the sample.  The
 kernel terms that depend on the grid point alone and those that depend on
 the datum alone are computed once per call; the grid is then processed in
-blocks of rows, each a broadcast over the whole sample, with the block size
-set by a fixed element budget.  One routine, ``_estimate_batch``, does this
-for a stack of R samples with R bandwidths (the replications of a Monte
-Carlo cell): the location and data terms of all R samples are computed in
-one pass, and the combine runs over blocks of grid rows of one sample at a
-time; ``estimate_density`` is its one-sample case.  Each block is
+blocks of rows, each against the whole sample, with the block size set by a
+fixed element budget.  For the GE and gamma kernels a block's log K is one
+BLAS product of the location matrix and the data matrix (see
+``kernels._LogKernel``); a data window or a set of probe columns is a slice
+of the data matrix's columns (``_columns``).  One routine,
+``_estimate_batch``, does this for a stack of R samples with R bandwidths
+(the replications of a Monte Carlo cell): the location and data terms of
+all R samples are computed in one pass, and the combine runs over blocks of
+grid rows of one sample at a time; ``estimate_density`` is its one-sample
+case.  Each block is
 exponentiated in place and summed along its rows; the sums are divided by n
 once, after the last block.
 The GE kernels put most of log K below ``_EXP_ZERO``, where ``np.exp``
@@ -291,7 +295,11 @@ def _exp_rows(block: np.ndarray, masked: bool) -> None:
 
 
 def _columns(dat: tuple, cols) -> tuple:
-    """The data terms of one sample (see ``_LogKernel.take``) at columns ``cols``."""
+    """The data terms of one sample (see ``_LogKernel.take``) at columns ``cols``.
+
+    Every term, the GE/gamma data matrix included, has its data along its
+    last axis.
+    """
     return tuple(None if t is None else t[:, cols] for t in dat)
 
 

@@ -17,10 +17,13 @@ The GE and gamma kernels share one combine,
 ``log K = (c0 + (shape - 1) L) - z/b``: L is ``log(1 - exp(-z/b))`` for the
 GE kernels and ``log z`` for the gamma kernels, and c0 is one per-location
 term, ``log shape - log b`` for GE and the whole gamma normaliser
-``-(shape log b + log Gamma(shape))`` for gamma.  Either family then costs
-three full-width operations per kernel-matrix entry: a multiplication, an
-addition and a subtraction.  Chen's gamma kernels need the special function
-Gamma only once per location, never per entry.
+``-(shape log b + log Gamma(shape))`` for gamma.  The combine is one
+matrix product of rank 3: the location matrix has the rows
+``[shape - 1, c0, 1]`` and the data matrix the columns ``[L, 1, -z/b]``, and
+BLAS ``dgemm`` adds the three products of an entry in that order.  The two
+unit products are exact, so every entry, infinities included, has the bits
+of ``(c0 + (shape - 1) L) - z/b``.  Chen's gamma kernels need the special
+function Gamma only once per location, never per entry.
 
 The ``ig`` and ``rig`` exponents, ``(x/(2b)) (z/x - 2 + x/z)`` with scale x
 or ``s = x - b``, are formed without that sum, which cancels near z = s:
@@ -37,9 +40,10 @@ row of data z and works in three steps: the terms that depend on x alone
 (shapes, the gamma normaliser, the ``ge2`` shape from one array
 inverse-digamma solve) are computed once per location, the terms that
 depend on z alone (``log z``, ``z/b``, ``log(1 - exp(-z/b))``) once per
-datum, and a broadcast combine forms the (locations, data) block of log
-kernel values.  The bandwidth may also be a column of R bandwidths, one per
-sample of a stack of R samples (the replications of a Monte Carlo cell):
+datum, and the combine forms the (locations, data) block of log kernel
+values: a matrix product for the GE and gamma kernels, a broadcast for
+``ig`` and ``rig``.  The bandwidth may also be a column of R bandwidths, one
+per sample of a stack of R samples (the replications of a Monte Carlo cell):
 the location terms are then (R, locations) and the data terms (R, data),
 and the combine takes one sample of the stack at a time, each entry through
 the same operations as with a scalar bandwidth.  The estimator runs the
@@ -68,6 +72,7 @@ import enum
 import math
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .errors import BoundaryDegeneracyError, DomainError
 from .specfun import EULER_GAMMA, inverse_digamma, log_gamma
@@ -208,14 +213,16 @@ class _LogKernel:
     2. per-datum terms (:meth:`data`): ``log z``, ``z/b``,
        ``log(1 - exp(-z/b))`` and the reciprocals ``1/z`` (``rig``) and
        ``1/(2 b z)`` (``ig``), once for every z;
-    3. the broadcast combine (:meth:`rows`) of a block of locations against
-       all data.
+    3. the combine (:meth:`rows`) of a block of locations against all data.
 
     The GE and gamma families share one combine, ``(c0 + (shape - 1) L) -
-    z/b``, on the location terms ``(c0, shape - 1, ...)`` and the data terms
-    ``(z/b, L, ...)``; the gamma c0 is the whole normaliser, so an entry
-    costs three operations in either family.  Only GE shapes reach the
-    shape-1 and regrouped rows (``special``).
+    z/b``, computed as the product of the location matrix, rows
+    ``[shape - 1, c0, 1]`` (:meth:`_matrix`), and the data matrix, rows
+    ``[L, 1, -z/b]``: one ``dgemm`` per block, with the bits of the formula.
+    numpy's ``matmul`` would not do: it sends a one-row product to gemv,
+    which sums in another order.  Only GE shapes reach the shape-1 and
+    regrouped rows (``special``), whose rows of the product are written
+    over.
 
     ``b`` is a float, or an (R, 1) column of bandwidths for a stack of R
     samples: the location terms are then (R, G) and :meth:`data` takes an
@@ -233,11 +240,12 @@ class _LogKernel:
     so the quadratic term there is exactly 0, never ``0 * inf``.
     """
 
-    __slots__ = ("kernel", "b", "loc", "regroup", "special")
+    __slots__ = ("kernel", "b", "loc", "mat", "regroup", "special")
 
     def __init__(self, kernel: Kernel, x: np.ndarray, b):
         self.kernel = kernel
         self.b = b
+        self.mat = None
         self.regroup = self.special = False
         log_b = _log_each(b)
         if kernel is not Kernel.IG:
@@ -291,24 +299,33 @@ class _LogKernel:
     def data(self, z: np.ndarray) -> tuple:
         """Per-datum terms: z is 1-D, or (R, n) for a column of R bandwidths.
 
-        Each term gains an axis before its last, so that it broadcasts
-        against the location columns.
+        For the GE and gamma kernels the first term is the data matrix,
+        rows ``[L, 1, -z/b]`` of shape (3, n), or (R, 3, n); the location
+        matrix is built here too (see :meth:`_matrix`).  Every other term
+        gains an axis before its last, so that it broadcasts against the
+        location columns.
         """
         kernel, b = self.kernel, self.b
         if kernel in _EXP_FAMILIES:
+            self._matrix()
+            mat = np.empty(z.shape[:-1] + (3, z.shape[-1]))
+            L, u = mat[..., 0, :], mat[..., 2, :]
             with np.errstate(over="ignore"):  # z/b = inf is right: log K = -inf
-                u = z / b
-            if kernel in _GAMMA_FAMILY:
-                return u[..., None, :], np.log(z)[..., None, :], None
-            L = _log1mexp(u)
+                np.divide(z, b, out=u)
+            mat[..., 1, :] = 1.0
             log_neg_l = None
-            if self.regroup:
-                log_neg_l = np.where(
-                    u > _ASYMPTOTIC_U,
-                    -u + np.log1p(0.5 * np.exp(-u)),
-                    np.log(-np.where(L < 0.0, L, -1.0)),
-                )[..., None, :]
-            return u[..., None, :], L[..., None, :], log_neg_l
+            if kernel in _GAMMA_FAMILY:
+                np.log(z, out=L)
+            else:
+                L[...] = _log1mexp(u)
+                if self.regroup:
+                    log_neg_l = np.where(
+                        u > _ASYMPTOTIC_U,
+                        -u + np.log1p(0.5 * np.exp(-u)),
+                        np.log(-np.where(L < 0.0, L, -1.0)),
+                    )[..., None, :]
+            np.negative(u, out=u)
+            return mat, log_neg_l
         c = -0.5 * _log_each(2.0 * math.pi * b)
         with np.errstate(over="ignore", divide="ignore"):  # an infinite reciprocal is log K = -inf
             if kernel is Kernel.IG:
@@ -319,6 +336,17 @@ class _LogKernel:
                 base = c - 0.5 * np.log(z)
                 w = 1.0 / z
         return z[..., None, :], base[..., None, :], w[..., None, :]
+
+    def _matrix(self) -> np.ndarray:
+        """The location matrix, rows ``[shape - 1, c0, 1]``: (G, 3), or (R, G, 3).
+
+        Built on first use, so that a float datum, which reads the location
+        terms alone, never pays for it.
+        """
+        if self.mat is None:
+            c0, shape_m1 = self.loc[:2]
+            self.mat = np.concatenate((shape_m1, c0, np.ones_like(c0)), axis=-1)
+        return self.mat
 
     def take(self, r: int) -> "_LogKernel":
         """The evaluator of sample ``r`` of a stack, for :meth:`rows`.
@@ -331,33 +359,39 @@ class _LogKernel:
         sub.kernel, sub.regroup, sub.special = self.kernel, self.regroup, self.special
         sub.b = self.b[r]
         sub.loc = tuple(t[r] for t in self.loc)
+        sub.mat = None if self.mat is None else self.mat[r]
         return sub
 
     def rows(self, dat: tuple, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """log K for locations ``lo:hi`` against all data: a (rows, n) array.
 
         The location terms are (G, 1) columns: those of a scalar bandwidth,
-        or of one sample of a stack (see :meth:`take`).
+        or of one sample of a stack (see :meth:`take`).  For the GE and
+        gamma kernels the block is one ``dgemm`` of the location matrix
+        against the data matrix; the rows of GE special locations are then
+        written over with their own formula.
         """
         kernel = self.kernel
-        loc = self.loc if hi is None else tuple(t[lo:hi] for t in self.loc)
         if kernel in _EXP_FAMILIES:
-            c0, shape_m1 = loc[:2]
-            u, L, log_neg_l = dat
-            if self.special and loc[3].any():
-                log_shape, special = loc[2], loc[3][:, 0]
-                big = special & (log_shape[:, 0] > _LOG_SHAPE_DIRECT_MAX)
-                T = np.empty((special.size, u.shape[-1]))
-                T[~special] = shape_m1[~special] * L
+            # gemm takes k in order: ((shape - 1) L + c0 * 1) + 1 * (-z/b),
+            # and the two unit products are exact.  Computed transposed: the
+            # Fortran (n, rows) result is the C-ordered (rows, n) block
+            data, log_neg_l = dat
+            out = dgemm(1.0, data.T, self._matrix()[lo:hi].T).T
+            if self.special and self.loc[3][lo:hi].any():
+                c0, _, log_shape, special = (t[lo:hi, 0] for t in self.loc)
+                neg_u = data[2]
+                big = special & (log_shape > _LOG_SHAPE_DIRECT_MAX)
                 if big.any():
                     with np.errstate(over="ignore"):
-                        T[big] = -np.exp(log_shape[big] + log_neg_l)
-                T[special & ~big] = -0.0  # shape 1: (shape - 1) * L is 0
-            else:
-                T = shape_m1 * L
-            out = np.add(c0, T, out=T)
-            out -= u
+                        T = -np.exp(log_shape[big, None] + log_neg_l)
+                    out[big] = (c0[big, None] + T) + neg_u
+                # shape 1: (shape - 1) L is -0.0, even where L is -inf, and
+                # c0 + -0.0 is c0
+                one = special & ~big
+                out[one] = c0[one, None] + neg_u
             return out
+        loc = self.loc if hi is None else tuple(t[lo:hi] for t in self.loc)
         z, base, w = dat
         with np.errstate(over="ignore"):  # an overflowing product is log K = -inf
             if kernel is Kernel.IG:
@@ -398,7 +432,9 @@ def _float_log_kernel(ev: _LogKernel):
     A transcription of ``ev.rows(ev.data(...))`` for a single datum, bit for
     bit: the location terms are read once as floats, every transcendental is
     the numpy ufunc the block path applies (on a scalar it runs the same
-    loop), the combine is float arithmetic in the block path's order, and
+    loop), the combine is float arithmetic in the order of the block path's
+    sum (``(shape - 1) L + c0`` is ``c0 + T``, and adding ``-z/b`` is
+    subtracting ``z/b``), and
     each ``np.where`` is an ``if`` that takes the same branch.  The branches
     keep every ufunc off its divide-by-zero and overflow cases, so no
     ``np.errstate`` is needed; float arithmetic itself never warns, and the

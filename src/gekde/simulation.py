@@ -23,6 +23,7 @@ estimator ranks strictly worst rather than disappearing from comparisons.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -99,6 +100,12 @@ def _store_gamma_constants(density):
     object.__setattr__(density, "_k_log_scale", density.shape * math.log(density.scale))
     object.__setattr__(density, "_log_gamma_shape", log_gamma(density.shape))
 
+
+#: Binary exponent of the scale hint beyond which ``roughness`` integrates a
+#: rescaled density.  Within it f''**2, of order scale**-6, stays far inside
+#: the double range, and the integral keeps the bits of the unscaled
+#: quadrature.
+_ROUGHNESS_EXP_MAX = 32
 
 #: Quantile levels that an ISE grid must span.
 _ISE_QUANTILES = (0.0005, 0.9995)
@@ -205,8 +212,35 @@ class TrueDensity:
         """
         return tuple(self.quantile(p) for p in _ISE_QUANTILES)
 
+    def _rescaled(self, e: int) -> "TrueDensity":
+        """The density of X * 2**e: the same family, its scale times 2**e (exact)."""
+        return dataclasses.replace(self, scale=math.ldexp(self.scale, e))
+
     def roughness(self) -> float:
-        """Curvature functional: integral of f''(x)**2 over (0, inf)."""
+        """Curvature functional: integral of f''(x)**2 over (0, inf).
+
+        A density whose scale hint lies beyond 2**(+-``_ROUGHNESS_EXP_MAX``)
+        is integrated as the density of X / 2**e, with its scale near 1, and
+        the result is scaled back by 2**(-5 e): f''**2 itself would overflow
+        or underflow there.  Scaling by a power of two is exact.  A value
+        outside the normal double range raises :class:`DomainError`.
+        """
+        e = math.frexp(self._scale_hint())[1]
+        if abs(e) <= _ROUGHNESS_EXP_MAX:
+            return self._roughness()
+        value = self._rescaled(-e)._roughness()
+        try:
+            value = math.ldexp(value, -5 * e)
+        except OverflowError:
+            value = math.inf
+        if not _TINY <= value < math.inf:
+            raise DomainError(
+                f"roughness of {self!r} {'underflows' if value < _TINY else 'overflows'} "
+                "the double range; rescale the data"
+            )
+        return value
+
+    def _roughness(self) -> float:
         cuts = [self.quantile(q) for q in (1e-7, 0.25, 0.5, 0.75, 1.0 - 1e-7)]
         pts = [0.0] + cuts
         total = 0.0
@@ -409,6 +443,9 @@ class MixtureDensity(TrueDensity):
 
     def _scale_hint(self):
         return sum(w * c._scale_hint() for w, c in zip(self.weights, self.components))
+
+    def _rescaled(self, e):
+        return MixtureDensity(self.weights, tuple(c._rescaled(e) for c in self.components))
 
     def _draw(self, n, ss):
         # categorical labels and component draws use separate spawned streams

@@ -228,6 +228,43 @@ class TestPlugInScale:
             assert "h**2" in err and "rescale the data" in err
 
 
+class TestPlugInReferenceShape:
+    """A gamma reference whose plug-in functional diverges is rejected, not integrated."""
+
+    @staticmethod
+    def _samples(tmp_path):
+        """Samples of 2000 from Gamma(1.5), Gamma(2) and Gamma(2.4): fitted k 1.58, 2.09, 2.42."""
+        rng = np.random.default_rng(5)
+        paths = []
+        for k in (1.5, 2.0, 2.4):
+            path = tmp_path / f"gamma{k}.csv"
+            write_csv(path, rng.gamma(k, 1.0, 2000))
+            paths.append(path)
+        return paths
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method, bound, accepted", [
+        ("optimal-ge2", 2.5, []),
+        ("numeric-ge", 2.0, [1, 2]),
+    ])
+    def test_divergent_functional(self, tmp_path, capsys, method, bound, accepted):
+        for i, path in enumerate(self._samples(tmp_path)):
+            out = tmp_path / f"out{i}{method}"
+            rc = main(["estimate", str(path), "--kernel", "ge", "--bandwidth-method", method,
+                       "--output", str(out)])
+            err = capsys.readouterr().err
+            if i in accepted:
+                assert rc == 0, err
+                meta = json.loads((out / f"{path.stem}_ge.json").read_text())
+                assert meta["bandwidth_method"] == method.replace("-", "_")
+                assert 0.0 < meta["bandwidth"] < math.inf
+            else:
+                assert rc == 2
+                assert not out.exists() or not any(out.iterdir())
+                fitted = ("1.581", "2.086", "2.424")[i]
+                assert f"k <= {bound}" in err and f"k = {fitted}" in err, err
+
+
 class TestSimulate:
     def test_single_replication_deterministic(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a", tmp_path / "b"

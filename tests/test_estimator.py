@@ -468,6 +468,30 @@ class TestDataWindow:
         assert calls == []
 
 
+class TestGridSplitToOnePoint:
+    """The GE and gamma estimates keep their bits on any split of the grid.
+
+    A one-point grid is a one-row block, whose combine is a one-row matrix
+    product; with n = 100 the whole grid spans two blocks of several rows,
+    with n = 16385 every block is one row and windowed.
+    """
+
+    @pytest.mark.parametrize("kernel", [Kernel.GE, Kernel.GE2, Kernel.GAM1, Kernel.GAM2],
+                             ids=lambda k: k.value)
+    @pytest.mark.parametrize("n, size", [(100, 400), (_WINDOW_N, 40)])
+    def test_down_to_one_point_grids(self, kernel, n, size):
+        sample = CONFIGURATIONS["D"].sample(n, 12)
+        b = silverman_bandwidth(sample, kernel).value
+        grid = default_grid(sample, size)
+        whole = estimate_density(sample, kernel, b, grid).values
+        assert size > gekde.estimator._BLOCK_ELEMENTS // n
+        for cuts in ([1, 2, 3, size - 1], np.arange(1, size)):
+            parts = [estimate_density(sample, kernel, b, piece).values
+                     for piece in np.split(grid, cuts)]
+            got = np.concatenate(parts)
+            assert np.array_equal(got.view(np.uint64), whole.view(np.uint64))
+
+
 class TestOptimalGe2Bandwidth:
     def test_unit_exponential_roughness(self):
         # integral of f''^2 for the unit exponential is 1/2

@@ -26,6 +26,7 @@ from gekde import (
     log_kernel,
     trigamma,
 )
+from gekde.estimator import _columns
 from gekde.kernels import _LogKernel, _point_log_kernel
 
 
@@ -617,3 +618,144 @@ class TestUnitShape:
         est = _quietly(lambda: estimate_density(sample, Kernel.GE, 10.0, [0.0, 1.0]))
         expect = np.mean(np.exp(-math.log(10.0) - sample.values / 10.0))
         assert est.values[0] == pytest.approx(expect, rel=1e-15)
+
+
+# --- the GE/gamma block as one matrix product, against the broadcast ---------
+
+def _broadcast_rows(ev, z, lo=0, hi=None):
+    """The broadcast combine ``(c0 + (shape - 1) L) - z/b``, transcribed.
+
+    The per-datum terms are computed here from z; the location terms are the
+    evaluator's.  GE special rows take ``-exp(log shape + log(-L))`` (past
+    ``exp(700)``) or ``-0.0`` (shape 1) for the product (shape - 1) L.
+    """
+    c0, shape_m1 = (t[lo:hi] for t in ev.loc[:2])
+    with np.errstate(all="ignore"):
+        u = z / ev.b
+        if ev.kernel in (Kernel.GAM1, Kernel.GAM2):
+            L = np.log(z)
+        else:
+            L = np.where(u > math.log(2.0), np.log1p(-np.exp(-u)), np.log(-np.expm1(-u)))
+        T = shape_m1 * L
+        if ev.kernel in (Kernel.GE, Kernel.GE2):
+            log_shape, special = ev.loc[2][lo:hi, 0], ev.loc[3][lo:hi, 0]
+            big = special & (log_shape > 700.0)
+            log_neg_l = np.where(u > 36.0, -u + np.log1p(0.5 * np.exp(-u)),
+                                 np.log(-np.where(L < 0.0, L, -1.0)))
+            T[big] = -np.exp(log_shape[big, None] + log_neg_l)
+            T[special & ~big] = -0.0
+        return (c0 + T) - u
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+_PRODUCT_KERNELS = [Kernel.GE, Kernel.GE2, Kernel.GAM1, Kernel.GAM2]
+
+
+class TestProductCombine:
+    """``_LogKernel.rows`` of the GE and gamma kernels keeps the broadcast's bits."""
+
+    @staticmethod
+    def _case(kernel, n, seed=0):
+        rng = np.random.default_rng(seed)
+        z = np.sort(rng.gamma(3.0, 1.0, n))
+        b = 0.4 if kernel in (Kernel.GE, Kernel.GE2) else 0.16
+        return z, b, np.linspace(0.05, 14.0, 256)
+
+    @pytest.mark.parametrize("kernel", _PRODUCT_KERNELS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("n", [2, 100, 16385, 20000])
+    def test_blocks_of_one_two_and_256_rows(self, kernel, n):
+        z, b, grid = self._case(kernel, n)
+        ev = _LogKernel(kernel, grid, b)
+        dat = ev.data(z)
+        for lo, hi in ((0, 1), (255, 256), (117, 118), (0, 2), (200, 202), (0, 256)):
+            assert _same_bits(ev.rows(dat, lo, hi), _broadcast_rows(ev, z, lo, hi)), (lo, hi)
+        assert _same_bits(ev.rows(dat), _broadcast_rows(ev, z))
+
+    @pytest.mark.parametrize("kernel", _PRODUCT_KERNELS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("n", [100, 20000])
+    def test_window_slices_and_probe_columns(self, kernel, n):
+        z, b, grid = self._case(kernel, n, seed=1)
+        ev = _LogKernel(kernel, grid, b)
+        dat = ev.data(z)
+        k = n // 32
+        columns = [slice(3, n - 5), slice(n // 3, n // 3 + 7), slice(n - 1, n),
+                   [k, n - 1 - k], np.arange(0, n, 32), np.array([n - 1, 0, n // 2])]
+        for cols in columns:
+            sub = _columns(dat, cols)
+            for lo, hi in ((40, 41), (0, 2), (0, 256)):
+                want = _broadcast_rows(ev, z[cols], lo, hi)
+                assert _same_bits(ev.rows(sub, lo, hi), want), (cols, lo, hi)
+
+    @pytest.mark.parametrize("kernel", [Kernel.GE, Kernel.GE2], ids=lambda k: k.value)
+    def test_special_rows_mixed_with_plain_rows(self, kernel):
+        # ge: x = 0 has shape 1; x/b past 700 from x = 70.1 is regrouped.
+        # ge2: its shape is 1 at x = b, and regrouped from x/b of about 700.6
+        b = 0.1
+        if kernel is Kernel.GE:
+            grid = np.concatenate([[0.0, 1e-3], np.linspace(0.5, 69.0, 6), [70.2, 80.0, 200.0]])
+        else:
+            grid = np.concatenate([[0.05, b, 0.3], np.linspace(1.0, 69.0, 5), [70.2, 90.0]])
+        z = np.concatenate([[5e-324, 1e-300, 1e-5], np.geomspace(0.01, 300.0, 97), [1e300]])
+        ev = _LogKernel(kernel, grid, b)
+        assert ev.regroup and ev.special
+        special = ev.loc[3][:, 0]
+        assert special.any() and not special.all()
+        dat = _quietly(lambda: ev.data(z))
+        for lo in range(grid.size):
+            for hi in (lo + 1, lo + 2, None):
+                got = _quietly(lambda: ev.rows(dat, lo, hi))
+                assert _same_bits(got, _broadcast_rows(ev, z, lo, hi)), (lo, hi)
+        cols = [0, 50, 99]
+        got = _quietly(lambda: ev.rows(_columns(dat, cols)))
+        assert _same_bits(got, _broadcast_rows(ev, z[cols]))
+
+    def test_ge2_shape_below_one(self):
+        # x < b gives nu < 1: shape - 1 is negative, and (shape - 1) L is
+        # +inf where z/b underflows to 0
+        b = 2.0
+        grid = np.linspace(0.01, 1.9, 40)
+        ev = _LogKernel(Kernel.GE2, grid, b)
+        assert np.all(ev.loc[1] < 0.0)
+        z = np.concatenate([[5e-324], np.geomspace(1e-3, 50.0, 60)])
+        dat = _quietly(lambda: ev.data(z))
+        got = ev.rows(dat)
+        assert got[0, 0] == math.inf
+        assert _same_bits(got, _broadcast_rows(ev, z))
+        for lo in (0, 17, 39):
+            assert _same_bits(ev.rows(dat, lo, lo + 1), _broadcast_rows(ev, z, lo, lo + 1))
+
+    @pytest.mark.parametrize("kernel", _PRODUCT_KERNELS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("b", [1e-10, 1e10], ids=["z/b=inf", "z/b=0"])
+    def test_z_over_b_overflow_and_underflow(self, kernel, b):
+        # b = 1e-10: z/b overflows to inf at z = 1e300; b = 1e10: it is 0 at
+        # the smallest subnormal
+        grid = b * np.array([0.5, 1.0, 3.0, 20.0])
+        z = np.array([5e-324, 1e-310, 1e-300, 1e-12, 1.0, 1e299, 1e300, 1e308])
+        ev = _LogKernel(kernel, grid, b)
+        dat = _quietly(lambda: ev.data(z))
+        u = -dat[0][2]
+        assert (np.isinf(u).any() if b < 1.0 else (u == 0.0).any())
+        got = ev.rows(dat)
+        # -inf where z/b is inf, and for GE where L = log(1 - exp(-0)) is -inf
+        assert bool(np.isfinite(got).all()) == (b > 1.0 and kernel in (Kernel.GAM1, Kernel.GAM2))
+        assert _same_bits(got, _broadcast_rows(ev, z))
+        for lo in range(grid.size):
+            assert _same_bits(ev.rows(dat, lo, lo + 1), _broadcast_rows(ev, z, lo, lo + 1))
+
+    @pytest.mark.parametrize("kernel", _PRODUCT_KERNELS, ids=lambda k: k.value)
+    def test_stack_of_samples(self, kernel):
+        # one evaluator for three samples with three bandwidths, one at a time
+        rng = np.random.default_rng(4)
+        values = np.sort(rng.gamma(3.0, 1.0, (3, 100)), axis=1)
+        b = np.array([0.2, 0.4, 0.9])
+        grid = np.linspace(0.05, 14.0, 64)
+        ev = _LogKernel(kernel, grid, b[:, None])
+        data = ev.data(values)
+        for r in range(b.size):
+            sub, dat = ev.take(r), tuple(None if t is None else t[r] for t in data)
+            single = _LogKernel(kernel, grid, float(b[r]))
+            assert _same_bits(sub.rows(dat), _broadcast_rows(single, values[r]))
+            assert _same_bits(sub.rows(dat, 5, 6), _broadcast_rows(single, values[r], 5, 6))

@@ -365,6 +365,34 @@ class TestRoughness:
     def test_unit_exponential(self):
         assert GammaDensity(1.0, 1.0).roughness() == pytest.approx(0.5, abs=1e-8)
 
+    _SCALES = [1e-60, 1e-20, 1.0, 1e20, 1e60]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("theta", _SCALES)
+    def test_gamma_at_every_scale(self, theta):
+        # 3/16 theta**-5, from about 1.9e299 down to 1.9e-301
+        assert GammaDensity(3.0, theta).roughness() == pytest.approx(0.1875 * theta ** -5,
+                                                                     rel=1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("theta", _SCALES)
+    @pytest.mark.parametrize("family", [GammaDensity, InverseGammaDensity,
+                                        InverseWeibullDensity, "D"],
+                             ids=["gamma", "inverse_gamma", "inverse_weibull", "D"])
+    def test_scales_as_theta_to_the_minus_5(self, family, theta):
+        if family == "D":
+            d = CONFIGURATIONS["D"]
+            scaled = MixtureDensity(d.weights, tuple(
+                type(c)(c.shape, c.scale * theta) for c in d.components))
+        else:
+            d, scaled = family(3.0, 1.0), family(3.0, theta)
+        assert scaled.roughness() == pytest.approx(d.roughness() * theta ** -5, rel=1e-9)
+
+    @pytest.mark.parametrize("theta, what", [(1e-70, "overflows"), (1e70, "underflows")])
+    def test_value_outside_double_range(self, theta, what):
+        with pytest.raises(DomainError, match=f"roughness of .* {what} the double range"):
+            GammaDensity(3.0, theta).roughness()
+
 
 class TestSampling:
     def test_deterministic(self):
