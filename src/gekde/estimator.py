@@ -7,7 +7,7 @@ blocks of rows, each against the whole sample, with the block size set by a
 fixed element budget.  For the GE and gamma kernels a block's log K is one
 BLAS product of the location matrix and the data matrix (see
 ``kernels._LogKernel``); a data window or a set of probe columns is a slice
-of the data matrix's columns (``_columns``).  One routine,
+of the data terms' columns (``kernels._columns``).  One routine,
 ``_estimate_batch``, does this for a stack of R samples with R bandwidths
 (the replications of a Monte Carlo cell): the location and data terms of
 all R samples are computed in one pass, and the combine runs over blocks of
@@ -63,7 +63,7 @@ from .errors import (
     IntegrationError,
     OptimizationError,
 )
-from .kernels import (_GAMMA_FAMILY, _GE_FAMILY, _TINY, Kernel, _LogKernel,
+from .kernels import (_GAMMA_FAMILY, _GE_FAMILY, _TINY, Kernel, _columns, _LogKernel,
                       _point_log_kernel, _validate_point, gam2_shape)
 from .specfun import EULER_GAMMA, digamma
 
@@ -294,15 +294,6 @@ def _exp_rows(block: np.ndarray, masked: bool) -> None:
         np.exp(block, out=block)
 
 
-def _columns(dat: tuple, cols) -> tuple:
-    """The data terms of one sample (see ``_LogKernel.take``) at columns ``cols``.
-
-    Every term, the GE/gamma data matrix included, has its data along its
-    last axis.
-    """
-    return tuple(None if t is None else t[:, cols] for t in dat)
-
-
 def _data_windows(ev: _LogKernel, dat: tuple, n: int):
     """Per grid row, the data window [start, stop) outside which log K <= ``_EXP_ZERO``.
 
@@ -381,7 +372,7 @@ def _estimate_batch(values: np.ndarray, kernel: Kernel, b: np.ndarray,
     out = np.empty((b.size, grid.size))
     for r in range(b.size):
         sub, dest = ev.take(r), out[r]
-        dat = tuple(None if t is None else t[r] for t in data)
+        dat = tuple(t[r] for t in data)
         if step == 1:
             start, stop = _data_windows(sub, dat, n)
             # +0.0 outside [p0, p1), the last window written

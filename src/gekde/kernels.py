@@ -216,9 +216,9 @@ class _LogKernel:
     3. the combine (:meth:`rows`) of a block of locations against all data.
 
     The GE and gamma families share one combine, ``(c0 + (shape - 1) L) -
-    z/b``, computed as the product of the location matrix, rows
-    ``[shape - 1, c0, 1]`` (:meth:`_matrix`), and the data matrix, rows
-    ``[L, 1, -z/b]``: one ``dgemm`` per block, with the bits of the formula.
+    z/b``, computed as the product of the location matrix ``mat``, rows
+    ``[shape - 1, c0, 1]``, and the data matrix, rows ``[L, 1, -z/b]``:
+    one ``dgemm`` per block, with the bits of the formula.
     numpy's ``matmul`` would not do: it sends a one-row product to gemv,
     which sums in another order.  Only GE shapes reach the shape-1 and
     regrouped rows (``special``), whose rows of the product are written
@@ -245,7 +245,6 @@ class _LogKernel:
     def __init__(self, kernel: Kernel, x: np.ndarray, b):
         self.kernel = kernel
         self.b = b
-        self.mat = None
         self.regroup = self.special = False
         log_b = _log_each(b)
         if kernel is not Kernel.IG:
@@ -261,7 +260,7 @@ class _LogKernel:
             else:
                 nu, log_shape = _ge2_shape(r)
                 if np.any(nu <= 0.0):
-                    raise DomainError("ge2 kernel requires x > 0 (shape would not be positive)")
+                    raise _rescale_error(kernel, "x/b underflows", nu <= 0.0, x, b)
                 shape_m1 = nu - 1.0
             # beyond exp(700) the product (shape - 1) * log1p(-e^-u) is
             # regrouped; at shape 1 it is 0 even where z/b underflows and
@@ -295,37 +294,39 @@ class _LogKernel:
             _reject_inf(kernel, "1/(2b) overflows", half_inv_b, x, b)
             terms = (s, half_inv_b)
         self.loc = tuple(t[..., None] for t in terms)  # columns, broadcast against data rows
+        if kernel in _EXP_FAMILIES:
+            c0, shape_m1 = self.loc[:2]
+            self.mat = np.concatenate((shape_m1, c0, np.ones_like(c0)), axis=-1)
 
     def data(self, z: np.ndarray) -> tuple:
         """Per-datum terms: z is 1-D, or (R, n) for a column of R bandwidths.
 
-        For the GE and gamma kernels the first term is the data matrix,
-        rows ``[L, 1, -z/b]`` of shape (3, n), or (R, 3, n); the location
-        matrix is built here too (see :meth:`_matrix`).  Every other term
-        gains an axis before its last, so that it broadcasts against the
-        location columns.
+        The GE and gamma kernels have the data matrix, rows ``[L, 1, -z/b]``
+        of shape (3, n), or (R, 3, n), and ``log(-L)`` if some GE rows are
+        regrouped; ``ig`` and ``rig`` have z, ``base`` and ``w``.  Every term
+        but the data matrix gains an axis before its last, so that it
+        broadcasts against the location columns.
         """
         kernel, b = self.kernel, self.b
         if kernel in _EXP_FAMILIES:
-            self._matrix()
             mat = np.empty(z.shape[:-1] + (3, z.shape[-1]))
             L, u = mat[..., 0, :], mat[..., 2, :]
             with np.errstate(over="ignore"):  # z/b = inf is right: log K = -inf
                 np.divide(z, b, out=u)
             mat[..., 1, :] = 1.0
-            log_neg_l = None
+            terms = (mat,)
             if kernel in _GAMMA_FAMILY:
                 np.log(z, out=L)
             else:
                 L[...] = _log1mexp(u)
                 if self.regroup:
-                    log_neg_l = np.where(
+                    terms += (np.where(
                         u > _ASYMPTOTIC_U,
                         -u + np.log1p(0.5 * np.exp(-u)),
                         np.log(-np.where(L < 0.0, L, -1.0)),
-                    )[..., None, :]
+                    )[..., None, :],)
             np.negative(u, out=u)
-            return mat, log_neg_l
+            return terms
         c = -0.5 * _log_each(2.0 * math.pi * b)
         with np.errstate(over="ignore", divide="ignore"):  # an infinite reciprocal is log K = -inf
             if kernel is Kernel.IG:
@@ -337,29 +338,19 @@ class _LogKernel:
                 w = 1.0 / z
         return z[..., None, :], base[..., None, :], w[..., None, :]
 
-    def _matrix(self) -> np.ndarray:
-        """The location matrix, rows ``[shape - 1, c0, 1]``: (G, 3), or (R, G, 3).
-
-        Built on first use, so that a float datum, which reads the location
-        terms alone, never pays for it.
-        """
-        if self.mat is None:
-            c0, shape_m1 = self.loc[:2]
-            self.mat = np.concatenate((shape_m1, c0, np.ones_like(c0)), axis=-1)
-        return self.mat
-
     def take(self, r: int) -> "_LogKernel":
         """The evaluator of sample ``r`` of a stack, for :meth:`rows`.
 
         Its location terms are (G, 1) columns, as with a scalar bandwidth;
         pass it the data terms of the same sample (``t[r]`` of each term of
-        :meth:`data`).
+        :meth:`data`), or columns of them (:func:`_columns`).
         """
         sub = object.__new__(_LogKernel)
         sub.kernel, sub.regroup, sub.special = self.kernel, self.regroup, self.special
         sub.b = self.b[r]
         sub.loc = tuple(t[r] for t in self.loc)
-        sub.mat = None if self.mat is None else self.mat[r]
+        if self.kernel in _EXP_FAMILIES:
+            sub.mat = self.mat[r]
         return sub
 
     def rows(self, dat: tuple, lo: int = 0, hi: int | None = None) -> np.ndarray:
@@ -376,15 +367,14 @@ class _LogKernel:
             # gemm takes k in order: ((shape - 1) L + c0 * 1) + 1 * (-z/b),
             # and the two unit products are exact.  Computed transposed: the
             # Fortran (n, rows) result is the C-ordered (rows, n) block
-            data, log_neg_l = dat
-            out = dgemm(1.0, data.T, self._matrix()[lo:hi].T).T
+            out = dgemm(1.0, dat[0].T, self.mat[lo:hi].T).T
             if self.special and self.loc[3][lo:hi].any():
                 c0, _, log_shape, special = (t[lo:hi, 0] for t in self.loc)
-                neg_u = data[2]
+                neg_u = dat[0][2]
                 big = special & (log_shape > _LOG_SHAPE_DIRECT_MAX)
                 if big.any():
                     with np.errstate(over="ignore"):
-                        T = -np.exp(log_shape[big, None] + log_neg_l)
+                        T = -np.exp(log_shape[big, None] + dat[1])
                     out[big] = (c0[big, None] + T) + neg_u
                 # shape 1: (shape - 1) L is -0.0, even where L is -inf, and
                 # c0 + -0.0 is c0
@@ -407,6 +397,14 @@ class _LogKernel:
                 d *= half_inv_b
                 q *= d
         return np.subtract(base, q, out=q)
+
+
+def _columns(dat: tuple, cols) -> tuple:
+    """The data terms of one sample (see ``_LogKernel.take``) at columns ``cols``.
+
+    Every term, the GE/gamma data matrix included, has its data along its last axis.
+    """
+    return tuple(t[:, cols] for t in dat)
 
 
 def _validate_point(kernel, x, b):

@@ -135,12 +135,28 @@ class TrueDensity:
         if isinstance(x, float) and 0.0 < x < math.inf:
             return float(np.exp(self._log_pdf(x)))
         x = np.asarray(x, dtype=float)
+        top = x == math.inf  # f is 0 there, where a formula may read inf - inf
         with np.errstate(divide="ignore", over="ignore"):  # log(0) at x = 0, x/theta = inf
-            out = np.exp(self._log_pdf(x))
-        return _scalar_or_array(out)
+            out = np.exp(self._log_pdf(np.where(top, 1.0, x)))
+        return _scalar_or_array(np.where(top, 0.0, out))
+
+    def _cdf(self, x):
+        """The cdf by one formula, quiet at positive finite x (see ``cdf``)."""
+        raise NotImplementedError
 
     def cdf(self, x):
-        raise NotImplementedError
+        """The cdf at x: a Python float for a scalar, else an array.
+
+        A positive finite float goes straight to ``_cdf``; anything else is an
+        array, under ``np.errstate``: at 0 and inf a formula may divide by
+        zero or overflow on its way to 0 or 1.  A float gets the 0-d bits.
+        """
+        if isinstance(x, float) and 0.0 < x < math.inf:
+            return float(self._cdf(x))
+        x = np.asarray(x, dtype=float)
+        with np.errstate(all="ignore"):
+            out = self._cdf(x)
+        return _scalar_or_array(out)
 
     def _log_slopes(self, x):
         """First and second derivatives (s1, s2) of the log pdf at x."""
@@ -272,10 +288,8 @@ class GammaDensity(TrueDensity):
         return ((self.shape - 1.0) * np.log(x) - x / self.scale
                 - self._k_log_scale - self._log_gamma_shape)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = gammainc(self.shape, x / self.scale)
-        return _scalar_or_array(out)
+    def _cdf(self, x):
+        return gammainc(self.shape, x / self.scale)
 
     def _quantile(self, p):
         return gammaincinv(self.shape, p) * self.scale
@@ -312,10 +326,8 @@ class InverseGammaDensity(TrueDensity):
         return (self._k_log_scale - (self.shape + 1.0) * log_x - self.scale / x
                 - self._log_gamma_shape)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = gammaincc(self.shape, self.scale / x)
-        return _scalar_or_array(out)
+    def _cdf(self, x):
+        return gammaincc(self.shape, self.scale / x)
 
     def _quantile(self, p):
         return self.scale / gammainccinv(self.shape, p)
@@ -359,11 +371,9 @@ class InverseWeibullDensity(TrueDensity):
         d = np.minimum(math.log(th) - np.log(x), 709.0 / k)
         return math.log(k / th) + (k + 1.0) * d - np.exp(k * d)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore"):
-            out = np.exp(-np.exp(self._log_t(x)))
-        return _scalar_or_array(out)
+    def _cdf(self, x):
+        # log t capped at 709, as in _log_pdf: the cdf is +0.0 there either way
+        return np.exp(-np.exp(np.minimum(self._log_t(x), 709.0)))
 
     def _quantile(self, p):
         return self.scale * (-math.log(p)) ** (-1.0 / self.shape)
@@ -432,8 +442,8 @@ class MixtureDensity(TrueDensity):
             return total
         return self._combine("pdf", x)
 
-    def cdf(self, x):
-        return self._combine("cdf", x)
+    def _cdf(self, x):
+        return sum(w * c._cdf(x) for w, c in zip(self.weights, self.components))
 
     def pdf_d1(self, x):
         return self._combine("pdf_d1", x)

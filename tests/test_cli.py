@@ -386,3 +386,90 @@ class TestAtomicWrite:
             _atomic_write(target, "\udcff")  # a lone surrogate cannot be encoded
         assert target.read_text() == "old\n"
         assert list(tmp_path.glob("*.tmp")) == []
+
+
+class TestExitPaths:
+    """Exit codes and payloads that the end-to-end runs above never reach."""
+
+    def test_numerical_failure_exit_4(self, tmp_path, capsys, monkeypatch):
+        import gekde.cli
+        from gekde import IntegrationError
+
+        def fail(*args, **kwargs):
+            raise IntegrationError("quadrature error estimate exceeds tolerance", achieved=1e-3)
+
+        monkeypatch.setattr(gekde.cli, "exact_estimator_moments", fail)
+        rc = main(["diagnose", "--kernel", "ge", "--density", "gamma:3,1",
+                   "--x", "2", "--bandwidth", "0.05", "--output", str(tmp_path)])
+        assert rc == 4
+        assert "quadrature error estimate exceeds tolerance" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_module_help(self):
+        import os
+        import subprocess
+        import sys
+
+        import gekde
+
+        src = os.path.dirname(os.path.dirname(gekde.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-m", "gekde", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: gekde")
+        for command in ("estimate", "simulate", "diagnose"):
+            assert command in proc.stdout
+
+    def test_diagnose_json_payload(self, tmp_path, capsys):
+        args = ["diagnose", "--kernel", "ge2", "--density", "gamma:3,1", "--x", "2",
+                "--bandwidth", "0.02", "--bandwidth", "0.01"]
+        assert main(args + ["--output", str(tmp_path / "csv")]) == 0
+        assert main(args + ["--output", str(tmp_path / "json"), "--format", "json"]) == 0
+        payload = json.loads((tmp_path / "json" / "diagnose_ge2.json").read_text())
+        assert sorted(payload) == ["kernel", "rows"] and payload["kernel"] == "ge2"
+        cols = ["b", "x", "exact_bias", "theory_bias", "four_b_n_variance",
+                "theory_four_b_n_variance", "f_x"]
+        table = np.loadtxt(tmp_path / "csv" / "diagnose_ge2.csv", delimiter=",", skiprows=1)
+        assert len(payload["rows"]) == 2
+        for row, line in zip(payload["rows"], table):
+            assert sorted(row) == sorted(cols)
+            assert [row[c] for c in cols] == line.tolist()
+
+    @pytest.mark.parametrize("case", ["missing", "empty", "blank", "short_row"])
+    def test_unreadable_input_exit_2(self, tmp_path, capsys, case):
+        data = tmp_path / "in.csv"
+        extra = []
+        if case == "empty":
+            data.write_text("")
+        elif case == "blank":
+            data.write_text("\n , \n\n")
+        elif case == "short_row":
+            data.write_text("a,b\n1.0,5.0\n2.0\n3.0,7.0\n")
+            extra = ["--column", "b"]
+        rc = main(["estimate", str(data), "--kernel", "ge", "--output",
+                   str(tmp_path / "out")] + extra)
+        assert rc == 2
+        err = capsys.readouterr().err
+        expect = {"missing": "does not exist", "empty": "is empty", "blank": "is empty",
+                  "short_row": "row 3: missing column value"}[case]
+        assert expect in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("grid", ["1:2", "a:2:10", "1:2:x", "5:1:10", "2:2:10", "1:2:0"])
+    def test_bad_grid_exit_2(self, tmp_path, capsys, grid):
+        data = tmp_path / "two.csv"
+        write_csv(data, [1.0, 2.0])
+        rc = main(["estimate", str(data), "--kernel", "ge", "--bandwidth", "1",
+                   "--grid", grid, "--output", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"grid spec {grid!r}" in capsys.readouterr().err
+
+    def test_two_bandwidths_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "two.csv"
+        write_csv(data, [1.0, 2.0])
+        rc = main(["estimate", str(data), "--kernel", "ge", "--bandwidth", "1",
+                   "--bandwidth", "2", "--output", str(tmp_path / "out")])
+        assert rc == 2
+        assert "exactly one --bandwidth" in capsys.readouterr().err

@@ -17,6 +17,7 @@ from gekde import (
     ExperimentConfig,
     GammaDensity,
     INTERIOR,
+    IntegrationError,
     Kernel,
     OptimizationError,
     Sample,
@@ -807,3 +808,24 @@ class TestNodeReuse:
         assert kernel_nodes and density.nodes
         assert len(set(kernel_nodes)) == len(kernel_nodes)
         assert len(set(density.nodes)) == len(density.nodes)
+
+
+class TestQuadratureFailure:
+    """Both ``IntegrationError`` raises of ``exact_estimator_moments`` carry ``achieved``."""
+
+    def _raised(self, monkeypatch, results):
+        calls = iter(results)
+        monkeypatch.setattr(gekde.estimator, "_quad_segments", lambda *args: next(calls))
+        with pytest.raises(IntegrationError) as err:
+            exact_estimator_moments(Kernel.GE, 2.0, 0.1, GammaDensity(3.0, 1.0), 10)
+        return err.value
+
+    def test_kernel_mass_off_one(self, monkeypatch):
+        err = self._raised(monkeypatch, [(1.0 + 1e-6, 0.0)])
+        assert "kernel mass" in str(err)
+        assert err.achieved == pytest.approx(1e-6, rel=1e-9)
+
+    def test_error_estimate_above_tolerance(self, monkeypatch):
+        err = self._raised(monkeypatch, [(1.0, 1e-9), (0.2, 3e-6), (0.05, 2e-6)])
+        assert "exceeds tolerance" in str(err)
+        assert err.achieved == 3e-6

@@ -759,3 +759,44 @@ class TestProductCombine:
             single = _LogKernel(kernel, grid, float(b[r]))
             assert _same_bits(sub.rows(dat), _broadcast_rows(single, values[r]))
             assert _same_bits(sub.rows(dat, 5, 6), _broadcast_rows(single, values[r], 5, 6))
+
+
+class TestGe2ShapeUnderflow:
+    """x > 0 whose x/b underflows to 0 (a ge2 shape of 0): a rescale error naming x and b."""
+
+    def _raises(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as err:
+                call()
+        msg = str(err.value)
+        for part in ("ge2 kernel", "x/b underflows", "x = 5e-324", "b = 2.0", "rescale the data"):
+            assert part in msg
+
+    def test_log_kernel(self):
+        self._raises(lambda: log_kernel(Kernel.GE2, 5e-324, 2.0, 1.0))
+        self._raises(lambda: log_kernel(Kernel.GE2, 5e-324, 2.0, np.array([1.0, 2.0])))
+
+    def test_estimate_density(self):
+        sample = Sample([0.5, 1.0, 2.0])
+        self._raises(lambda: estimate_density(sample, Kernel.GE2, 2.0, [5e-324, 1.0]))
+
+
+class TestDataTerms:
+    """``_LogKernel.data`` returns only the terms the kernel has, never a placeholder."""
+
+    @pytest.mark.parametrize("kernel", list(Kernel), ids=lambda k: k.value)
+    @pytest.mark.parametrize("x_max", [3.0, 800.0])
+    def test_terms(self, kernel, x_max):
+        # at x/b = 800 the ge and ge2 shapes exceed exp(700): those rows are regrouped
+        grid = np.linspace(2.0, x_max, 5)
+        ev = _LogKernel(kernel, grid, 1.0)
+        dat = _quietly(lambda: ev.data(np.array([0.5, 1.0, 4.0])))
+        if kernel in _PRODUCT_KERNELS:
+            assert len(dat) == 1 + ev.regroup
+            assert ev.regroup == (kernel in (Kernel.GE, Kernel.GE2) and x_max > 700.0)
+            assert dat[0].shape == (3, 3) and ev.mat.shape == (5, 3)
+        else:
+            assert len(dat) == 3
+        assert all(isinstance(t, np.ndarray) for t in dat)
+        assert all(isinstance(t, np.ndarray) for t in _columns(dat, [0, 2]))

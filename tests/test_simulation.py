@@ -737,3 +737,55 @@ class TestSampleSizeDirection:
             means[n] = {r.kernel: r.mean_ise for r in run_experiment(cfg)}
         for kernel in (Kernel.GE, Kernel.GAM1):
             assert means[500][kernel] < means[100][kernel]
+
+
+# --- cdf through one entry point, and every density at +inf -----------------
+
+_EDGE_POINTS = [0.0, 5e-324, 1e-320, 1e300, 1.7e308, math.inf]
+
+
+def _bits(v):
+    return np.float64(v).view(np.uint64)
+
+
+class TestCdfEntry:
+    """``cdf`` runs each family's formula quietly at 0, the extremes and inf."""
+
+    @pytest.mark.parametrize("name", list(EVERY_DENSITY))
+    @pytest.mark.parametrize("x", _EDGE_POINTS)
+    def test_float_matches_0d_array_in_unit_interval(self, name, x):
+        d = EVERY_DENSITY[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = d.cdf(x)
+            ref = d.cdf(np.array(x))
+        assert type(got) is float and type(ref) is float
+        assert 0.0 <= got <= 1.0
+        assert _bits(got) == _bits(ref)
+
+    @pytest.mark.parametrize("name", list(EVERY_DENSITY))
+    def test_array(self, name):
+        d = EVERY_DENSITY[name]
+        x = np.array(_EDGE_POINTS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = d.cdf(x)
+        assert got.shape == x.shape
+        assert np.all((got >= 0.0) & (got <= 1.0))
+        assert got[0] == 0.0 and got[-1] == 1.0
+        assert np.array_equal(_bits(got), _bits([d.cdf(v) for v in _EDGE_POINTS]))
+
+
+class TestPdfAtInfinity:
+    """f, f' and f'' are 0.0 at +inf, for a float and in an array, with no warning."""
+
+    @pytest.mark.parametrize("name", list(EVERY_DENSITY))
+    @pytest.mark.parametrize("method", ["pdf", "pdf_d1", "pdf_d2"])
+    def test_zero(self, name, method):
+        fn = getattr(EVERY_DENSITY[name], method)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            at_float = fn(math.inf)
+            at_array = fn(np.array([1.0, math.inf]))
+        assert at_float == 0.0
+        assert at_array[1] == 0.0 and at_array[0] == fn(1.0)
