@@ -141,20 +141,18 @@ class TrueDensity:
         return _scalar_or_array(np.where(top, 0.0, out))
 
     def _cdf(self, x):
-        """The cdf by one formula, quiet at positive finite x (see ``cdf``)."""
+        """The cdf by one formula, on an array (see ``cdf``)."""
         raise NotImplementedError
 
     def cdf(self, x):
         """The cdf at x: a Python float for a scalar, else an array.
 
-        A positive finite float goes straight to ``_cdf``; anything else is an
-        array, under ``np.errstate``: at 0 and inf a formula may divide by
-        zero or overflow on its way to 0 or 1.  A float gets the 0-d bits.
+        x is made an array and ``_cdf`` runs under ``np.errstate``: at 0, at
+        a subnormal or huge x and at inf a formula may divide by zero or
+        overflow on its way to 0 or 1.  An invalid input still warns.
         """
-        if isinstance(x, float) and 0.0 < x < math.inf:
-            return float(self._cdf(x))
         x = np.asarray(x, dtype=float)
-        with np.errstate(all="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             out = self._cdf(x)
         return _scalar_or_array(out)
 

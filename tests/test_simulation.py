@@ -753,11 +753,12 @@ class TestCdfEntry:
 
     @pytest.mark.parametrize("name", list(EVERY_DENSITY))
     @pytest.mark.parametrize("x", _EDGE_POINTS)
-    def test_float_matches_0d_array_in_unit_interval(self, name, x):
+    @pytest.mark.parametrize("scalar", [float, np.float64])
+    def test_float_matches_0d_array_in_unit_interval(self, name, x, scalar):
         d = EVERY_DENSITY[name]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = d.cdf(x)
+            got = d.cdf(scalar(x))
             ref = d.cdf(np.array(x))
         assert type(got) is float and type(ref) is float
         assert 0.0 <= got <= 1.0
