@@ -31,7 +31,7 @@ class ConvergenceError(GekdeError, RuntimeError):
 
 
 class IntegrationError(GekdeError, RuntimeError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """A quadrature missed its tolerance, or the integral diverges."""
 
     def __init__(self, message, achieved=None):
         super().__init__(message)

@@ -36,9 +36,14 @@ minimiser of the approximate MISE, the root of a quartic.  ``_family_b``
 maps their h to each kernel's scale (h for GE, h**2 for gamma/IG/RIG), and
 ``_domain_start`` is where a grid enters the kernel's domain (``rig``: x > b).
 
-``exact_estimator_moments`` computes E[fhat(x)] and Var[fhat(x)] by adaptive
-quadrature against a known density, giving a deterministic (Monte-Carlo-free)
-route to the asymptotic bias/variance constants.
+``exact_estimator_moments`` computes E[fhat(x)] and Var[fhat(x)] against a
+known density on a fixed composite Gauss-Legendre node rule: one block of
+the kernel evaluator and one array ``pdf`` call serve the kernel mass, the
+mean and the second moment, and a coarser rule on the same nodes gives the
+error estimate.  The ``ge2`` kernel with shape below 1 is integrated in its
+own probability, through the GE kernels' closed-form quantile.  This is a
+deterministic (Monte-Carlo-free) route to the asymptotic bias/variance
+constants.
 
 References
 ----------
@@ -48,13 +53,11 @@ References
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .errors import (
@@ -63,8 +66,8 @@ from .errors import (
     IntegrationError,
     OptimizationError,
 )
-from .kernels import (_GAMMA_FAMILY, _GE_FAMILY, _TINY, Kernel, _columns, _LogKernel,
-                      _point_log_kernel, _validate_point, gam2_shape)
+from .kernels import (_GAMMA_FAMILY, _GE_FAMILY, _TINY, Kernel, _columns, _ge_quantiles,
+                      _LogKernel, _validate_point, gam2_shape)
 from .specfun import EULER_GAMMA, digamma
 
 __all__ = [
@@ -112,8 +115,26 @@ _PROBE_DIVISOR = 32
 #: data wider on each side than the entries ``np.exp`` would not round to 0.
 _WINDOW_STRIDE = 32
 
-#: Absolute quadrature tolerance of ``exact_estimator_moments``.
-_QUAD_EPSABS = 1e-10
+#: The 16-point Gauss-Legendre rule on [-1, 1], the panel rule of
+#: ``exact_estimator_moments``.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+#: Panels of the z-space rule: geometric ones halving toward 0 on [0, a],
+#: uniform ones on [a, hi], where [lo, hi] is ``_quad_window``'s bracket, and
+#: tail ones from hi, of widths (hi - lo) 2**k.  The coarse rule that gives
+#: ``achieved`` halves the uniform panels and stops after half the tail ones.
+_GEOMETRIC_PANELS = 30
+_UNIFORM_PANELS = 64
+_TAIL_PANELS = 16
+
+#: Panels of the u-space rule of the ``ge2`` kernel with shape below 1: on
+#: each side of [_U_EDGE, 1 - _U_EDGE], ``_U_LEVELS`` panels graded by
+#: ``_U_RATIO`` toward u = 0 and toward u = 1, the last reaching the end;
+#: ``_U_UNIFORM`` uniform panels between.  The coarse rule halves both counts.
+_U_EDGE = 0.25
+_U_RATIO = 0.25
+_U_LEVELS = 40
+_U_UNIFORM = 32
 
 
 class Sample:
@@ -564,33 +585,109 @@ def _quad_window(kernel: Kernel, x: float, b: float):
     return max(0.0, x - 15.0 * sd), x + 20.0 * sd
 
 
-def _quad_segments(fn, lo: float, hi: float, epsabs: float):
-    total = 0.0
-    err = 0.0
-    for a, c in ((0.0, lo), (lo, hi)):
-        if c > a:
-            v, e = quad(fn, a, c, epsabs=epsabs, epsrel=1e-11, limit=200)
-            total += v
-            err += abs(e)
-    v, e = quad(fn, hi, np.inf, epsabs=epsabs, epsrel=1e-11, limit=200)
-    return total + v, err + abs(e)
+
+
+def _panels(edges: np.ndarray):
+    """Gauss-Legendre nodes and weights on the panels between consecutive ``edges``."""
+    half = 0.5 * np.diff(edges)[:, None]
+    return ((edges[:-1, None] + half) + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
+
+
+def _paired(shared: list, fine: list, coarse: list):
+    """A fine and a coarse composite rule that share panels, as one node set.
+
+    Each argument is a list of (segment, edges) blocks of panels.  The fine
+    rule has the panels of ``shared`` and ``fine``, the coarse rule those of
+    ``shared`` and ``coarse``.  Returns every node once, in that order, with
+    its weight and its segment, and the cuts (i, j) that end ``shared`` and
+    ``fine``.
+    """
+    blocks = shared + fine + coarse
+    parts = [_panels(edges) for _, edges in blocks]
+    sizes = [p[0].size for p in parts]
+    nodes, weights = (np.concatenate(col) for col in zip(*parts))
+    segment = np.repeat([seg for seg, _ in blocks], sizes)
+    i = sum(sizes[:len(shared)])
+    return nodes, weights, segment, (i, i + sum(sizes[len(shared):len(shared) + len(fine)]))
+
+
+def _z_rule():
+    """The z-space rules of ``exact_estimator_moments``, per segment on a unit scale.
+
+    Segment 0 is [0, a] in panels halving toward 0, segment 1 [a, hi] in
+    uniform panels, and segment 2 the tail from hi in panels of width
+    (hi - lo) 2**k; a call maps each segment's unit nodes and weights
+    affinely.  The coarse rule has half the uniform panels and stops after
+    half the tail panels, which it shares with the fine rule.
+    """
+    geometric = np.concatenate(([0.0], np.exp2(np.arange(1.0 - _GEOMETRIC_PANELS, 1.0))))
+    tail = np.exp2(np.arange(_TAIL_PANELS + 1.0)) - 1.0
+    half = _TAIL_PANELS // 2
+    return _paired([(0, geometric), (2, tail[:half + 1])],
+                   [(1, np.linspace(0.0, 1.0, _UNIFORM_PANELS + 1)), (2, tail[half:])],
+                   [(1, np.linspace(0.0, 1.0, _UNIFORM_PANELS // 2 + 1))])
+
+
+def _log_u_rule():
+    """The u-space rules of ``exact_estimator_moments``, their nodes as log u.
+
+    Segment 0 holds the panels graded toward u = 0 and the uniform ones, in
+    u; segment 1 the panels graded toward u = 1, laid out in v = 1 - u, so
+    that log u = log1p(-v) and no node rounds to u = 1.  Both rules share
+    the graded panels of the first ``_U_LEVELS // 2 - 1`` levels at each end.
+    """
+    def graded(k0, k1, inner):  # edges _U_EDGE * _U_RATIO**k for k from k1 down to k0
+        edges = _U_EDGE * _U_RATIO ** np.arange(k1, k0 - 1, -1.0)
+        edges = np.concatenate(([0.0], edges)) if inner else edges
+        return [(0, edges), (1, edges)]
+
+    def uniform(count):
+        return [(0, np.linspace(_U_EDGE, 1.0 - _U_EDGE, count + 1))]
+
+    half = _U_LEVELS // 2
+    t, weights, segment, cuts = _paired(
+        graded(0, half - 1, False),
+        graded(half - 1, _U_LEVELS - 1, True) + uniform(_U_UNIFORM),
+        graded(half - 1, half - 1, True) + uniform(_U_UNIFORM // 2))
+    return np.where(segment == 0, np.log(t), np.log1p(-t)), weights, cuts
+
+
+_Z_UNIT, _Z_WEIGHTS, _Z_SEGMENT, _Z_CUTS = _z_rule()
+_LOG_U, _U_WEIGHTS, _U_CUTS = _log_u_rule()
 
 
 def exact_estimator_moments(kernel: Kernel, x: float, b: float, density, n: int) -> Moments:
     """Exact mean and variance of the estimator at x under a known density.
 
     Computes ``E[fhat(x)] = integral of K f`` and
-    ``Var[fhat(x)] = (integral of K^2 f - (integral of K f)^2) / n`` by
-    adaptive quadrature, for deterministic verification of the asymptotic
-    bias/variance constants without Monte Carlo noise.  ``b`` is a number or
-    a :class:`Bandwidth`.  ``density`` is any object exposing a scalar
-    ``pdf`` method (see :class:`gekde.simulation.TrueDensity`); ``pdf`` must
-    be a pure function of z, because the three quadrature passes (kernel
-    mass, mean, second moment) largely share their nodes, and within one
-    call each node's kernel and density values are computed once and reused.
-    Each node is a Python float, so the kernel and a ``TrueDensity`` take
-    their float paths, which build no array and give the bits of the array
-    evaluators.
+    ``Var[fhat(x)] = (integral of K^2 f - (integral of K f)^2) / n`` by a
+    fixed composite 16-point Gauss-Legendre rule, for deterministic
+    verification of the asymptotic bias/variance constants without Monte
+    Carlo noise.  ``b`` is a number or a :class:`Bandwidth`.  ``density`` is
+    any object whose ``pdf`` takes an array of nodes (see
+    :class:`gekde.simulation.TrueDensity`); it is called once per call, and
+    the kernel is one block of the estimator's evaluator, so the kernel mass,
+    the mean and the second moment share every node.
+
+    The rule lives in z, around ``_quad_window``'s bracket [lo, hi]: 30
+    geometric panels halving toward 0 on [0, a], 64 uniform panels on
+    [a, hi] and 16 tail panels from hi, of widths (hi - lo) 2**k, k = 0..15.
+    a is lo if lo > 0, else min(b, hi/2): the GE and gamma kernels are not
+    smooth at 0, like (z/b)**(shape - 1), over a scale of b.  The ``ge2``
+    kernel with x < b has shape nu(x/b) < 1 and is singular like
+    z**(nu - 1) at 0, where no z-space rule converges; it is integrated in
+    its own probability u instead, through the closed-form GE quantile
+    z(u) = -b log(1 - u**(1/nu)), on 40 panels graded by 1/4 toward each
+    of u = 0 and u = 1 and 32 uniform ones between, and its mass is 1 by
+    construction.  ``achieved`` is the largest difference of mass, mean and
+    second moment from a coarse rule: half the uniform panels and the first
+    8 tail panels in z, half the graded levels and uniform panels in u.
+
+    For a density positive at 0 the ``ge2`` variance is infinite where
+    nu <= 1/2, that is x below about 0.614 b: K**2 f behaves like
+    z**(2 nu - 2) at 0.  There the two rules part and this raises, as it
+    does a little above 0.614 b, where the variance is finite but beyond
+    the rule's resolution.  No call returns a negative variance.
 
     Raises
     ------
@@ -600,29 +697,58 @@ def exact_estimator_moments(kernel: Kernel, x: float, b: float, density, n: int)
     BoundaryDegeneracyError
         For the ``rig`` kernel at 0 < x <= b.
     IntegrationError
-        If the quadrature error estimate exceeds the tolerance, or the
-        kernel mass over the integration bracket strays from 1.
+        If the kernel mass strays from 1 by more than 1e-8, or ``achieved``
+        exceeds 1e-6 or is not finite (a second moment that diverges), or
+        the second moment falls below the squared mean; ``achieved`` is set.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
     b = _coerce_bandwidth(b).value
-    # validates (x, b); location terms (and the ge2 shape solve) once, not at every node
-    log_k = _point_log_kernel(kernel, x, b)
-    lo, hi = _quad_window(kernel, x, b)
-    k_at = functools.cache(lambda z: math.exp(log_k(z)))
-    f_at = functools.cache(density.pdf)
-
-    mass, mass_err = _quad_segments(k_at, lo, hi, _QUAD_EPSABS)
-    if abs(mass - 1.0) > 1e-8:
+    # validates (x, b) before the bracket takes square roots of them
+    _validate_point(kernel, x, b)
+    ev = _LogKernel(kernel, np.array([float(x)]), b)
+    singular = kernel is Kernel.GE2 and x < b  # shape nu(x/b) < 1
+    if singular:
+        weights, (i, j) = _U_WEIGHTS, _U_CUTS
+        z, log_k = _ge_quantiles(ev, _LOG_U)
+    else:
+        lo, hi = _quad_window(kernel, x, b)
+        a = lo if lo > 0.0 else min(b, 0.5 * hi)
+        length = np.array([a, hi - a, hi - lo]).take(_Z_SEGMENT)
+        z = np.array([0.0, a, hi]).take(_Z_SEGMENT) + length * _Z_UNIT
+        weights, (i, j) = length * _Z_WEIGHTS, _Z_CUTS
+        log_k = ev.rows(ev.data(z))[0]
+    f = np.asarray(density.pdf(z), dtype=float)
+    # rows: the weights of the kernel mass, the mean and the second moment; in
+    # u the measure already holds K, and K f is 0 where f is, also where K
+    # overflows (z = 0 where u**(1/nu) underflows)
+    terms = np.zeros((3, z.size))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf: a divergent second moment
+        k = np.exp(log_k)
+        if singular:
+            terms[0] = weights
+        else:
+            np.multiply(weights, k, out=terms[0])
+        np.multiply(terms[0], f, out=terms[1])
+        np.multiply(terms[1], k, out=terms[2], where=f != 0.0)
+        shared = terms[:, :i].sum(axis=1)
+        fine, coarse = shared + terms[:, i:j].sum(axis=1), shared + terms[:, j:].sum(axis=1)
+        gap = np.abs(fine - coarse)
+    mass, mean, second = fine.tolist()
+    off = abs(mass - 1.0)
+    if not off <= 1e-8:
         raise IntegrationError(
             f"kernel mass {mass!r} deviates from 1 over the quadrature bracket",
-            achieved=abs(mass - 1.0),
+            achieved=math.inf if math.isnan(off) else off,
         )
-    mean, e1 = _quad_segments(lambda z: k_at(z) * f_at(z), lo, hi, _QUAD_EPSABS)
-    second, e2 = _quad_segments(lambda z: k_at(z) ** 2 * f_at(z), lo, hi, _QUAD_EPSABS)
-    achieved = max(e1, e2, mass_err)
-    if achieved > 1e-6:
+    achieved = math.inf if np.isnan(gap).any() else float(gap.max())
+    if not achieved <= 1e-6:
         raise IntegrationError(
             "quadrature error estimate exceeds tolerance", achieved=achieved
+        )
+    if second < mean * mean:
+        raise IntegrationError(
+            f"second moment {second!r} is below the squared mean {mean * mean!r}: the "
+            "variance is beneath the rule's resolution", achieved=achieved
         )
     return Moments(mean=mean, variance=(second - mean * mean) / n)

@@ -51,7 +51,10 @@ combine over blocks of grid rows; ``log_kernel`` is the single-location
 case.  A single datum given as a float (a quadrature node) takes a float
 transcription of the per-datum terms and the combine, on the same location
 terms: the same numpy ufuncs and the same arithmetic in the same order, so
-its value has the block path's bits without building an array.
+its value has the block path's bits without building an array.  The GE
+kernels also invert their cdf in closed form (``_ge_quantiles``), with no
+special function; ``exact_estimator_moments`` integrates a ``ge2`` kernel
+of shape below 1 in its probability through it.
 
 References
 ----------
@@ -405,6 +408,21 @@ def _columns(dat: tuple, cols) -> tuple:
     Every term, the GE/gamma data matrix included, has its data along its last axis.
     """
     return tuple(t[:, cols] for t in dat)
+
+
+def _ge_quantiles(ev: _LogKernel, log_u: np.ndarray):
+    """z(u) and log K(z(u)) at levels u of the one GE kernel of ``ev``, given log u.
+
+    The GE cdf ``(1 - exp(-z/b))**shape`` inverts in closed form,
+    ``z(u) = -b log(1 - u**(1/shape))`` (Gupta & Kundu 1999), and there
+    ``log K = log shape - log b + (1 - 1/shape) log u + log(1 - u**(1/shape))``:
+    no special function.  Taking log u keeps u near 1 exact.  Where
+    u**(1/shape) underflows, z is +0.0.
+    """
+    c0, shape_m1, log_shape = (t.item() for t in ev.loc[:3])
+    inv_shape = math.exp(-log_shape)
+    log_m = _log1mexp(-inv_shape * log_u)  # log(1 - u**(1/shape))
+    return -ev.b * log_m, (c0 + (shape_m1 * inv_shape) * log_u) + log_m
 
 
 def _validate_point(kernel, x, b):

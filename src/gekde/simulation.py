@@ -130,15 +130,17 @@ class TrueDensity:
         A positive finite float (a quadrature node) goes straight to
         ``_log_pdf``, with no array and no ``np.errstate``; anything else is
         made an array first.  Both paths run the same numpy ufuncs and the
-        same arithmetic, so a float gets the bits of a 0-d array.
+        same arithmetic, so a float gets the bits of a 0-d array.  f is 0.0
+        below 0 and at +inf, where no formula is evaluated.
         """
         if isinstance(x, float) and 0.0 < x < math.inf:
             return float(np.exp(self._log_pdf(x)))
         x = np.asarray(x, dtype=float)
-        top = x == math.inf  # f is 0 there, where a formula may read inf - inf
+        off = (x < 0.0) | (x == math.inf)  # where a formula may take log(-x) or read inf - inf
         with np.errstate(divide="ignore", over="ignore"):  # log(0) at x = 0, x/theta = inf
-            out = np.exp(self._log_pdf(np.where(top, 1.0, x)))
-        return _scalar_or_array(np.where(top, 0.0, out))
+            # abs: -0.0 is 0, not a theta/x of -inf
+            out = np.exp(self._log_pdf(np.where(off, 1.0, np.abs(x))))
+        return _scalar_or_array(np.where(off, 0.0, out))
 
     def _cdf(self, x):
         """The cdf by one formula, on an array (see ``cdf``)."""
@@ -149,9 +151,10 @@ class TrueDensity:
 
         x is made an array and ``_cdf`` runs under ``np.errstate``: at 0, at
         a subnormal or huge x and at inf a formula may divide by zero or
-        overflow on its way to 0 or 1.  An invalid input still warns.
+        overflow on its way to 0 or 1.  Below 0 the cdf is its value at 0,
+        0.0; NaN stays NaN.
         """
-        x = np.asarray(x, dtype=float)
+        x = np.maximum(np.asarray(x, dtype=float), 0.0)
         with np.errstate(divide="ignore", over="ignore"):
             out = self._cdf(x)
         return _scalar_or_array(out)

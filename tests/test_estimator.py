@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import gekde.estimator
 from gekde import (
@@ -39,7 +40,6 @@ from gekde.estimator import (
     _data_windows,
     _exp_rows,
     _domain_start,
-    _quad_segments,
     _quad_window,
 )
 from gekde.kernels import _LogKernel, _point_log_kernel, log_kernel
@@ -716,45 +716,31 @@ class TestExactMoments:
             exact_estimator_moments(Kernel.IG, -1.0, 0.1, GammaDensity(3.0, 1.0), 10)
 
 
-# --- reference: three independent quadrature passes, no node reuse ----------
+# --- reference: scipy quad over (0, inf), independent of the node rule -------
 
-def _reference_moments(kernel, x, b, density, n, epsabs=1e-10, arrays=False):
-    """Mass, mean and second-moment passes, each evaluating every node afresh.
+def _quad_moments(kernel, x, b, density, n):
+    """Kernel mass, mean and variance by adaptive quadrature over (0, inf).
 
-    With ``arrays`` each node goes through arrays instead of the float paths:
-    the kernel's block combine on a 1-element array, the density's 0-d path.
+    Three independent ``quad`` passes, each node through the kernel's and
+    the density's float paths, on pieces split at 0, min(x, b), x and the
+    bracket's ends, then [hi, inf).  This shares nothing with the node rule
+    of ``exact_estimator_moments`` but the bracket's two ends.
     """
     lo, hi = _quad_window(kernel, x, b)
+    cuts = sorted({0.0, min(x, b) if x > 0.0 else b, x, lo, hi})
     log_k = _point_log_kernel(kernel, x, b)
-    if arrays:
-        def k_at(z):
-            return math.exp(log_k(np.array([z]))[0])
 
-        def f_at(z):
-            return float(density.pdf(np.array(z)))
-    else:
-        def k_at(z):
-            return math.exp(log_k(z))
+    def k_at(z):
+        return math.exp(log_k(z))
 
-        f_at = density.pdf
-
-    mass, _ = _quad_segments(k_at, lo, hi, epsabs)
-    assert abs(mass - 1.0) <= 1e-8
-    mean, _ = _quad_segments(lambda z: k_at(z) * f_at(z), lo, hi, epsabs)
-    second, _ = _quad_segments(lambda z: k_at(z) ** 2 * f_at(z), lo, hi, epsabs)
-    return mean, (second - mean * mean) / n
-
-
-class _CountingDensity:
-    """Records every node at which ``pdf`` is evaluated."""
-
-    def __init__(self, density):
-        self.density = density
-        self.nodes = []
-
-    def pdf(self, z):
-        self.nodes.append(z)
-        return self.density.pdf(z)
+    out = []
+    for g in (k_at, lambda z: k_at(z) * density.pdf(z),
+              lambda z: k_at(z) ** 2 * density.pdf(z)):
+        total = sum(quad(g, a, c, epsabs=1e-16, epsrel=1e-11, limit=500)[0]
+                    for a, c in zip(cuts[:-1], cuts[1:]))
+        out.append(total + quad(g, hi, math.inf, epsabs=1e-16, epsrel=1e-11, limit=500)[0])
+    mass, mean, second = out
+    return mass, mean, (second - mean * mean) / n
 
 
 # (density, interior x, bandwidth for ge/ge2, bandwidth for the h**2 family)
@@ -772,60 +758,159 @@ def _reuse_points():
                 yield pytest.param(name, kernel, at, b, id=f"{name}-{kernel.value}-{where}")
 
 
+def _near_zero_points():
+    """``ge2`` at x/b < 1, where its shape is below 1 (the u-rule), and ``ge`` at x <= 0.01b.
+
+    ``ge`` at x = 0.01b is not smooth at 0 over a scale of b, not of x.
+    """
+    for name, (_, _, b, _) in _REUSE_CASES.items():
+        for r in (0.05, 0.3, 0.6, 0.9):
+            yield pytest.param(name, Kernel.GE2, r * b, b, id=f"{name}-ge2-x={r}b")
+        for r in (0.0, 0.01):
+            yield pytest.param(name, Kernel.GE, r * b, b, id=f"{name}-ge-x={r:g}b")
+
+
+#: Agreement of the node rule with the quad reference: on these cases the two
+#: agree within 1e-11 relative, mostly within 1e-14.
+_QUAD_RTOL = 1e-9
+_QUAD_ATOL = 1e-18
+
+
+class TestQuadReference:
+    """The node rule against ``quad`` over (0, inf), for every kernel."""
+
+    def _check(self, kernel, x, b, density, n=100):
+        m = exact_estimator_moments(kernel, x, b, density, n)
+        mass, mean, variance = _quad_moments(kernel, x, b, density, n)
+        assert abs(mass - 1.0) <= 1e-10  # the reference itself
+        assert m.mean == pytest.approx(mean, rel=_QUAD_RTOL, abs=_QUAD_ATOL)
+        assert m.variance == pytest.approx(variance, rel=_QUAD_RTOL, abs=_QUAD_ATOL)
+        return m
+
+    @pytest.mark.parametrize("name, kernel, x, b", list(_reuse_points()))
+    def test_interior_and_boundary(self, name, kernel, x, b):
+        self._check(kernel, x, b, _REUSE_CASES[name][0])
+
+    @pytest.mark.parametrize("name, kernel, x, b", list(_near_zero_points()))
+    def test_near_zero(self, name, kernel, x, b):
+        self._check(kernel, x, b, _REUSE_CASES[name][0])
+
+    def test_ge2_shape_below_one_with_density_positive_at_zero(self):
+        # x/b = 0.9: nu = 0.85 > 1/2, so K**2 f is integrable although f(0) = 1
+        m = self._check(Kernel.GE2, 0.09, 0.1, GammaDensity(1.0, 1.0), n=1)
+        assert m.variance > 0.0
+
+    def test_ig_heavy_tail(self):
+        # the kernel's tail decays on a scale of 2 b x**2 = 200, beyond hi = 201
+        self._check(Kernel.IG, 1.0, 100.0, GammaDensity(3.0, 1.0))
+
+    def test_ig_tail_is_quiet(self):
+        # point 151 of config C's 256-point ISE grid: quad leaked an
+        # IntegrationWarning from its tail segment there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self._check(Kernel.IG, 2383.74, 1e-4, CONFIGURATIONS["C"])
+
+
+class TestInfiniteVariance:
+    """``ge2`` with nu(x/b) <= 1/2 against a density positive at 0: Var is +inf."""
+
+    @pytest.mark.parametrize("r", [0.6, 0.3, 0.05])
+    def test_raises_with_achieved(self, r):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError, match="exceeds tolerance") as err:
+                exact_estimator_moments(Kernel.GE2, r * 0.1, 0.1, GammaDensity(1.0, 1.0), 1)
+        assert err.value.achieved > 1e-6
+
+    def test_underflowing_quantiles_give_inf(self):
+        # at x/b = 0.05 (nu = 0.031) u**(1/nu) underflows, z = 0 and K = inf there
+        with pytest.raises(IntegrationError) as err:
+            exact_estimator_moments(Kernel.GE2, 0.005, 0.1, GammaDensity(1.0, 1.0), 1)
+        assert err.value.achieved == math.inf
+
+    def test_density_zero_at_zero_stays_finite(self):
+        # the same quantiles against f(0) = 0: K f is 0 there, not inf * 0
+        m = exact_estimator_moments(Kernel.GE2, 0.005, 0.1, GammaDensity(3.0, 1.0), 1)
+        assert math.isfinite(m.mean) and m.variance >= 0.0
+
+
+class _CountingDensity:
+    """Records every call of ``pdf`` and its nodes."""
+
+    def __init__(self, density):
+        self.density = density
+        self.calls = []
+
+    def pdf(self, z):
+        self.calls.append(np.array(z, copy=True))
+        return self.density.pdf(z)
+
+
+class _PerNodeDensity:
+    """Evaluates ``pdf`` node by node: as Python floats, or as 0-d arrays."""
+
+    def __init__(self, density, as_0d):
+        self.density = density
+        self.as_0d = as_0d
+
+    def pdf(self, z):
+        if self.as_0d:
+            return np.array([float(self.density.pdf(np.array(v))) for v in z])
+        return np.array([self.density.pdf(v) for v in z.tolist()])
+
+
 class TestNodeReuse:
+    """One kernel block and one density call serve the mass, the mean and the second moment."""
+
     @pytest.mark.parametrize("name, kernel, x, b", list(_reuse_points()))
     def test_bit_identical_to_independent_passes(self, name, kernel, x, b):
+        # each node evaluated on its own, through the density's float path
         density = _REUSE_CASES[name][0]
         m = exact_estimator_moments(kernel, x, b, density, 100)
-        mean, variance = _reference_moments(kernel, x, b, density, 100)
-        assert m.mean.hex() == mean.hex()
-        assert m.variance.hex() == variance.hex()
+        ref = exact_estimator_moments(kernel, x, b, _PerNodeDensity(density, False), 100)
+        assert m.mean.hex() == ref.mean.hex()
+        assert m.variance.hex() == ref.variance.hex()
 
     @pytest.mark.parametrize("name, kernel, x, b", list(_reuse_points()))
     def test_bit_identical_to_array_evaluation(self, name, kernel, x, b):
+        # each node evaluated on its own, through the density's 0-d array path
         density = _REUSE_CASES[name][0]
         m = exact_estimator_moments(kernel, x, b, density, 100)
-        mean, variance = _reference_moments(kernel, x, b, density, 100, arrays=True)
-        assert m.mean.hex() == mean.hex()
-        assert m.variance.hex() == variance.hex()
+        ref = exact_estimator_moments(kernel, x, b, _PerNodeDensity(density, True), 100)
+        assert m.mean.hex() == ref.mean.hex()
+        assert m.variance.hex() == ref.variance.hex()
 
     @pytest.mark.parametrize("kernel", list(Kernel), ids=lambda k: k.value)
     def test_each_node_evaluated_once(self, kernel, monkeypatch):
         kernel_nodes = []
+        data = _LogKernel.data
 
-        def counting_point_log_kernel(*args):
-            log_k = _point_log_kernel(*args)
+        def counting_data(self, z):
+            kernel_nodes.append(np.array(z, copy=True))
+            return data(self, z)
 
-            def counted(z):
-                kernel_nodes.append(z)
-                return log_k(z)
-            return counted
-
-        monkeypatch.setattr(gekde.estimator, "_point_log_kernel", counting_point_log_kernel)
+        monkeypatch.setattr(_LogKernel, "data", counting_data)
         b = 0.1 if kernel in (Kernel.GE, Kernel.GE2) else 0.01
         density = _CountingDensity(GammaDensity(3.0, 1.0))
         exact_estimator_moments(kernel, 2.0, b, density, 100)
-        assert kernel_nodes and density.nodes
-        assert len(set(kernel_nodes)) == len(kernel_nodes)
-        assert len(set(density.nodes)) == len(density.nodes)
+        (z,), (nodes,) = kernel_nodes, density.calls
+        assert np.array_equal(z, nodes)
+        assert np.unique(z).size == z.size
 
 
 class TestQuadratureFailure:
     """Both ``IntegrationError`` raises of ``exact_estimator_moments`` carry ``achieved``."""
 
-    def _raised(self, monkeypatch, results):
-        calls = iter(results)
-        monkeypatch.setattr(gekde.estimator, "_quad_segments", lambda *args: next(calls))
-        with pytest.raises(IntegrationError) as err:
-            exact_estimator_moments(Kernel.GE, 2.0, 0.1, GammaDensity(3.0, 1.0), 10)
-        return err.value
-
     def test_kernel_mass_off_one(self, monkeypatch):
-        err = self._raised(monkeypatch, [(1.0 + 1e-6, 0.0)])
-        assert "kernel mass" in str(err)
-        assert err.achieved == pytest.approx(1e-6, rel=1e-9)
+        # a bracket of x -+ b: the rule reaches x + 7b, short of about 1e-3 of the mass
+        monkeypatch.setattr(gekde.estimator, "_quad_window", lambda kernel, x, b: (x - b, x + b))
+        with pytest.raises(IntegrationError, match="kernel mass") as err:
+            exact_estimator_moments(Kernel.GE, 2.0, 0.1, GammaDensity(3.0, 1.0), 10)
+        assert 1e-8 < err.value.achieved < 1e-2
 
-    def test_error_estimate_above_tolerance(self, monkeypatch):
-        err = self._raised(monkeypatch, [(1.0, 1e-9), (0.2, 3e-6), (0.05, 2e-6)])
-        assert "exceeds tolerance" in str(err)
-        assert err.achieved == 3e-6
+    def test_error_estimate_above_tolerance(self):
+        # ge2 at x/b = 0.3 against f(0) = 1: the second moment diverges
+        with pytest.raises(IntegrationError, match="exceeds tolerance") as err:
+            exact_estimator_moments(Kernel.GE2, 0.03, 0.1, GammaDensity(1.0, 1.0), 10)
+        assert err.value.achieved > 1e-6

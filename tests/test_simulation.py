@@ -790,3 +790,23 @@ class TestPdfAtInfinity:
             at_array = fn(np.array([1.0, math.inf]))
         assert at_float == 0.0
         assert at_array[1] == 0.0 and at_array[0] == fn(1.0)
+
+
+_NEGATIVE_POINTS = [-math.inf, -1.7e308, -1.0, -5e-324, -0.0]
+
+
+class TestBelowSupport:
+    """pdf and cdf are 0.0 below 0, for a float and in an array, with no warning."""
+
+    @pytest.mark.parametrize("name", list(EVERY_DENSITY))
+    @pytest.mark.parametrize("method", ["pdf", "cdf"])
+    def test_zero(self, name, method):
+        fn = getattr(EVERY_DENSITY[name], method)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            at_floats = [fn(x) for x in _NEGATIVE_POINTS]
+            at_array = fn(np.array(_NEGATIVE_POINTS[:-1] + [2.0]))
+        assert all(type(v) is float and v == 0.0 for v in at_floats[:-1])
+        assert at_floats[-1] == fn(0.0)  # -0.0 is the point 0
+        assert np.array_equal(at_array[:-1], np.zeros(len(_NEGATIVE_POINTS) - 1))
+        assert _bits(at_array[-1]) == _bits(fn(2.0))
