@@ -67,7 +67,7 @@ from .errors import (
     OptimizationError,
 )
 from .kernels import (_GAMMA_FAMILY, _GE_FAMILY, _TINY, Kernel, _columns, _ge_quantiles,
-                      _LogKernel, _validate_point, gam2_shape)
+                      _LogKernel, _real, _validate_point, gam2_shape)
 from .specfun import EULER_GAMMA, digamma
 
 __all__ = [
@@ -173,10 +173,7 @@ class Bandwidth:
     method: str = "fixed"
 
     def __post_init__(self):
-        try:
-            value = float(self.value)
-        except (TypeError, ValueError):
-            raise DomainError("bandwidth must be a real number") from None
+        value = _real(self.value, "bandwidth")
         if not (math.isfinite(value) and value > 0.0):
             raise DomainError("bandwidth must be positive and finite")
         object.__setattr__(self, "value", value)
@@ -705,8 +702,8 @@ def exact_estimator_moments(kernel: Kernel, x: float, b: float, density, n: int)
         raise DomainError("n must be at least 1")
     b = _coerce_bandwidth(b).value
     # validates (x, b) before the bracket takes square roots of them
-    _validate_point(kernel, x, b)
-    ev = _LogKernel(kernel, np.array([float(x)]), b)
+    x, b = _validate_point(kernel, x, b)
+    ev = _LogKernel(kernel, np.array([x]), b)
     singular = kernel is Kernel.GE2 and x < b  # shape nu(x/b) < 1
     if singular:
         weights, (i, j) = _U_WEIGHTS, _U_CUTS

@@ -38,7 +38,8 @@ overflows only where the exponent nearly does, and the exponent is exactly
 One evaluator serves every caller.  It takes a column of locations x and a
 row of data z and works in three steps: the terms that depend on x alone
 (shapes, the gamma normaliser, the ``ge2`` shape from one array
-inverse-digamma solve) are computed once per location, the terms that
+inverse-digamma solve, or for a single location the same branches on
+floats, with the same bits) are computed once per location, the terms that
 depend on z alone (``log z``, ``z/b``, ``log(1 - exp(-z/b))``) once per
 datum, and the combine forms the (locations, data) block of log kernel
 values: a matrix product for the GE and gamma kernels, a broadcast for
@@ -162,8 +163,12 @@ def _ge2_shape(r):
     lost r against EULER_GAMMA), below ``_ASYMPTOTIC_Y`` one array
     inverse-digamma solve; ``log nu`` is meaningful only where ``nu > 0``.
     Above it the closed form ``exp(y) - 1/2`` is used, with ``log nu`` kept
-    finite where ``nu`` overflows to inf (y > 709.7).
+    finite where ``nu`` overflows to inf (y > 709.7).  A single r takes
+    :func:`_ge2_shape_at`, with the same bits.
     """
+    if r.size == 1:
+        nu, log_nu = _ge2_shape_at(r.item())
+        return np.full(r.shape, nu), np.full(r.shape, log_nu)
     y = r - EULER_GAMMA
     with np.errstate(over="ignore"):
         nu = np.where(y > 709.7, math.inf, np.exp(y) - 0.5)
@@ -181,6 +186,29 @@ def _ge2_shape(r):
             nu[series] = nu_s
             log_nu[series] = np.log(nu_s)
     return nu, log_nu
+
+
+def _ge2_shape_at(r: float) -> tuple:
+    """``_ge2_shape`` at one float r: the same branches on floats, bit for bit.
+
+    Each ``np.where`` and mask is an ``if``, each ufunc the one the array
+    path applies (on a scalar it runs the same loop), the series is
+    ``np.polyval``'s Horner sum, and the Newton branch is the float
+    :func:`inverse_digamma`.  The branches keep ``np.exp`` from overflowing
+    and ``np.log`` off 0, so no ``np.errstate`` is needed.
+    """
+    y = r - EULER_GAMMA
+    if r < _SERIES_R:
+        poly = 0.0
+        for c in _SERIES_NU:
+            poly = poly * r + c
+        nu = r * poly
+        return nu, float(np.log(nu)) if nu > 0.0 else -math.inf
+    if y < _ASYMPTOTIC_Y:
+        nu = inverse_digamma(y) - 1.0
+        return nu, float(np.log(nu))
+    nu = math.inf if y > 709.7 else float(np.exp(y)) - 0.5
+    return nu, y + float(np.log1p(-0.5 * float(np.exp(-y))))
 
 
 def _gam2_shape(x, b):
@@ -425,8 +453,20 @@ def _ge_quantiles(ev: _LogKernel, log_u: np.ndarray):
     return -ev.b * log_m, (c0 + (shape_m1 * inv_shape) * log_u) + log_m
 
 
+def _real(value, what: str) -> float:
+    """``value`` as a float, converted as ``float`` does; a non-number raises DomainError."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} must be a real number, not {type(value).__name__}") from None
+
+
 def _validate_point(kernel, x, b):
-    """The domain table: ``ge`` needs x >= 0, every other kernel x > 0, ``rig`` x > b."""
+    """The domain table: ``ge`` needs x >= 0, every other kernel x > 0, ``rig`` x > b.
+
+    Returns x and b as floats.
+    """
+    x, b = _real(x, "evaluation point x"), _real(b, "bandwidth b")
     if not (math.isfinite(b) and b > 0.0):
         raise DomainError("bandwidth b must be positive and finite")
     if not math.isfinite(x):
@@ -440,6 +480,7 @@ def _validate_point(kernel, x, b):
         raise BoundaryDegeneracyError(
             f"RIG kernel is undefined at x={x!r} with b={b!r}: it uses x - b as a scale"
         )
+    return x, b
 
 
 def _float_log_kernel(ev: _LogKernel):
@@ -517,8 +558,8 @@ def _point_log_kernel(kernel: Kernel, x: float, b: float):
     runs the block combine; a single datum runs ``_float_log_kernel`` and
     returns a Python float with the same bits.
     """
-    _validate_point(kernel, x, b)
-    ev = _LogKernel(kernel, np.array([float(x)]), b)
+    x, b = _validate_point(kernel, x, b)
+    ev = _LogKernel(kernel, np.array([x]), b)
     at_float = _float_log_kernel(ev)
 
     def log_k(z):
@@ -577,12 +618,12 @@ def ge2_shape(x: float, b: float) -> float:
     ``exp(y) + 1/2`` is already exact to double precision and is used
     directly; the result overflows to inf once x/b exceeds ~710.
     """
+    x, b = _real(x, "x"), _real(b, "bandwidth b")
     if not (math.isfinite(b) and b > 0.0):
         raise DomainError("bandwidth b must be positive and finite")
     if not (math.isfinite(x) and x >= 0.0):
         raise DomainError("ge2_shape requires x >= 0")
-    nu, _ = _ge2_shape(np.array([x / b]))
-    return float(nu[0])
+    return _ge2_shape_at(x / b)[0]
 
 
 def gam2_shape(x: float, b: float) -> float:
@@ -591,6 +632,7 @@ def gam2_shape(x: float, b: float) -> float:
     ``x/b`` away from the origin (x >= 2b) and the quadratic splice
     ``(x/b)**2 / 4 + 1`` below it; the two branches meet at x = 2b.
     """
+    x, b = _real(x, "x"), _real(b, "bandwidth b")
     if not (math.isfinite(b) and b > 0.0):
         raise DomainError("bandwidth b must be positive and finite")
     if not (math.isfinite(x) and x >= 0.0):

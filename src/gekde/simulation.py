@@ -127,13 +127,15 @@ class TrueDensity:
     def pdf(self, x):
         """The density at x: a Python float for a scalar, else an array.
 
-        A positive finite float (a quadrature node) goes straight to
-        ``_log_pdf``, with no array and no ``np.errstate``; anything else is
-        made an array first.  Both paths run the same numpy ufuncs and the
-        same arithmetic, so a float gets the bits of a 0-d array.  f is 0.0
-        below 0 and at +inf, where no formula is evaluated.
+        A positive finite Python float (a quadrature node) goes straight to
+        ``_log_pdf``, with no array and no ``np.errstate``; anything else,
+        a numpy scalar included, is made an array first: numpy scalar
+        arithmetic warns where float arithmetic is quiet.  Both paths run
+        the same numpy ufuncs and the same arithmetic, so a float gets the
+        bits of a 0-d array.  f is 0.0 below 0 and at +inf, where no formula
+        is evaluated.
         """
-        if isinstance(x, float) and 0.0 < x < math.inf:
+        if type(x) is float and 0.0 < x < math.inf:
             return float(np.exp(self._log_pdf(x)))
         x = np.asarray(x, dtype=float)
         off = (x < 0.0) | (x == math.inf)  # where a formula may take log(-x) or read inf - inf
@@ -425,7 +427,7 @@ class MixtureDensity(TrueDensity):
         object.__setattr__(self, "components", comps)
 
     def _combine(self, method, x):
-        if not isinstance(x, float):  # a float stays one, for the components' float paths
+        if type(x) is not float:  # a float stays one, for the components' float paths
             x = np.asarray(x, dtype=float)
         out = sum(w * getattr(c, method)(x) for w, c in zip(self.weights, self.components))
         return _scalar_or_array(out)
@@ -433,10 +435,10 @@ class MixtureDensity(TrueDensity):
     def pdf(self, x):
         """The weighted sum of the component pdfs, in ``_combine``'s order.
 
-        A positive finite float (a quadrature node) sums the components'
-        float pdfs directly, with the bits of ``_combine``.
+        A positive finite Python float (a quadrature node) sums the
+        components' float pdfs directly, with the bits of ``_combine``.
         """
-        if isinstance(x, float) and 0.0 < x < math.inf:
+        if type(x) is float and 0.0 < x < math.inf:
             total = 0.0
             for w, c in zip(self.weights, self.components):
                 total += w * c.pdf(x)

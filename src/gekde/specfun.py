@@ -6,14 +6,21 @@ reference values digamma and trigamma are accurate to about 1e-15 absolute.
 The inverse digamma is solved by Newton iteration with a two-branch initial
 guess that puts every starting point within a handful of quadratically
 convergent steps of the root; on arrays, each entry stops as soon as it has
-converged.  It stops at an absolute residual of ``_NEWTON_TOL`` and gives up
-after ``_NEWTON_MAX_ITER`` steps.
+converged.  It stops at an absolute residual of ``_NEWTON_TOL``, or of two
+units in the last place of y where that is coarser (|y| >= 4096), and gives
+up after ``_NEWTON_MAX_ITER`` steps.  A Python float runs a float
+transcription of the array solve: scipy's ufuncs on floats and the same
+arithmetic in the same order, so it has the bits of a one-entry array
+without building one (the ``ge2`` shape of a single kernel location is
+solved this way).
 
 All functions accept scalars or numpy arrays and are pure; they can be called
 concurrently.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.special import digamma as _scipy_digamma
@@ -95,29 +102,37 @@ def inverse_digamma(y):
 
     Newton iteration ``x <- x - (psi(x) - y) / psi'(x)`` started from
     ``exp(y) + 1/2`` for y >= -2.22 and ``-1/(y + EULER_GAMMA)`` below;
-    both branches sit within a few quadratic steps of the root.  Each
+    both branches sit within a few quadratic steps of the root.  A step
+    that is not finite or not positive is replaced by halving x.  Each
     entry of an array argument iterates only until its own residual meets
-    the tolerance, so every entry is bit-identical to the scalar solve of
-    that entry, whatever else shares the call.
+    the tolerance, ``max(_NEWTON_TOL, 2 * spacing(|y|))``: 1e-12 below
+    |y| = 4096, and two units in the last place of y from there on, where
+    1e-12 is finer than the doubles near y.  So every entry is bit-identical
+    to the scalar solve of that entry, whatever else shares the call.  A
+    Python float takes a float transcription of the same iteration and
+    returns a float with the same bits.
 
     Raises
     ------
     ConvergenceError
-        If ``|psi(x) - y| <= _NEWTON_TOL`` is not reached within
-        ``_NEWTON_MAX_ITER`` iterations (also when the root exceeds
-        the double range, y > ~709.78).  The error carries the last
-        iterate and the largest residual.
+        If the tolerance is not reached within ``_NEWTON_MAX_ITER``
+        iterations (also when the root exceeds the double range,
+        y > ~709.78).  The error carries the last iterate and the largest
+        residual.
     """
+    if type(y) is float:
+        return _inverse_digamma_float(y)
     arr = np.asarray(y, dtype=float)
     if arr.size and not np.all(np.isfinite(arr)):
         raise DomainError("inverse_digamma requires finite arguments")
     target = arr.ravel()
+    tol = np.maximum(_NEWTON_TOL, 2.0 * np.spacing(np.abs(target)))
     w = np.empty_like(target)
     upper = target >= -2.22
     w[upper] = np.exp(np.minimum(target[upper], 709.0)) + 0.5
     w[~upper] = -1.0 / (target[~upper] + EULER_GAMMA)
     resid = digamma(w) - target
-    active = np.flatnonzero(~(np.abs(resid) <= _NEWTON_TOL))
+    active = np.flatnonzero(~(np.abs(resid) <= tol))
     for _ in range(_NEWTON_MAX_ITER):
         if not active.size:
             return _maybe_scalar(w.reshape(arr.shape), y)
@@ -130,11 +145,46 @@ def inverse_digamma(y):
         w[active] = nxt
         r = digamma(nxt) - target[active]
         resid[active] = r
-        active = active[~(np.abs(r) <= _NEWTON_TOL)]
+        active = active[~(np.abs(r) <= tol[active])]
     worst = int(np.argmax(np.abs(resid)))
-    raise ConvergenceError(
+    raise _no_convergence(resid[worst], _maybe_scalar(w.reshape(arr.shape), y),
+                          float(np.max(np.abs(resid))))
+
+
+def _inverse_digamma_float(y: float) -> float:
+    """``inverse_digamma`` of one float: the array solve, transcribed bit for bit.
+
+    The same start, stop and step, with scipy's ``digamma`` and
+    ``zeta(2, .)`` and numpy's ``exp`` and ``spacing`` called on floats (on
+    a scalar a ufunc runs the loop it runs on an array) and float
+    arithmetic in the array path's order.  Every iterate is positive and
+    finite, where both special functions are finite and the trigamma is
+    positive, so nothing here divides by zero or needs an ``np.errstate``;
+    an overflowing step is inf, as in numpy, and is halved.
+    """
+    if not math.isfinite(y):
+        raise DomainError("inverse_digamma requires finite arguments")
+    tol = max(_NEWTON_TOL, 2.0 * float(np.spacing(abs(y))))
+    if y >= -2.22:
+        w = float(np.exp(min(y, 709.0))) + 0.5
+    else:
+        w = -1.0 / (y + EULER_GAMMA)
+    resid = float(_scipy_digamma(w)) - y
+    for _ in range(_NEWTON_MAX_ITER):
+        if abs(resid) <= tol:
+            return w
+        nxt = w - resid / float(_scipy_zeta(2.0, w))
+        if not 0.0 < nxt < math.inf:
+            nxt = 0.5 * w
+        w = nxt
+        resid = float(_scipy_digamma(w)) - y
+    raise _no_convergence(resid, w, abs(resid))
+
+
+def _no_convergence(worst, last_iterate, residual) -> ConvergenceError:
+    return ConvergenceError(
         f"inverse_digamma did not converge within {_NEWTON_MAX_ITER} "
-        f"iterations (residual {resid[worst]:.3e})",
-        last_iterate=_maybe_scalar(w.reshape(arr.shape), y),
-        residual=float(np.max(np.abs(resid))),
+        f"iterations (residual {worst:.3e})",
+        last_iterate=last_iterate,
+        residual=residual,
     )

@@ -710,6 +710,18 @@ class TestExactMoments:
         with pytest.raises(DomainError):
             exact_estimator_moments(Kernel.GE, 2.0, b, GammaDensity(3.0, 1.0), 100)
 
+    @pytest.mark.parametrize("x", ["two", None, [2.0, 3.0], 2j])
+    def test_non_number_x_is_domain_error(self, x):
+        with pytest.raises(DomainError, match="real number"):
+            exact_estimator_moments(Kernel.GE2, x, 0.1, GammaDensity(3.0, 1.0), 100)
+
+    @pytest.mark.parametrize("x", [np.float64(2.0), 2, "2.0"], ids=["float64", "int", "str"])
+    def test_x_coerced_like_a_float(self, x):
+        f = GammaDensity(3.0, 1.0)
+        ref = exact_estimator_moments(Kernel.IG, 2.0, 0.1, f, 100)
+        m = exact_estimator_moments(Kernel.IG, x, 0.1, f, 100)
+        assert (m.mean.hex(), m.variance.hex()) == (ref.mean.hex(), ref.variance.hex())
+
     def test_point_validated_before_bracket(self):
         # the ig bracket takes sqrt(b x**3): a negative x must fail as a domain error
         with pytest.raises(DomainError):

@@ -27,7 +27,7 @@ from gekde import (
     trigamma,
 )
 from gekde.estimator import _columns
-from gekde.kernels import _LogKernel, _point_log_kernel
+from gekde.kernels import _LogKernel, _ge2_shape, _point_log_kernel
 
 
 def kernel_mass(kernel, x, b, weight=None):
@@ -216,6 +216,55 @@ class TestGe2Shape:
             ge2_shape(1.0, 0.0)
 
 
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+_GE2_CUTS = [1e-300, 5e-324, np.nextafter(1e-3, 0.0), 1e-3, np.nextafter(1e-3, 1.0),
+             np.nextafter(36.0 + EULER_GAMMA, 0.0), 36.0 + EULER_GAMMA,
+             np.nextafter(36.0 + EULER_GAMMA, 100.0), 0.3, 2.0, 700.0, 720.0]
+
+
+class TestGe2ShapeOneLocation:
+    """One location solves its shape on floats, with the bits of a many-location build."""
+
+    @pytest.mark.parametrize("r", _GE2_CUTS)
+    def test_matches_entry_of_array(self, r):
+        rs = np.geomspace(1e-5, 60.0, 256)
+        rs[100] = r
+        nu, log_nu = _ge2_shape(rs)
+        one = _ge2_shape(np.array([r]))
+        assert [_hex(t) for t in one] == [_hex(nu[100]), _hex(log_nu[100])]
+
+    @pytest.mark.parametrize("x", [1e-300, 5e-5, 0.02, 0.5, 0.36 + EULER_GAMMA / 10.0, 5.0, 70.0])
+    def test_location_terms_match_many_location_build(self, x):
+        b = 0.1
+        xs = np.linspace(0.01, 80.0, 256)
+        xs[37] = x
+        many = _LogKernel(Kernel.GE2, xs, b)
+        one = _LogKernel(Kernel.GE2, np.array([x]), b)
+        assert len(one.loc) == len(many.loc)
+        for t_one, t_many in zip(one.loc, many.loc):
+            assert t_one.shape == (1, 1)
+            assert _hex(t_one) == _hex(t_many[37])
+        assert _hex(one.mat) == _hex(many.mat[37])
+
+    def test_one_location_runs_no_array_newton(self, monkeypatch):
+        import gekde.specfun as specfun
+
+        x = np.array([2.0])
+        expected = _LogKernel(Kernel.GE2, np.linspace(1.0, 3.0, 3), 0.1).loc
+
+        def no_array(*args, **kwargs):
+            raise AssertionError("one location went through the array Newton solve")
+
+        monkeypatch.setattr(specfun, "digamma", no_array)
+        monkeypatch.setattr(specfun, "trigamma", no_array)
+        got = _LogKernel(Kernel.GE2, x, 0.1).loc
+        assert [_hex(t) for t in got] == [_hex(t[1]) for t in expected]
+        assert type(ge2_shape(2.0, 0.1)) is float
+
+
 class TestGam2Shape:
     def test_splice_continuity(self):
         assert gam2_shape(1.0, 0.5) == pytest.approx(2.0, rel=1e-15)
@@ -245,6 +294,16 @@ class TestValidation:
     def test_positive_b_required(self):
         with pytest.raises(DomainError):
             log_kernel(Kernel.GE, 1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("x, b", [("1.0x", 0.5), (None, 0.5), (1j, 0.5), (1.0, "b"),
+                                      (1.0, None), (1.0, [0.5, 1.0])])
+    def test_non_number_is_domain_error(self, x, b):
+        for call in (lambda: log_kernel(Kernel.GE, x, b, 1.0),
+                     lambda: kernel_pdf(Kernel.GAM1, x, b, np.array([1.0])),
+                     lambda: ge2_shape(x, b),
+                     lambda: gam2_shape(x, b)):
+            with pytest.raises(DomainError, match="real number"):
+                call()
 
     def test_x_zero_only_for_ge(self):
         log_kernel(Kernel.GE, 0.0, 1.0, 1.0)

@@ -792,6 +792,23 @@ class TestPdfAtInfinity:
         assert at_array[1] == 0.0 and at_array[0] == fn(1.0)
 
 
+class TestScalarPdfPaths:
+    """A numpy scalar takes the array path: quiet, with the bits of a float and a 0-d array."""
+
+    @pytest.mark.parametrize("name", list(EVERY_DENSITY))
+    @pytest.mark.parametrize("method", ["pdf", "pdf_d1", "pdf_d2"])
+    @pytest.mark.parametrize("scalar", [float, np.float64])
+    def test_matches_0d_array_quietly(self, name, method, scalar):
+        fn = getattr(EVERY_DENSITY[name], method)
+        for x in (5e-324, 1e-320, 1e-300, 0.5, 3.0, 1e300, 1.7e308):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = fn(scalar(x))
+                ref = fn(np.array(x))
+            assert type(got) is float and type(ref) is float
+            assert _bits(got) == _bits(ref), x
+
+
 _NEGATIVE_POINTS = [-math.inf, -1.7e308, -1.0, -5e-324, -0.0]
 
 

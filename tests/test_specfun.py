@@ -161,3 +161,69 @@ class TestInverseDigamma:
     def test_domain(self):
         with pytest.raises(DomainError):
             inverse_digamma(math.inf)
+
+    @pytest.mark.parametrize("y", [-8911.996094186537, -4096.5, -1e6])
+    def test_large_negative_converges(self, y):
+        # 1e-12 is finer than the doubles near |y| > 4096; the stop is two
+        # units in the last place of y there
+        for got in (inverse_digamma(y), inverse_digamma(np.array([y]))[0]):
+            assert abs(digamma(got) - y) <= 2.0 * np.spacing(abs(y))
+
+    def test_large_negative_sweep_converges(self):
+        ys = np.random.default_rng(17).uniform(-1e6, -4096.0, 2000)
+        xs = inverse_digamma(ys)
+        assert np.all(np.abs(digamma(xs) - ys) <= 2.0 * np.spacing(np.abs(ys)))
+
+
+def _solve(y):
+    """inverse_digamma(y) as a float, or the (type, message, last iterate, residual) it raised."""
+    try:
+        return float(np.asarray(inverse_digamma(y)).item()).hex()
+    except ConvergenceError as err:
+        last = float(np.asarray(err.last_iterate).item())
+        return type(err), str(err), last.hex(), float(err.residual).hex()
+
+
+class TestFloatSolve:
+    """A Python float runs the float transcription of the array Newton solve."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.floats(min_value=-1e6, max_value=709.0),
+                     st.floats(min_value=-3.0, max_value=40.0),
+                     st.floats(min_value=709.0, max_value=800.0)))
+    def test_float_equals_one_entry_array_bitwise(self, y):
+        # below -2.22 the start is -1/(y + EULER_GAMMA); above 709.78 the
+        # root leaves the double range, every step overflows and is halved,
+        # and both paths raise the same ConvergenceError
+        got = _solve(y)
+        assert got == _solve(np.array([y]))
+        if isinstance(got, str):
+            assert type(inverse_digamma(y)) is float
+
+    @pytest.mark.parametrize("y", [-1e6, -8911.996094186537, -2.3, -2.22, -EULER_GAMMA, 0.0,
+                                   1e-3 - EULER_GAMMA, 35.9, 700.0, 709.0, 709.78])
+    def test_edges_match_array(self, y):
+        assert _solve(y) == _solve(np.array([y]))
+
+    def test_unrepresentable_root_fields(self):
+        with pytest.raises(ConvergenceError) as err:
+            inverse_digamma(800.0)
+        assert type(err.value.last_iterate) is float
+        assert type(err.value.residual) is float
+        assert _solve(800.0) == _solve(np.array([800.0]))
+
+    def test_float_runs_no_array_newton(self, monkeypatch):
+        import gekde.specfun as specfun
+
+        ys = [-5000.0, -3.0, -EULER_GAMMA, 2.0, 35.0]
+        expected = inverse_digamma(np.array(ys))
+
+        def no_array(*args, **kwargs):
+            raise AssertionError("a float went through the array Newton solve")
+
+        monkeypatch.setattr(specfun, "digamma", no_array)
+        monkeypatch.setattr(specfun, "trigamma", no_array)
+        for y, want in zip(ys, expected):
+            got = inverse_digamma(y)
+            assert type(got) is float
+            assert got.hex() == float(want).hex()
