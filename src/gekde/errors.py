@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks on its numeric arguments.
+
+Every public numeric argument goes through one of the helpers at the end, so
+that a non-number, NaN or a value out of range raises :class:`DomainError`.
+"""
+
+import math
+
+import numpy as np
 
 
 class GekdeError(Exception):
@@ -40,3 +48,55 @@ class IntegrationError(GekdeError, RuntimeError):
 
 class OptimizationError(GekdeError, RuntimeError):
     """A numerical minimisation found no valid interior solution."""
+
+
+def _real(value, what: str) -> float:
+    """``value`` as a finite float, converted as ``float`` does; else DomainError."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} must be a real number, not {type(value).__name__}") from None
+    if not math.isfinite(v):
+        raise DomainError(f"{what} must be finite")
+    return v
+
+
+def _positive(value, what: str) -> float:
+    v = _real(value, what)
+    if not v > 0.0:
+        raise DomainError(f"{what} must be positive and finite")
+    return v
+
+
+def _nonnegative(value, what: str) -> float:
+    v = _real(value, what)
+    if not v >= 0.0:
+        raise DomainError(f"{what} must be nonnegative and finite")
+    return v
+
+
+def _count(value, what: str, minimum: int):
+    """A count of at least ``minimum``.
+
+    An ``int`` or numpy integer comes back unchanged, never through a float;
+    anything else must be a whole number and comes back as an ``int``.
+    """
+    if not isinstance(value, (int, np.integer)):
+        v = _real(value, what)
+        if not v.is_integer():
+            raise DomainError(f"{what} must be a whole number, not {v!r}")
+        value = int(v)
+    if value < minimum:
+        raise DomainError(f"{what} must be at least {minimum}")
+    return value
+
+
+def _finite_array(values, what: str, positive: bool = False) -> np.ndarray:
+    """``values`` as a float array of finite numbers, all above 0 with ``positive``."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} must be real numbers") from None
+    if arr.size and (not np.all(np.isfinite(arr)) or positive and np.any(arr <= 0.0)):
+        raise DomainError(f"{what} must be {'positive and ' if positive else ''}finite")
+    return arr

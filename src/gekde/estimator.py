@@ -60,14 +60,10 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import (
-    DegenerateSampleError,
-    DomainError,
-    IntegrationError,
-    OptimizationError,
-)
+from .errors import (DegenerateSampleError, DomainError, IntegrationError, OptimizationError,
+                     _count, _finite_array, _nonnegative, _positive, _real)
 from .kernels import (_GAMMA_FAMILY, _GE_FAMILY, _TINY, Kernel, _columns, _ge_quantiles,
-                      _LogKernel, _real, _validate_point, gam2_shape)
+                      _LogKernel, _validate_point, gam2_shape)
 from .specfun import EULER_GAMMA, digamma
 
 __all__ = [
@@ -147,11 +143,9 @@ class Sample:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        arr = np.asarray(values, dtype=float).ravel()
+        arr = _finite_array(values, "sample values", positive=True).ravel()
         if arr.size < 2:
             raise DomainError("a sample needs at least 2 observations")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-            raise DomainError("sample values must be strictly positive and finite")
         self.values = np.sort(arr)
 
     @property
@@ -173,10 +167,7 @@ class Bandwidth:
     method: str = "fixed"
 
     def __post_init__(self):
-        value = _real(self.value, "bandwidth")
-        if not (math.isfinite(value) and value > 0.0):
-            raise DomainError("bandwidth must be positive and finite")
-        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "value", _positive(self.value, "bandwidth"))
         if self.method not in BANDWIDTH_METHODS:
             raise DomainError(f"unknown bandwidth method {self.method!r}")
 
@@ -202,8 +193,7 @@ class AsymptoticRegime:
     def __post_init__(self):
         if self.kind not in ("interior", "boundary"):
             raise DomainError("regime kind must be 'interior' or 'boundary'")
-        if not (math.isfinite(self.c) and self.c >= 0.0):
-            raise DomainError("boundary constant c must be nonnegative and finite")
+        object.__setattr__(self, "c", _nonnegative(self.c, "boundary constant c"))
 
 
 INTERIOR = AsymptoticRegime("interior")
@@ -277,17 +267,18 @@ def default_grid(sample: Sample, size: int = 512) -> np.ndarray:
     """Default evaluation grid: equally spaced, covering the sample support."""
     hi = 1.1 * sample.values[-1]
     lo = max(0.5 * sample.values[0], 1e-6 * sample.values[-1])
-    return np.linspace(lo, hi, size)
+    return np.linspace(lo, hi, _count(size, "grid size", 1))
 
 
-def _validate_grid(kernel: Kernel, grid: np.ndarray, b: float) -> None:
+def _validate_grid(kernel: Kernel, grid, b: float) -> np.ndarray:
+    """``grid`` as a 1-D array: finite, strictly increasing, its first point in the domain at b."""
+    grid = np.atleast_1d(_finite_array(grid, "grid points"))
     if grid.size == 0:
         raise DomainError("evaluation grid is empty")
-    if not np.all(np.isfinite(grid)):
-        raise DomainError("grid points must be finite")
     if np.any(np.diff(grid) <= 0.0):
         raise DomainError("grid points must be strictly increasing")
     _validate_point(kernel, float(grid[0]), b)
+    return grid
 
 
 def _domain_start(kernel: Kernel, grid: np.ndarray, b):
@@ -361,13 +352,13 @@ def _estimate_batch(values: np.ndarray, kernel: Kernel, b: np.ndarray,
                     grid: np.ndarray) -> np.ndarray:
     """Estimates of R samples on one grid: an (R, G) array.
 
-    ``values`` is (R, n), one sorted sample per row, and ``b`` holds the R
-    bandwidths.  The location terms are computed once for all (sample, grid
-    point) pairs and the data terms once per datum; the combine then runs,
-    sample by sample, over blocks of grid rows within the
-    ``_BLOCK_ELEMENTS`` budget.  Each row goes through the operations of a
-    single-sample call, so a sample's estimate does not depend on which
-    others share the batch.
+    ``values`` is (R, n), one sorted sample per row, ``b`` holds the R
+    bandwidths and ``grid`` has passed ``_validate_grid``.  The location
+    terms are computed once for all (sample, grid point) pairs and the data
+    terms once per datum; the combine then runs, sample by sample, over
+    blocks of grid rows within the ``_BLOCK_ELEMENTS`` budget.  Each row
+    goes through the operations of a single-sample call, so a sample's
+    estimate does not depend on which others share the batch.
 
     With more than ``_BLOCK_ELEMENTS // 2`` data a block is one grid row,
     and the combine and ``np.exp`` run only on the row's data window (see
@@ -380,7 +371,6 @@ def _estimate_batch(values: np.ndarray, kernel: Kernel, b: np.ndarray,
     groups entries by position, so summing the window alone would change
     the bits.
     """
-    _validate_grid(kernel, grid, float(b.max()))
     n = values.shape[1]
     ev = _LogKernel(kernel, grid, b[:, None])
     data = ev.data(values)
@@ -437,7 +427,7 @@ def estimate_density(sample: Sample, kernel: Kernel, bandwidth, grid) -> Density
     of path affects only speed.
     """
     bw = _coerce_bandwidth(bandwidth)
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    grid = _validate_grid(kernel, grid, bw.value)
     values = _estimate_batch(sample.values[None, :], kernel, np.array([bw.value]), grid)[0]
     return DensityEstimate(grid=grid, values=values, kernel=kernel, bandwidth=bw, n=sample.n)
 
@@ -449,10 +439,7 @@ def optimal_bandwidth_ge2(roughness: float, n: int) -> Bandwidth:
     is the curvature functional integral of f''(x)**2 over (0, inf) --
     exact when the true density is known, plug-in otherwise.
     """
-    if not (math.isfinite(roughness) and roughness > 0.0):
-        raise DomainError("roughness must be positive and finite")
-    if n < 2:
-        raise DomainError("n must be at least 2")
+    roughness, n = _positive(roughness, "roughness"), _count(n, "n", 2)
     value = (9.0 / (math.pi ** 4 * roughness)) ** 0.2 * n ** -0.2
     return Bandwidth(value, "optimal_ge2")
 
@@ -482,12 +469,9 @@ def numeric_bandwidth_ge(a1: float, a2: float, n: int) -> Bandwidth:
     more than its 100 steps there.  An optimum outside the double range
     raises :class:`OptimizationError`.
     """
-    if not (math.isfinite(a2) and a2 > 0.0):
-        raise DomainError("a2 (integral of f'(x)**2) must be positive and finite")
-    if not math.isfinite(a1):
-        raise DomainError("a1 (integral of f'(x) f''(x)) must be finite")
-    if n < 2:
-        raise DomainError("n must be at least 2")
+    a2 = _positive(a2, "a2 (integral of f'(x)**2)")
+    a1 = _real(a1, "a1 (integral of f'(x) f''(x))")
+    n = _count(n, "n", 2)
     g = EULER_GAMMA
     c = g * g + math.pi ** 2 / 6.0
     # b0 = (8 n c2)**(-1/3), and kappa = 12 n c3 b0**4 = 1.5 (c3 / c2) b0 as
@@ -533,8 +517,7 @@ def asymptotic_bias(kernel: Kernel, regime: AsymptoticRegime, b: float,
     ``f1`` and ``f2`` are f' and f'' at the point (f'(0) in the boundary
     regime).
     """
-    if not (math.isfinite(b) and b > 0.0):
-        raise DomainError("b must be positive and finite")
+    b, f1, f2 = _positive(b, "b"), _real(f1, "f1"), _real(f2, "f2")
     g = EULER_GAMMA
     if kernel is Kernel.GE:
         if regime.kind == "interior":
@@ -554,12 +537,7 @@ def asymptotic_variance(regime: AsymptoticRegime, b: float, n: int, fx: float) -
     decreases strictly in c and tends to 1, recovering the interior value.
     The same expression serves both GE estimators.
     """
-    if not (math.isfinite(b) and b > 0.0):
-        raise DomainError("b must be positive and finite")
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    if not (math.isfinite(fx) and fx >= 0.0):
-        raise DomainError("fx must be nonnegative and finite")
+    b, n, fx = _positive(b, "b"), _count(n, "n", 1), _nonnegative(fx, "fx")
     base = fx / (4.0 * b * n)
     if regime.kind == "interior":
         return base
@@ -689,8 +667,9 @@ def exact_estimator_moments(kernel: Kernel, x: float, b: float, density, n: int)
     Raises
     ------
     DomainError
-        If ``n`` is below 1, b is not a positive finite number, or x or b
-        lies outside the kernel's domain (x <= 0 for every kernel but ``ge``).
+        If ``n`` is not a whole number of at least 1, x or b is not a number,
+        b is not positive and finite, or x or b lies outside the kernel's
+        domain (x <= 0 for every kernel but ``ge``).
     BoundaryDegeneracyError
         For the ``rig`` kernel at 0 < x <= b.
     IntegrationError
@@ -698,8 +677,7 @@ def exact_estimator_moments(kernel: Kernel, x: float, b: float, density, n: int)
         exceeds 1e-6 or is not finite (a second moment that diverges), or
         the second moment falls below the squared mean; ``achieved`` is set.
     """
-    if n < 1:
-        raise DomainError("n must be at least 1")
+    n = _count(n, "n", 1)
     b = _coerce_bandwidth(b).value
     # validates (x, b) before the bracket takes square roots of them
     x, b = _validate_point(kernel, x, b)

@@ -78,7 +78,8 @@ import math
 import numpy as np
 from scipy.linalg.blas import dgemm
 
-from .errors import BoundaryDegeneracyError, DomainError
+from .errors import (BoundaryDegeneracyError, DomainError, _finite_array, _nonnegative,
+                     _positive, _real)
 from .specfun import EULER_GAMMA, inverse_digamma, log_gamma
 
 __all__ = [
@@ -453,24 +454,12 @@ def _ge_quantiles(ev: _LogKernel, log_u: np.ndarray):
     return -ev.b * log_m, (c0 + (shape_m1 * inv_shape) * log_u) + log_m
 
 
-def _real(value, what: str) -> float:
-    """``value`` as a float, converted as ``float`` does; a non-number raises DomainError."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"{what} must be a real number, not {type(value).__name__}") from None
-
-
 def _validate_point(kernel, x, b):
     """The domain table: ``ge`` needs x >= 0, every other kernel x > 0, ``rig`` x > b.
 
     Returns x and b as floats.
     """
-    x, b = _real(x, "evaluation point x"), _real(b, "bandwidth b")
-    if not (math.isfinite(b) and b > 0.0):
-        raise DomainError("bandwidth b must be positive and finite")
-    if not math.isfinite(x):
-        raise DomainError("evaluation point x must be finite")
+    b, x = _positive(b, "bandwidth b"), _real(x, "evaluation point x")
     if kernel is Kernel.GE:
         if x < 0.0:
             raise DomainError("GE kernel requires x >= 0")
@@ -563,16 +552,14 @@ def _point_log_kernel(kernel: Kernel, x: float, b: float):
     at_float = _float_log_kernel(ev)
 
     def log_k(z):
-        if type(z) is not float:
-            zarr = np.asarray(z, dtype=float)
-            if zarr.ndim:
-                if zarr.size and (not np.all(np.isfinite(zarr)) or np.any(zarr <= 0.0)):
-                    raise DomainError("kernel argument z must be positive and finite")
-                return ev.rows(ev.data(zarr.ravel()))[0].reshape(zarr.shape)
-            z = float(zarr)
-        if not 0.0 < z < math.inf:
-            raise DomainError("kernel argument z must be positive and finite")
-        return at_float(z)
+        if type(z) is float:
+            if not 0.0 < z < math.inf:
+                raise DomainError("kernel argument z must be positive and finite")
+            return at_float(z)
+        zarr = _finite_array(z, "kernel argument z", positive=True)
+        if zarr.ndim:
+            return ev.rows(ev.data(zarr.ravel()))[0].reshape(zarr.shape)
+        return at_float(float(zarr))
 
     return log_k
 
@@ -618,11 +605,7 @@ def ge2_shape(x: float, b: float) -> float:
     ``exp(y) + 1/2`` is already exact to double precision and is used
     directly; the result overflows to inf once x/b exceeds ~710.
     """
-    x, b = _real(x, "x"), _real(b, "bandwidth b")
-    if not (math.isfinite(b) and b > 0.0):
-        raise DomainError("bandwidth b must be positive and finite")
-    if not (math.isfinite(x) and x >= 0.0):
-        raise DomainError("ge2_shape requires x >= 0")
+    b, x = _positive(b, "bandwidth b"), _nonnegative(x, "x")
     return _ge2_shape_at(x / b)[0]
 
 
@@ -632,9 +615,5 @@ def gam2_shape(x: float, b: float) -> float:
     ``x/b`` away from the origin (x >= 2b) and the quadratic splice
     ``(x/b)**2 / 4 + 1`` below it; the two branches meet at x = 2b.
     """
-    x, b = _real(x, "x"), _real(b, "bandwidth b")
-    if not (math.isfinite(b) and b > 0.0):
-        raise DomainError("bandwidth b must be positive and finite")
-    if not (math.isfinite(x) and x >= 0.0):
-        raise DomainError("gam2_shape requires x >= 0")
+    b, x = _positive(b, "bandwidth b"), _nonnegative(x, "x")
     return float(_gam2_shape(x, b))

@@ -36,7 +36,7 @@ from scipy.optimize import brentq
 from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv
 from scipy.integrate import quad
 
-from .errors import CoverageError, DomainError, GekdeError
+from .errors import CoverageError, DomainError, GekdeError, _count, _positive, _real
 from .estimator import (
     DensityEstimate,
     Sample,
@@ -44,6 +44,7 @@ from .estimator import (
     _estimate_batch,
     _family_b,
     _silverman_h,
+    _validate_grid,
 )
 from .kernels import DEFAULT_KERNELS, Kernel
 from .specfun import log_gamma
@@ -82,23 +83,18 @@ def _scalar_or_asarray(x):
     return np.float64(x) if isinstance(x, float) else np.asarray(x, dtype=float)
 
 
-def _positive_param(value, name):
-    v = float(value)
-    if not (math.isfinite(v) and v > 0.0):
-        raise DomainError(f"{name} must be positive and finite")
-    return v
+def _store_params(density, gamma_constants: bool = False):
+    """Store (shape, scale) as positive finite floats, converted as ``float`` does.
 
-
-def _store_gamma_constants(density):
-    """Validate (shape, scale) and store k log(theta) and log Gamma(k) once.
-
-    They are plain attributes, not dataclass fields, so equality, hashing
-    and repr still see (shape, scale) alone.
+    With ``gamma_constants``, also store k log(theta) and log Gamma(k), once:
+    plain attributes, not dataclass fields, so equality, hashing and repr
+    still see (shape, scale) alone.
     """
-    _positive_param(density.shape, "shape")
-    _positive_param(density.scale, "scale")
-    object.__setattr__(density, "_k_log_scale", density.shape * math.log(density.scale))
-    object.__setattr__(density, "_log_gamma_shape", log_gamma(density.shape))
+    for name in ("shape", "scale"):
+        object.__setattr__(density, name, _positive(getattr(density, name), name))
+    if gamma_constants:
+        object.__setattr__(density, "_k_log_scale", density.shape * math.log(density.scale))
+        object.__setattr__(density, "_log_gamma_shape", log_gamma(density.shape))
 
 
 #: Binary exponent of the scale hint beyond which ``roughness`` integrates a
@@ -198,13 +194,14 @@ class TrueDensity:
 
     def sample(self, n: int, seed) -> Sample:
         """Draw a deterministic sample; ``seed`` is an integer or SeedSequence."""
-        if n < 2:
-            raise DomainError("n must be at least 2")
-        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        return Sample(self._draw(int(n), ss))
+        n = _count(n, "n", 2)
+        if not isinstance(seed, np.random.SeedSequence):
+            seed = np.random.SeedSequence(_count(seed, "seed", 0))
+        return Sample(self._draw(n, seed))
 
     def quantile(self, p: float) -> float:
         """The x with cdf(x) = p, for p in (0, 1)."""
+        p = _real(p, "quantile level")
         if not 0.0 < p < 1.0:
             raise DomainError("quantile level must lie in (0, 1)")
         return float(self._quantile(p))
@@ -283,7 +280,7 @@ class GammaDensity(TrueDensity):
     family = "gamma"
 
     def __post_init__(self):
-        _store_gamma_constants(self)
+        _store_params(self, gamma_constants=True)
 
     def _log_pdf(self, x):
         if self.shape == 1.0:  # (shape - 1) log x is 0 (same bits), but nan at x = 0
@@ -319,7 +316,7 @@ class InverseGammaDensity(TrueDensity):
     family = "inverse_gamma"
 
     def __post_init__(self):
-        _store_gamma_constants(self)
+        _store_params(self, gamma_constants=True)
 
     def _log_pdf(self, x):
         # log x is at least log(5e-324) = -744.4 at x > 0; the floor changes
@@ -359,8 +356,7 @@ class InverseWeibullDensity(TrueDensity):
     family = "inverse_weibull"
 
     def __post_init__(self):
-        _positive_param(self.shape, "shape")
-        _positive_param(self.scale, "scale")
+        _store_params(self)
 
     def _log_t(self, x):
         # log of t = (theta/x)**k
@@ -412,12 +408,10 @@ class MixtureDensity(TrueDensity):
     family = "mixture"
 
     def __post_init__(self):
-        w = tuple(float(v) for v in self.weights)
+        w = tuple(_positive(v, "mixture weights") for v in self.weights)
         comps = tuple(self.components)
         if len(w) != len(comps) or not w:
             raise DomainError("weights and components must be non-empty and match in length")
-        if any(v <= 0.0 or not math.isfinite(v) for v in w):
-            raise DomainError("mixture weights must be positive and finite")
         if abs(sum(w) - 1.0) > 1e-12:
             raise DomainError("mixture weights must sum to 1")
         for c in comps:
@@ -536,12 +530,8 @@ class ExperimentConfig:
         if not kernels:
             raise DomainError("at least one kernel is required")
         object.__setattr__(self, "kernels", kernels)
-        if self.n < 2:
-            raise DomainError("n must be at least 2")
-        if self.replications < 1:
-            raise DomainError("replications must be at least 1")
-        if self.grid_size < 64:
-            raise DomainError("grid_size must be at least 64")
+        for name, minimum in (("n", 2), ("replications", 1), ("seed", 0), ("grid_size", 64)):
+            object.__setattr__(self, name, _count(getattr(self, name), name, minimum))
 
 
 @dataclass(frozen=True, eq=False)
@@ -599,8 +589,9 @@ def _fit_cell(values: np.ndarray, config: ExperimentConfig, grid: np.ndarray,
                 if grid.size - k < 2:
                     continue  # estimator undefined on the whole range: rank worst
                 rows = cut == k
-                est = _estimate_batch(values[rows], kernel, b[rows], grid[k:])
-                ise[rows] = _ise_rows(est, f_true[k:], grid[k:])
+                cut_grid = _validate_grid(kernel, grid[k:], float(b[rows].max()))
+                est = _estimate_batch(values[rows], kernel, b[rows], cut_grid)
+                ise[rows] = _ise_rows(est, f_true[k:], cut_grid)
             out[kernel] = (ise, cut > 0)
         except GekdeError as exc:
             if replication is not None:
@@ -630,6 +621,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list:
     with "replication r, kernel k: " before its message and its type and
     fields intact.
     """
+    threads = _count(threads, "threads", 1)
     density = CONFIGURATIONS[config.config_id]
     lo, hi = density._ise_range
     grid = np.linspace(lo, hi, config.grid_size)

@@ -27,7 +27,7 @@ from scipy.special import digamma as _scipy_digamma
 from scipy.special import gammaln as _scipy_gammaln
 from scipy.special import zeta as _scipy_zeta
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, _finite_array, _real
 
 __all__ = [
     "EULER_GAMMA",
@@ -48,13 +48,6 @@ _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 100
 
 
-def _as_positive_array(x, name):
-    arr = np.asarray(x, dtype=float)
-    if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0.0)):
-        raise DomainError(f"{name} requires positive finite arguments")
-    return arr
-
-
 def _maybe_scalar(out, x):
     if np.ndim(x) == 0:
         return float(out)
@@ -69,7 +62,7 @@ def log_gamma(x):
     accurate in absolute terms (a limitation of any fixed-precision
     evaluation; the values at 1 and 2 themselves are exactly 0).
     """
-    arr = _as_positive_array(x, "log_gamma")
+    arr = _finite_array(x, "log_gamma argument", positive=True)
     return _maybe_scalar(_scipy_gammaln(arr), x)
 
 
@@ -79,7 +72,7 @@ def digamma(x):
     scipy's ``digamma`` behind the domain validation; absolute error is
     about 1e-15 against high-precision reference values.
     """
-    arr = _as_positive_array(x, "digamma")
+    arr = _finite_array(x, "digamma argument", positive=True)
     return _maybe_scalar(_scipy_digamma(arr), x)
 
 
@@ -93,7 +86,7 @@ def trigamma(x):
     reference values wherever a double can represent the value to that
     precision.
     """
-    arr = _as_positive_array(x, "trigamma")
+    arr = _finite_array(x, "trigamma argument", positive=True)
     return _maybe_scalar(_scipy_zeta(2.0, arr), x)
 
 
@@ -122,9 +115,7 @@ def inverse_digamma(y):
     """
     if type(y) is float:
         return _inverse_digamma_float(y)
-    arr = np.asarray(y, dtype=float)
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise DomainError("inverse_digamma requires finite arguments")
+    arr = _finite_array(y, "inverse_digamma argument")
     target = arr.ravel()
     tol = np.maximum(_NEWTON_TOL, 2.0 * np.spacing(np.abs(target)))
     w = np.empty_like(target)
@@ -162,8 +153,7 @@ def _inverse_digamma_float(y: float) -> float:
     positive, so nothing here divides by zero or needs an ``np.errstate``;
     an overflowing step is inf, as in numpy, and is halved.
     """
-    if not math.isfinite(y):
-        raise DomainError("inverse_digamma requires finite arguments")
+    _real(y, "inverse_digamma argument")
     tol = max(_NEWTON_TOL, 2.0 * float(np.spacing(abs(y))))
     if y >= -2.22:
         w = float(np.exp(min(y, 709.0))) + 0.5
