@@ -91,12 +91,17 @@ def _count(value, what: str, minimum: int):
     return value
 
 
-def _finite_array(values, what: str, positive: bool = False) -> np.ndarray:
-    """``values`` as a float array of finite numbers, all above 0 with ``positive``."""
+def _real_array(values, what: str) -> np.ndarray:
+    """``values`` as a float array, converted as ``np.asarray`` does; NaN and inf pass."""
     try:
-        arr = np.asarray(values, dtype=float)
+        return np.asarray(values, dtype=float)
     except (TypeError, ValueError):
         raise DomainError(f"{what} must be real numbers") from None
+
+
+def _finite_array(values, what: str, positive: bool = False) -> np.ndarray:
+    """``values`` as a float array of finite numbers, all above 0 with ``positive``."""
+    arr = _real_array(values, what)
     if arr.size and (not np.all(np.isfinite(arr)) or positive and np.any(arr <= 0.0)):
         raise DomainError(f"{what} must be {'positive and ' if positive else ''}finite")
     return arr

@@ -132,6 +132,10 @@ _U_RATIO = 0.25
 _U_LEVELS = 40
 _U_UNIFORM = 32
 
+#: From this boundary constant c on, ``psi(e^c + 1) - c`` is ``e^-c / 2``: the
+#: next term, ``-e^-2c / 12``, is below half an ulp of EULER_GAMMA (c > 17.47).
+_BIAS_ASYMPTOTIC_C = 18.0
+
 
 class Sample:
     """Validated sample of strictly positive, finite observations.
@@ -432,15 +436,41 @@ def estimate_density(sample: Sample, kernel: Kernel, bandwidth, grid) -> Density
     return DensityEstimate(grid=grid, values=values, kernel=kernel, bandwidth=bw, n=sample.n)
 
 
+def _count_split(n) -> tuple:
+    """A count n as (m, j) with n = m * 2**(60 j), to rounding, and m a float below 2**1020.
+
+    A count below 2**1020 is ``(float(n), 0)``.  Above, the bits cut off
+    leave m its full precision, so a cube, fourth or fifth root of a count
+    beyond the double range is the root of m times a power of two.
+    """
+    n = int(n)
+    j = max(0, -(-(n.bit_length() - 1020) // 60))
+    return float(n >> 60 * j), j
+
+
+def _count_repr(n) -> str:
+    """``repr(n)``, or ``m * 2**e`` for a count too long to print whole."""
+    m, j = _count_split(n)
+    return repr(n) if j == 0 else f"{m!r} * 2**{60 * j}"
+
+
 def optimal_bandwidth_ge2(roughness: float, n: int) -> Bandwidth:
     """Closed-form optimal bandwidth for the mean-parameterised GE kernel.
 
     b* = (9 / (pi**4 * roughness))**(1/5) * n**(-1/5), where ``roughness``
     is the curvature functional integral of f''(x)**2 over (0, inf) --
-    exact when the true density is known, plug-in otherwise.
+    exact when the true density is known, plug-in otherwise.  n may be an
+    int beyond the double range (see ``_count_split``); a bandwidth outside
+    the double range raises :class:`OptimizationError`.
     """
     roughness, n = _positive(roughness, "roughness"), _count(n, "n", 2)
-    value = (9.0 / (math.pi ** 4 * roughness)) ** 0.2 * n ** -0.2
+    m, j = _count_split(n)
+    value = math.ldexp((9.0 / (math.pi ** 4 * roughness)) ** 0.2 * m ** -0.2, -12 * j)
+    if not 0.0 < value < math.inf:
+        raise OptimizationError(
+            f"optimal ge2 bandwidth {'underflows' if value == 0.0 else 'overflows'} the "
+            f"double range at roughness = {roughness!r}, n = {_count_repr(n)}"
+        )
     return Bandwidth(value, "optimal_ge2")
 
 
@@ -462,7 +492,9 @@ def numeric_bandwidth_ge(a1: float, a2: float, n: int) -> Bandwidth:
     b0 is the reciprocal of ``np.cbrt``, within about an ulp: the power
     ``** (-1/3)`` has a rounded exponent, whose error ``log(8 n c2)``
     multiplies (4e-14 at 8 n c2 = 1e302).  Where ``8 n c2`` overflows or is
-    subnormal, b0 is taken in factored form.  Above
+    subnormal, b0 is taken in factored form, with n factored out too from
+    2**1020 on (``_count_split``), so an int n beyond the double range
+    works.  Above
     ``kappa = 2**72`` the root is ``t = kappa**(-1/4) (1 - kappa**(-3/4)/4 +
     ...)``, whose correction is below half an ulp, so ``b = (12 n c3)**(-1/4)``
     to double precision, also where kappa overflows; ``brentq`` would need
@@ -475,12 +507,14 @@ def numeric_bandwidth_ge(a1: float, a2: float, n: int) -> Bandwidth:
     g = EULER_GAMMA
     c = g * g + math.pi ** 2 / 6.0
     # b0 = (8 n c2)**(-1/3), and kappa = 12 n c3 b0**4 = 1.5 (c3 / c2) b0 as
-    # 8 n c2 b0**3 = 1; a2 enters no product that can underflow to 0
-    b0_cubed_inv = 8.0 * n * a2 * g * g
-    if _TINY <= b0_cubed_inv < math.inf:
+    # 8 n c2 b0**3 = 1; a2 enters no product that can underflow to 0, and n,
+    # as m 2**(60 j), none that can overflow
+    m, j = _count_split(n)
+    b0_cubed_inv = 8.0 * m * a2 * g * g
+    if j == 0 and _TINY <= b0_cubed_inv < math.inf:
         b0 = 1.0 / float(np.cbrt(b0_cubed_inv))
     else:  # the product overflows, or is subnormal and has lost digits
-        b0 = 1.0 / float(np.cbrt(8.0 * n * g * g) * np.cbrt(a2))
+        b0 = math.ldexp(1.0 / float(np.cbrt(8.0 * m * g * g) * np.cbrt(a2)), -20 * j)
     kappa = 1.5 * c / g * (a1 / a2) * b0
     t_max = 4.0 ** (1.0 / 3.0)
 
@@ -488,7 +522,7 @@ def numeric_bandwidth_ge(a1: float, a2: float, n: int) -> Bandwidth:
         return kappa * t ** 4 + t ** 3 - 1.0
 
     if kappa > 2.0 ** 72:
-        b = (12.0 * n * g * c) ** -0.25 * a1 ** -0.25
+        b = math.ldexp((12.0 * m * g * c) ** -0.25 * a1 ** -0.25, -15 * j)
     elif math.isfinite(kappa) and stationary(t_max) > 0.0:
         # brentq stops on its relative tolerance alone (4 eps), also for small t
         b = b0 * brentq(stationary, 0.0, t_max, xtol=_TINY)
@@ -500,7 +534,7 @@ def numeric_bandwidth_ge(a1: float, a2: float, n: int) -> Bandwidth:
     if not 0.0 < b < math.inf:
         raise OptimizationError(
             f"approximate-MISE optimum {'underflows' if b == 0.0 else 'overflows'} the "
-            f"double range at a1 = {a1!r}, a2 = {a2!r}, n = {n!r}"
+            f"double range at a1 = {a1!r}, a2 = {a2!r}, n = {_count_repr(n)}"
         )
     return Bandwidth(b, "numeric_ge")
 
@@ -512,7 +546,8 @@ def asymptotic_bias(kernel: Kernel, regime: AsymptoticRegime, b: float,
     Interior: ``b g f1 + (g**2 + pi**2/6)/2 * b**2 f2`` for the
     mode-parameterised kernel and ``pi**2/12 * b**2 f2`` for the
     mean-parameterised one.  Boundary (x/b -> c):
-    ``b [psi(e^c + 1) + g - c] f1`` for the mode-parameterised kernel;
+    ``b [psi(e^c + 1) + g - c] f1`` for the mode-parameterised kernel,
+    whose bracket is ``g + e^-c / 2`` from ``_BIAS_ASYMPTOTIC_C`` on;
     no boundary expansion is defined for the mean-parameterised one.
     ``f1`` and ``f2`` are f' and f'' at the point (f'(0) in the boundary
     regime).
@@ -522,7 +557,11 @@ def asymptotic_bias(kernel: Kernel, regime: AsymptoticRegime, b: float,
     if kernel is Kernel.GE:
         if regime.kind == "interior":
             return b * g * f1 + 0.5 * (g * g + math.pi ** 2 / 6.0) * b * b * f2
-        return b * (digamma(math.exp(regime.c) + 1.0) + g - regime.c) * f1
+        c = regime.c
+        if c < _BIAS_ASYMPTOTIC_C:
+            return b * (digamma(math.exp(c) + 1.0) + g - c) * f1
+        # psi(e^c + 1) - c = e^-c / 2 - e^-2c / 12 + ..., without the cancellation
+        return b * (g + 0.5 * math.exp(-c)) * f1
     if kernel is Kernel.GE2:
         if regime.kind == "interior":
             return (math.pi ** 2 / 12.0) * b * b * f2

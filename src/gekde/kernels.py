@@ -49,10 +49,7 @@ the location terms are then (R, locations) and the data terms (R, data),
 and the combine takes one sample of the stack at a time, each entry through
 the same operations as with a scalar bandwidth.  The estimator runs the
 combine over blocks of grid rows; ``log_kernel`` is the single-location
-case.  A single datum given as a float (a quadrature node) takes a float
-transcription of the per-datum terms and the combine, on the same location
-terms: the same numpy ufuncs and the same arithmetic in the same order, so
-its value has the block path's bits without building an array.  The GE
+case, and a single datum is a one-entry row through the same combine.  The GE
 kernels also invert their cdf in closed form (``_ge_quantiles``), with no
 special function; ``exact_estimator_moments`` integrates a ``ge2`` kernel
 of shape below 1 in its probability through it.
@@ -96,7 +93,6 @@ _LOG_SHAPE_DIRECT_MAX = 700.0   # largest log-shape evaluated without regrouping
 _ASYMPTOTIC_U = 36.0            # z/b beyond which log1p(-e^-u) = -e^-u to machine precision
 _ASYMPTOTIC_Y = 36.0            # digamma argument beyond which psi-inverse(y) = e^y + 1/2 exactly
 _DBL_MAX = float(np.finfo(float).max)  # largest double
-_LOG_DBL_MAX = math.log(_DBL_MAX)  # np.exp overflows to inf above this, and only there
 _TINY = np.finfo(float).tiny    # smallest normal double
 
 #: Below this x/b the GE2 shape is the inverted series of
@@ -472,94 +468,21 @@ def _validate_point(kernel, x, b):
     return x, b
 
 
-def _float_log_kernel(ev: _LogKernel):
-    """``z -> log K`` for the one location of ``ev``, on a positive finite float.
-
-    A transcription of ``ev.rows(ev.data(...))`` for a single datum, bit for
-    bit: the location terms are read once as floats, every transcendental is
-    the numpy ufunc the block path applies (on a scalar it runs the same
-    loop), the combine is float arithmetic in the order of the block path's
-    sum (``(shape - 1) L + c0`` is ``c0 + T``, and adding ``-z/b`` is
-    subtracting ``z/b``), and
-    each ``np.where`` is an ``if`` that takes the same branch.  The branches
-    keep every ufunc off its divide-by-zero and overflow cases, so no
-    ``np.errstate`` is needed; float arithmetic itself never warns, and the
-    one divisor that can be zero, an ``ig`` 2 b z that underflows, takes the
-    inf that numpy's division gives it.
-    """
-    kernel, b = ev.kernel, ev.b
-    loc = [t.item() for t in ev.loc]
-    if kernel in _EXP_FAMILIES:
-        c0, shape_m1 = loc[:2]
-        gamma = kernel in _GAMMA_FAMILY
-        log_shape, special = (0.0, False) if gamma else loc[2:]
-
-        def log_k(z):
-            u = z / b
-            if gamma:
-                L = float(np.log(z))
-            elif u > _LOG2:
-                L = float(np.log1p(-np.exp(-u)))
-            elif u > 0.0:
-                L = float(np.log(-np.expm1(-u)))
-            else:  # z/b underflowed to 0: log(0)
-                L = -math.inf
-            if not special:
-                T = shape_m1 * L
-            elif log_shape > _LOG_SHAPE_DIRECT_MAX:
-                if u > _ASYMPTOTIC_U:
-                    log_neg_l = -u + float(np.log1p(0.5 * np.exp(-u)))
-                else:  # here L < 0
-                    log_neg_l = float(np.log(-L))
-                e = log_shape + log_neg_l
-                T = -math.inf if e > _LOG_DBL_MAX else -float(np.exp(e))
-            else:  # shape 1, as in the block path
-                T = -0.0
-            return c0 + T - u
-
-        return log_k
-    c = -0.5 * math.log(2.0 * math.pi * b)  # as in ``data``
-    if kernel is Kernel.IG:
-        x, inv_x = loc
-
-        def log_k(z):
-            t = 2.0 * b * z
-            w = 1.0 / min(t, _DBL_MAX) if t > 0.0 else math.inf
-            e = (z - x) * inv_x
-            return (c - 1.5 * float(np.log(z))) - (e * w) * e
-
-        return log_k
-    s, half_inv_b = loc
-
-    def log_k(z):
-        d = z - s
-        return (c - 0.5 * float(np.log(z))) - (d * (1.0 / z)) * (d * half_inv_b)
-
-    return log_k
-
-
 def _point_log_kernel(kernel: Kernel, x: float, b: float):
     """Validate the point (x, b) and return ``z -> log K_{x,b}(z)``.
 
     The location terms are computed here, once; each call of the returned
     function checks its data and computes only the per-datum terms and the
-    combine, which is what a quadrature integrand needs.  An array of data
-    runs the block combine; a single datum runs ``_float_log_kernel`` and
-    returns a Python float with the same bits.
+    combine.  A single datum (a float, a numpy scalar or a 0-d array) runs
+    the same block combine as an array and comes back as a Python float.
     """
     x, b = _validate_point(kernel, x, b)
     ev = _LogKernel(kernel, np.array([x]), b)
-    at_float = _float_log_kernel(ev)
 
     def log_k(z):
-        if type(z) is float:
-            if not 0.0 < z < math.inf:
-                raise DomainError("kernel argument z must be positive and finite")
-            return at_float(z)
         zarr = _finite_array(z, "kernel argument z", positive=True)
-        if zarr.ndim:
-            return ev.rows(ev.data(zarr.ravel()))[0].reshape(zarr.shape)
-        return at_float(float(zarr))
+        out = ev.rows(ev.data(zarr.ravel()))[0]
+        return out.reshape(zarr.shape) if zarr.ndim else float(out[0])
 
     return log_k
 

@@ -36,7 +36,7 @@ from scipy.optimize import brentq
 from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv
 from scipy.integrate import quad
 
-from .errors import CoverageError, DomainError, GekdeError, _count, _positive, _real
+from .errors import CoverageError, DomainError, GekdeError, _count, _positive, _real, _real_array
 from .estimator import (
     DensityEstimate,
     Sample,
@@ -80,7 +80,7 @@ def _scalar_or_asarray(x):
     arithmetic, without building the array; a Python float would raise on
     division by zero and on ``**`` overflow instead.
     """
-    return np.float64(x) if isinstance(x, float) else np.asarray(x, dtype=float)
+    return np.float64(x) if isinstance(x, float) else _real_array(x, _X)
 
 
 def _store_params(density, gamma_constants: bool = False):
@@ -102,6 +102,9 @@ def _store_params(density, gamma_constants: bool = False):
 #: the double range, and the integral keeps the bits of the unscaled
 #: quadrature.
 _ROUGHNESS_EXP_MAX = 32
+
+#: What a density's argument is called in the DomainError of a non-number.
+_X = "density argument x"
 
 #: Quantile levels that an ISE grid must span.
 _ISE_QUANTILES = (0.0005, 0.9995)
@@ -133,7 +136,7 @@ class TrueDensity:
         """
         if type(x) is float and 0.0 < x < math.inf:
             return float(np.exp(self._log_pdf(x)))
-        x = np.asarray(x, dtype=float)
+        x = _real_array(x, _X)
         off = (x < 0.0) | (x == math.inf)  # where a formula may take log(-x) or read inf - inf
         with np.errstate(divide="ignore", over="ignore"):  # log(0) at x = 0, x/theta = inf
             # abs: -0.0 is 0, not a theta/x of -inf
@@ -152,7 +155,7 @@ class TrueDensity:
         overflow on its way to 0 or 1.  Below 0 the cdf is its value at 0,
         0.0; NaN stays NaN.
         """
-        x = np.maximum(np.asarray(x, dtype=float), 0.0)
+        x = np.maximum(_real_array(x, _X), 0.0)
         with np.errstate(divide="ignore", over="ignore"):
             out = self._cdf(x)
         return _scalar_or_array(out)
@@ -422,7 +425,7 @@ class MixtureDensity(TrueDensity):
 
     def _combine(self, method, x):
         if type(x) is not float:  # a float stays one, for the components' float paths
-            x = np.asarray(x, dtype=float)
+            x = _real_array(x, _X)
         out = sum(w * getattr(c, method)(x) for w, c in zip(self.weights, self.components))
         return _scalar_or_array(out)
 

@@ -122,10 +122,10 @@ def test_bad_argument_is_domain_error(call, value):
 def test_integer_counts_pass_unchanged():
     assert type(ExperimentConfig("A", n=np.int64(20)).n) is np.int64
     assert type(ExperimentConfig("A", replications=2.0).replications) is int
-    # an int never goes through a float: 10**308 reaches the optimiser, which
+    # an int never goes through a float: 10**700 reaches the optimiser, which
     # finds no optimum in the double range
     with pytest.raises(OptimizationError):
-        numeric_bandwidth_ge(1.0, 1.0, 10 ** 308)
+        numeric_bandwidth_ge(1.0, 1e300, 10 ** 700)
 
 
 def test_whole_float_replications_keep_bits():

@@ -507,6 +507,15 @@ class TestOptimalGe2Bandwidth:
         b2 = optimal_bandwidth_ge2(0.5, 3200).value
         assert b2 == pytest.approx(b1 / 2.0, rel=1e-12)
 
+    def test_count_beyond_double_range(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            want = float((9 / mp.pi ** 4) ** (mp.mpf(1) / 5) * mp.mpf(10) ** -80)
+        got = optimal_bandwidth_ge2(1.0, 10 ** 400).value
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        with pytest.raises(OptimizationError, match="underflows the double range"):
+            optimal_bandwidth_ge2(1.0, 10 ** 2000)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             optimal_bandwidth_ge2(0.0, 100)
@@ -611,8 +620,35 @@ class TestNumericGeBandwidth:
         assert abs(self._exact_residual(a1, 1e-3, 100, b)) <= 1e-13
 
     def test_optimum_outside_double_range(self):
+        # b0 = (8 n c2)**(-1/3) is about 7e-334, below the smallest subnormal
         with pytest.raises(OptimizationError, match="underflows the double range"):
-            numeric_bandwidth_ge(1.0, 1.0, 10 ** 308)
+            numeric_bandwidth_ge(1.0, 1e300, 10 ** 700)
+
+    @staticmethod
+    def _mp_optimum(a1, a2, n):
+        """The first root of ``kappa t**4 + t**3 = 1`` times b0, at 60 digits."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            g = +mp.euler
+            c3, c2 = g * (g * g + mp.pi ** 2 / 6) * mp.mpf(a1), g * g * mp.mpf(a2)
+            b0 = (8 * n * c2) ** (-mp.mpf(1) / 3)
+            kappa = 12 * n * c3 * b0 ** 4
+            return float(b0 * mp.findroot(lambda t: kappa * t ** 4 + t ** 3 - 1, 1))
+
+    # 8 n overflows, and n itself is beyond the double range: n is factored out
+    @pytest.mark.parametrize("n", [10 ** 308, 10 ** 400], ids=["1e308", "1e400"])
+    def test_count_past_overflow(self, n):
+        b = numeric_bandwidth_ge(1.0, 1.0, n).value
+        assert b == pytest.approx(self._mp_optimum(1.0, 1.0, n), rel=4e-16, abs=0.0)
+
+    def test_closed_form_count_past_overflow(self):
+        # kappa > 2**72 with n beyond the double range: b = (12 n c3)**(-1/4)
+        b = numeric_bandwidth_ge(1e-10, 1e-300, 10 ** 400).value
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            g = +mp.euler
+            want = (12 * mp.mpf(10) ** 400 * g * (g * g + mp.pi ** 2 / 6) * mp.mpf(1e-10)) ** -0.25
+        assert b == pytest.approx(float(want), rel=1e-15, abs=0.0)
 
 
 class TestAsymptoticFormulas:
@@ -631,6 +667,20 @@ class TestAsymptoticFormulas:
         b, f1 = 0.02, -1.0
         got = asymptotic_bias(Kernel.GE, boundary_regime(0.0), b, f1, 123.0)
         assert got == pytest.approx(b * f1, rel=1e-12)
+
+    # from c = 18 the bracket is gamma + e^-c / 2: e^c overflows above 709.78,
+    # and psi(e^c + 1) - c loses its digits to cancellation as c grows
+    @pytest.mark.parametrize("c", [0.0, 1.5, 30.0, 36.0, 50.0, 700.0, 710.0, 1e308])
+    def test_ge_boundary_bracket(self, c):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            cm = mp.mpf(c)
+            if c > 1e4:  # the terms after e^-c / 2 are below 1e-8000
+                want = float(mp.euler + mp.exp(-cm) / 2)
+            else:
+                want = float(mp.digamma(mp.exp(cm) + 1) + mp.euler - cm)
+        got = asymptotic_bias(Kernel.GE, boundary_regime(c), 1.0, 1.0, 0.0)
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
 
     def test_ge2_interior(self):
         assert asymptotic_bias(Kernel.GE2, INTERIOR, 0.1, 5.0, 1.0) == pytest.approx(

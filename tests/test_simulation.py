@@ -213,6 +213,14 @@ class TestFloatPath:
             assert type(got) is float and type(via_numpy_scalar) is float
             assert got.hex() == ref.hex() == via_numpy_scalar.hex(), (name, method, x)
 
+    @pytest.mark.parametrize("name", sorted(EVERY_DENSITY))
+    @pytest.mark.parametrize("method", ["pdf", "cdf", "pdf_d1", "pdf_d2"])
+    def test_non_number_x_is_domain_error(self, name, method):
+        f = getattr(EVERY_DENSITY[name], method)
+        for x in ("a", [1.0, "a"], object()):
+            with pytest.raises(DomainError, match="density argument x"):
+                f(x)
+
     @pytest.mark.parametrize("name", ["D", "E", "F"])
     def test_mixture_float_pdf_sums_components_directly(self, name, monkeypatch):
         d = CONFIGURATIONS[name]
