@@ -1,12 +1,25 @@
 """Exception types shared across the package, and the checks on its numeric arguments.
 
 Every public numeric argument goes through one of the helpers at the end, so
-that a non-number, NaN or a value out of range raises :class:`DomainError`.
+that a non-number, NaN or a value out of range raises :class:`DomainError`;
+every public function that computes per point turns a 0-d result into a
+Python float through ``_scalar_or_array``.
 """
 
 import math
 
 import numpy as np
+
+__all__ = [
+    "GekdeError",
+    "DomainError",
+    "DegenerateSampleError",
+    "BoundaryDegeneracyError",
+    "CoverageError",
+    "ConvergenceError",
+    "IntegrationError",
+    "OptimizationError",
+]
 
 
 class GekdeError(Exception):
@@ -92,9 +105,15 @@ def _count(value, what: str, minimum: int):
 
 
 def _real_array(values, what: str) -> np.ndarray:
-    """``values`` as a float array, converted as ``np.asarray`` does; NaN and inf pass."""
+    """``values`` as a float array, converted as ``np.asarray`` does; NaN and inf pass.
+
+    ``None``, which numpy would convert to NaN, is not a number here either.
+    """
     try:
-        return np.asarray(values, dtype=float)
+        arr = np.asarray(values)
+        if arr.dtype == object and any(v is None for v in arr.flat):
+            raise TypeError
+        return arr.astype(float, copy=False)
     except (TypeError, ValueError):
         raise DomainError(f"{what} must be real numbers") from None
 
@@ -105,3 +124,8 @@ def _finite_array(values, what: str, positive: bool = False) -> np.ndarray:
     if arr.size and (not np.all(np.isfinite(arr)) or positive and np.any(arr <= 0.0)):
         raise DomainError(f"{what} must be {'positive and ' if positive else ''}finite")
     return arr
+
+
+def _scalar_or_array(out):
+    """A 0-d result (a numpy scalar or a 0-d array) as a Python float; arrays pass through."""
+    return out if isinstance(out, np.ndarray) and out.ndim else float(out)

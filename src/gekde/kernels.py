@@ -76,7 +76,7 @@ import numpy as np
 from scipy.linalg.blas import dgemm
 
 from .errors import (BoundaryDegeneracyError, DomainError, _finite_array, _nonnegative,
-                     _positive, _real)
+                     _positive, _real, _scalar_or_array)
 from .specfun import EULER_GAMMA, inverse_digamma, log_gamma
 
 __all__ = [
@@ -482,7 +482,7 @@ def _point_log_kernel(kernel: Kernel, x: float, b: float):
     def log_k(z):
         zarr = _finite_array(z, "kernel argument z", positive=True)
         out = ev.rows(ev.data(zarr.ravel()))[0]
-        return out.reshape(zarr.shape) if zarr.ndim else float(out[0])
+        return _scalar_or_array(out.reshape(zarr.shape))
 
     return log_k
 
@@ -514,7 +514,7 @@ def log_kernel(kernel: Kernel, x: float, b: float, z):
 
 def kernel_pdf(kernel: Kernel, x: float, b: float, z):
     """Kernel density K(z); exp of :func:`log_kernel`."""
-    return np.exp(log_kernel(kernel, x, b, z))
+    return _scalar_or_array(np.exp(log_kernel(kernel, x, b, z)))
 
 
 def ge2_shape(x: float, b: float) -> float:

@@ -36,7 +36,8 @@ from scipy.optimize import brentq
 from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv
 from scipy.integrate import quad
 
-from .errors import CoverageError, DomainError, GekdeError, _count, _positive, _real, _real_array
+from .errors import (CoverageError, DomainError, GekdeError, _count, _positive, _real, _real_array,
+                     _scalar_or_array)
 from .estimator import (
     DensityEstimate,
     Sample,
@@ -66,11 +67,6 @@ __all__ = [
 ]
 
 _TINY = np.finfo(float).tiny
-
-
-def _scalar_or_array(out):
-    """A 0-d result as a Python float; arrays pass through."""
-    return out if isinstance(out, np.ndarray) and out.ndim else float(out)
 
 
 def _scalar_or_asarray(x):
@@ -246,8 +242,8 @@ class TrueDensity:
         """
         e = math.frexp(self._scale_hint())[1]
         if abs(e) <= _ROUGHNESS_EXP_MAX:
-            return self._roughness()
-        value = self._rescaled(-e)._roughness()
+            return self._squared_integral("pdf_d2")
+        value = self._rescaled(-e)._squared_integral("pdf_d2")
         try:
             value = math.ldexp(value, -5 * e)
         except OverflowError:
@@ -259,15 +255,16 @@ class TrueDensity:
             )
         return value
 
-    def _roughness(self) -> float:
+    def _squared_integral(self, derivative: str) -> float:
+        """Integral of a squared pdf derivative, ``"pdf_d1"`` or ``"pdf_d2"``, over (0, inf)."""
+        f = getattr(self, derivative)
         cuts = [self.quantile(q) for q in (1e-7, 0.25, 0.5, 0.75, 1.0 - 1e-7)]
-        pts = [0.0] + cuts
+        pts = [0.0] + cuts + [math.inf]
         total = 0.0
         for a, b in zip(pts[:-1], pts[1:]):
-            v, _ = quad(lambda x: float(self.pdf_d2(x)) ** 2, a, b, epsabs=1e-12, epsrel=1e-10, limit=200)
+            v, _ = quad(lambda x: float(f(x)) ** 2, a, b, epsabs=1e-12, epsrel=1e-10, limit=200)
             total += v
-        tail, _ = quad(lambda x: float(self.pdf_d2(x)) ** 2, pts[-1], np.inf, epsabs=1e-12, epsrel=1e-10, limit=200)
-        return total + tail
+        return total
 
 
 def _rng(ss: np.random.SeedSequence) -> np.random.Generator:

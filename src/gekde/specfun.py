@@ -27,7 +27,7 @@ from scipy.special import digamma as _scipy_digamma
 from scipy.special import gammaln as _scipy_gammaln
 from scipy.special import zeta as _scipy_zeta
 
-from .errors import ConvergenceError, _finite_array, _real
+from .errors import ConvergenceError, _finite_array, _real, _scalar_or_array
 
 __all__ = [
     "EULER_GAMMA",
@@ -48,12 +48,6 @@ _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 100
 
 
-def _maybe_scalar(out, x):
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
 def log_gamma(x):
     """Natural log of the gamma function, ln Gamma(x) for x > 0.
 
@@ -63,7 +57,7 @@ def log_gamma(x):
     evaluation; the values at 1 and 2 themselves are exactly 0).
     """
     arr = _finite_array(x, "log_gamma argument", positive=True)
-    return _maybe_scalar(_scipy_gammaln(arr), x)
+    return _scalar_or_array(_scipy_gammaln(arr))
 
 
 def digamma(x):
@@ -73,7 +67,7 @@ def digamma(x):
     about 1e-15 against high-precision reference values.
     """
     arr = _finite_array(x, "digamma argument", positive=True)
-    return _maybe_scalar(_scipy_digamma(arr), x)
+    return _scalar_or_array(_scipy_digamma(arr))
 
 
 def trigamma(x):
@@ -87,7 +81,7 @@ def trigamma(x):
     precision.
     """
     arr = _finite_array(x, "trigamma argument", positive=True)
-    return _maybe_scalar(_scipy_zeta(2.0, arr), x)
+    return _scalar_or_array(_scipy_zeta(2.0, arr))
 
 
 def inverse_digamma(y):
@@ -126,7 +120,7 @@ def inverse_digamma(y):
     active = np.flatnonzero(~(np.abs(resid) <= tol))
     for _ in range(_NEWTON_MAX_ITER):
         if not active.size:
-            return _maybe_scalar(w.reshape(arr.shape), y)
+            return _scalar_or_array(w.reshape(arr.shape))
         wa = w[active]
         with np.errstate(over="ignore", invalid="ignore"):
             nxt = wa - resid[active] / trigamma(wa)
@@ -138,7 +132,7 @@ def inverse_digamma(y):
         resid[active] = r
         active = active[~(np.abs(r) <= tol[active])]
     worst = int(np.argmax(np.abs(resid)))
-    raise _no_convergence(resid[worst], _maybe_scalar(w.reshape(arr.shape), y),
+    raise _no_convergence(resid[worst], _scalar_or_array(w.reshape(arr.shape)),
                           float(np.max(np.abs(resid))))
 
 

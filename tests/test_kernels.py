@@ -477,6 +477,7 @@ class TestFloatPath:
             got = log_k(z)
             assert type(got) is float
             assert got.hex() == float(want).hex()
+            assert type(kernel_pdf(kernel, 2.0, 0.1, z)) is float
 
     @pytest.mark.parametrize("z", [0.0, -1.0, math.inf, math.nan])
     def test_scalar_outside_domain(self, z):

@@ -217,7 +217,7 @@ class TestFloatPath:
     @pytest.mark.parametrize("method", ["pdf", "cdf", "pdf_d1", "pdf_d2"])
     def test_non_number_x_is_domain_error(self, name, method):
         f = getattr(EVERY_DENSITY[name], method)
-        for x in ("a", [1.0, "a"], object()):
+        for x in ("a", [1.0, "a"], object(), None, [1.0, None]):
             with pytest.raises(DomainError, match="density argument x"):
                 f(x)
 
