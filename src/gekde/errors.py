@@ -64,11 +64,17 @@ class OptimizationError(GekdeError, RuntimeError):
 
 
 def _real(value, what: str) -> float:
-    """``value`` as a finite float, converted as ``float`` does; else DomainError."""
+    """``value`` as a finite float, converted as ``float`` does; else DomainError.
+
+    An ``int`` beyond the double range, which ``float`` cannot convert, is not
+    finite either.
+    """
     try:
         v = float(value)
     except (TypeError, ValueError):
         raise DomainError(f"{what} must be a real number, not {type(value).__name__}") from None
+    except OverflowError:
+        raise DomainError(f"{what} must be finite") from None
     if not math.isfinite(v):
         raise DomainError(f"{what} must be finite")
     return v
@@ -107,7 +113,9 @@ def _count(value, what: str, minimum: int):
 def _real_array(values, what: str) -> np.ndarray:
     """``values`` as a float array, converted as ``np.asarray`` does; NaN and inf pass.
 
-    ``None``, which numpy would convert to NaN, is not a number here either.
+    ``None``, which numpy would convert to NaN, is not a number here either,
+    and an ``int`` beyond the double range, which numpy cannot convert, is
+    out of range.
     """
     try:
         arr = np.asarray(values)
@@ -116,6 +124,8 @@ def _real_array(values, what: str) -> np.ndarray:
         return arr.astype(float, copy=False)
     except (TypeError, ValueError):
         raise DomainError(f"{what} must be real numbers") from None
+    except OverflowError:
+        raise DomainError(f"{what} must be real numbers within the double range") from None
 
 
 def _finite_array(values, what: str, positive: bool = False) -> np.ndarray:

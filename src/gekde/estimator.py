@@ -63,7 +63,7 @@ from scipy.optimize import brentq
 from .errors import (DegenerateSampleError, DomainError, IntegrationError, OptimizationError,
                      _count, _finite_array, _nonnegative, _positive, _real)
 from .kernels import (_GAMMA_FAMILY, _GE_FAMILY, _TINY, Kernel, _columns, _ge_quantiles,
-                      _LogKernel, _validate_point, gam2_shape)
+                      _LogKernel, _rescale_at, _validate_point, gam2_shape)
 from .specfun import EULER_GAMMA, digamma
 
 __all__ = [
@@ -592,7 +592,13 @@ def _quad_window(kernel: Kernel, x: float, b: float):
         m, sd = k * b, math.sqrt(k) * b
         return max(0.0, m - 15.0 * sd), m + 15.0 * sd + 15.0 * b
     if kernel is Kernel.IG:
-        sd = math.sqrt(b * x ** 3)
+        try:
+            var = b * x ** 3
+        except OverflowError:  # float ** raises where * gives inf
+            raise _rescale_at(kernel, "x**3 overflows", x, b) from None
+        if var == math.inf:
+            raise _rescale_at(kernel, "b*x**3 overflows", x, b)
+        sd = math.sqrt(var)
         return max(0.0, x - 15.0 * sd), x + 20.0 * sd
     # RIG
     sd = math.sqrt(b * x + 2.0 * b * b)
@@ -734,9 +740,10 @@ def exact_estimator_moments(kernel: Kernel, x: float, b: float, density, n: int)
         log_k = ev.rows(ev.data(z))[0]
     f = np.asarray(density.pdf(z), dtype=float)
     # rows: the weights of the kernel mass, the mean and the second moment; in
-    # u the measure already holds K, and K f is 0 where f is, also where K
-    # overflows (z = 0 where u**(1/nu) underflows)
-    terms = np.zeros((3, z.size))
+    # u the measure already holds K.  K f is 0 where f is, also where K
+    # overflows (z = 0 where u**(1/nu) underflows), so where some K is inf
+    # the product's 0 * inf = nan at f = 0 is set to 0
+    terms = np.empty((3, z.size))
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf: a divergent second moment
         k = np.exp(log_k)
         if singular:
@@ -744,7 +751,9 @@ def exact_estimator_moments(kernel: Kernel, x: float, b: float, density, n: int)
         else:
             np.multiply(weights, k, out=terms[0])
         np.multiply(terms[0], f, out=terms[1])
-        np.multiply(terms[1], k, out=terms[2], where=f != 0.0)
+        np.multiply(terms[1], k, out=terms[2])
+        if np.isinf(k).any():
+            terms[2, f == 0.0] = 0.0
         shared = terms[:, :i].sum(axis=1)
         fine, coarse = shared + terms[:, i:j].sum(axis=1), shared + terms[:, j:].sum(axis=1)
         gap = np.abs(fine - coarse)

@@ -38,8 +38,7 @@ overflows only where the exponent nearly does, and the exponent is exactly
 One evaluator serves every caller.  It takes a column of locations x and a
 row of data z and works in three steps: the terms that depend on x alone
 (shapes, the gamma normaliser, the ``ge2`` shape from one array
-inverse-digamma solve, or for a single location the same branches on
-floats, with the same bits) are computed once per location, the terms that
+inverse-digamma solve) are computed once per location, the terms that
 depend on z alone (``log z``, ``z/b``, ``log(1 - exp(-z/b))``) once per
 datum, and the combine forms the (locations, data) block of log kernel
 values: a matrix product for the GE and gamma kernels, a broadcast for
@@ -48,8 +47,11 @@ per sample of a stack of R samples (the replications of a Monte Carlo cell):
 the location terms are then (R, locations) and the data terms (R, data),
 and the combine takes one sample of the stack at a time, each entry through
 the same operations as with a scalar bandwidth.  The estimator runs the
-combine over blocks of grid rows; ``log_kernel`` is the single-location
-case, and a single datum is a one-entry row through the same combine.  The GE
+combine over blocks of grid rows; ``log_kernel`` and
+``exact_estimator_moments`` are the single-location case, whose location
+terms are built on Python floats through the same branches and ufuncs, with
+the bits of a one-location array build and without its fixed array cost,
+and a single datum is a one-entry row through the same combine.  The GE
 kernels also invert their cdf in closed form (``_ge_quantiles``), with no
 special function; ``exact_estimator_moments`` integrates a ``ge2`` kernel
 of shape below 1 in its probability through it.
@@ -74,6 +76,7 @@ import math
 
 import numpy as np
 from scipy.linalg.blas import dgemm
+from scipy.special import gammaln as _gammaln
 
 from .errors import (BoundaryDegeneracyError, DomainError, _finite_array, _nonnegative,
                      _positive, _real, _scalar_or_array)
@@ -93,7 +96,7 @@ _LOG_SHAPE_DIRECT_MAX = 700.0   # largest log-shape evaluated without regrouping
 _ASYMPTOTIC_U = 36.0            # z/b beyond which log1p(-e^-u) = -e^-u to machine precision
 _ASYMPTOTIC_Y = 36.0            # digamma argument beyond which psi-inverse(y) = e^y + 1/2 exactly
 _DBL_MAX = float(np.finfo(float).max)  # largest double
-_TINY = np.finfo(float).tiny    # smallest normal double
+_TINY = float(np.finfo(float).tiny)  # smallest normal double
 
 #: Below this x/b the GE2 shape is the inverted series of
 #: ``psi(1 + nu) + EULER_GAMMA = zeta(2) nu - zeta(3) nu**2 + zeta(4) nu**3 - ...``
@@ -135,9 +138,18 @@ _EXP_FAMILIES = _GE_FAMILY + _GAMMA_FAMILY
 
 
 def _log1mexp(u):
-    """log(1 - exp(-u)) for u > 0, accurate across the whole range."""
-    with np.errstate(divide="ignore"):
-        return np.where(u > _LOG2, np.log1p(-np.exp(-u)), np.log(-np.expm1(-u)))
+    """log(1 - exp(-u)) for an array u >= 0, accurate across the whole range.
+
+    ``log1p(-exp(-u))`` above log 2 and ``log(-expm1(-u))`` at or below it,
+    each evaluated only on its own entries.
+    """
+    out = np.empty_like(u)
+    big = u > _LOG2
+    out[big] = np.log1p(-np.exp(-u[big]))
+    small = ~big
+    with np.errstate(divide="ignore"):  # log(0) = -inf at u = 0
+        out[small] = np.log(-np.expm1(-u[small]))
+    return out
 
 
 def _log_each(b):
@@ -160,12 +172,10 @@ def _ge2_shape(r):
     lost r against EULER_GAMMA), below ``_ASYMPTOTIC_Y`` one array
     inverse-digamma solve; ``log nu`` is meaningful only where ``nu > 0``.
     Above it the closed form ``exp(y) - 1/2`` is used, with ``log nu`` kept
-    finite where ``nu`` overflows to inf (y > 709.7).  A single r takes
-    :func:`_ge2_shape_at`, with the same bits.
+    finite where ``nu`` overflows to inf (y > 709.7).  One location takes
+    :func:`_ge2_shape_at` instead, in the float build of ``_LogKernel``,
+    with the bits of a one-entry array here.
     """
-    if r.size == 1:
-        nu, log_nu = _ge2_shape_at(r.item())
-        return np.full(r.shape, nu), np.full(r.shape, log_nu)
     y = r - EULER_GAMMA
     with np.errstate(over="ignore"):
         nu = np.where(y > 709.7, math.inf, np.exp(y) - 0.5)
@@ -210,17 +220,20 @@ def _ge2_shape_at(r: float) -> tuple:
 
 def _gam2_shape(x, b):
     r = x / b
-    return np.where(x >= 2.0 * b, r, 0.25 * r * r + 1.0)
+    with np.errstate(over="ignore"):  # the splice overflows only where x >= 2b takes r
+        return np.where(x >= 2.0 * b, r, 0.25 * r * r + 1.0)
+
+
+def _rescale_at(kernel, what, x: float, b: float):
+    """DomainError naming the kernel, what went wrong and the (x, b) where it did."""
+    return DomainError(f"{kernel.value} kernel: {what} at x = {x!r}, b = {b!r}; rescale the data")
 
 
 def _rescale_error(kernel, what, bad, x, b):
-    """DomainError naming the kernel and the first (x, b) at which ``bad`` holds."""
+    """:func:`_rescale_at` the first (x, b) at which ``bad`` holds."""
     at = np.argwhere(bad)[0]
     b_at = b if np.ndim(b) == 0 else b.ravel()[at[0]]
-    return DomainError(
-        f"{kernel.value} kernel: {what} at x = {float(x[at[-1]])!r}, "
-        f"b = {float(b_at)!r}; rescale the data"
-    )
+    return _rescale_at(kernel, what, float(x[at[-1]]), float(b_at))
 
 
 def _reject_inf(kernel, what, t, x, b):
@@ -237,7 +250,8 @@ class _LogKernel:
     often than the axis it depends on requires:
 
     1. per-location terms (the constructor): shapes, log-shapes, the GE2
-       shape solve and the constant term c0, once for every x;
+       shape solve and the constant term c0, once for every x; one location
+       with a float bandwidth takes :meth:`_terms_at`, on floats;
     2. per-datum terms (:meth:`data`): ``log z``, ``z/b``,
        ``log(1 - exp(-z/b))`` and the reciprocals ``1/z`` (``rig``) and
        ``1/(2 b z)`` (``ig``), once for every z;
@@ -274,6 +288,12 @@ class _LogKernel:
         self.kernel = kernel
         self.b = b
         self.regroup = self.special = False
+        if x.shape == (1,) and not isinstance(b, np.ndarray):
+            terms = self._terms_at(x.item(), float(b))
+            self.loc = tuple(np.array([[t]]) for t in terms)
+            if kernel in _EXP_FAMILIES:
+                self.mat = np.array([[terms[1], terms[0], 1.0]])
+            return
         log_b = _log_each(b)
         if kernel is not Kernel.IG:
             with np.errstate(over="ignore"):
@@ -304,7 +324,8 @@ class _LogKernel:
         elif kernel is Kernel.IG:
             # 2*b*x >= tiny keeps 1/(2 b z) finite at z = x, where the
             # quadratic term is 0
-            denom = 2.0 * b * x
+            with np.errstate(over="ignore"):  # an infinite 2*b*x passes the check
+                denom = 2.0 * b * x
             bad = denom < _TINY
             if bad.any():
                 raise _rescale_error(kernel, "2*b*x underflows", bad, x, b)
@@ -325,6 +346,59 @@ class _LogKernel:
         if kernel in _EXP_FAMILIES:
             c0, shape_m1 = self.loc[:2]
             self.mat = np.concatenate((shape_m1, c0, np.ones_like(c0)), axis=-1)
+
+    def _terms_at(self, x: float, b: float) -> tuple:
+        """The location terms of one x with a float b: the array build on floats.
+
+        Each mask is an ``if`` and each ufunc the one the array build applies
+        (on a float it runs the same loop), so every term has the bits of a
+        one-location array build, and each check raises the same error; the
+        GE kernels also set ``special`` and ``regroup`` here.  The branches
+        keep ``np.expm1`` from overflowing below r = 709, so only beyond it is
+        an ``np.errstate`` needed.
+        """
+        kernel = self.kernel
+        if kernel is not Kernel.IG:
+            r = x / b
+            if not math.isfinite(r):
+                raise _rescale_at(kernel, "x/b overflows", x, b)
+        if kernel in _GE_FAMILY:
+            if kernel is Kernel.GE:
+                log_shape = r
+                if r < 709.0:
+                    shape_m1 = float(np.expm1(r))
+                else:
+                    with np.errstate(over="ignore"):
+                        shape_m1 = float(np.expm1(r))
+            else:
+                nu, log_shape = _ge2_shape_at(r)
+                if nu <= 0.0:
+                    raise _rescale_at(kernel, "x/b underflows", x, b)
+                shape_m1 = nu - 1.0
+            big = log_shape > _LOG_SHAPE_DIRECT_MAX
+            self.special = big or shape_m1 == 0.0
+            self.regroup = big
+            return log_shape - math.log(b), shape_m1, log_shape, self.special
+        if kernel in _GAMMA_FAMILY:
+            if kernel is Kernel.GAM1:
+                shape = r + 1.0
+            else:
+                shape = r if x >= 2.0 * b else 0.25 * r * r + 1.0
+            return -(shape * math.log(b) + float(_gammaln(shape))), shape - 1.0
+        if kernel is Kernel.IG:
+            if 2.0 * b * x < _TINY:
+                raise _rescale_at(kernel, "2*b*x underflows", x, b)
+            inv_x = 1.0 / x
+            if inv_x == math.inf:
+                raise _rescale_at(kernel, "1/x overflows", x, b)
+            return x, inv_x
+        s = x - b
+        if s == 0.0 or math.isinf(1.0 / s):
+            raise _rescale_at(kernel, "1/(x - b) overflows", x, b)
+        half_inv_b = 0.5 / b
+        if half_inv_b == math.inf:
+            raise _rescale_at(kernel, "1/(2b) overflows", x, b)
+        return s, half_inv_b
 
     def data(self, z: np.ndarray) -> tuple:
         """Per-datum terms: z is 1-D, or (R, n) for a column of R bandwidths.

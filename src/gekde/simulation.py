@@ -128,7 +128,8 @@ class TrueDensity:
         arithmetic warns where float arithmetic is quiet.  Both paths run
         the same numpy ufuncs and the same arithmetic, so a float gets the
         bits of a 0-d array.  f is 0.0 below 0 and at +inf, where no formula
-        is evaluated.
+        is evaluated; an array with no such point (every set of quadrature
+        nodes) is not masked, with the same bits.
         """
         if type(x) is float and 0.0 < x < math.inf:
             return float(np.exp(self._log_pdf(x)))
@@ -136,6 +137,8 @@ class TrueDensity:
         off = (x < 0.0) | (x == math.inf)  # where a formula may take log(-x) or read inf - inf
         with np.errstate(divide="ignore", over="ignore"):  # log(0) at x = 0, x/theta = inf
             # abs: -0.0 is 0, not a theta/x of -inf
+            if not off.any():
+                return _scalar_or_array(np.exp(self._log_pdf(np.abs(x))))
             out = np.exp(self._log_pdf(np.where(off, 1.0, np.abs(x))))
         return _scalar_or_array(np.where(off, 0.0, out))
 

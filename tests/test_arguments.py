@@ -2,7 +2,8 @@
 
 Each argument is converted as ``float`` does (``gekde.errors``): a real
 number must then be finite and in its range, a count must be whole, and an
-array must hold finite numbers.  Nothing raises an untyped ``TypeError`` or
+array must hold finite numbers.  A real argument that is an ``int`` beyond
+the double range is out of range too; a count keeps it.  Nothing raises an untyped ``TypeError`` or
 ``ValueError``, and no call returns NaN for a NaN argument.
 """
 
@@ -117,6 +118,30 @@ _CASES += [pytest.param(call, 10.5, id=f"{name}-fraction") for name, call in COU
 def test_bad_argument_is_domain_error(call, value):
     with pytest.raises(DomainError):
         call(value)
+
+
+#: An int beyond the double range, which ``float`` and numpy cannot convert.
+_HUGE = 10 ** 400
+
+
+@pytest.mark.parametrize("call", [
+    lambda: GammaDensity(_HUGE, 1.0),
+    lambda: digamma(_HUGE),
+    lambda: log_kernel(Kernel.GE, _HUGE, 1.0, 1.0),
+    lambda: F.pdf([_HUGE]),
+    lambda: exact_estimator_moments(Kernel.GE, 1.0, _HUGE, F, 100),
+], ids=["GammaDensity shape", "digamma", "log_kernel x", "pdf entry",
+        "exact_estimator_moments b"])
+def test_int_beyond_double_range_is_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize("call", [call for _, call in REALS],
+                         ids=[name for name, _ in REALS])
+def test_every_real_rejects_an_int_beyond_double_range(call):
+    with pytest.raises(DomainError):
+        call(_HUGE)
 
 
 def test_integer_counts_pass_unchanged():

@@ -976,3 +976,27 @@ class TestQuadratureFailure:
         with pytest.raises(IntegrationError, match="exceeds tolerance") as err:
             exact_estimator_moments(Kernel.GE2, 0.03, 0.1, GammaDensity(1.0, 1.0), 10)
         assert err.value.achieved > 1e-6
+
+
+class TestIgBracketOverflow:
+    """The ``ig`` bracket's spread sqrt(b x**3): a typed error where b x**3 overflows."""
+
+    @pytest.mark.parametrize("x, b, what", [(6e102, 1.0, "x**3"), (1e200, 1e-300, "x**3"),
+                                            (1e100, 1e10, "b*x**3")])
+    def test_raises_a_rescale_error(self, x, b, what):
+        with pytest.raises(DomainError) as err:
+            exact_estimator_moments(Kernel.IG, x, b, GammaDensity(3.0, 1.0), 100)
+        assert str(err.value) == (f"ig kernel: {what} overflows at x = {x!r}, b = {b!r}; "
+                                  "rescale the data")
+
+    def test_in_range_bracket_still_integrates(self):
+        # b x**3 = 1.25e308 is finite: the rule runs and misses the mass
+        with pytest.raises(IntegrationError, match="kernel mass"):
+            exact_estimator_moments(Kernel.IG, 5e102, 1.0, GammaDensity(3.0, 1.0), 100)
+
+    @pytest.mark.parametrize("x, b", [(5e102, 1.0), (1.0, 100.0), (2383.74, 1e-4),
+                                      (1e-100, 1e-100), (3.0, 0.01)])
+    def test_in_range_bracket_keeps_its_bits(self, x, b):
+        sd = math.sqrt(b * x ** 3)
+        want = (max(0.0, x - 15.0 * sd), x + 20.0 * sd)
+        assert [v.hex() for v in _quad_window(Kernel.IG, x, b)] == [v.hex() for v in want]

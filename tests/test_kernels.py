@@ -265,6 +265,115 @@ class TestGe2ShapeOneLocation:
         assert type(ge2_shape(2.0, 0.1)) is float
 
 
+_TINY = float(np.finfo(float).tiny)
+
+
+def _location_cases():
+    """(kernel, x, b) on both sides of every branch of the location build."""
+    ge, ge2, rig, ig = Kernel.GE, Kernel.GE2, Kernel.RIG, Kernel.IG
+    # ge: shape 1 at x = 0, the regrouping at x/b = 700, expm1 overflowing near 709.78
+    cases = [(ge, 0.0, 0.5)] + [
+        (ge, 0.5 * r, 0.5) for r in (np.nextafter(700.0, 0.0), 700.0, np.nextafter(700.0, 800.0),
+                                     np.nextafter(709.0, 0.0), 709.0, 709.5, 710.0, 1e300)]
+    cases += [(ge2, r, 1.0) for r in _GE2_CUTS]
+    cases += [(Kernel.GAM1, x, 0.5) for x in (1e-300, 2.0, 1e300)]
+    cases += [(Kernel.GAM2, x, 0.5) for x in (0.1, np.nextafter(1.0, 0.0), 1.0,
+                                               np.nextafter(1.0, 2.0), 1e300)]
+    cases += [(rig, np.nextafter(0.5, 1.0), 0.5), (rig, 2.0, 0.5)]
+    half_tiny = _TINY / 2.0  # 2 b x at b = 1 is the smallest normal
+    cases += [(ig, x, 1.0) for x in (np.nextafter(half_tiny, 1.0), half_tiny, 3.0)]
+    return [pytest.param(k, float(x), b, id=f"{k.value}-x={float(x)!r}-b={b!r}")
+            for k, x, b in cases]
+
+
+def _guard_cases():
+    """(kernel, x, b) where a guard of the location build raises, and what it names."""
+    cases = [(k, 1e300, 1e-10, "x/b overflows")
+             for k in (Kernel.GE, Kernel.GE2, Kernel.GAM1, Kernel.GAM2, Kernel.RIG)]
+    cases += [
+        (Kernel.GE2, 5e-324, 4.0, "x/b underflows"),
+        (Kernel.IG, np.nextafter(_TINY / 2.0, 0.0), 1.0, "2*b*x underflows"),
+        (Kernel.IG, 1e-310, 1e300, "1/x overflows"),
+        (Kernel.RIG, np.nextafter(1e-300, 1.0), 1e-300, "1/(x - b) overflows"),
+        (Kernel.RIG, 1e-300, 1e-309, "1/(2b) overflows"),
+    ]
+    return [pytest.param(k, float(x), b, what, id=f"{k.value}-{what}") for k, x, b, what in cases]
+
+
+def _build(kernel, x, b):
+    """The evaluator of locations x, or the type and message of the GekdeError it raises."""
+    try:
+        return _LogKernel(kernel, x, b)
+    except GekdeError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_entry(one, many, g):
+    """The one-location build ``one`` has the terms and flags of entry g of ``many``."""
+    assert len(one.loc) == len(many.loc)
+    for t_one, t_many in zip(one.loc, many.loc):
+        assert t_one.shape == (1, 1) and t_one.dtype == t_many.dtype
+        assert _hex(t_one) == _hex(t_many[g])
+    if one.kernel in (Kernel.GE, Kernel.GE2, Kernel.GAM1, Kernel.GAM2):
+        assert one.mat.shape == (1, 3)
+        assert _hex(one.mat) == _hex(many.mat[g])
+    special = bool(many.loc[3][g, 0]) if one.kernel in (Kernel.GE, Kernel.GE2) else False
+    assert (one.special, one.regroup) == (special, special and many.loc[2][g, 0] > 700.0)
+
+
+class TestFloatLocationBuild:
+    """One location with a float b builds its terms on floats, with the bits of an array build."""
+
+    @pytest.mark.parametrize("kernel, x, b", _location_cases())
+    def test_matches_entry_of_many_location_build(self, kernel, x, b):
+        xs = b * np.linspace(2.0, 80.0, 256)  # no special or regrouped location among them
+        xs[37] = x
+        many = _LogKernel(kernel, xs, b)
+        one = _LogKernel(kernel, np.array([x]), b)
+        _assert_entry(one, many, 37)
+        assert (one.special, one.regroup) == (many.special, many.regroup)
+
+    @pytest.mark.parametrize("kernel, x, b, what", _guard_cases())
+    def test_guards_raise_the_array_build_error(self, kernel, x, b, what):
+        one = _build(kernel, np.array([x]), b)
+        assert one == _build(kernel, np.array([x, x]), b)
+        assert one == (DomainError,
+                       f"{kernel.value} kernel: {what} at x = {x!r}, b = {b!r}; rescale the data")
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel=st.sampled_from(list(Kernel)),
+           log_b=st.floats(-745.0, 709.0),
+           log_r=st.one_of(st.floats(-8.0, 8.0), st.floats(-745.0, 709.78)))
+    def test_matches_array_build(self, kernel, log_b, log_r):
+        b = math.exp(log_b)
+        r = math.exp(log_r)
+        x = b * (1.0 + r) if kernel is Kernel.RIG else b * r
+        assume(b > 0.0 and x < math.inf)
+        one = _build(kernel, np.array([x]), b)  # quiet: RuntimeWarnings are errors here
+        with np.errstate(all="ignore"):  # the array build warns where shape * log b overflows
+            many = _build(kernel, np.array([2.0 * x, x]), b)
+            if isinstance(many, tuple):  # name x, not 2x, in the error
+                many = _build(kernel, np.array([x, x]), b)
+        if isinstance(one, tuple) or isinstance(many, tuple):
+            assert one == many
+        else:
+            _assert_entry(one, many, 1)
+
+    @pytest.mark.parametrize("kernel, xs, b", [
+        (Kernel.GAM2, [1.0, 1e-170], 1e-160),  # x/b = 1e160: the unused splice overflows
+        (Kernel.IG, [1e300, 1.0], 1e300),      # 2 b x = inf passes the underflow check
+    ], ids=["gam2-splice", "ig-2bx"])
+    def test_many_location_build_is_quiet(self, kernel, xs, b):
+        many = _LogKernel(kernel, np.array(xs), b)  # RuntimeWarnings are errors here
+        for g, x in enumerate(xs):
+            _assert_entry(_LogKernel(kernel, np.array([x]), b), many, g)
+
+    def test_array_bandwidth_keeps_the_array_build(self):
+        b = np.array([[0.5]])
+        ev = _LogKernel(Kernel.GE2, np.array([2.0]), b)
+        assert ev.loc[0].shape == (1, 1, 1)
+
+
 class TestGam2Shape:
     def test_splice_continuity(self):
         assert gam2_shape(1.0, 0.5) == pytest.approx(2.0, rel=1e-15)

@@ -835,3 +835,18 @@ class TestBelowSupport:
         assert at_floats[-1] == fn(0.0)  # -0.0 is the point 0
         assert np.array_equal(at_array[:-1], np.zeros(len(_NEGATIVE_POINTS) - 1))
         assert _bits(at_array[-1]) == _bits(fn(2.0))
+
+    @pytest.mark.parametrize("name", list(EVERY_DENSITY))
+    def test_in_support_points_keep_bits_beside_points_off_it(self, name):
+        # an array with no point below 0 or at inf (a set of quadrature nodes)
+        # takes the pdf without masks
+        d = EVERY_DENSITY[name]
+        lo, hi = d._ise_range
+        nodes = np.concatenate(([0.0, 5e-324, 1e-300], np.geomspace(lo / 64.0, 64.0 * hi, 97),
+                                [1.7e308]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone = d.pdf(nodes)
+            beside = d.pdf(np.concatenate(([-1.0, -0.0, math.inf], nodes)))
+        assert np.array_equal(_bits(alone), _bits(beside[3:]))
+        assert np.array_equal(_bits(beside[:3]), _bits([0.0, d.pdf(0.0), 0.0]))

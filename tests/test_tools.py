@@ -32,7 +32,8 @@ _OTHER = {"cls": "tests.test_estimator.TestSample", "name": "test_needs_two_posi
 
 def _run_check(tmp_path, monkeypatch, capsys, *cases):
     xml = tmp_path / "tier1.xml"
-    xml.write_text('<?xml version="1.0" encoding="utf-8"?><testsuites><testsuite name="pytest">'
+    xml.write_text('<?xml version="1.0" encoding="utf-8"?><testsuites>'
+                   '<testsuite name="pytest" time="21.347">'
                    + "".join(cases) + "</testsuite></testsuites>")
     monkeypatch.chdir(ROOT)  # node ids resolve against the module files
     code = check_tier1.main([str(xml)])
@@ -43,7 +44,7 @@ def test_check_tier1_passes_when_only_criterion_8_fails(tmp_path, monkeypatch, c
     code, out = _run_check(tmp_path, monkeypatch, capsys,
                            _FAIL.format(**_CRITERION_8), _PASS.format(**_OTHER))
     assert code == 0
-    assert "2 test cases, 1 failed: as expected" in out
+    assert "2 test cases, 1 failed: as expected; wall time 21.3 s" in out
 
 
 def test_check_tier1_fails_on_an_extra_failure(tmp_path, monkeypatch, capsys):
@@ -52,6 +53,7 @@ def test_check_tier1_fails_on_an_extra_failure(tmp_path, monkeypatch, capsys):
     assert code == 1
     assert ("unexpected failure: tests/test_estimator.py::TestSample::test_needs_two_positive"
             in out)
+    assert "2 test cases, 2 failed: check FAILED; wall time 21.3 s" in out
 
 
 def test_check_tier1_fails_on_a_collection_error(tmp_path, monkeypatch, capsys):

@@ -8,7 +8,8 @@ Run from the repository root, on the JUnit XML file of a Tier-1 run::
 Exits 0 when the failed and errored tests are exactly ``EXPECTED_FAILURES``,
 and 1 otherwise, naming each test that failed unexpectedly and each expected
 failure that passed or did not run.  A collection error counts as an errored
-test, so a module that no longer imports fails the check.
+test, so a module that no longer imports fails the check.  The summary line
+also gives the run's wall time, the ``time`` of its JUnit test suites.
 """
 
 from __future__ import annotations
@@ -35,12 +36,17 @@ def _node_id(case: ET.Element, root: Path) -> str:
     return "::".join([*parts, name])  # a collection error names its module here
 
 
-def failed_tests(junit: Path, root: Path) -> tuple[set, int]:
+def failed_tests(suites: ET.Element, root: Path) -> tuple[set, int]:
     """The node ids of the failed and errored test cases, and the number of cases."""
-    cases = list(ET.parse(junit).getroot().iter("testcase"))
+    cases = list(suites.iter("testcase"))
     failed = {_node_id(c, root) for c in cases
               if c.find("failure") is not None or c.find("error") is not None}
     return failed, len(cases)
+
+
+def wall_time(suites: ET.Element) -> float:
+    """The run's wall time in seconds: the sum of its test suites' ``time`` attributes."""
+    return sum(float(s.get("time", "nan")) for s in suites.iter("testsuite"))
 
 
 def main(argv=None) -> int:
@@ -48,7 +54,8 @@ def main(argv=None) -> int:
     if len(args) != 1:
         print("usage: check_tier1.py JUNIT_XML", file=sys.stderr)
         return 2
-    failed, total = failed_tests(Path(args[0]), Path.cwd())
+    suites = ET.parse(Path(args[0])).getroot()
+    failed, total = failed_tests(suites, Path.cwd())
     unexpected = sorted(failed - EXPECTED_FAILURES)
     missing = sorted(EXPECTED_FAILURES - failed)
     for node in unexpected:
@@ -57,7 +64,7 @@ def main(argv=None) -> int:
         print(f"expected to fail, but passed or did not run: {node}")
     ok = not unexpected and not missing
     print(f"{total} test cases, {len(failed)} failed: "
-          + ("as expected" if ok else "check FAILED"))
+          + ("as expected" if ok else "check FAILED") + f"; wall time {wall_time(suites):.1f} s")
     return 0 if ok else 1
 
 
