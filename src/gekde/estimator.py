@@ -59,6 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import poch
 
 from .errors import (DegenerateSampleError, DomainError, IntegrationError, OptimizationError,
                      _count, _finite_array, _nonnegative, _positive, _real)
@@ -76,6 +77,7 @@ __all__ = [
     "boundary_regime",
     "Moments",
     "silverman_bandwidth",
+    "select_bandwidth",
     "estimate_density",
     "default_grid",
     "optimal_bandwidth_ge2",
@@ -539,6 +541,51 @@ def numeric_bandwidth_ge(a1: float, a2: float, n: int) -> Bandwidth:
     return Bandwidth(b, "numeric_ge")
 
 
+def _gamma_functional(k: float, order: int) -> float:
+    """The integral over (0, inf) of the squared f' (``order`` 1) or f'' (2) of Gamma(k, 1).
+
+    By the duplication formula, with R = Gamma(k + 1/2) / Gamma(k): for f' (k > 1.5)
+    ``R / (sqrt(pi) (2k - 1)(2k - 3))``, for f'' (k > 2.5) that times ``3 / (2k - 5)``.
+    """
+    a2 = float(poch(k, 0.5)) / math.sqrt(math.pi) / ((2.0 * k - 1.0) * (2.0 * k - 3.0))
+    return a2 if order == 1 else 3.0 * a2 / (2.0 * k - 5.0)
+
+
+def select_bandwidth(sample: Sample, kernel: Kernel, method: str = "silverman") -> Bandwidth:
+    """The bandwidth that the rule ``method`` of ``BANDWIDTH_METHODS`` selects from the sample.
+
+    ``"silverman"`` is :func:`silverman_bandwidth`.  ``"optimal_ge2"`` and
+    ``"numeric_ge"`` (with the integral of f' f'' at 0, exact for a gamma
+    shape above 2) plug in the functionals of the gamma reference Gamma(k, 1)
+    fitted by moments (Chen 2000) to the sample scaled by a power of two, as
+    in ``_silverman_h``, and scale h back.  Every h then takes the kernel's
+    scale (``_family_b``).  ``"fixed"``, a name that is no rule and a k at
+    which the plug-in's integrand diverges at 0 raise :class:`DomainError`.
+    """
+    if method == "silverman":
+        return silverman_bandwidth(sample, kernel)
+    if method not in ("optimal_ge2", "numeric_ge"):
+        raise DomainError(f"no bandwidth rule {method!r}: silverman, optimal_ge2, numeric_ge")
+    e = int(np.frexp(sample.values[-1])[1])
+    scaled = np.ldexp(sample.values, -e)
+    m, v = float(np.mean(scaled)), float(np.var(scaled, ddof=1))
+    if v <= 0.0:
+        raise DegenerateSampleError("sample has no spread; plug-in reference is undefined")
+    k = m * m / v
+    # at 0, f''**2 ~ x**(2k - 6) and f' f'' ~ x**(2k - 5)
+    bound, integrand = (2.5, "f''**2") if method == "optimal_ge2" else (2.0, "f' f''")
+    if not k > bound:
+        raise DomainError(f"{method} integrates {integrand} of a gamma reference, which "
+                          f"diverges at 0 for shape k <= {bound}; the sample's fitted shape is "
+                          f"k = {k:.6g}. Use the silverman rule or a fixed bandwidth")
+    if method == "optimal_ge2":
+        bw = optimal_bandwidth_ge2(_gamma_functional(k, 2), sample.n)
+    else:
+        bw = numeric_bandwidth_ge(0.0, _gamma_functional(k, 1), sample.n)
+    h = np.array([bw.value * math.ldexp(v / m, e)])
+    return Bandwidth(float(_family_b(kernel, h)[0]), method)
+
+
 def asymptotic_bias(kernel: Kernel, regime: AsymptoticRegime, b: float,
                     f1: float, f2: float) -> float:
     """Leading-order bias of the GE estimators (remainder orders dropped).
@@ -574,10 +621,12 @@ def asymptotic_variance(regime: AsymptoticRegime, b: float, n: int, fx: float) -
 
     In the boundary regime the factor ``e^c / (e^c - 1/2)`` applies; it
     decreases strictly in c and tends to 1, recovering the interior value.
-    The same expression serves both GE estimators.
+    The same expression serves both GE estimators.  n may be an int beyond
+    the double range (see ``_count_split``).
     """
     b, n, fx = _positive(b, "b"), _count(n, "n", 1), _nonnegative(fx, "fx")
-    base = fx / (4.0 * b * n)
+    m, j = _count_split(n)
+    base = math.ldexp(fx / (4.0 * b * m), -60 * j)
     if regime.kind == "interior":
         return base
     return base / (1.0 - 0.5 * math.exp(-regime.c))
@@ -774,4 +823,5 @@ def exact_estimator_moments(kernel: Kernel, x: float, b: float, density, n: int)
             f"second moment {second!r} is below the squared mean {mean * mean!r}: the "
             "variance is beneath the rule's resolution", achieved=achieved
         )
-    return Moments(mean=mean, variance=(second - mean * mean) / n)
+    m, j = _count_split(n)
+    return Moments(mean=mean, variance=math.ldexp((second - mean * mean) / m, -60 * j))

@@ -229,18 +229,12 @@ def _rescale_at(kernel, what, x: float, b: float):
     return DomainError(f"{kernel.value} kernel: {what} at x = {x!r}, b = {b!r}; rescale the data")
 
 
-def _rescale_error(kernel, what, bad, x, b):
-    """:func:`_rescale_at` the first (x, b) at which ``bad`` holds."""
-    at = np.argwhere(bad)[0]
-    b_at = b if np.ndim(b) == 0 else b.ravel()[at[0]]
-    return _rescale_at(kernel, what, float(x[at[-1]]), float(b_at))
-
-
-def _reject_inf(kernel, what, t, x, b):
-    """Raise the :func:`_rescale_error` for ``what`` where a location term ``t`` is inf."""
-    bad = np.isinf(t)
+def _reject(kernel, what, bad, x, b):
+    """Raise :func:`_rescale_at` for ``what`` at the first (x, b) where the mask ``bad`` holds."""
     if bad.any():
-        raise _rescale_error(kernel, what, bad, x, b)
+        at = np.argwhere(bad)[0]
+        b_at = b if np.ndim(b) == 0 else b.ravel()[at[0]]
+        raise _rescale_at(kernel, what, float(x[at[-1]]), float(b_at))
 
 
 class _LogKernel:
@@ -273,11 +267,11 @@ class _LogKernel:
     whatever the block's size and however many samples share it, so results
     do not depend on how a grid or a stack is split into blocks.  Locations
     must already be validated for the kernel and data must be positive and
-    finite.  A location where x/b overflows (every kernel but ``ig``),
-    2*b*x underflows or 1/x overflows (``ig``), or 1/(x - b) or 1/(2b)
-    overflows (``rig``) raises :class:`DomainError`.  The ``ig`` and ``rig``
-    combine is a subtraction and multiplications, and its factors are
-    ratios; at z = x
+    finite.  A location where x/b or c0 overflows (every kernel but ``ig``;
+    c0 of ``gam1``, ``gam2`` at shapes beyond about 1e305), 2*b*x underflows
+    or 1/x overflows (``ig``), or 1/(x - b) or 1/(2b) overflows (``rig``)
+    raises :class:`DomainError`.  The ``ig`` and ``rig`` combine is a
+    subtraction and multiplications, and its factors are ratios; at z = x
     (``ig``) or z = x - b (``rig``) these guards keep every factor finite,
     so the quadratic term there is exactly 0, never ``0 * inf``.
     """
@@ -298,8 +292,7 @@ class _LogKernel:
         if kernel is not Kernel.IG:
             with np.errstate(over="ignore"):
                 r = x / b
-            if not np.isfinite(r).all():
-                raise _rescale_error(kernel, "x/b overflows", ~np.isfinite(r), x, b)
+            _reject(kernel, "x/b overflows", ~np.isfinite(r), x, b)
         if kernel in _GE_FAMILY:
             if kernel is Kernel.GE:
                 log_shape = r
@@ -307,8 +300,7 @@ class _LogKernel:
                     shape_m1 = np.expm1(log_shape)
             else:
                 nu, log_shape = _ge2_shape(r)
-                if np.any(nu <= 0.0):
-                    raise _rescale_error(kernel, "x/b underflows", nu <= 0.0, x, b)
+                _reject(kernel, "x/b underflows", nu <= 0.0, x, b)
                 shape_m1 = nu - 1.0
             # beyond exp(700) the product (shape - 1) * log1p(-e^-u) is
             # regrouped; at shape 1 it is 0 even where z/b underflows and
@@ -320,27 +312,28 @@ class _LogKernel:
             terms = (log_shape - log_b, shape_m1, log_shape, special)
         elif kernel in _GAMMA_FAMILY:
             shape = r + 1.0 if kernel is Kernel.GAM1 else _gam2_shape(x, b)
-            terms = (-(shape * log_b + log_gamma(shape)), shape - 1.0)
+            with np.errstate(over="ignore", invalid="ignore"):  # inf - inf: checked next
+                c0 = -(shape * log_b + log_gamma(shape))
+            _reject(kernel, "shape*log(b) + log Gamma(shape) overflows", ~np.isfinite(c0), x, b)
+            terms = (c0, shape - 1.0)
         elif kernel is Kernel.IG:
             # 2*b*x >= tiny keeps 1/(2 b z) finite at z = x, where the
             # quadratic term is 0
             with np.errstate(over="ignore"):  # an infinite 2*b*x passes the check
                 denom = 2.0 * b * x
-            bad = denom < _TINY
-            if bad.any():
-                raise _rescale_error(kernel, "2*b*x underflows", bad, x, b)
+            _reject(kernel, "2*b*x underflows", denom < _TINY, x, b)
             with np.errstate(over="ignore"):
                 inv_x = np.broadcast_to(1.0 / x, denom.shape)
-            _reject_inf(kernel, "1/x overflows", inv_x, x, b)
+            _reject(kernel, "1/x overflows", np.isinf(inv_x), x, b)
             terms = (np.broadcast_to(x, denom.shape), inv_x)
         else:
             # a finite 1/(x - b) keeps 1/z finite at z = x - b, where the
             # quadratic term is 0, and a finite 1/(2b) keeps it 0 there
             s = x - b
             with np.errstate(over="ignore"):
-                _reject_inf(kernel, "1/(x - b) overflows", 1.0 / s, x, b)
+                _reject(kernel, "1/(x - b) overflows", np.isinf(1.0 / s), x, b)
                 half_inv_b = np.broadcast_to(0.5 / b, s.shape)
-            _reject_inf(kernel, "1/(2b) overflows", half_inv_b, x, b)
+            _reject(kernel, "1/(2b) overflows", np.isinf(half_inv_b), x, b)
             terms = (s, half_inv_b)
         self.loc = tuple(t[..., None] for t in terms)  # columns, broadcast against data rows
         if kernel in _EXP_FAMILIES:
@@ -384,7 +377,10 @@ class _LogKernel:
                 shape = r + 1.0
             else:
                 shape = r if x >= 2.0 * b else 0.25 * r * r + 1.0
-            return -(shape * math.log(b) + float(_gammaln(shape))), shape - 1.0
+            c0 = -(shape * math.log(b) + float(_gammaln(shape)))
+            if not math.isfinite(c0):
+                raise _rescale_at(kernel, "shape*log(b) + log Gamma(shape) overflows", x, b)
+            return c0, shape - 1.0
         if kernel is Kernel.IG:
             if 2.0 * b * x < _TINY:
                 raise _rescale_at(kernel, "2*b*x underflows", x, b)

@@ -235,7 +235,7 @@ class TrueDensity:
         return dataclasses.replace(self, scale=math.ldexp(self.scale, e))
 
     def roughness(self) -> float:
-        """Curvature functional: integral of f''(x)**2 over (0, inf).
+        """Curvature functional: integral of f''(x)**2 over (0, inf), by ``quad``.
 
         A density whose scale hint lies beyond 2**(+-``_ROUGHNESS_EXP_MAX``)
         is integrated as the density of X / 2**e, with its scale near 1, and
@@ -244,9 +244,16 @@ class TrueDensity:
         outside the normal double range raises :class:`DomainError`.
         """
         e = math.frexp(self._scale_hint())[1]
-        if abs(e) <= _ROUGHNESS_EXP_MAX:
-            return self._squared_integral("pdf_d2")
-        value = self._rescaled(-e)._squared_integral("pdf_d2")
+        density = self if abs(e) <= _ROUGHNESS_EXP_MAX else self._rescaled(-e)
+        cuts = [density.quantile(q) for q in (1e-7, 0.25, 0.5, 0.75, 1.0 - 1e-7)]
+        pts = [0.0] + cuts + [math.inf]
+        value = 0.0
+        for a, b in zip(pts[:-1], pts[1:]):
+            v, _ = quad(lambda x: float(density.pdf_d2(x)) ** 2, a, b,
+                        epsabs=1e-12, epsrel=1e-10, limit=200)
+            value += v
+        if density is self:
+            return value
         try:
             value = math.ldexp(value, -5 * e)
         except OverflowError:
@@ -257,17 +264,6 @@ class TrueDensity:
                 "the double range; rescale the data"
             )
         return value
-
-    def _squared_integral(self, derivative: str) -> float:
-        """Integral of a squared pdf derivative, ``"pdf_d1"`` or ``"pdf_d2"``, over (0, inf)."""
-        f = getattr(self, derivative)
-        cuts = [self.quantile(q) for q in (1e-7, 0.25, 0.5, 0.75, 1.0 - 1e-7)]
-        pts = [0.0] + cuts + [math.inf]
-        total = 0.0
-        for a, b in zip(pts[:-1], pts[1:]):
-            v, _ = quad(lambda x: float(f(x)) ** 2, a, b, epsabs=1e-12, epsrel=1e-10, limit=200)
-            total += v
-        return total
 
 
 def _rng(ss: np.random.SeedSequence) -> np.random.Generator:

@@ -155,6 +155,20 @@ class TestEstimate:
             # gamma-family kernels take the squared bandwidth
             assert gam1["bandwidth"] == pytest.approx(ge2["bandwidth"] ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize("method", ["optimal-ge2", "numeric-ge"])
+    def test_plug_in_sidecar_is_select_bandwidth(self, narrow_sample_csv, tmp_path, method):
+        from gekde import Kernel, Sample, select_bandwidth
+
+        out = tmp_path / "out"
+        rc = main(["estimate", str(narrow_sample_csv), "--bandwidth-method", method,
+                   "--output", str(out)] + [a for k in Kernel for a in ("--kernel", k.value)])
+        assert rc == 0
+        sample = Sample(np.loadtxt(narrow_sample_csv, skiprows=1))
+        for kernel in Kernel:
+            meta = json.loads((out / f"obs_{kernel.value}.json").read_text())
+            want = select_bandwidth(sample, kernel, method.replace("-", "_"))
+            assert (meta["bandwidth"], meta["bandwidth_method"]) == (want.value, want.method)
+
     def test_bandwidth_flags_mutually_exclusive(self, narrow_sample_csv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", str(narrow_sample_csv), "--bandwidth", "1",

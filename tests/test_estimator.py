@@ -32,6 +32,7 @@ from gekde import (
     numeric_bandwidth_ge,
     optimal_bandwidth_ge2,
     run_experiment,
+    select_bandwidth,
     silverman_bandwidth,
 )
 from gekde.estimator import (
@@ -40,6 +41,7 @@ from gekde.estimator import (
     _data_windows,
     _exp_rows,
     _domain_start,
+    _gamma_functional,
     _quad_window,
 )
 from gekde.kernels import _LogKernel, _point_log_kernel, log_kernel
@@ -651,6 +653,80 @@ class TestNumericGeBandwidth:
         assert b == pytest.approx(float(want), rel=1e-15, abs=0.0)
 
 
+class TestSelectBandwidth:
+    """One rule name to one bandwidth: Silverman's, or a gamma-reference plug-in."""
+
+    @staticmethod
+    def _mp_functionals(k):
+        """The integrals of f''**2 and f'**2 for Gamma(k, 1) by mpmath quadrature, 30 digits."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            k = mp.mpf(k)
+            log_norm = mp.loggamma(k)
+
+            def squared(x, order):
+                f = mp.exp((k - 1) * mp.log(x) - x - log_norm)
+                s1 = (k - 1) / x - 1
+                return (f * s1 if order == 1 else f * (s1 * s1 - (k - 1) / (x * x))) ** 2
+
+            out = []
+            for order in (2, 1):
+                # the integrand is x**(p - 1) at 0; x = t**(1/p) makes it smooth on [0, 1]
+                p = 2 * k - 2 * order - 1
+                head = mp.quad(lambda t: squared(t ** (1 / p), order) * t ** (1 / p - 1) / p,
+                               [0, 1])
+                out.append(head + mp.quad(lambda x: squared(x, order), [1, k, 2 * k, mp.inf]))
+            return out
+
+    # per k, the relative error of TrueDensity.roughness's quad on the same two
+    # integrals against 50-digit mpmath, floored at 4 ulps: no worse than quad
+    @pytest.mark.parametrize("k, bound2, bound1", [
+        (2.51, 6.4e-13, 2.8e-14),
+        (2.6, 9e-16, 9e-16),
+        (3.0, 9e-16, 9e-16),
+        (7.0, 9e-16, 9e-16),
+        (400.0, 3.7e-13, 3.5e-13),
+        (4000.0, 1.3e-11, 1.1e-11),
+        (1e6, 8.0e-10, 1.1e-9),
+    ])
+    def test_closed_forms_match_mpmath(self, k, bound2, bound1):
+        want2, want1 = self._mp_functionals(k)
+        got2, got1 = _gamma_functional(k, 2), _gamma_functional(k, 1)
+        assert abs(got2 - want2) <= bound2 * want2
+        assert abs(got1 - want1) <= bound1 * want1
+
+    def test_silverman_is_silverman_bandwidth(self):
+        s = GammaDensity(3.0, 1.0).sample(100, 3)
+        for kernel in Kernel:
+            want = silverman_bandwidth(s, kernel)
+            for got in (select_bandwidth(s, kernel), select_bandwidth(s, kernel, "silverman")):
+                assert (got.value.hex(), got.method) == (want.value.hex(), "silverman")
+
+    def test_plug_in_rules(self):
+        # the plug-in optima of the fitted Gamma(k, theta): the unit-scale h times theta
+        s = GammaDensity(3.0, 2.0).sample(500, 4)
+        m, v = float(np.mean(s.values)), float(np.var(s.values, ddof=1))
+        k, theta = m * m / v, v / m
+        h2 = optimal_bandwidth_ge2(_gamma_functional(k, 2), s.n).value * theta
+        h1 = numeric_bandwidth_ge(0.0, _gamma_functional(k, 1), s.n).value * theta
+        for method, h in (("optimal_ge2", h2), ("numeric_ge", h1)):
+            ge = select_bandwidth(s, Kernel.GE, method)
+            gam1 = select_bandwidth(s, Kernel.GAM1, method)
+            assert (ge.method, gam1.method) == (method, method)
+            assert ge.value == pytest.approx(h, rel=1e-14)
+            assert gam1.value == pytest.approx(h * h, rel=1e-14)
+
+    @pytest.mark.parametrize("method", ["fixed", "optimal-ge2", "lscv", None, 3])
+    def test_not_a_rule(self, method):
+        with pytest.raises(DomainError, match="no bandwidth rule"):
+            select_bandwidth(unit_sd_sample(), Kernel.GE, method)
+
+    @pytest.mark.parametrize("method", ["optimal_ge2", "numeric_ge"])
+    def test_plug_in_degenerate_sample(self, method):
+        with pytest.raises(DegenerateSampleError, match="plug-in reference"):
+            select_bandwidth(Sample([1.0, 1.0]), Kernel.GE, method)
+
+
 class TestAsymptoticFormulas:
     def test_ge_interior(self):
         b, f1, f2 = 0.05, 0.3, -0.7
@@ -697,6 +773,14 @@ class TestAsymptoticFormulas:
     def test_variance_interior(self):
         assert asymptotic_variance(INTERIOR, 0.1, 100, 1.0) == pytest.approx(1.0 / 40.0)
 
+    def test_variance_count_beyond_double_range(self):
+        # below 2**1020 n divides as a float; beyond it the variance is f/(4 b m) 2**(-60 j)
+        for n in (100, 10 ** 300):
+            want = 1.0 / (4.0 * 0.1 * n)
+            assert asymptotic_variance(INTERIOR, 0.1, n, 1.0).hex() == want.hex()
+        assert asymptotic_variance(INTERIOR, 0.1, 10 ** 400, 1.0) == 0.0
+        assert asymptotic_variance(INTERIOR, 2.0 ** -40, 2 ** 1030, 1.0) == 2.0 ** -992
+
     def test_variance_boundary_zero(self):
         got = asymptotic_variance(boundary_regime(0.0), 0.1, 100, 1.0)
         assert got == pytest.approx(1.0 / 20.0)
@@ -741,6 +825,18 @@ class TestExactMoments:
         m10 = exact_estimator_moments(Kernel.GE, 2.0, 0.05, f, n=10)
         assert m10.variance == pytest.approx(m1.variance / 10.0, rel=1e-12)
         assert m1.mean == pytest.approx(m10.mean, rel=1e-13)
+
+    def test_count_beyond_double_range(self):
+        f = GammaDensity(3.0, 1.0)
+        one = exact_estimator_moments(Kernel.GE, 1.0, 1.0, f, 1)
+        for n in (10 ** 300, 2 ** 1019 + 1):  # divided as a float, with the same bits
+            assert exact_estimator_moments(Kernel.GE, 1.0, 1.0, f, n).variance.hex() == (
+                one.variance / n).hex()
+        big = exact_estimator_moments(Kernel.GE, 1.0, 1.0, f, 10 ** 400)
+        assert (big.mean, big.variance) == (one.mean, 0.0)
+        tiny_b = exact_estimator_moments(Kernel.GE, 1.0, 1e-3, f, 1)
+        assert exact_estimator_moments(Kernel.GE, 1.0, 1e-3, f, 2 ** 1030).variance == (
+            math.ldexp(tiny_b.variance, -1030))
 
     @pytest.mark.parametrize("n", [0, -5])
     def test_n_below_one_rejected(self, n):

@@ -368,6 +368,43 @@ class TestFloatLocationBuild:
         for g, x in enumerate(xs):
             _assert_entry(_LogKernel(kernel, np.array([x]), b), many, g)
 
+    @pytest.mark.parametrize("kernel", [Kernel.GAM1, Kernel.GAM2])
+    def test_gamma_normaliser_overflow_is_typed(self, kernel):
+        # from a shape of about 2.5e305 on, c0 = -(shape log b + log Gamma(shape))
+        # is not finite: both builds raise the same error, quietly, and no
+        # location that passes gives a NaN log K
+        raised = 0
+        for log_b in (-700.0, -300.0, -13.8, 0.0, 300.0, 700.0):
+            for log_r in (690.0, 700.0, 702.0, 703.0, 703.3, 703.6, 704.0, 706.0, 709.0):
+                b = math.exp(log_b)
+                x = b * math.exp(log_r)
+                if x == math.inf:
+                    continue
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    one = _build(kernel, np.array([x]), b)
+                    many = _build(kernel, np.array([2.0 * x, x]), b)
+                    if isinstance(many, tuple):  # name x, not 2x, in the error
+                        many = _build(kernel, np.array([x, x]), b)
+                    if isinstance(one, tuple) or isinstance(many, tuple):
+                        assert one == many
+                        assert one == (DomainError, f"{kernel.value} kernel: shape*log(b) + "
+                                       f"log Gamma(shape) overflows at x = {x!r}, b = {b!r}; "
+                                       "rescale the data")
+                        raised += 1
+                        continue
+                    _assert_entry(one, many, 1)
+                    assert np.isfinite(one.loc[0]).all()
+                    assert not math.isnan(log_kernel(kernel, x, b, x))
+        assert raised > 0
+
+    @pytest.mark.parametrize("kernel", [Kernel.GAM1, Kernel.GAM2])
+    def test_gamma_normaliser_overflow_in_estimate(self, kernel):
+        with pytest.raises(DomainError, match=r"overflows at x = 1e\+300, b = 1e-06"):
+            log_kernel(kernel, 1e300, 1e-6, 1e300)
+        with pytest.raises(DomainError, match=r"overflows at x = 1e\+300, b = 1e-06"):
+            estimate_density(Sample([1e300, 2e300]), kernel, 1e-6, [1e300, 1.5e300])
+
     def test_array_bandwidth_keeps_the_array_build(self):
         b = np.array([[0.5]])
         ev = _LogKernel(Kernel.GE2, np.array([2.0]), b)
