@@ -128,6 +128,11 @@ class Kernel(enum.Enum):
             raise DomainError(f"unknown kernel {name!r}; expected one of: {valid}") from None
 
 
+def _as_kernel(kernel) -> Kernel:
+    """A kernel argument as a :class:`Kernel`: a member as it is, a name by ``Kernel.parse``."""
+    return kernel if isinstance(kernel, Kernel) else Kernel.parse(kernel)
+
+
 #: Kernels entering benchmarks by default; ``ig`` is opt-in.
 DEFAULT_KERNELS = (Kernel.GE, Kernel.GE2, Kernel.GAM1, Kernel.GAM2, Kernel.RIG)
 
@@ -539,13 +544,14 @@ def _validate_point(kernel, x, b):
 
 
 def _point_log_kernel(kernel: Kernel, x: float, b: float):
-    """Validate the point (x, b) and return ``z -> log K_{x,b}(z)``.
+    """Validate the kernel and the point (x, b) and return ``z -> log K_{x,b}(z)``.
 
     The location terms are computed here, once; each call of the returned
     function checks its data and computes only the per-datum terms and the
     combine.  A single datum (a float, a numpy scalar or a 0-d array) runs
     the same block combine as an array and comes back as a Python float.
     """
+    kernel = _as_kernel(kernel)
     x, b = _validate_point(kernel, x, b)
     ev = _LogKernel(kernel, np.array([x]), b)
 
@@ -562,8 +568,8 @@ def log_kernel(kernel: Kernel, x: float, b: float, z):
 
     Parameters
     ----------
-    kernel : Kernel
-        Which kernel to evaluate.
+    kernel : Kernel or str
+        Which kernel to evaluate; a name goes through :meth:`Kernel.parse`.
     x : float
         Location of the estimator's argument.  Must be positive (``ge``
         also admits x = 0, where its shape collapses to 1 and the kernel

@@ -11,12 +11,18 @@ Integrated squared error is the trapezoid rule of (fhat - f)**2 over the
 estimate grid, which the harness spans from the 0.05% to the 99.95%
 quantile of the true density; one row-wise routine serves
 ``integrated_squared_error`` and the harness.  The harness evaluates the
-replications of a cell together: their samples are stacked, Silverman's h is
-computed for all of them in one pass, and each kernel takes one batched
-estimate of the stack and one row-wise ISE, with the bits of per-replication
-calls.  A reciprocal-inverse-Gaussian estimate is undefined at grid points
-at or below its bandwidth; the estimator's ``_domain_start`` cuts them, and
-the truncation is flagged in the report.  When fewer than two grid points
+replications of a cell together, and does the work that no kernel owns once
+per chunk of replications (one chunk per thread) or once per cell.  Per
+chunk: each replication draws from its own stream, and the (R, n) stack of
+draws is checked and sorted once, as ``Sample`` checks and sorts one
+sample; Silverman's h of every row is one pass, its quartiles read off the
+sorted rows; each kernel then takes one batched estimate of the stack, and
+the estimates of every kernel on the whole grid take one row-wise ISE.  Per
+cell: the means and variances of all kernels are one pass over the
+(kernels, replications) ISE stack.  Every step keeps the bits of the
+per-replication calls.  A reciprocal-inverse-Gaussian estimate is undefined
+at grid points at or below its bandwidth; the estimator's ``_domain_start``
+cuts them, and the truncation is flagged in the report.  When fewer than two grid points
 remain, the replication's ISE is recorded as ``inf`` so a fully degenerate
 estimator ranks strictly worst rather than disappearing from comparisons.
 """
@@ -36,8 +42,8 @@ from scipy.optimize import brentq
 from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv
 from scipy.integrate import quad
 
-from .errors import (CoverageError, DomainError, GekdeError, _count, _positive, _real, _real_array,
-                     _scalar_or_array)
+from .errors import (CoverageError, DomainError, GekdeError, _count, _finite_array, _positive,
+                     _real, _real_array, _scalar_or_array)
 from .estimator import (
     DensityEstimate,
     Sample,
@@ -47,7 +53,7 @@ from .estimator import (
     _silverman_h,
     _validate_grid,
 )
-from .kernels import DEFAULT_KERNELS, Kernel
+from .kernels import DEFAULT_KERNELS, Kernel, _as_kernel
 from .specfun import log_gamma
 
 __all__ = [
@@ -270,6 +276,17 @@ def _rng(ss: np.random.SeedSequence) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _labels(cdf: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n categorical labels drawn from their cdf, as ``Generator.choice`` draws them.
+
+    With ``cdf = p.cumsum(); cdf /= cdf[-1]`` these are the labels of
+    ``rng.choice(cdf.size, n, p=p)``: the algorithm it runs with ``p`` and
+    replacement, one uniform per label placed in the cdf, without its
+    argument checks.
+    """
+    return cdf.searchsorted(rng.random(n), side="right")
+
+
 @dataclass(frozen=True)
 class GammaDensity(TrueDensity):
     """Gamma(shape, scale): pdf x**(k-1) e**(-x/theta) / (theta**k Gamma(k))."""
@@ -418,6 +435,10 @@ class MixtureDensity(TrueDensity):
                 raise DomainError("mixture components must be non-mixture densities")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "components", comps)
+        # the labels' cdf, as Generator.choice makes it from p (not a field)
+        cdf = np.cumsum(w)
+        cdf /= cdf[-1]
+        object.__setattr__(self, "_label_cdf", cdf)
 
     def _combine(self, method, x):
         if type(x) is not float:  # a float stays one, for the components' float paths
@@ -454,16 +475,18 @@ class MixtureDensity(TrueDensity):
         return MixtureDensity(self.weights, tuple(c._rescaled(e) for c in self.components))
 
     def _draw(self, n, ss):
-        # categorical labels and component draws use separate spawned streams
+        """Each component's draws in turn, as many as its labels.
+
+        Labels and component draws use separate spawned streams.  A label is
+        the index ``Generator.choice(k, n, p=weights)`` would draw, by the
+        algorithm it runs (``_labels``).  The draws come out grouped by
+        component, not in label order: ``Sample`` sorts them.
+        """
         children = ss.spawn(1 + len(self.components))
-        labels = _rng(children[0]).choice(len(self.components), size=n, p=np.asarray(self.weights))
-        out = np.empty(n)
-        for i, comp in enumerate(self.components):
-            idx = labels == i
-            cnt = int(idx.sum())
-            if cnt:
-                out[idx] = comp._draw(cnt, children[i + 1])
-        return out
+        counts = np.bincount(_labels(self._label_cdf, n, _rng(children[0])),
+                             minlength=len(self.components)).tolist()
+        return np.concatenate([comp._draw(cnt, child) for comp, cnt, child
+                               in zip(self.components, counts, children[1:]) if cnt])
 
 
 #: Benchmark configurations.
@@ -525,12 +548,32 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.config_id not in CONFIGURATIONS:
             raise DomainError(f"unknown configuration {self.config_id!r}; expected one of A-F")
-        kernels = tuple(Kernel.parse(k) if not isinstance(k, Kernel) else k for k in self.kernels)
+        kernels = tuple(_as_kernel(k) for k in self.kernels)
         if not kernels:
             raise DomainError("at least one kernel is required")
         object.__setattr__(self, "kernels", kernels)
         for name, minimum in (("n", 2), ("replications", 1), ("seed", 0), ("grid_size", 64)):
             object.__setattr__(self, name, _count(getattr(self, name), name, minimum))
+
+
+def _ise_stats(ises: np.ndarray) -> tuple:
+    """Mean and variance (ddof 1) of each row of a (kernels, replications) ISE stack.
+
+    One ``np.mean`` and one ``np.var`` serve every row; a reduction along
+    the contiguous last axis has the bits of the call on the row alone.
+    Returns two lists of Python floats.  With one replication the variance
+    is 0.0; a row that holds a non-finite ISE has the variance ``math.nan``
+    (``np.var`` makes a NaN of another sign there, and an invalid-value
+    warning, which is not raised).
+    """
+    means = np.mean(ises, axis=1)
+    if ises.shape[1] < 2:
+        variances = np.full(ises.shape[0], 0.0 if ises.shape[1] else math.nan)
+    else:
+        with np.errstate(invalid="ignore"):  # inf - inf in a row holding inf
+            variances = np.var(ises, axis=1, ddof=1)
+        variances[~np.isfinite(ises).all(axis=1)] = math.nan
+    return means.tolist(), variances.tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -547,12 +590,9 @@ class MiseReport:
 
     @classmethod
     def from_ises(cls, config_id, kernel, n, ises, truncated=False):
+        """The report of one kernel's ISEs: the one-row case of ``_ise_stats``."""
         arr = np.asarray(ises, dtype=float)
-        mean = float(np.mean(arr))
-        if arr.size > 1 and np.all(np.isfinite(arr)):
-            var = float(np.var(arr, ddof=1))
-        else:
-            var = 0.0 if arr.size == 1 else math.nan
+        (mean,), (var,) = _ise_stats(arr.reshape(1, -1))
         return cls(config_id, kernel, n, arr, mean, var, truncated)
 
 
@@ -561,44 +601,49 @@ class MiseReport:
 _BATCH_ELEMENTS = 1 << 18
 
 
-def _fit_cell(values: np.ndarray, config: ExperimentConfig, grid: np.ndarray,
-              f_true: np.ndarray, replication: int | None = None) -> dict:
-    """ISE of each kernel on a stack of samples: kernel -> (ISEs, truncated flags).
+def _fit_cell(values: np.ndarray, kernels: tuple, grid: np.ndarray,
+              f_true: np.ndarray, replication: int | None = None) -> tuple:
+    """ISEs and truncation flags of each kernel on a stack of samples: two (kernels, R) arrays.
 
-    ``values`` is (R, n), one sorted sample per row.  Each kernel maps
-    Silverman's h to its scale (``_family_b``) and cuts the grid where its
-    domain starts (``_domain_start``; only ``rig`` cuts).  Replications with
-    the same cut share one batched estimate and one row-wise trapezoid; those
-    left with fewer than 2 points record ``inf``.  With ``replication`` (a
-    single sample), a :class:`GekdeError` is raised with "replication r,
-    kernel k: " before its message.
+    ``values`` is (R, n), one sorted sample per row, and ``kernels`` holds
+    distinct kernels.  Silverman's h is computed once for all the rows.
+    Each kernel maps it to its scale (``_family_b``) and cuts the grid where
+    its domain starts (``_domain_start``; only ``rig`` cuts).  Replications
+    with the same cut share one batched estimate; those left with fewer
+    than 2 points record ``inf``.  The estimates on the whole grid, of every
+    kernel, share one row-wise trapezoid; a cut grid takes its own.  With
+    ``replication`` (a single sample), a :class:`GekdeError` is raised with
+    "replication r, kernel k: " before its message.
     """
-    out = {}
+    ise = np.full((len(kernels), values.shape[0]), math.inf)
+    cut = np.empty(ise.shape, dtype=np.intp)
+    whole = []  # the estimates on the whole grid, in the row-major order of cut == 0
     h = None
-    for kernel in config.kernels:
-        if kernel in out:  # a kernel listed twice is fitted once
-            continue
+    for i, kernel in enumerate(kernels):
         try:
-            if h is None:  # Silverman's h is kernel-independent: computed once per sample
+            if h is None:  # kernel-independent: once for the stack, in the first kernel's context
                 h = _silverman_h(values)
             b = _family_b(kernel, h)
-            cut = _domain_start(kernel, grid, b)
-            ise = np.full(b.size, math.inf)
-            for k in np.unique(cut):
+            cut[i] = _domain_start(kernel, grid, b)
+            for k in np.unique(cut[i]):
                 if grid.size - k < 2:
                     continue  # estimator undefined on the whole range: rank worst
-                rows = cut == k
+                rows = cut[i] == k
                 cut_grid = _validate_grid(kernel, grid[k:], float(b[rows].max()))
                 est = _estimate_batch(values[rows], kernel, b[rows], cut_grid)
-                ise[rows] = _ise_rows(est, f_true[k:], cut_grid)
-            out[kernel] = (ise, cut > 0)
+                if k:
+                    ise[i, rows] = _ise_rows(est, f_true[k:], cut_grid)
+                else:
+                    whole.append(est)
         except GekdeError as exc:
             if replication is not None:
                 # prefix the context in place: type, fields and traceback survive
                 exc.args = (f"replication {replication}, kernel {kernel.value}: {exc}",
                             *exc.args[1:])
             raise
-    return out
+    if whole:  # a grid has at least 2 points, so every uncut replication has its estimate
+        ise[cut == 0] = _ise_rows(np.concatenate(whole), f_true, grid)
+    return ise, cut > 0
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> list:
@@ -607,13 +652,19 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list:
     Each replication draws its sample from a stream spawned off
     ``config.seed``.  The replications are split into contiguous chunks
     (``threads`` of them, or more where a chunk's samples would pass
-    ``_BATCH_ELEMENTS``); a chunk computes every sample's Silverman h in one vectorised pass and,
-    per kernel, one batched estimate of all its samples on the
-    quantile-spanning grid and one row-wise ISE.  Each replication's ISE
-    has the bits of a one-sample ``estimate_density`` and
-    ``integrated_squared_error``, so the output is bit-identical for any
+    ``_BATCH_ELEMENTS``).  A chunk checks and sorts its (R, n) stack of
+    draws once, as ``Sample`` checks and sorts one, computes every sample's
+    Silverman h in one vectorised pass and, per kernel, one batched
+    estimate of all its samples on the quantile-spanning grid; one row-wise
+    ISE then serves every kernel's estimates on the whole grid.  The means
+    and variances of all kernels come from one pass over the (kernels,
+    replications) ISE stack (``_ise_stats``).  Each replication's ISE has
+    the bits of a one-sample ``estimate_density`` and
+    ``integrated_squared_error``, and each statistic those of
+    ``MiseReport.from_ises``, so the output is bit-identical for any
     ``threads`` value, which sets how many chunks run at once (never more
-    than there are chunks).
+    than there are chunks).  A kernel listed twice is fitted once and
+    reported twice.
 
     A :class:`GekdeError` in a chunk is raised for its lowest failing
     replication, found by running the chunk's replications one at a time,
@@ -622,6 +673,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list:
     """
     threads = _count(threads, "threads", 1)
     density = CONFIGURATIONS[config.config_id]
+    kernels = tuple(dict.fromkeys(config.kernels))
     lo, hi = density._ise_range
     grid = np.linspace(lo, hi, config.grid_size)
     f_true = np.asarray(density.pdf(grid), dtype=float)
@@ -633,13 +685,14 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list:
 
     def one_chunk(i):
         first = edges[i]
-        values = np.stack([density.sample(config.n, streams[r]).values
-                           for r in range(first, edges[i + 1])])
+        draws = np.stack([density._draw(config.n, streams[r])
+                          for r in range(first, edges[i + 1])])
+        values = np.sort(_finite_array(draws, "sample values", positive=True), axis=1)
         try:
-            return _fit_cell(values, config, grid, f_true)
+            return _fit_cell(values, kernels, grid, f_true)
         except GekdeError:
             pass
-        return _joined([_fit_cell(values[j:j + 1], config, grid, f_true, replication=first + j)
+        return _joined([_fit_cell(values[j:j + 1], kernels, grid, f_true, replication=first + j)
                         for j in range(values.shape[0])])
 
     if threads <= 1 or chunks == 1:
@@ -647,16 +700,21 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list:
     else:
         with ThreadPoolExecutor(max_workers=min(threads, chunks)) as pool:
             results = list(pool.map(one_chunk, range(chunks)))
-    joined = _joined(results)
-    return [MiseReport.from_ises(config.config_id, kernel, config.n, joined[kernel][0],
-                                 bool(joined[kernel][1].any()))
-            for kernel in config.kernels]
+    ise, truncated = _joined(results)
+    means, variances = _ise_stats(ise)
+    reports = []
+    for kernel in config.kernels:
+        i = kernels.index(kernel)
+        reports.append(MiseReport(config.config_id, kernel, config.n, ise[i], means[i],
+                                  variances[i], bool(truncated[i].any())))
+    return reports
 
 
-def _joined(parts: list) -> dict:
+def _joined(parts: list) -> tuple:
     """``_fit_cell`` results of consecutive replications, joined in order."""
-    return {kernel: tuple(np.concatenate([p[kernel][i] for p in parts]) for i in (0, 1))
-            for kernel in parts[0]}
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate([p[i] for p in parts], axis=1) for i in (0, 1))
 
 
 def mise_records_csv(reports: Sequence[MiseReport]) -> str:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import gekde.estimator
@@ -43,6 +45,7 @@ from gekde.estimator import (
     _domain_start,
     _gamma_functional,
     _quad_window,
+    _silverman_h,
 )
 from gekde.kernels import _LogKernel, _point_log_kernel, log_kernel
 from test_metamorphic import _wide_case
@@ -122,6 +125,75 @@ class TestSilverman:
         for k in (-1000, -7, 9, 1000):
             scaled = Sample(np.ldexp(s.values, k))
             assert silverman_bandwidth(scaled, Kernel.GE).value == math.ldexp(h, k)
+
+
+def _percentile_silverman_h(values):
+    """``_silverman_h`` with its quartiles from ``np.percentile``, as the rule was first written."""
+    e = np.frexp(values[:, -1])[1][:, None]
+    v = np.ldexp(values, -e)
+    q75, q25 = np.percentile(v, [75.0, 25.0], axis=1)
+    sigma = np.minimum(np.std(v, axis=1, ddof=1), (q75 - q25) / 1.349)
+    return np.ldexp(1.06 * sigma * values.shape[1] ** -0.2, e[:, 0])
+
+
+class TestSilvermanQuartiles:
+    """The quartiles read off the sorted rows keep the bits of ``np.percentile``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(reps=st.sampled_from([1, 3, 8]), n=st.integers(2, 500),
+           levels=st.integers(2, 1000), seed=st.integers(0, 2 ** 32 - 1),
+           log_scale=st.floats(-700.0, 700.0))
+    def test_equals_percentile_rule(self, reps, n, levels, seed, log_scale):
+        # values on a lattice of ``levels`` points, so that small lattices tie
+        rng = np.random.default_rng(seed)
+        lattice = np.sort(rng.gamma(3.0, 1.0, levels)) * math.exp(log_scale) + 1e-300
+        values = np.sort(rng.choice(lattice, (reps, n)), axis=1)
+        with np.errstate(all="raise"):
+            want = _percentile_silverman_h(values)
+        if not np.all(want > 0.0):  # every row tied: no spread
+            with pytest.raises(DegenerateSampleError):
+                _silverman_h(values)
+            return
+        assert [v.hex() for v in _silverman_h(values).tolist()] == [
+            v.hex() for v in want.tolist()]
+
+
+#: Each public function that takes a kernel, as a call on that kernel.
+_KERNEL_CALLS = {
+    "estimate_density": lambda k: estimate_density(
+        GammaDensity(3.0, 1.0).sample(100, 1), k, 0.3, [1.0, 2.0]).values,
+    "silverman_bandwidth": lambda k: silverman_bandwidth(
+        GammaDensity(3.0, 1.0).sample(100, 1), k).value,
+    "select_bandwidth": lambda k: select_bandwidth(
+        GammaDensity(3.0, 1.0).sample(100, 1), k, "optimal_ge2").value,
+    "log_kernel": lambda k: log_kernel(k, 1.0, 0.3, [0.5, 1.0, 2.0]),
+    "kernel_pdf": lambda k: kernel_pdf(k, 1.0, 0.3, 1.5),
+    "exact_estimator_moments": lambda k: exact_estimator_moments(
+        k, 2.0, 0.3, GammaDensity(3.0, 1.0), 100),
+    "asymptotic_bias": lambda k: asymptotic_bias(k, INTERIOR, 0.3, 0.1, -0.2),
+}
+
+
+def _hexes(result):
+    return [float(v).hex() for v in np.ravel(result)]
+
+
+class TestKernelNames:
+    """A kernel given by name is that kernel; an unknown name raises DomainError."""
+
+    @pytest.mark.parametrize("name, kernel", [("ge", Kernel.GE), ("GE2", Kernel.GE2)])
+    @pytest.mark.parametrize("call", list(_KERNEL_CALLS), ids=str)
+    def test_name_gives_enum_result(self, call, name, kernel):
+        assert _hexes(_KERNEL_CALLS[call](name)) == _hexes(_KERNEL_CALLS[call](kernel))
+
+    @pytest.mark.parametrize("call", list(_KERNEL_CALLS), ids=str)
+    def test_unknown_name(self, call):
+        with pytest.raises(DomainError, match="unknown kernel 'gee'"):
+            _KERNEL_CALLS[call]("gee")
+
+    def test_estimate_names_its_kernel(self):
+        est = estimate_density(GammaDensity(3.0, 1.0).sample(100, 1), "gam1", 0.3, [1.0])
+        assert est.kernel is Kernel.GAM1
 
 
 class TestEstimateDensity:
@@ -694,6 +766,18 @@ class TestSelectBandwidth:
         got2, got1 = _gamma_functional(k, 2), _gamma_functional(k, 1)
         assert abs(got2 - want2) <= bound2 * want2
         assert abs(got1 - want1) <= bound1 * want1
+
+    @pytest.mark.parametrize("k", [2.51, 3.0, 10.0, 57.3, 399.9, 400.0, 4000.0, 1e6, 1e9])
+    def test_closed_forms_within_5e_15(self, k):
+        # against the closed forms in 50 digits at the same double k
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            kk = mp.mpf(k)
+            a2 = (mp.gamma(kk + 0.5) / mp.gamma(kk) / mp.sqrt(mp.pi)
+                  / ((2 * kk - 1) * (2 * kk - 3)))
+            for order, want in ((1, a2), (2, 3 * a2 / (2 * kk - 5))):
+                got = _gamma_functional(k, order)
+                assert abs((mp.mpf(got) - want) / want) <= 5e-15, order
 
     def test_silverman_is_silverman_bandwidth(self):
         s = GammaDensity(3.0, 1.0).sample(100, 3)

@@ -20,6 +20,7 @@ from gekde import (
     IntegrationError,
     InverseWeibullDensity,
     Kernel,
+    MiseReport,
     MixtureDensity,
     Bandwidth,
     Sample,
@@ -33,7 +34,7 @@ from gekde import (
 )
 from gekde.estimator import _BLOCK_ELEMENTS, _estimate_batch
 from gekde.kernels import _LogKernel
-from gekde.simulation import TrueDensity
+from gekde.simulation import TrueDensity, _labels, _rng
 from gekde.specfun import log_gamma
 
 ALL_DENSITIES = {
@@ -432,6 +433,33 @@ class TestSampling:
         with pytest.raises(DomainError):
             GammaDensity(2.0, 1.0).sample(1, 0)
 
+    @pytest.mark.parametrize("weights", [
+        (0.5, 0.5), (2.0 / 3.0, 1.0 / 3.0), (0.1, 0.3, 0.6), (0.97, 0.01, 0.01, 0.01),
+        (1e-9, 1.0 - 1e-9)])
+    @pytest.mark.parametrize("seed", [0, 7, 20250810])
+    def test_labels_are_choice_labels(self, weights, seed):
+        cdf = MixtureDensity(weights, (GammaDensity(2.0, 1.0),) * len(weights))._label_cdf
+        for n in (1, 2, 100, 5000):
+            want = np.random.default_rng([seed, n]).choice(len(weights), n, p=np.asarray(weights))
+            got = _labels(cdf, n, np.random.default_rng([seed, n]))
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("config_id", ["D", "E", "F"])
+    def test_mixture_sample_is_the_scattered_draw(self, config_id):
+        # the labels of Generator.choice, each component's draws scattered to
+        # its labels' places: the sample the grouped draws sort into
+        d = CONFIGURATIONS[config_id]
+        for seed in range(5):
+            children = np.random.SeedSequence(seed).spawn(1 + len(d.components))
+            labels = _rng(children[0]).choice(len(d.components), size=100,
+                                              p=np.asarray(d.weights))
+            want = np.empty(100)
+            for i, comp in enumerate(d.components):
+                idx = labels == i
+                if idx.any():
+                    want[idx] = comp._draw(int(idx.sum()), children[i + 1])
+            assert np.array_equal(d.sample(100, seed).values, np.sort(want))
+
 
 class TestIse:
     def test_exact_estimate_is_zero(self):
@@ -656,6 +684,46 @@ class TestBatchedExperiment:
             assert _cell([rep])[rep.kernel] == ref[rep.kernel]
         lines = mise_records_csv(reports).strip().split("\n")
         assert len(lines) == 1 + 3 * 3 and lines[1:4] == lines[7:10]
+
+    @pytest.mark.parametrize("cfg", [
+        ExperimentConfig("D", kernels=(Kernel.RIG, Kernel.GE), n=4, replications=6, seed=4,
+                         grid_size=64),
+        ExperimentConfig("F", kernels=tuple(Kernel), n=50, replications=5, seed=31,
+                         grid_size=64),
+        ExperimentConfig("B", kernels=(Kernel.GAM2, Kernel.GE2), n=30, replications=1, seed=2,
+                         grid_size=64),
+    ], ids=["D-rig-inf", "F", "B-one-replication"])
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_statistics_are_plain_mean_and_var(self, cfg, threads):
+        # every report's mean and variance: np.mean and np.var(ddof=1) of the
+        # reference ISEs, math.nan (its sign bit too) where one is inf, with
+        # no warning on the way
+        ref = _reference_cell(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = run_experiment(cfg, threads=threads)
+
+        def bits(*values):
+            return np.array(values, dtype=float).tobytes()
+
+        for rep in reports:
+            ises = np.array([float.fromhex(v) for v in ref[rep.kernel][0]])
+            var = (0.0 if ises.size == 1 else float(np.var(ises, ddof=1))
+                   if np.isfinite(ises).all() else math.nan)
+            got = bits(rep.mean_ise, rep.variance_ise)
+            assert got == bits(np.mean(ises), var), rep.kernel
+            assert (type(rep.mean_ise), type(rep.variance_ise)) == (float, float)
+            one = MiseReport.from_ises(cfg.config_id, rep.kernel, cfg.n, ises)
+            assert bits(one.mean_ise, one.variance_ise) == got
+        if cfg.config_id == "D":
+            assert math.isinf(reports[0].mean_ise) and math.isnan(reports[0].variance_ise)
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.inf, math.nan])
+    def test_draws_checked_as_a_sample_checks_them(self, monkeypatch, bad):
+        monkeypatch.setattr(GammaDensity, "_draw",
+                            lambda self, n, ss: np.concatenate(([bad], np.ones(n - 1))))
+        with pytest.raises(DomainError, match="^sample values must be positive and finite$"):
+            run_experiment(ExperimentConfig("A", n=20, replications=3, grid_size=64))
 
     @pytest.mark.parametrize("threads", [1, 2, 8])
     def test_error_at_one_replication_names_it(self, monkeypatch, threads):
