@@ -17,15 +17,21 @@ exponentiated in place and summed along its rows; the sums are divided by n
 once, after the last block.
 The GE kernels put most of log K below ``_EXP_ZERO``, where ``np.exp``
 returns +0.0 but slowly.  A block of several rows with many such entries
-writes the 0.0 itself (see ``_exp_rows``).  A one-row block (more than
-``_BLOCK_ELEMENTS // 2`` data) computes only the data window its row can
+writes the 0.0 itself (see ``_exp_rows``).  With more than
+``_BLOCK_ELEMENTS // 2`` data, each row first gets the data window it can
 reach: each row of log K is a log density in the datum, so it is unimodal
 in the sorted data, and a coarse pass finds where it rises above the cut
-(see ``_data_windows``).  The window is exponentiated into a row buffer
-that holds +0.0 everywhere else, and the whole row is summed, so the
-pairwise sum keeps its bits.  The buffer is zeroed once per sample; after
-that a window re-zeroes only the entries of the previous window that it
-does not cover, not the whole rest of the row.
+(see ``_data_windows``).  A windowed row is computed alone, on its window
+only, into a row buffer that holds +0.0 everywhere else, and the whole row
+is summed, so the pairwise sum keeps its bits.  The row buffer is zeroed
+once per sample; after that a window re-zeroes only the entries of the
+previous window that it does not cover, not the whole rest of the row.  A
+run of whole rows (window [0, n)) goes in blocks of up to
+``2 * _BLOCK_ELEMENTS`` entries, like the blocks of a smaller sample.  Every
+block of a call, of every sample, is written into one buffer allocated
+once per call (with the ``ig``/``rig`` scratch; see ``_LogKernel.rows``),
+since a fresh temporary of that size page-faults back in on every block;
+its layers start on cache lines (``_block_buffers``).
 Every grid value goes through the same operations whatever block it lands
 in, so the result does not depend on how the grid is split.
 
@@ -88,11 +94,16 @@ __all__ = [
 
 BANDWIDTH_METHODS = ("silverman", "optimal_ge2", "numeric_ge", "fixed")
 
-#: Elements per block of the (grid rows, data) kernel matrix: 256 KB per
-#: temporary.  A block's combine makes a few such temporaries, which must
-#: stay within the L2 cache; at 1 << 17 the IG/RIG combines spill it and
-#: take about 1.5 times as long.  With more data than this, a block is one
-#: grid row.
+#: Elements per block of the (grid rows, data) kernel matrix: 256 KB.  The
+#: IG/RIG combine works on two such arrays, which stay in the L2 cache; at
+#: 1 << 17 they spill it and take about 1.5 times as long.  With more than
+#: half this many data, a run of whole rows (no data window) goes in blocks
+#: of up to twice this many entries, and any other row alone.  The limit on
+#: those blocks is not the cache: a freshly allocated temporary above about
+#: 256 KB page-faults back in on every call (124 minor faults for a 2-row
+#: ``rig`` combine at n = 20000, 2.9 times the time of one row), which the
+#: buffers that ``_estimate_batch`` reuses for every block avoid.  Blocks
+#: of 2-3 rows at n = 20000 are fastest; 8 rows spill the cache.
 _BLOCK_ELEMENTS = 1 << 15
 
 #: log K at or below this exponentiates to exactly +0.0 in doubles: exp
@@ -107,9 +118,9 @@ _EXP_ZERO = -746.0
 #: about 1.2 ns on every entry: below a 1/16 share the plain exp is as fast.
 _PROBE_DIVISOR = 32
 
-#: A one-row block finds its data window from log K at every 32nd datum:
-#: the coarse pass costs 1/32 of the row, and the window is at most 31
-#: data wider on each side than the entries ``np.exp`` would not round to 0.
+#: A row of a large sample finds its data window from log K at every 32nd
+#: datum: the coarse pass costs 1/32 of the row, and the window is at most
+#: 31 data wider on each side than the entries ``np.exp`` would not round to 0.
 _WINDOW_STRIDE = 32
 
 #: The 16-point Gauss-Legendre rule on [-1, 1], the panel rule of
@@ -298,14 +309,16 @@ def default_grid(sample: Sample, size: int = 512) -> np.ndarray:
     return np.linspace(lo, hi, _count(size, "grid size", 1))
 
 
-def _validate_grid(kernel: Kernel, grid, b: float) -> np.ndarray:
-    """``grid`` as a 1-D array: finite, strictly increasing, its first point in the domain at b."""
+def _grid_points(grid) -> np.ndarray:
+    """``grid`` as a 1-D array: non-empty, finite and strictly increasing.
+
+    Whether its first point lies in a kernel's domain is ``_validate_point``'s check.
+    """
     grid = np.atleast_1d(_finite_array(grid, "grid points"))
     if grid.size == 0:
         raise DomainError("evaluation grid is empty")
     if np.any(np.diff(grid) <= 0.0):
         raise DomainError("grid points must be strictly increasing")
-    _validate_point(kernel, float(grid[0]), b)
     return grid
 
 
@@ -376,58 +389,92 @@ def _data_windows(ev: _LogKernel, dat: tuple, n: int):
     return start, stop
 
 
+def _block_buffers(height: int, n: int) -> np.ndarray:
+    """An empty (2, height, n) array whose two layers each start on a 64-byte cache line.
+
+    The block of ``_LogKernel.rows`` goes in layer 0 and the ``ig``/``rig``
+    scratch in layer 1.  numpy allocates on 16-byte boundaries, and its
+    AVX-512 loops store 64 bytes at a time, so a layer that starts off a
+    cache line splits every vector store across two lines: at n = 20000 an
+    ``ig`` or ``rig`` block 16 bytes past a line took about 15-28% longer
+    than one on it.  The layers are padded apart to whole cache lines.
+    """
+    layer = -(-height * n // 8) * 8
+    raw = np.empty(2 * layer + 7)
+    first = -raw.ctypes.data % 64 // 8
+    return raw[first:first + 2 * layer].reshape(2, layer)[:, :height * n].reshape(2, height, n)
+
+
 def _estimate_batch(values: np.ndarray, kernel: Kernel, b: np.ndarray,
                     grid: np.ndarray) -> np.ndarray:
     """Estimates of R samples on one grid: an (R, G) array.
 
     ``values`` is (R, n), one sorted sample per row, ``b`` holds the R
-    bandwidths and ``grid`` has passed ``_validate_grid``.  The location
-    terms are computed once for all (sample, grid point) pairs and the data
-    terms once per datum; the combine then runs, sample by sample, over
-    blocks of grid rows within the ``_BLOCK_ELEMENTS`` budget.  Each row
-    goes through the operations of a single-sample call, so a sample's
-    estimate does not depend on which others share the batch.
+    bandwidths and ``grid`` has passed ``_grid_points``, its first point
+    ``_validate_point``.  The location terms are computed once for all
+    (sample, grid point) pairs and the data terms once per datum; the
+    combine then runs, sample by sample, over blocks of grid rows within
+    the ``_BLOCK_ELEMENTS`` budget.  Each row goes through the operations of
+    a single-sample call, so a sample's estimate does not depend on which
+    others share the batch.
 
-    With more than ``_BLOCK_ELEMENTS // 2`` data a block is one grid row,
-    and the combine and ``np.exp`` run only on the row's data window (see
-    ``_data_windows``), written into a row buffer that is +0.0 outside it;
-    entries outside it are those ``np.exp`` would round to +0.0.  The
-    buffer is zeroed once per sample and then holds +0.0 outside the last
-    window written, so each window zeroes only the part of the previous one
-    it does not cover: far fewer entries than the rest of the row.  The
-    whole row is then summed, as on the other path: numpy's pairwise sum
-    groups entries by position, so summing the window alone would change
-    the bits.
+    Every block of every sample is written into one buffer, allocated once
+    per call, with the ``ig``/``rig`` scratch beside it (``out`` of
+    :meth:`_LogKernel.rows`).
+
+    With more than ``_BLOCK_ELEMENTS // 2`` data, a row with a data window
+    (see ``_data_windows``) is a block of its own, and the combine and
+    ``np.exp`` run only on the window, written into a row buffer that is
+    +0.0 outside it; entries outside it are those ``np.exp`` would round to
+    +0.0.  The row buffer is zeroed once per sample and then holds +0.0
+    outside the last window written, so each window zeroes only the part
+    of the previous one it does not cover: far fewer entries than the rest
+    of the row.  The whole row is then summed, as on the other path:
+    numpy's pairwise sum groups entries by position, so summing the window
+    alone would change the bits.  Each run of consecutive whole rows goes
+    in blocks of up to ``2 * _BLOCK_ELEMENTS`` entries (3 rows at n =
+    20000), each with one combine, one ``_exp_rows`` and one row sum.
     """
-    n = values.shape[1]
+    n, size = values.shape[1], grid.size
     ev = _LogKernel(kernel, grid, b[:, None])
     data = ev.data(values)
     step = max(1, _BLOCK_ELEMENTS // n)
+    height = step if step > 1 else max(1, 2 * _BLOCK_ELEMENTS // n)
     k = n // _PROBE_DIVISOR
     probe = np.array([k, -1 - k])
-    out = np.empty((b.size, grid.size))
+    out = np.empty((b.size, size))
+    # every block of every sample is written into this: the block, and the
+    # ig/rig scratch (see _LogKernel.rows)
+    buf = _block_buffers(min(height, size), n)
     for r in range(b.size):
         sub, dest = ev.take(r), out[r]
         dat = tuple(t[r] for t in data)
         if step == 1:
             start, stop = _data_windows(sub, dat, n)
+            whole = (stop - start == n).tolist()
             # +0.0 outside [p0, p1), the last window written
             row, p0, p1 = np.zeros((1, n)), 0, 0
-            for g, (j0, j1) in enumerate(zip(start.tolist(), stop.tolist())):
-                if j1 - j0 == n:
-                    block = sub.rows(dat, g, g + 1)
-                    np.exp(block, out=block)
+            lo = 0
+            while lo < size:
+                hi = lo + 1
+                if whole[lo]:  # a run of whole rows, in blocks of up to `height`
+                    while hi < min(size, lo + height) and whole[hi]:
+                        hi += 1
+                    block = sub.rows(dat, lo, hi, out=buf[:, :hi - lo])
+                    _exp_rows(block, masked=False)
                 else:
+                    j0, j1 = int(start[lo]), int(stop[lo])
                     block = row
                     row[:, p0:min(p1, j0)] = 0.0  # the old window left of the new
                     row[:, max(p0, j1):p1] = 0.0  # and right of it
-                    np.exp(sub.rows(_columns(dat, slice(j0, j1)), g, g + 1),
+                    np.exp(sub.rows(_columns(dat, slice(j0, j1)), lo, hi),
                            out=row[:, j0:j1])
                     p0, p1 = j0, j1
-                np.add.reduce(block, axis=1, out=dest[g:g + 1])
+                np.add.reduce(block, axis=1, out=dest[lo:hi])
+                lo = hi
             continue
-        for lo in range(0, grid.size, step):
-            block = sub.rows(dat, lo, lo + step)
+        for lo in range(0, size, step):
+            block = sub.rows(dat, lo, lo + step, out=buf[:, :min(step, size - lo)])
             _exp_rows(block, masked=not (block[:, probe] > _EXP_ZERO).all())
             np.add.reduce(block, axis=1, out=dest[lo:lo + step])
     out /= n
@@ -446,16 +493,18 @@ def estimate_density(sample: Sample, kernel: Kernel, bandwidth, grid) -> Density
 
     A block whose log K reaches ``_EXP_ZERO`` at its probe columns (see
     ``_PROBE_DIVISOR``) is exponentiated with the underflowing entries
-    masked.  With more than ``_BLOCK_ELEMENTS // 2`` data a block is one
-    grid row, and only the row's data window is combined and exponentiated
-    (see ``_data_windows``), into a row buffer kept at +0.0 outside it by
-    zeroing only what the previous window wrote outside the new one; the
-    row is still summed whole, zeros included, in the same order.  Every
+    masked.  With more than ``_BLOCK_ELEMENTS // 2`` data, a grid row with
+    a data window is a block of its own, and only the window is combined
+    and exponentiated (see ``_data_windows``), into a row buffer kept at
+    +0.0 outside it by zeroing only what the previous window wrote outside
+    the new one; the row is still summed whole, zeros included, in the same
+    order.  Runs of rows with no window go in blocks of a few rows.  Every
     path gives the bits of ``np.exp`` and of the full row sum, so the choice
     of path affects only speed.
     """
     kernel, bw = _as_kernel(kernel), _coerce_bandwidth(bandwidth)
-    grid = _validate_grid(kernel, grid, bw.value)
+    grid = _grid_points(grid)
+    _validate_point(kernel, float(grid[0]), bw.value)
     values = _estimate_batch(sample.values[None, :], kernel, np.array([bw.value]), grid)[0]
     return DensityEstimate(grid=grid, values=values, kernel=kernel, bandwidth=bw, n=sample.n)
 

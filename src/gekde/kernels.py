@@ -456,7 +456,8 @@ class _LogKernel:
             sub.mat = self.mat[r]
         return sub
 
-    def rows(self, dat: tuple, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    def rows(self, dat: tuple, lo: int = 0, hi: int | None = None,
+             out: np.ndarray | None = None) -> np.ndarray:
         """log K for locations ``lo:hi`` against all data: a (rows, n) array.
 
         The location terms are (G, 1) columns: those of a scalar bandwidth,
@@ -464,13 +465,26 @@ class _LogKernel:
         gamma kernels the block is one ``dgemm`` of the location matrix
         against the data matrix; the rows of GE special locations are then
         written over with their own formula.
+
+        ``out``, if given, is a (2, rows, n) array whose layers are C-ordered:
+        the block is written into ``out[0]`` and returned, and ``ig`` and
+        ``rig`` use ``out[1]`` as scratch.  Its old contents, NaN and inf
+        included, never reach the result, whose bits are those of a call
+        without it; without it, each call allocates its block.
         """
         kernel = self.kernel
+        block, scratch = (None, None) if out is None else out
         if kernel in _EXP_FAMILIES:
             # gemm takes k in order: ((shape - 1) L + c0 * 1) + 1 * (-z/b),
             # and the two unit products are exact.  Computed transposed: the
-            # Fortran (n, rows) result is the C-ordered (rows, n) block
-            out = dgemm(1.0, dat[0].T, self.mat[lo:hi].T).T
+            # Fortran (n, rows) result is the C-ordered (rows, n) block.  With
+            # beta 0 gemm overwrites out[0] in place; f2py would copy a c that
+            # is not Fortran-ordered, so the block is the return value
+            if block is None:
+                block = dgemm(1.0, dat[0].T, self.mat[lo:hi].T).T
+            else:
+                block = dgemm(1.0, dat[0].T, self.mat[lo:hi].T, beta=0.0, c=block.T,
+                              overwrite_c=1).T
             if self.special and self.loc[3][lo:hi].any():
                 c0, _, log_shape, special = (t[lo:hi, 0] for t in self.loc)
                 neg_u = dat[0][2]
@@ -478,25 +492,25 @@ class _LogKernel:
                 if big.any():
                     with np.errstate(over="ignore"):
                         T = -np.exp(log_shape[big, None] + dat[1])
-                    out[big] = (c0[big, None] + T) + neg_u
+                    block[big] = (c0[big, None] + T) + neg_u
                 # shape 1: (shape - 1) L is -0.0, even where L is -inf, and
                 # c0 + -0.0 is c0
                 one = special & ~big
-                out[one] = c0[one, None] + neg_u
-            return out
+                block[one] = c0[one, None] + neg_u
+            return block
         loc = self.loc if hi is None else tuple(t[lo:hi] for t in self.loc)
         z, base, w = dat
         with np.errstate(over="ignore"):  # an overflowing product is log K = -inf
             if kernel is Kernel.IG:
                 x, inv_x = loc
-                e = np.subtract(z, x)
+                e = np.subtract(z, x, out=scratch)
                 e *= inv_x
-                q = e * w
+                q = np.multiply(e, w, out=block)
                 q *= e
             else:
                 s, half_inv_b = loc
-                d = np.subtract(z, s)
-                q = d * w
+                d = np.subtract(z, s, out=scratch)
+                q = np.multiply(d, w, out=block)
                 d *= half_inv_b
                 q *= d
         return np.subtract(base, q, out=q)

@@ -50,10 +50,10 @@ from .estimator import (
     _domain_start,
     _estimate_batch,
     _family_b,
+    _grid_points,
     _silverman_h,
-    _validate_grid,
 )
-from .kernels import DEFAULT_KERNELS, Kernel, _as_kernel
+from .kernels import DEFAULT_KERNELS, Kernel, _as_kernel, _validate_point
 from .specfun import log_gamma
 
 __all__ = [
@@ -568,7 +568,7 @@ def _ise_stats(ises: np.ndarray) -> tuple:
     """
     means = np.mean(ises, axis=1)
     if ises.shape[1] < 2:
-        variances = np.full(ises.shape[0], 0.0 if ises.shape[1] else math.nan)
+        variances = np.zeros(ises.shape[0])
     else:
         with np.errstate(invalid="ignore"):  # inf - inf in a row holding inf
             variances = np.var(ises, axis=1, ddof=1)
@@ -590,8 +590,13 @@ class MiseReport:
 
     @classmethod
     def from_ises(cls, config_id, kernel, n, ises, truncated=False):
-        """The report of one kernel's ISEs: the one-row case of ``_ise_stats``."""
+        """The report of one kernel's ISEs: the one-row case of ``_ise_stats``.
+
+        A report of no replications raises :class:`DomainError`.
+        """
         arr = np.asarray(ises, dtype=float)
+        if arr.size == 0:
+            raise DomainError("a MISE report needs at least one replication's ISE")
         (mean,), (var,) = _ise_stats(arr.reshape(1, -1))
         return cls(config_id, kernel, n, arr, mean, var, truncated)
 
@@ -606,11 +611,13 @@ def _fit_cell(values: np.ndarray, kernels: tuple, grid: np.ndarray,
     """ISEs and truncation flags of each kernel on a stack of samples: two (kernels, R) arrays.
 
     ``values`` is (R, n), one sorted sample per row, and ``kernels`` holds
-    distinct kernels.  Silverman's h is computed once for all the rows.
-    Each kernel maps it to its scale (``_family_b``) and cuts the grid where
-    its domain starts (``_domain_start``; only ``rig`` cuts).  Replications
-    with the same cut share one batched estimate; those left with fewer
-    than 2 points record ``inf``.  The estimates on the whole grid, of every
+    distinct kernels.  Silverman's h is computed, and the grid checked
+    (``_grid_points``), once for all the rows.  Each kernel maps h to its
+    scale (``_family_b``) and cuts the grid where its domain starts
+    (``_domain_start``; only ``rig`` cuts).  Replications with the same cut
+    share one batched estimate, after a check of the cut grid's first point
+    alone (``_validate_point``); those left with fewer than 2 points record
+    ``inf``.  The estimates on the whole grid, of every
     kernel, share one row-wise trapezoid; a cut grid takes its own.  With
     ``replication`` (a single sample), a :class:`GekdeError` is raised with
     "replication r, kernel k: " before its message.
@@ -623,13 +630,15 @@ def _fit_cell(values: np.ndarray, kernels: tuple, grid: np.ndarray,
         try:
             if h is None:  # kernel-independent: once for the stack, in the first kernel's context
                 h = _silverman_h(values)
+                grid = _grid_points(grid)
             b = _family_b(kernel, h)
             cut[i] = _domain_start(kernel, grid, b)
             for k in np.unique(cut[i]):
                 if grid.size - k < 2:
                     continue  # estimator undefined on the whole range: rank worst
                 rows = cut[i] == k
-                cut_grid = _validate_grid(kernel, grid[k:], float(b[rows].max()))
+                cut_grid = grid[k:]
+                _validate_point(kernel, float(cut_grid[0]), float(b[rows].max()))
                 est = _estimate_batch(values[rows], kernel, b[rows], cut_grid)
                 if k:
                     ise[i, rows] = _ise_rows(est, f_true[k:], cut_grid)

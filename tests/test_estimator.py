@@ -490,7 +490,7 @@ class TestDataWindow:
             def __init__(self, r):
                 self.log_k, self.windows = log_k[r], per_sample[r]
 
-            def rows(self, dat, lo=0, hi=None):
+            def rows(self, dat, lo=0, hi=None, out=None):
                 return self.log_k[lo:hi][:, dat[0][0]]
 
         class Stack:
@@ -512,6 +512,66 @@ class TestDataWindow:
         got = gekde.estimator._estimate_batch(np.ones((2, n)), Kernel.GE, np.ones(2), grid)
         expect = np.exp(log_k).mean(axis=2)
         assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+
+    @staticmethod
+    def _recording_windows(monkeypatch):
+        """Record each sample's whole-row mask as ``_estimate_batch`` gets its windows."""
+        masks = []
+
+        def recording(ev, dat, n):
+            start, stop = _data_windows(ev, dat, n)
+            masks.append(stop - start == n)
+            return start, stop
+
+        monkeypatch.setattr(gekde.estimator, "_data_windows", recording)
+        return masks
+
+    @pytest.mark.parametrize("kernel", [Kernel.GE, Kernel.GE2], ids=lambda k: k.value)
+    def test_whole_row_runs_in_blocks(self, kernel, monkeypatch):
+        # a run of whole rows is combined in blocks of up to `height` rows:
+        # runs of 1, 2, height and height + 1 rows (a full block and one
+        # row), each followed by windowed rows
+        n = _WINDOW_N
+        height = 2 * gekde.estimator._BLOCK_ELEMENTS // n
+        assert height > 2  # four run lengths, no two alike
+        sample = _window_sample("D")
+        b = silverman_bandwidth(sample, kernel).value
+        fine = default_grid(sample, 256)
+        ev = _LogKernel(kernel, fine, b)
+        start, stop = _data_windows(ev, ev.data(sample.values), n)
+        last = np.flatnonzero(stop - start == n)[-1]  # the last whole row, before windowed ones
+        assert last >= height and not (stop - start == n)[last + 1:last + 3].any()
+        masks = self._recording_windows(monkeypatch)
+        for m in (1, 2, height, height + 1):
+            grid = fine[last + 1 - m:last + 3]
+            ev = _LogKernel(kernel, grid, b)
+            with np.errstate(over="ignore"):
+                expect = np.exp(ev.rows(ev.data(sample.values))).mean(axis=1)
+            got = estimate_density(sample, kernel, b, grid).values
+            assert masks[-1].tolist() == [True] * m + [False] * 2  # the run was seen
+            assert np.array_equal(got.view(np.uint64), expect.view(np.uint64)), m
+
+    @pytest.mark.parametrize("kernel", [Kernel.GAM1, Kernel.IG, Kernel.RIG],
+                             ids=lambda k: k.value)
+    def test_stack_of_whole_and_windowed_samples(self, kernel, monkeypatch):
+        # the block buffers serve every sample of a stack: one sample with
+        # only whole rows and one with only windowed rows, in either order,
+        # each give the bits of their one-sample estimate
+        d, e = _window_sample("D"), _window_sample("E")
+        wide = silverman_bandwidth(d, kernel).value
+        grid = default_grid(d, 48)
+        grid = grid[grid > wide]
+        masks = self._recording_windows(monkeypatch)
+        for pair in ([(d, wide), (e, 1e-4)], [(e, 1e-4), (d, wide)]):
+            values = np.stack([sample.values for sample, _ in pair])
+            b = np.array([bw for _, bw in pair])
+            got = gekde.estimator._estimate_batch(values, kernel, b, grid)
+            kinds = ["whole" if w.all() else "windowed" if not w.any() else "mixed"
+                     for w in masks[-2:]]
+            assert kinds == (["whole", "windowed"] if pair[0][0] is d else ["windowed", "whole"])
+            for r, (sample, bw) in enumerate(pair):
+                one = estimate_density(sample, kernel, bw, grid).values
+                assert np.array_equal(got[r].view(np.uint64), one.view(np.uint64)), r
 
     @pytest.mark.parametrize("kernel", list(Kernel), ids=lambda k: k.value)
     def test_grid_split_invariance(self, kernel):
@@ -541,6 +601,16 @@ class TestDataWindow:
         # a benchmark-sized Monte Carlo cell: n = 100 on a 256-point grid
         run_experiment(ExperimentConfig("F", n=100, replications=8, seed=3, grid_size=256))
         assert calls == []
+
+
+@pytest.mark.parametrize("height, n", [(3, 20000), (1, _WINDOW_N), (256, 100), (5, 7), (1, 2)])
+def test_block_buffers_start_on_cache_lines(height, n):
+    # both layers of the reused block buffer are C-ordered and start on a
+    # 64-byte line, also where height * n is not a multiple of 8
+    buf = gekde.estimator._block_buffers(height, n)
+    assert buf.shape == (2, height, n) and buf.dtype == np.float64
+    for layer in (buf[0], buf[1], buf[0, :1], buf[1, :1]):
+        assert layer.flags.c_contiguous and layer.ctypes.data % 64 == 0
 
 
 class TestGridSplitToOnePoint:

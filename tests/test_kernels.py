@@ -960,6 +960,39 @@ class TestProductCombine:
             assert _same_bits(sub.rows(dat, 5, 6), _broadcast_rows(single, values[r], 5, 6))
 
 
+class TestOutputBuffer:
+    """``rows(..., out=buf)`` writes the block into ``buf[0]`` with the bits of ``rows(...)``."""
+
+    @staticmethod
+    def _case(kernel):
+        # ge: x = 0 (shape 1) and x/b past 700; ge2: shape 1 at x = b and x/b
+        # past 700; data from the smallest subnormal to 1e300
+        z = np.concatenate([[5e-324, 1e-300, 1e-5], np.geomspace(0.01, 300.0, 97), [1e300]])
+        if kernel is Kernel.GE:
+            return z, 0.1, np.concatenate([[0.0, 1e-3], np.linspace(0.5, 69.0, 3),
+                                           [70.2, 200.0]])
+        if kernel is Kernel.GE2:
+            return z, 0.1, np.concatenate([[0.05, 0.1, 0.3], np.linspace(1.0, 69.0, 2),
+                                           [70.2, 90.0]])
+        return z, 0.01, np.geomspace(0.02, 200.0, 7)
+
+    @pytest.mark.parametrize("kernel", list(Kernel), ids=lambda k: k.value)
+    def test_same_bits_at_heights_one_to_four(self, kernel):
+        z, b, grid = self._case(kernel)
+        ev = _LogKernel(kernel, grid, b)
+        if kernel in (Kernel.GE, Kernel.GE2):
+            assert ev.regroup and ev.loc[3][:, 0].sum() == 3  # shape 1, and two past 700
+        dat = _quietly(lambda: ev.data(z))
+        junk = np.resize([np.nan, np.inf, -np.inf, -0.0], (2, 4, z.size))
+        for height in range(1, 5):
+            for lo in range(grid.size - height + 1):
+                buf = junk.copy()
+                want = _quietly(lambda: ev.rows(dat, lo, lo + height))
+                got = _quietly(lambda: ev.rows(dat, lo, lo + height, out=buf[:, :height]))
+                assert _same_bits(got, want), (height, lo)
+                assert _same_bits(buf[0, :height], want), (height, lo)
+
+
 class TestGe2ShapeUnderflow:
     """x > 0 whose x/b underflows to 0 (a ge2 shape of 0): a rescale error naming x and b."""
 

@@ -718,6 +718,14 @@ class TestBatchedExperiment:
         if cfg.config_id == "D":
             assert math.isinf(reports[0].mean_ise) and math.isnan(reports[0].variance_ise)
 
+    @pytest.mark.parametrize("ises", [[], np.empty(0), np.empty((1, 0))], ids=["list", "1d", "2d"])
+    def test_report_of_no_replications(self, ises):
+        # a domain error, not numpy's "Mean of empty slice" and a NaN mean
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="at least one replication"):
+                MiseReport.from_ises("A", Kernel.GE, 10, ises)
+
     @pytest.mark.parametrize("bad", [-1.0, 0.0, math.inf, math.nan])
     def test_draws_checked_as_a_sample_checks_them(self, monkeypatch, bad):
         monkeypatch.setattr(GammaDensity, "_draw",
