@@ -1,39 +1,20 @@
 """Density estimation on a grid, bandwidth selection and exact diagnostics.
 
-The estimator averages log-domain kernel evaluations over the sample.  The
-kernel terms that depend on the grid point alone and those that depend on
-the datum alone are computed once per call; the grid is then processed in
-blocks of rows, each against the whole sample, with the block size set by a
-fixed element budget.  For the GE and gamma kernels a block's log K is one
-BLAS product of the location matrix and the data matrix (see
-``kernels._LogKernel``); a data window or a set of probe columns is a slice
-of the data terms' columns (``kernels._columns``).  One routine,
-``_estimate_batch``, does this for a stack of R samples with R bandwidths
-(the replications of a Monte Carlo cell): the location and data terms of
-all R samples are computed in one pass, and the combine runs over blocks of
-grid rows of one sample at a time; ``estimate_density`` is its one-sample
-case.  Each block is
-exponentiated in place and summed along its rows; the sums are divided by n
-once, after the last block.
-The GE kernels put most of log K below ``_EXP_ZERO``, where ``np.exp``
-returns +0.0 but slowly.  A block of several rows with many such entries
-writes the 0.0 itself (see ``_exp_rows``).  With more than
-``_BLOCK_ELEMENTS // 2`` data, each row first gets the data window it can
-reach: each row of log K is a log density in the datum, so it is unimodal
-in the sorted data, and a coarse pass finds where it rises above the cut
-(see ``_data_windows``).  A windowed row is computed alone, on its window
-only, into a row buffer that holds +0.0 everywhere else, and the whole row
-is summed, so the pairwise sum keeps its bits.  The row buffer is zeroed
-once per sample; after that a window re-zeroes only the entries of the
-previous window that it does not cover, not the whole rest of the row.  A
-run of whole rows (window [0, n)) goes in blocks of up to
-``2 * _BLOCK_ELEMENTS`` entries, like the blocks of a smaller sample.  Every
-block of a call, of every sample, is written into one buffer allocated
-once per call (with the ``ig``/``rig`` scratch; see ``_LogKernel.rows``),
-since a fresh temporary of that size page-faults back in on every block;
-its layers start on cache lines (``_block_buffers``).
-Every grid value goes through the same operations whatever block it lands
-in, so the result does not depend on how the grid is split.
+The estimator averages log-domain kernel evaluations over the sample.  One
+routine, ``_estimate_batch``, does this for a stack of R samples with R
+bandwidths (the replications of a Monte Carlo cell); ``estimate_density``
+is its one-sample case, with the same bits.  The kernel terms that depend
+on the grid point alone and those that depend on the datum alone are
+computed once per call.  The grid then goes, sample by sample, through one
+block loop, described in ``_estimate_batch``'s docstring: blocks of whole
+rows within a fixed element budget and, for a large sample, rows cut to
+their data window, each exponentiated in place and summed along its rows.
+For the GE and gamma kernels a block's log K is one BLAS product of the
+location matrix and the data matrix (see ``kernels._LogKernel``); a data
+window or a set of probe columns is a slice of the data terms' columns
+(``kernels._columns``).  Every grid value goes through the same operations
+whatever block it lands in, so the result does not depend on how the grid
+is split.
 
 Bandwidth selection offers Silverman's rule-of-thumb (one vectorised pass
 serves a stack of samples), the closed-form optimum for the
@@ -96,10 +77,10 @@ BANDWIDTH_METHODS = ("silverman", "optimal_ge2", "numeric_ge", "fixed")
 
 #: Elements per block of the (grid rows, data) kernel matrix: 256 KB.  The
 #: IG/RIG combine works on two such arrays, which stay in the L2 cache; at
-#: 1 << 17 they spill it and take about 1.5 times as long.  With more than
-#: half this many data, a run of whole rows (no data window) goes in blocks
-#: of up to twice this many entries, and any other row alone.  The limit on
-#: those blocks is not the cache: a freshly allocated temporary above about
+#: 1 << 17 they spill it and take about 1.5 times as long.  A sample with
+#: more than half this many data, whose blocks would be one row, gets twice
+#: this budget for its blocks of whole rows (see ``_estimate_batch``).  The
+#: limit on those is not the cache: a freshly allocated temporary above about
 #: 256 KB page-faults back in on every call (124 minor faults for a 2-row
 #: ``rig`` combine at n = 20000, 2.9 times the time of one row), which the
 #: buffers that ``_estimate_batch`` reuses for every block avoid.  Blocks
@@ -276,18 +257,15 @@ def _silverman_h(values: np.ndarray) -> np.ndarray:
 
 
 def _family_b(kernel: Kernel, h: np.ndarray) -> np.ndarray:
-    """The kernel's bandwidths for an array of Gaussian-comparable h: h or h**2."""
-    if kernel in _GE_FAMILY:
-        return h
+    """The kernel's bandwidths for an array of Gaussian-comparable h: h or h**2, all normal."""
+    ge = kernel in _GE_FAMILY
     with np.errstate(over="ignore"):
-        b = h * h
+        b = h if ge else h * h
     bad = ~((b >= _TINY) & (b < math.inf))
     if bad.any():
-        at = float(h[bad][0])
-        cause = "overflows" if at * at == math.inf else "underflows"
-        raise DomainError(
-            f"{kernel.value} bandwidth: h**2 {cause} at h = {at!r}; rescale the data"
-        )
+        cause = "overflows" if b[bad][0] == math.inf else "underflows"
+        raise DomainError(f"{kernel.value} bandwidth: {'h' if ge else 'h**2'} {cause} at "
+                          f"h = {float(h[bad][0])!r}; rescale the data")
     return b
 
 
@@ -412,71 +390,67 @@ def _estimate_batch(values: np.ndarray, kernel: Kernel, b: np.ndarray,
     ``values`` is (R, n), one sorted sample per row, ``b`` holds the R
     bandwidths and ``grid`` has passed ``_grid_points``, its first point
     ``_validate_point``.  The location terms are computed once for all
-    (sample, grid point) pairs and the data terms once per datum; the
-    combine then runs, sample by sample, over blocks of grid rows within
-    the ``_BLOCK_ELEMENTS`` budget.  Each row goes through the operations of
-    a single-sample call, so a sample's estimate does not depend on which
-    others share the batch.
+    (sample, grid point) pairs and the data terms once per datum.  Each row
+    goes through the operations of a single-sample call, so a sample's
+    estimate does not depend on which others share the batch, nor on how
+    the grid is split.
 
-    Every block of every sample is written into one buffer, allocated once
-    per call, with the ``ig``/``rig`` scratch beside it (``out`` of
-    :meth:`_LogKernel.rows`).
+    One block loop runs over the grid, sample by sample.  With more than
+    ``_BLOCK_ELEMENTS // 2`` data, the rows whose log K reaches the cut at
+    a probe column get a data window (see ``_data_windows``); the windowed
+    rows split the grid into runs of whole rows.  With fewer data, no row is windowed
+    and the grid is one run.  A run goes in blocks of up to ``height`` rows:
+    ``_BLOCK_ELEMENTS // n``, or twice that budget for a large sample (3
+    rows at n = 20000), at least one.  Each block is one combine, written
+    into a buffer allocated once per call with the ``ig``/``rig`` scratch
+    beside it (``out`` of :meth:`_LogKernel.rows`, ``_block_buffers``), one
+    ``_exp_rows``, masked if some row is at or below ``_EXP_ZERO`` at the
+    probe columns (see ``_PROBE_DIVISOR``), and one row sum.
 
-    With more than ``_BLOCK_ELEMENTS // 2`` data, a row with a data window
-    (see ``_data_windows``) is a block of its own, and the combine and
-    ``np.exp`` run only on the window, written into a row buffer that is
-    +0.0 outside it; entries outside it are those ``np.exp`` would round to
-    +0.0.  The row buffer is zeroed once per sample and then holds +0.0
-    outside the last window written, so each window zeroes only the part
-    of the previous one it does not cover: far fewer entries than the rest
-    of the row.  The whole row is then summed, as on the other path:
-    numpy's pairwise sum groups entries by position, so summing the window
-    alone would change the bits.  Each run of consecutive whole rows goes
-    in blocks of up to ``2 * _BLOCK_ELEMENTS`` entries (3 rows at n =
-    20000), each with one combine, one ``_exp_rows`` and one row sum.
+    A windowed row is a block of its own: the combine and ``np.exp`` run
+    only on its window, written into a row buffer, made once per call, that
+    is +0.0 outside it; the entries outside are those ``np.exp`` would round
+    to +0.0.  The buffer holds +0.0 outside the last window written, so
+    each window zeroes only the part of the previous one it does not cover:
+    far fewer entries than the rest of the row.  The whole row is then
+    summed: numpy's pairwise sum groups entries by position, so summing the
+    window alone would change the bits.  The sums are divided by n once,
+    after the last block.
     """
     n, size = values.shape[1], grid.size
     ev = _LogKernel(kernel, grid, b[:, None])
     data = ev.data(values)
-    step = max(1, _BLOCK_ELEMENTS // n)
-    height = step if step > 1 else max(1, 2 * _BLOCK_ELEMENTS // n)
+    large = n > _BLOCK_ELEMENTS // 2
+    height = max(1, (2 * _BLOCK_ELEMENTS if large else _BLOCK_ELEMENTS) // n)
     k = n // _PROBE_DIVISOR
-    probe = np.array([k, -1 - k])
+    probe = slice(k, None, n - 1 - 2 * k)  # the columns k and n - 1 - k, as a view
     out = np.empty((b.size, size))
-    # every block of every sample is written into this: the block, and the
-    # ig/rig scratch (see _LogKernel.rows)
+    # every whole-row block of every sample is written into this: the block,
+    # and the ig/rig scratch (see _LogKernel.rows)
     buf = _block_buffers(min(height, size), n)
+    # the windowed rows' buffer: +0.0 outside [p0, p1), the last window written
+    row, p0, p1 = np.zeros((1, n)), 0, 0
+    windowed = []
     for r in range(b.size):
         sub, dest = ev.take(r), out[r]
         dat = tuple(t[r] for t in data)
-        if step == 1:
+        if large:
             start, stop = _data_windows(sub, dat, n)
-            whole = (stop - start == n).tolist()
-            # +0.0 outside [p0, p1), the last window written
-            row, p0, p1 = np.zeros((1, n)), 0, 0
-            lo = 0
-            while lo < size:
-                hi = lo + 1
-                if whole[lo]:  # a run of whole rows, in blocks of up to `height`
-                    while hi < min(size, lo + height) and whole[hi]:
-                        hi += 1
-                    block = sub.rows(dat, lo, hi, out=buf[:, :hi - lo])
-                    _exp_rows(block, masked=False)
-                else:
-                    j0, j1 = int(start[lo]), int(stop[lo])
-                    block = row
-                    row[:, p0:min(p1, j0)] = 0.0  # the old window left of the new
-                    row[:, max(p0, j1):p1] = 0.0  # and right of it
-                    np.exp(sub.rows(_columns(dat, slice(j0, j1)), lo, hi),
-                           out=row[:, j0:j1])
-                    p0, p1 = j0, j1
-                np.add.reduce(block, axis=1, out=dest[lo:hi])
-                lo = hi
-            continue
-        for lo in range(0, size, step):
-            block = sub.rows(dat, lo, lo + step, out=buf[:, :min(step, size - lo)])
-            _exp_rows(block, masked=not (block[:, probe] > _EXP_ZERO).all())
-            np.add.reduce(block, axis=1, out=dest[lo:lo + step])
+            windowed = np.flatnonzero(stop - start < n).tolist()
+        lo = 0
+        for w in windowed + [size]:
+            for a in range(lo, w, height):  # the whole rows before w
+                hi = min(a + height, w)
+                block = sub.rows(dat, a, hi, out=buf[:, :hi - a])
+                _exp_rows(block, masked=not block[:, probe].min() > _EXP_ZERO)
+                np.add.reduce(block, axis=1, out=dest[a:hi])
+            if w < size:
+                j0, j1 = int(start[w]), int(stop[w])
+                row[:, p0:min(p1, j0)] = 0.0  # the old window left of the new
+                row[:, max(p0, j1):p1] = 0.0  # and right of it
+                np.exp(sub.rows(_columns(dat, slice(j0, j1)), w, w + 1), out=row[:, j0:j1])
+                np.add.reduce(row, axis=1, out=dest[w:w + 1])
+                p0, p1, lo = j0, j1, w + 1
     out /= n
     return out
 
@@ -491,16 +465,10 @@ def estimate_density(sample: Sample, kernel: Kernel, bandwidth, grid) -> Density
     one-sample case of the batched evaluator that ``run_experiment`` runs
     on all the replications of a cell, with the same bits.
 
-    A block whose log K reaches ``_EXP_ZERO`` at its probe columns (see
-    ``_PROBE_DIVISOR``) is exponentiated with the underflowing entries
-    masked.  With more than ``_BLOCK_ELEMENTS // 2`` data, a grid row with
-    a data window is a block of its own, and only the window is combined
-    and exponentiated (see ``_data_windows``), into a row buffer kept at
-    +0.0 outside it by zeroing only what the previous window wrote outside
-    the new one; the row is still summed whole, zeros included, in the same
-    order.  Runs of rows with no window go in blocks of a few rows.  Every
-    path gives the bits of ``np.exp`` and of the full row sum, so the choice
-    of path affects only speed.
+    The grid goes through the block loop of ``_estimate_batch``, whose
+    paths (a masked or plain exp, a whole row or a data window) all give
+    the bits of ``np.exp`` and of the full row sum, so the choice of path
+    affects only speed.
     """
     kernel, bw = _as_kernel(kernel), _coerce_bandwidth(bandwidth)
     grid = _grid_points(grid)
@@ -745,8 +713,6 @@ def _quad_window(kernel: Kernel, x: float, b: float):
     # RIG
     sd = math.sqrt(b * x + 2.0 * b * b)
     return max(0.0, x - 15.0 * sd), x + 20.0 * sd
-
-
 
 
 def _panels(edges: np.ndarray):

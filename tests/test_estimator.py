@@ -126,6 +126,13 @@ class TestSilverman:
             scaled = Sample(np.ldexp(s.values, k))
             assert silverman_bandwidth(scaled, Kernel.GE).value == math.ldexp(h, k)
 
+    @pytest.mark.parametrize("kernel", [Kernel.GE, Kernel.GE2], ids=lambda k: k.value)
+    def test_ge_subnormal_h_raises(self, kernel):
+        # b = h = 1.26e-320 would give estimates of inf with numpy's overflow
+        # warning; the GE kernels reject it as the others reject h**2
+        with pytest.raises(DomainError, match=f"{kernel.value} bandwidth: h underflows"):
+            silverman_bandwidth(Sample([1e-320, 3e-320, 5e-320]), kernel)
+
 
 def _percentile_silverman_h(values):
     """``_silverman_h`` with its quartiles from ``np.percentile``, as the rule was first written."""
@@ -362,7 +369,8 @@ class TestExpUnderflow:
         assert set(paths) == {False, True}
 
 
-#: One grid row per block: the estimator's data-window path.
+#: The smallest sample that takes the data-window path: a windowed row is a
+#: block of its own, and whole rows go in blocks of up to 3 rows.
 _WINDOW_N = gekde.estimator._BLOCK_ELEMENTS // 2 + 1
 
 
@@ -384,7 +392,7 @@ def _silverman_cases(label, sample, scale=0):
 
 
 def _window_cases():
-    """(label, kernel, sample, b, grid) cases for the one-row-block path."""
+    """(label, kernel, sample, b, grid) cases for the data-window path."""
     d, e = _window_sample("D"), _window_sample("E")
     cases = (_silverman_cases("D", d) + _silverman_cases("E", e)
              + _silverman_cases("E*2^40", e, 40) + _silverman_cases("E*2^-40", e, -40)
@@ -402,7 +410,7 @@ def _window_cases():
 
 
 class TestDataWindow:
-    """The windowed combine of one-row blocks against the full kernel matrix."""
+    """The data-window path, windowed rows and blocks of whole rows, against the full matrix."""
 
     @staticmethod
     def _full(kernel, sample, b, grid):
@@ -551,6 +559,61 @@ class TestDataWindow:
             assert masks[-1].tolist() == [True] * m + [False] * 2  # the run was seen
             assert np.array_equal(got.view(np.uint64), expect.view(np.uint64)), m
 
+    @pytest.mark.parametrize("kernel", [Kernel.GE, Kernel.GE2], ids=lambda k: k.value)
+    def test_whole_row_runs_end_the_grid(self, kernel, monkeypatch):
+        # at b = 0.02 a run of whole rows lies between windowed ones: grids
+        # whose first row is windowed and whose last 1, 2, height and
+        # height + 1 rows are whole, so the last run ends the grid
+        n = _WINDOW_N
+        height = 2 * gekde.estimator._BLOCK_ELEMENTS // n
+        sample, b = _window_sample("D"), 0.02
+        fine = default_grid(sample, 256)
+        ev = _LogKernel(kernel, fine, b)
+        start, stop = _data_windows(ev, ev.data(sample.values), n)
+        whole = stop - start == n
+        first = np.flatnonzero(whole)[0]
+        assert first > 0 and whole[first:first + height + 1].all()
+        masks = self._recording_windows(monkeypatch)
+        for m in (1, 2, height, height + 1):
+            grid = fine[first - 1:first + m]
+            ev = _LogKernel(kernel, grid, b)
+            expect = np.exp(ev.rows(ev.data(sample.values))).mean(axis=1)
+            got = estimate_density(sample, kernel, b, grid).values
+            assert masks[-1].tolist() == [False] + [True] * m
+            assert np.array_equal(got.view(np.uint64), expect.view(np.uint64)), m
+
+    @pytest.mark.parametrize("n, height", [(30000, 2), (32769, 1)])
+    @pytest.mark.parametrize("kernel, config, b, size, rows", [
+        # 3 windowed rows, a run of 4 whole rows, 9 windowed rows
+        (Kernel.GE, "D", 0.02, 96, slice(4, 20)),
+        # a run of 7 whole rows at Silverman's b, then 9 windowed rows
+        (Kernel.RIG, "E", None, 48, slice(8, 24)),
+    ], ids=["ge", "rig"])
+    def test_larger_samples_take_lower_blocks(self, kernel, config, b, size, rows, n, height,
+                                              monkeypatch):
+        # from 21846 data on the whole-row blocks are 2 rows high, and from
+        # 32769 on one row: no block is taller, and longer runs split
+        heights = []
+
+        def recording(block, masked):
+            heights.append(block.shape[0])
+            _exp_rows(block, masked)
+
+        monkeypatch.setattr(gekde.estimator, "_exp_rows", recording)
+        masks = self._recording_windows(monkeypatch)
+        sample = CONFIGURATIONS[config].sample(n, 31)
+        b = b or silverman_bandwidth(sample, kernel).value
+        grid = default_grid(sample, size)
+        grid = (grid[grid > b] if kernel is Kernel.RIG else grid)[rows]
+        ev = _LogKernel(kernel, grid, b)
+        expect = np.exp(ev.rows(ev.data(sample.values))).mean(axis=1)
+        got = estimate_density(sample, kernel, b, grid).values
+        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+        runs = "".join(".W"[w] for w in masks[0].tolist()).split(".")
+        assert height == max(1, 2 * gekde.estimator._BLOCK_ELEMENTS // n)
+        assert max(map(len, runs)) > height and max(heights) == height
+        assert sum(heights) == masks[0].sum() and not masks[0].all()
+
     @pytest.mark.parametrize("kernel", [Kernel.GAM1, Kernel.IG, Kernel.RIG],
                              ids=lambda k: k.value)
     def test_stack_of_whole_and_windowed_samples(self, kernel, monkeypatch):
@@ -618,7 +681,8 @@ class TestGridSplitToOnePoint:
 
     A one-point grid is a one-row block, whose combine is a one-row matrix
     product; with n = 100 the whole grid spans two blocks of several rows,
-    with n = 16385 every block is one row and windowed.
+    with n = 16385 a windowed row is a block of its own and whole rows go
+    in blocks of up to 3.
     """
 
     @pytest.mark.parametrize("kernel", [Kernel.GE, Kernel.GE2, Kernel.GAM1, Kernel.GAM2],
@@ -869,6 +933,21 @@ class TestSelectBandwidth:
             assert (ge.method, gam1.method) == (method, method)
             assert ge.value == pytest.approx(h, rel=1e-14)
             assert gam1.value == pytest.approx(h * h, rel=1e-14)
+
+    @pytest.mark.parametrize("kernel", [Kernel.GE, Kernel.GE2], ids=lambda k: k.value)
+    def test_ge_subnormal_h_raises(self, kernel):
+        # the plug-in's h is subnormal here too (the fitted shape is 2.25)
+        with pytest.raises(DomainError, match=f"{kernel.value} bandwidth: h underflows"):
+            select_bandwidth(Sample([1e-320, 3e-320, 5e-320]), kernel, "numeric_ge")
+
+    @pytest.mark.parametrize("method", ["silverman", "optimal_ge2", "numeric_ge"])
+    @pytest.mark.parametrize("kernel", [Kernel.GE, Kernel.GE2], ids=lambda k: k.value)
+    def test_ge_normal_h_keeps_its_bits(self, kernel, method):
+        # on a 1e-300 scale h is a normal double, and b = h is h scaled exactly
+        s = GammaDensity(3.0, 2.0).sample(500, 4)
+        tiny = Sample(np.ldexp(s.values, -997))
+        want = math.ldexp(select_bandwidth(s, kernel, method).value, -997)
+        assert select_bandwidth(tiny, kernel, method).value.hex() == want.hex()
 
     @pytest.mark.parametrize("method", ["fixed", "optimal-ge2", "lscv", None, 3])
     def test_not_a_rule(self, method):

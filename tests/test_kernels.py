@@ -535,7 +535,7 @@ class TestLocationOverflow:
         self._raises(kernel, lambda: _LogKernel(kernel, np.array([2.0, self.X]), b))
 
 
-# --- the float path of a single datum against the block combine -------------
+# --- a single datum (a scalar) against a one-element array, one combine ------
 
 def _block_value(kernel, x, b, z):
     """log K through ``rows(data([z]))``, or the GekdeError type it raises."""
@@ -548,7 +548,7 @@ def _block_value(kernel, x, b, z):
 
 
 def _float_value(kernel, x, b, z):
-    """log K through the float path; any RuntimeWarning fails the test."""
+    """log K of a scalar datum, a float out of the block combine; any RuntimeWarning fails."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -634,7 +634,7 @@ class TestFloatPath:
 # --- the ig/rig quadratic term: accuracy, and exactly 0 at the location ------
 
 def _both_paths(kernel, x, b, z):
-    """log K through the block path and the float path, each without a warning."""
+    """log K of z as a one-element array and as a scalar, each without a warning."""
     log_k = _quietly(lambda: _point_log_kernel(kernel, x, b))
     block = _quietly(lambda: float(log_k(np.array([z]))[0]))
     return block, _quietly(lambda: log_k(z))

@@ -10,10 +10,15 @@ Run from the repository root::
 It evaluates every catalogue input of the benchmark (``bench/workloads.py``,
 imported read-only): the 96 ``estimate_large`` estimates, the per-replication
 ISEs of the 128 ``mc_cells`` cells, and the ``diagnose_exact`` moments (mean
-and variance).  Each line gives one workload and kernel, the number of values
-and the SHA-256 of their float64 bytes in catalogue order, so two checkouts
-whose outputs keep every bit print the same lines.  The first line names the
-machine: nproc and the Python, numpy and scipy versions.
+and variance).  Two more estimates per kernel, at Silverman's bandwidth on
+512 grid points, reach block-loop branches that no workload does:
+``estimate_n32769`` (config D at n = 32769, whose whole-row blocks are one
+row) and ``estimate_n2000`` (config E at n = 2000, blocks of 16 rows, some
+with the masked exp and some with the plain one).  Each line gives one
+workload and kernel, the number of values and the SHA-256 of their float64
+bytes in catalogue order, so two checkouts whose outputs keep every bit
+print the same lines: 27 lines after the first, which names the machine:
+nproc and the Python, numpy and scipy versions.
 
 With ``--against``, a kernel whose digest differs from the dump's also gets
 its largest deviation: for an estimate, the largest ``|fhat - fhat_ref|``
@@ -44,6 +49,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def _collect(workloads) -> dict:
     """{(workload, kernel): [one float64 array per catalogue input]}."""
+    import gekde  # the package that main put first on the path
+
     out = defaultdict(list)
     refs = defaultdict(dict)
     for op in workloads.EstimateLarge.catalogue(refs):
@@ -56,6 +63,14 @@ def _collect(workloads) -> dict:
     for op in workloads.DiagnoseExact.catalogue(refs):
         inp, m = op.run()
         out["diagnose_exact", inp.kernel.value].append(np.array([m.mean, m.variance]))
+    for config, n in (("D", 32769), ("E", 2000)):
+        sample = gekde.CONFIGURATIONS[config].sample(n, 5)
+        grid = gekde.default_grid(sample, 512)
+        for kernel in gekde.Kernel:
+            b = gekde.silverman_bandwidth(sample, kernel).value
+            g = grid[grid > b] if kernel is gekde.Kernel.RIG else grid
+            out[f"estimate_n{n}", kernel.value].append(
+                gekde.estimate_density(sample, kernel, b, g).values)
     return out
 
 
@@ -63,7 +78,7 @@ def _deviation(workload: str, got: list, ref: list) -> float:
     """Largest deviation of ``got`` from ``ref``, scaled as the module docstring says."""
     worst = 0.0
     for g, r in zip(got, ref):
-        if workload == "estimate_large":
+        if workload.startswith("estimate"):
             scale = np.full(r.shape, np.max(np.abs(r)))
         else:
             scale = np.abs(r)
