@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import secrets
@@ -57,6 +56,7 @@ from .simulation import (
     GammaDensity,
     InverseGammaDensity,
     InverseWeibullDensity,
+    _json_text,
     mise_records_csv,
     mise_summary_json,
     run_experiment,
@@ -234,7 +234,7 @@ def cmd_estimate(args) -> int:
             payload = dict(meta, x=[_fmt(v) for v in est.grid],
                            fhat=[_fmt(v) for v in est.values])
             target = outdir / f"{stem}.json"
-            _atomic_write(target, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            _atomic_write(target, _json_text(payload))
             written.append(target)
         else:
             lines = ["x,fhat"]
@@ -242,7 +242,7 @@ def cmd_estimate(args) -> int:
             target = outdir / f"{stem}.csv"
             _atomic_write(target, "\n".join(lines) + "\n")
             sidecar = outdir / f"{stem}.json"
-            _atomic_write(sidecar, json.dumps(meta, indent=2, sort_keys=True) + "\n")
+            _atomic_write(sidecar, _json_text(meta))
             written.extend([target, sidecar])
     for p in written:
         print(p)
@@ -349,8 +349,7 @@ def cmd_diagnose(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     if args.format == "json":
         target = outdir / f"diagnose_{kernel.value}.json"
-        _atomic_write(target, json.dumps({"kernel": kernel.value, "rows": rows},
-                                         indent=2, sort_keys=True) + "\n")
+        _atomic_write(target, _json_text({"kernel": kernel.value, "rows": rows}))
     else:
         target = outdir / f"diagnose_{kernel.value}.csv"
         _atomic_write(target, text)

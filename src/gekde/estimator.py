@@ -11,8 +11,8 @@ rows within a fixed element budget and, for a large sample, rows cut to
 their data window, each exponentiated in place and summed along its rows.
 For the GE and gamma kernels a block's log K is one BLAS product of the
 location matrix and the data matrix (see ``kernels._LogKernel``); a data
-window or a set of probe columns is a slice of the data terms' columns
-(``kernels._columns``).  Every grid value goes through the same operations
+window or a set of probe columns indexes the last axis of a sample's data
+terms, one array.  Every grid value goes through the same operations
 whatever block it lands in, so the result does not depend on how the grid
 is split.
 
@@ -49,7 +49,7 @@ from scipy.optimize import brentq
 
 from .errors import (DegenerateSampleError, DomainError, IntegrationError, OptimizationError,
                      _count, _finite_array, _nonnegative, _positive, _real)
-from .kernels import (_GAMMA_FAMILY, _GE_FAMILY, _TINY, Kernel, _as_kernel, _columns,
+from .kernels import (_DBL_MAX, _GAMMA_FAMILY, _GE_FAMILY, _TINY, Kernel, _as_kernel,
                       _ge_quantiles, _LogKernel, _rescale_at, _validate_point, gam2_shape)
 from .specfun import EULER_GAMMA, digamma
 
@@ -281,10 +281,14 @@ def silverman_bandwidth(sample: Sample, kernel: Kernel) -> Bandwidth:
 
 
 def default_grid(sample: Sample, size: int = 512) -> np.ndarray:
-    """Default evaluation grid: equally spaced, covering the sample support."""
-    hi = 1.1 * sample.values[-1]
-    lo = max(0.5 * sample.values[0], 1e-6 * sample.values[-1])
-    return np.linspace(lo, hi, _count(size, "grid size", 1))
+    """Default evaluation grid: equally spaced, covering the sample support.
+
+    It runs from the larger of half the smallest datum and 1e-6 of the
+    largest to 1.1 times the largest, capped at the largest double.
+    """
+    first, last = float(sample.values[0]), float(sample.values[-1])
+    hi = min(1.1 * last, _DBL_MAX)  # a float product overflows to inf quietly
+    return np.linspace(max(0.5 * first, 1e-6 * last), hi, _count(size, "grid size", 1))
 
 
 def _grid_points(grid) -> np.ndarray:
@@ -322,7 +326,7 @@ def _exp_rows(block: np.ndarray, masked: bool) -> None:
         np.exp(block, out=block)
 
 
-def _data_windows(ev: _LogKernel, dat: tuple, n: int):
+def _data_windows(ev: _LogKernel, dat: np.ndarray, n: int):
     """Per grid row, the data window [start, stop) outside which log K <= ``_EXP_ZERO``.
 
     ``ev`` and ``dat`` are one sample's evaluator and data terms, the data
@@ -342,14 +346,14 @@ def _data_windows(ev: _LogKernel, dat: tuple, n: int):
     maximum is whole.
     """
     k = n // _PROBE_DIVISOR
-    whole = (ev.rows(_columns(dat, [k, n - 1 - k])) > _EXP_ZERO).all(axis=1)
+    whole = (ev.rows(dat[..., [k, n - 1 - k]]) > _EXP_ZERO).all(axis=1)
     start = np.zeros(whole.size, dtype=np.intp)
     stop = np.full(whole.size, n, dtype=np.intp)
     need = np.flatnonzero(~whole)
     if not need.size:
         return start, stop
     cols = np.arange(0, n, _WINDOW_STRIDE)
-    coarse_dat = _columns(dat, cols)
+    coarse_dat = dat[..., cols]
     last = cols.size - 1
     chunk = max(1, _BLOCK_ELEMENTS // 2 // cols.size)
     for lo in range(need[0], need[-1] + 1, chunk):
@@ -433,7 +437,7 @@ def _estimate_batch(values: np.ndarray, kernel: Kernel, b: np.ndarray,
     windowed = []
     for r in range(b.size):
         sub, dest = ev.take(r), out[r]
-        dat = tuple(t[r] for t in data)
+        dat = data[r]
         if large:
             start, stop = _data_windows(sub, dat, n)
             windowed = np.flatnonzero(stop - start < n).tolist()
@@ -448,7 +452,7 @@ def _estimate_batch(values: np.ndarray, kernel: Kernel, b: np.ndarray,
                 j0, j1 = int(start[w]), int(stop[w])
                 row[:, p0:min(p1, j0)] = 0.0  # the old window left of the new
                 row[:, max(p0, j1):p1] = 0.0  # and right of it
-                np.exp(sub.rows(_columns(dat, slice(j0, j1)), w, w + 1), out=row[:, j0:j1])
+                np.exp(sub.rows(dat[..., j0:j1], w, w + 1), out=row[:, j0:j1])
                 np.add.reduce(row, axis=1, out=dest[w:w + 1])
                 p0, p1, lo = j0, j1, w + 1
     out /= n

@@ -40,12 +40,13 @@ row of data z and works in three steps: the terms that depend on x alone
 (shapes, the gamma normaliser, the ``ge2`` shape from one array
 inverse-digamma solve) are computed once per location, the terms that
 depend on z alone (``log z``, ``z/b``, ``log(1 - exp(-z/b))``) once per
-datum, and the combine forms the (locations, data) block of log kernel
-values: a matrix product for the GE and gamma kernels, a broadcast for
-``ig`` and ``rig``.  The bandwidth may also be a column of R bandwidths, one
-per sample of a stack of R samples (the replications of a Monte Carlo cell):
-the location terms are then (R, locations) and the data terms (R, data),
-and the combine takes one sample of the stack at a time, each entry through
+datum, as the rows of one array with the data along its last axis, and the
+combine forms the (locations, data) block of log kernel values: a matrix
+product for the GE and gamma kernels, a broadcast for ``ig`` and ``rig``.
+The bandwidth may also be a column of R bandwidths, one per sample of a
+stack of R samples (the replications of a Monte Carlo cell): the location
+terms are then (R, locations) and the data terms (R, rows, data), and the
+combine takes one sample of the stack at a time, each entry through
 the same operations as with a scalar bandwidth.  The estimator runs the
 combine over blocks of grid rows; ``log_kernel`` and
 ``exact_estimator_moments`` are the single-location case, whose location
@@ -253,7 +254,7 @@ class _LogKernel:
        with a float bandwidth takes :meth:`_terms_at`, on floats;
     2. per-datum terms (:meth:`data`): ``log z``, ``z/b``,
        ``log(1 - exp(-z/b))`` and the reciprocals ``1/z`` (``rig``) and
-       ``1/(2 b z)`` (``ig``), once for every z;
+       ``1/(2 b z)`` (``ig``), once for every z, as the rows of one array;
     3. the combine (:meth:`rows`) of a block of locations against all data.
 
     The GE and gamma families share one combine, ``(c0 + (shape - 1) L) -
@@ -401,52 +402,56 @@ class _LogKernel:
             raise _rescale_at(kernel, "1/(2b) overflows", x, b)
         return s, half_inv_b
 
-    def data(self, z: np.ndarray) -> tuple:
-        """Per-datum terms: z is 1-D, or (R, n) for a column of R bandwidths.
+    def data(self, z: np.ndarray) -> np.ndarray:
+        """Per-datum terms, one row each: z is 1-D, or (R, n) for a column of R bandwidths.
 
-        The GE and gamma kernels have the data matrix, rows ``[L, 1, -z/b]``
-        of shape (3, n), or (R, 3, n), and ``log(-L)`` if some GE rows are
-        regrouped; ``ig`` and ``rig`` have z, ``base`` and ``w``.  Every term
-        but the data matrix gains an axis before its last, so that it
-        broadcasts against the location columns.
+        The GE and gamma kernels have the rows ``[L, 1, -z/b]``, the data
+        matrix of the product, and a fourth row ``log(-L)`` if some GE rows
+        are regrouped; ``ig`` and ``rig`` have the rows ``[z, base, w]``.
+        The result is (rows, n), or (R, rows, n), each row written in place;
+        a sample of a stack is ``data[r]``, a data window ``dat[..., j0:j1]``
+        and a set of columns ``dat[..., cols]``.
         """
         kernel, b = self.kernel, self.b
+        terms = np.empty(z.shape[:-1] + (3 + self.regroup, z.shape[-1]))
         if kernel in _EXP_FAMILIES:
-            mat = np.empty(z.shape[:-1] + (3, z.shape[-1]))
-            L, u = mat[..., 0, :], mat[..., 2, :]
+            L, u = terms[..., 0, :], terms[..., 2, :]
             with np.errstate(over="ignore"):  # z/b = inf is right: log K = -inf
                 np.divide(z, b, out=u)
-            mat[..., 1, :] = 1.0
-            terms = (mat,)
+            terms[..., 1, :] = 1.0
             if kernel in _GAMMA_FAMILY:
                 np.log(z, out=L)
             else:
                 L[...] = _log1mexp(u)
                 if self.regroup:
-                    terms += (np.where(
+                    terms[..., 3, :] = np.where(
                         u > _ASYMPTOTIC_U,
                         -u + np.log1p(0.5 * np.exp(-u)),
                         np.log(-np.where(L < 0.0, L, -1.0)),
-                    )[..., None, :],)
+                    )
             np.negative(u, out=u)
             return terms
+        terms[..., 0, :] = z
+        base, w = terms[..., 1, :], terms[..., 2, :]
         c = -0.5 * _log_each(2.0 * math.pi * b)
         with np.errstate(over="ignore", divide="ignore"):  # an infinite reciprocal is log K = -inf
+            np.log(z, out=base)
+            base *= 1.5 if kernel is Kernel.IG else 0.5
+            np.subtract(c, base, out=base)  # c - k log z
             if kernel is Kernel.IG:
-                base = c - 1.5 * np.log(z)
                 # 1/(2 b z), never 0: where 2 b z overflows, 1/DBL_MAX
-                w = 1.0 / np.minimum(2.0 * b * z, _DBL_MAX)
+                np.minimum(np.multiply(2.0 * b, z, out=w), _DBL_MAX, out=w)
+                np.divide(1.0, w, out=w)
             else:
-                base = c - 0.5 * np.log(z)
-                w = 1.0 / z
-        return z[..., None, :], base[..., None, :], w[..., None, :]
+                np.divide(1.0, z, out=w)
+        return terms
 
     def take(self, r: int) -> "_LogKernel":
         """The evaluator of sample ``r`` of a stack, for :meth:`rows`.
 
         Its location terms are (G, 1) columns, as with a scalar bandwidth;
-        pass it the data terms of the same sample (``t[r]`` of each term of
-        :meth:`data`), or columns of them (:func:`_columns`).
+        pass it the data terms of the same sample, ``data[r]`` of
+        :meth:`data`, or columns of them.
         """
         sub = object.__new__(_LogKernel)
         sub.kernel, sub.regroup, sub.special = self.kernel, self.regroup, self.special
@@ -456,14 +461,15 @@ class _LogKernel:
             sub.mat = self.mat[r]
         return sub
 
-    def rows(self, dat: tuple, lo: int = 0, hi: int | None = None,
+    def rows(self, dat: np.ndarray, lo: int = 0, hi: int | None = None,
              out: np.ndarray | None = None) -> np.ndarray:
         """log K for locations ``lo:hi`` against all data: a (rows, n) array.
 
         The location terms are (G, 1) columns: those of a scalar bandwidth,
-        or of one sample of a stack (see :meth:`take`).  For the GE and
-        gamma kernels the block is one ``dgemm`` of the location matrix
-        against the data matrix; the rows of GE special locations are then
+        or of one sample of a stack (see :meth:`take`); ``dat`` is that
+        sample's :meth:`data`, at any of its columns.  For the GE and gamma
+        kernels the block is one ``dgemm`` of the location matrix against the
+        data matrix ``dat[:3]``; the rows of GE special locations are then
         written over with their own formula.
 
         ``out``, if given, is a (2, rows, n) array whose layers are C-ordered:
@@ -481,17 +487,17 @@ class _LogKernel:
             # beta 0 gemm overwrites out[0] in place; f2py would copy a c that
             # is not Fortran-ordered, so the block is the return value
             if block is None:
-                block = dgemm(1.0, dat[0].T, self.mat[lo:hi].T).T
+                block = dgemm(1.0, dat[:3].T, self.mat[lo:hi].T).T
             else:
-                block = dgemm(1.0, dat[0].T, self.mat[lo:hi].T, beta=0.0, c=block.T,
+                block = dgemm(1.0, dat[:3].T, self.mat[lo:hi].T, beta=0.0, c=block.T,
                               overwrite_c=1).T
             if self.special and self.loc[3][lo:hi].any():
                 c0, _, log_shape, special = (t[lo:hi, 0] for t in self.loc)
-                neg_u = dat[0][2]
+                neg_u = dat[2]
                 big = special & (log_shape > _LOG_SHAPE_DIRECT_MAX)
                 if big.any():
                     with np.errstate(over="ignore"):
-                        T = -np.exp(log_shape[big, None] + dat[1])
+                        T = -np.exp(log_shape[big, None] + dat[3])
                     block[big] = (c0[big, None] + T) + neg_u
                 # shape 1: (shape - 1) L is -0.0, even where L is -inf, and
                 # c0 + -0.0 is c0
@@ -499,7 +505,7 @@ class _LogKernel:
                 block[one] = c0[one, None] + neg_u
             return block
         loc = self.loc if hi is None else tuple(t[lo:hi] for t in self.loc)
-        z, base, w = dat
+        z, base, w = dat[0:1], dat[1:2], dat[2:3]  # (1, n): one location's operands match
         with np.errstate(over="ignore"):  # an overflowing product is log K = -inf
             if kernel is Kernel.IG:
                 x, inv_x = loc
@@ -514,14 +520,6 @@ class _LogKernel:
                 d *= half_inv_b
                 q *= d
         return np.subtract(base, q, out=q)
-
-
-def _columns(dat: tuple, cols) -> tuple:
-    """The data terms of one sample (see ``_LogKernel.take``) at columns ``cols``.
-
-    Every term, the GE/gamma data matrix included, has its data along its last axis.
-    """
-    return tuple(t[:, cols] for t in dat)
 
 
 def _ge_quantiles(ev: _LogKernel, log_u: np.ndarray):

@@ -53,7 +53,7 @@ from .estimator import (
     _grid_points,
     _silverman_h,
 )
-from .kernels import DEFAULT_KERNELS, Kernel, _as_kernel, _validate_point
+from .kernels import _TINY, DEFAULT_KERNELS, Kernel, _as_kernel, _validate_point
 from .specfun import log_gamma
 
 __all__ = [
@@ -71,9 +71,6 @@ __all__ = [
     "mise_summary",
     "mise_summary_json",
 ]
-
-_TINY = np.finfo(float).tiny
-
 
 def _scalar_or_asarray(x):
     """A float as a numpy scalar, anything else as a float array.
@@ -447,16 +444,7 @@ class MixtureDensity(TrueDensity):
         return _scalar_or_array(out)
 
     def pdf(self, x):
-        """The weighted sum of the component pdfs, in ``_combine``'s order.
-
-        A positive finite Python float (a quadrature node) sums the
-        components' float pdfs directly, with the bits of ``_combine``.
-        """
-        if type(x) is float and 0.0 < x < math.inf:
-            total = 0.0
-            for w, c in zip(self.weights, self.components):
-                total += w * c.pdf(x)
-            return total
+        """The weighted sum of the component pdfs, as ``pdf_d1`` and ``pdf_d2`` take theirs."""
         return self._combine("pdf", x)
 
     def _cdf(self, x):
@@ -753,5 +741,22 @@ def mise_summary(reports: Sequence[MiseReport]) -> dict:
     }
 
 
+def _json_ready(obj):
+    """``obj`` with every non-finite float, nested in dicts and lists, as "inf", "-inf" or "nan"."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else f"{obj:.17g}"  # the CSV spelling
+    if isinstance(obj, dict):
+        return {k: _json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_json_ready(v) for v in obj]
+    return obj
+
+
+def _json_text(obj) -> str:
+    """RFC 8259 JSON of ``obj``, indented, keys sorted: no Infinity or NaN tokens."""
+    return json.dumps(_json_ready(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def mise_summary_json(reports: Sequence[MiseReport]) -> str:
-    return json.dumps(mise_summary(reports), indent=2, sort_keys=True) + "\n"
+    """``mise_summary`` as JSON text; an infinite or NaN statistic is the string "inf" or "nan"."""
+    return _json_text(mise_summary(reports))

@@ -419,7 +419,9 @@ class TestExitPaths:
         assert "quadrature error estimate exceeds tolerance" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
-    def test_module_help(self):
+    @staticmethod
+    def _run_module(*args):
+        """``python -W error -m gekde args``, on this checkout's gekde."""
         import os
         import subprocess
         import sys
@@ -429,12 +431,32 @@ class TestExitPaths:
         src = os.path.dirname(os.path.dirname(gekde.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-m", "gekde", "--help"], env=env,
+        return subprocess.run([sys.executable, "-W", "error", "-m", "gekde", *args], env=env,
                               capture_output=True, text=True, timeout=60)
+
+    def test_module_help(self):
+        proc = self._run_module("--help")
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: gekde")
         for command in ("estimate", "simulate", "diagnose"):
             assert command in proc.stdout
+
+    def test_default_grid_near_the_largest_double(self, tmp_path):
+        # 1.1 times the largest datum overflows: the automatic grid stops at
+        # the largest double, and no warning or traceback escapes
+        data = tmp_path / "huge.csv"
+        write_csv(data, ["1e308", "1.7e308", "1.2e308"])
+        out = tmp_path / "out"
+        proc = self._run_module("estimate", str(data), "--kernel", "ge", "--kernel", "ge2",
+                                "--output", str(out))
+        assert proc.returncode == 0, proc.stderr
+        for kernel in ("ge", "ge2"):
+            arr = np.loadtxt(out / f"huge_{kernel}.csv", delimiter=",", skiprows=1)
+            assert np.all(np.isfinite(arr)) and arr[-1, 0] == np.finfo(float).max
+        proc = self._run_module("estimate", str(data), "--kernel", "gam1", "--output", str(out))
+        assert proc.returncode == 2
+        assert "gam1 bandwidth: h**2 overflows" in proc.stderr
+        assert "rescale the data" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_diagnose_json_payload(self, tmp_path, capsys):
         args = ["diagnose", "--kernel", "ge2", "--density", "gamma:3,1", "--x", "2",

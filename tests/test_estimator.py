@@ -409,6 +409,21 @@ def _window_cases():
     return cases
 
 
+class TestDefaultGrid:
+    def test_top_capped_at_the_largest_double(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = default_grid(Sample([1e308, 1.7e308]), 64)
+        assert np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0.0)
+        assert grid[0] == 5e307 and grid[-1] == np.finfo(float).max
+
+    def test_ordinary_grid_keeps_its_bits(self):
+        values = np.random.default_rng(3).gamma(2.0, 1.5, 200)
+        want = np.linspace(max(0.5 * values.min(), 1e-6 * values.max()), 1.1 * values.max(), 512)
+        got = default_grid(Sample(values))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestDataWindow:
     """The data-window path, windowed rows and blocks of whole rows, against the full matrix."""
 
@@ -455,7 +470,8 @@ class TestDataWindow:
                 self.loc = (log_k[:, :1],)
 
             def rows(self, dat, lo=0, hi=None):
-                return self.log_k[lo:hi][:, dat[0][0]]
+                # dat is one row of datum indices, at the columns the caller took
+                return self.log_k[lo:hi][:, dat[0]]
 
         n = 200
         # unimodal rows peaking at datum 100, above the cut from 63 to 137
@@ -467,7 +483,7 @@ class TestDataWindow:
         # from datum 162, and nowhere
         log_k[4] = -20.0 * (n - 1.0 - np.arange(n))
         log_k[5] = log_k[4] - 800.0
-        start, stop = _data_windows(Rows(log_k), (np.arange(n)[None, :],), n)
+        start, stop = _data_windows(Rows(log_k), np.arange(n)[None, :], n)
         # the coarse data are 0, 32, ..., 192
         assert (start[0], stop[0]) == (33, 160)
         assert start[1:4].tolist() == [0, 0, 0] and stop[1:4].tolist() == [n, n, n]
@@ -499,13 +515,13 @@ class TestDataWindow:
                 self.log_k, self.windows = log_k[r], per_sample[r]
 
             def rows(self, dat, lo=0, hi=None, out=None):
-                return self.log_k[lo:hi][:, dat[0][0]]
+                return self.log_k[lo:hi][:, dat[0]]
 
         class Stack:
             """Stands in for the evaluator of a stack of two samples."""
 
             def data(self, values):
-                return (np.broadcast_to(np.arange(n), (values.shape[0], 1, n)),)
+                return np.broadcast_to(np.arange(n), (values.shape[0], 1, n))
 
             def take(self, r):
                 return Rows(r)

@@ -26,7 +26,6 @@ from gekde import (
     log_kernel,
     trigamma,
 )
-from gekde.estimator import _columns
 from gekde.kernels import _LogKernel, _ge2_shape, _point_log_kernel
 
 
@@ -854,7 +853,11 @@ _PRODUCT_KERNELS = [Kernel.GE, Kernel.GE2, Kernel.GAM1, Kernel.GAM2]
 
 
 class TestProductCombine:
-    """``_LogKernel.rows`` of the GE and gamma kernels keeps the broadcast's bits."""
+    """``_LogKernel.rows`` of the GE and gamma kernels keeps the broadcast's bits.
+
+    Columns of the data terms and samples of a stack are also checked for
+    ``ig`` and ``rig``, against the terms of those data alone.
+    """
 
     @staticmethod
     def _case(kernel, n, seed=0):
@@ -873,19 +876,26 @@ class TestProductCombine:
             assert _same_bits(ev.rows(dat, lo, hi), _broadcast_rows(ev, z, lo, hi)), (lo, hi)
         assert _same_bits(ev.rows(dat), _broadcast_rows(ev, z))
 
-    @pytest.mark.parametrize("kernel", _PRODUCT_KERNELS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("kernel", list(Kernel), ids=lambda k: k.value)
     @pytest.mark.parametrize("n", [100, 20000])
     def test_window_slices_and_probe_columns(self, kernel, n):
+        # ig and rig, which have no broadcast transcription here, take the
+        # terms of the sliced data as reference
         z, b, grid = self._case(kernel, n, seed=1)
+        if kernel is Kernel.RIG:
+            grid = grid[grid > b]
         ev = _LogKernel(kernel, grid, b)
         dat = ev.data(z)
         k = n // 32
         columns = [slice(3, n - 5), slice(n // 3, n // 3 + 7), slice(n - 1, n),
                    [k, n - 1 - k], np.arange(0, n, 32), np.array([n - 1, 0, n // 2])]
         for cols in columns:
-            sub = _columns(dat, cols)
-            for lo, hi in ((40, 41), (0, 2), (0, 256)):
-                want = _broadcast_rows(ev, z[cols], lo, hi)
+            sub = dat[..., cols]
+            for lo, hi in ((40, 41), (0, 2), (0, grid.size)):
+                if kernel in _PRODUCT_KERNELS:
+                    want = _broadcast_rows(ev, z[cols], lo, hi)
+                else:
+                    want = ev.rows(ev.data(z[cols]), lo, hi)
                 assert _same_bits(ev.rows(sub, lo, hi), want), (cols, lo, hi)
 
     @pytest.mark.parametrize("kernel", [Kernel.GE, Kernel.GE2], ids=lambda k: k.value)
@@ -908,7 +918,7 @@ class TestProductCombine:
                 got = _quietly(lambda: ev.rows(dat, lo, hi))
                 assert _same_bits(got, _broadcast_rows(ev, z, lo, hi)), (lo, hi)
         cols = [0, 50, 99]
-        got = _quietly(lambda: ev.rows(_columns(dat, cols)))
+        got = _quietly(lambda: ev.rows(dat[..., cols]))
         assert _same_bits(got, _broadcast_rows(ev, z[cols]))
 
     def test_ge2_shape_below_one(self):
@@ -935,7 +945,7 @@ class TestProductCombine:
         z = np.array([5e-324, 1e-310, 1e-300, 1e-12, 1.0, 1e299, 1e300, 1e308])
         ev = _LogKernel(kernel, grid, b)
         dat = _quietly(lambda: ev.data(z))
-        u = -dat[0][2]
+        u = -dat[2]
         assert (np.isinf(u).any() if b < 1.0 else (u == 0.0).any())
         got = ev.rows(dat)
         # -inf where z/b is inf, and for GE where L = log(1 - exp(-0)) is -inf
@@ -944,20 +954,29 @@ class TestProductCombine:
         for lo in range(grid.size):
             assert _same_bits(ev.rows(dat, lo, lo + 1), _broadcast_rows(ev, z, lo, lo + 1))
 
-    @pytest.mark.parametrize("kernel", _PRODUCT_KERNELS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("kernel", list(Kernel), ids=lambda k: k.value)
     def test_stack_of_samples(self, kernel):
-        # one evaluator for three samples with three bandwidths, one at a time
+        # one evaluator for three samples with three bandwidths, one at a
+        # time; ig and rig take the terms of each sample alone as reference
         rng = np.random.default_rng(4)
         values = np.sort(rng.gamma(3.0, 1.0, (3, 100)), axis=1)
         b = np.array([0.2, 0.4, 0.9])
         grid = np.linspace(0.05, 14.0, 64)
+        if kernel is Kernel.RIG:
+            grid = grid[grid > b.max()]
         ev = _LogKernel(kernel, grid, b[:, None])
         data = ev.data(values)
         for r in range(b.size):
-            sub, dat = ev.take(r), tuple(None if t is None else t[r] for t in data)
+            sub, dat = ev.take(r), data[r]
             single = _LogKernel(kernel, grid, float(b[r]))
-            assert _same_bits(sub.rows(dat), _broadcast_rows(single, values[r]))
-            assert _same_bits(sub.rows(dat, 5, 6), _broadcast_rows(single, values[r], 5, 6))
+            if kernel not in _PRODUCT_KERNELS:
+                assert _same_bits(dat, single.data(values[r]))
+            for lo, hi in ((0, None), (5, 6)):
+                if kernel in _PRODUCT_KERNELS:
+                    want = _broadcast_rows(single, values[r], lo, hi)
+                else:
+                    want = single.rows(single.data(values[r]), lo, hi)
+                assert _same_bits(sub.rows(dat, lo, hi), want), (r, lo, hi)
 
 
 class TestOutputBuffer:
@@ -1015,7 +1034,7 @@ class TestGe2ShapeUnderflow:
 
 
 class TestDataTerms:
-    """``_LogKernel.data`` returns only the terms the kernel has, never a placeholder."""
+    """``_LogKernel.data`` returns one array of the rows the kernel has, never a placeholder."""
 
     @pytest.mark.parametrize("kernel", list(Kernel), ids=lambda k: k.value)
     @pytest.mark.parametrize("x_max", [3.0, 800.0])
@@ -1024,11 +1043,12 @@ class TestDataTerms:
         grid = np.linspace(2.0, x_max, 5)
         ev = _LogKernel(kernel, grid, 1.0)
         dat = _quietly(lambda: ev.data(np.array([0.5, 1.0, 4.0])))
+        assert isinstance(dat, np.ndarray) and dat.dtype == np.float64
         if kernel in _PRODUCT_KERNELS:
-            assert len(dat) == 1 + ev.regroup
+            assert dat.shape == (3 + ev.regroup, 3)
             assert ev.regroup == (kernel in (Kernel.GE, Kernel.GE2) and x_max > 700.0)
-            assert dat[0].shape == (3, 3) and ev.mat.shape == (5, 3)
+            assert ev.mat.shape == (5, 3)
         else:
-            assert len(dat) == 3
-        assert all(isinstance(t, np.ndarray) for t in dat)
-        assert all(isinstance(t, np.ndarray) for t in _columns(dat, [0, 2]))
+            assert dat.shape == (3, 3)
+        cols = dat[..., [0, 2]]
+        assert isinstance(cols, np.ndarray) and cols.shape == dat.shape[:-1] + (2,)

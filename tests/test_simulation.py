@@ -34,7 +34,7 @@ from gekde import (
 )
 from gekde.estimator import _BLOCK_ELEMENTS, _estimate_batch
 from gekde.kernels import _LogKernel
-from gekde.simulation import TrueDensity, _labels, _rng
+from gekde.simulation import TrueDensity, _json_text, _labels, _rng
 from gekde.specfun import log_gamma
 
 ALL_DENSITIES = {
@@ -223,16 +223,21 @@ class TestFloatPath:
                 f(x)
 
     @pytest.mark.parametrize("name", ["D", "E", "F"])
-    def test_mixture_float_pdf_sums_components_directly(self, name, monkeypatch):
+    def test_mixture_float_pdf_sums_components_directly(self, name):
+        # a float goes through _combine, whose sum takes the components'
+        # float pdfs in weight order; 0 and inf take their array path
         d = CONFIGURATIONS[name]
-        points = _probe_points(d)
+        points = _probe_points(d) + [0.0, 5e-324, 1e-300, 1.7e308, math.inf]
         want = [d.pdf(np.array(x)).hex() for x in points]
-
-        def no_combine(*args):
-            raise AssertionError("a float went through _combine")
-
-        monkeypatch.setattr(MixtureDensity, "_combine", no_combine)
-        assert [d.pdf(x).hex() for x in points] == want
+        sums = []
+        for x in points:
+            total = 0.0
+            for w, c in zip(d.weights, d.components):
+                total += w * c.pdf(x)
+            sums.append(total.hex())
+        got = [d.pdf(x) for x in points]
+        assert all(type(v) is float for v in got)
+        assert [v.hex() for v in got] == want == sums
 
     @pytest.mark.parametrize("name", sorted(EVERY_DENSITY))
     def test_pdf_at_extreme_floats_is_quiet(self, name):
@@ -810,6 +815,33 @@ class TestSerialization:
         assert [c["kernel"] for c in cells] == ["ge", "gam1"]
         assert cells[0]["replications"] == 3
         assert cells[0]["mean_ise"] == pytest.approx(reports[0].mean_ise)
+
+    def test_json_summary_of_an_infinite_cell(self):
+        # on config F rig is cut off the whole grid: its mean ISE is inf and
+        # its variance nan, for which RFC 8259 has no token
+        cfg = ExperimentConfig("F", n=40, replications=3, seed=0, grid_size=64)
+        reports = run_experiment(cfg)
+        text = mise_summary_json(reports)
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        cells = json.loads(text, parse_constant=reject)["cells"]
+        rig, = [c for c in cells if c["kernel"] == "rig"]
+        assert (rig["mean_ise"], rig["variance_ise"], rig["truncated"]) == ("inf", "nan", True)
+        # every finite cell keeps the bytes of a plain dump
+        plain = json.dumps(mise_summary(reports), indent=2, sort_keys=True) + "\n"
+        assert text == plain.replace("Infinity", '"inf"').replace("NaN", '"nan"')
+
+    def test_json_text_spells_non_finite_floats(self):
+        obj = {"a": [1.5, math.inf, [-math.inf, np.float64(math.nan)]], "b": {"c": 0.1},
+               "d": "inf", "e": 3, "f": True, "g": None, "h": np.float64(2.0) / 3.0}
+        text = _json_text(obj)
+        assert json.loads(text) == {"a": [1.5, "inf", ["-inf", "nan"]], "b": {"c": 0.1},
+                                    "d": "inf", "e": 3, "f": True, "g": None,
+                                    "h": float(np.float64(2.0) / 3.0)}
+        finite = {k: v for k, v in obj.items() if k != "a"}
+        assert _json_text(finite) == json.dumps(finite, indent=2, sort_keys=True) + "\n"
 
 
 class TestSampleSizeDirection:

@@ -14,10 +14,14 @@ and variance).  Two more estimates per kernel, at Silverman's bandwidth on
 512 grid points, reach block-loop branches that no workload does:
 ``estimate_n32769`` (config D at n = 32769, whose whole-row blocks are one
 row) and ``estimate_n2000`` (config E at n = 2000, blocks of 16 rows, some
-with the masked exp and some with the plain one).  Each line gives one
+with the masked exp and some with the plain one).  ``exact_moments`` holds
+the moments that the ``diagnose_exact`` catalogue does not reach, under
+Gamma(3, 1) and config D: ``ge2`` at x < b (the rule in the kernel's
+probability, through ``kernels._ge_quantiles``) and the one-location
+``gam2`` (both sides of x = 2b) and ``ig`` builds.  Each line gives one
 workload and kernel, the number of values and the SHA-256 of their float64
 bytes in catalogue order, so two checkouts whose outputs keep every bit
-print the same lines: 27 lines after the first, which names the machine:
+print the same lines: 30 lines after the first, which names the machine:
 nproc and the Python, numpy and scipy versions.
 
 With ``--against``, a kernel whose digest differs from the dump's also gets
@@ -68,9 +72,20 @@ def _collect(workloads) -> dict:
         grid = gekde.default_grid(sample, 512)
         for kernel in gekde.Kernel:
             b = gekde.silverman_bandwidth(sample, kernel).value
-            g = grid[grid > b] if kernel is gekde.Kernel.RIG else grid
+            g = grid[gekde.estimator._domain_start(kernel, grid, b):]
             out[f"estimate_n{n}", kernel.value].append(
                 gekde.estimate_density(sample, kernel, b, g).values)
+    points = {
+        gekde.Kernel.GE2: [(x, 0.5) for x in (0.15, 0.3, 0.45)]
+        + [(x, 0.2) for x in (0.05, 0.1, 0.19)],
+        gekde.Kernel.GAM2: [(x, 0.1) for x in (0.05, 0.15, 0.3, 2.0)],
+        gekde.Kernel.IG: [(x, b) for x in (0.5, 2.0, 5.0) for b in (0.001, 0.01)],
+    }
+    for density in (gekde.GammaDensity(3.0, 1.0), gekde.CONFIGURATIONS["D"]):
+        for kernel, cases in points.items():
+            for x, b in cases:
+                m = gekde.exact_estimator_moments(kernel, x, b, density, 100)
+                out["exact_moments", kernel.value].append(np.array([m.mean, m.variance]))
     return out
 
 
