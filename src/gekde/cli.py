@@ -202,10 +202,8 @@ def cmd_estimate(args) -> int:
     kernels = _kernel_list(args)
     explicit_grid = args.grid is not None
     grid = _parse_grid(args.grid) if explicit_grid else default_grid(sample)
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
     bandwidth = _bandwidth_rule(sample, args)
-    written = []
+    estimates = []  # every kernel is estimated before any file is written
     for kernel in kernels:
         bw = bandwidth(kernel)
         kgrid = grid
@@ -217,11 +215,15 @@ def cmd_estimate(args) -> int:
                 raise BoundaryDegeneracyError(
                     f"{kernel.value} bandwidth {bw.value!r} leaves no valid grid point"
                 )
-        est = estimate_density(sample, kernel, bw, kgrid)
+        estimates.append(estimate_density(sample, kernel, bw, kgrid))
+    outdir = Path(args.output)
+    outdir.mkdir(parents=True, exist_ok=True)
+    written = []
+    for est in estimates:
         meta = {
-            "kernel": kernel.value,
-            "bandwidth": bw.value,
-            "bandwidth_method": bw.method,
+            "kernel": est.kernel.value,
+            "bandwidth": est.bandwidth.value,
+            "bandwidth_method": est.bandwidth.method,
             "n": sample.n,
             "grid_min": float(est.grid[0]),
             "grid_max": float(est.grid[-1]),
@@ -229,7 +231,7 @@ def cmd_estimate(args) -> int:
             "grid_truncated": est.grid.size < grid.size,
             "source": path.name,
         }
-        stem = f"{path.stem}_{kernel.value}"
+        stem = f"{path.stem}_{est.kernel.value}"
         if args.format == "json":
             payload = dict(meta, x=[_fmt(v) for v in est.grid],
                            fhat=[_fmt(v) for v in est.values])

@@ -284,11 +284,16 @@ def default_grid(sample: Sample, size: int = 512) -> np.ndarray:
     """Default evaluation grid: equally spaced, covering the sample support.
 
     It runs from the larger of half the smallest datum and 1e-6 of the
-    largest to 1.1 times the largest, capped at the largest double.
+    largest to 1.1 times the largest, capped at the largest double; data
+    too near 0 for it to start above 0 and increase raise DomainError.
     """
     first, last = float(sample.values[0]), float(sample.values[-1])
     hi = min(1.1 * last, _DBL_MAX)  # a float product overflows to inf quietly
-    return np.linspace(max(0.5 * first, 1e-6 * last), hi, _count(size, "grid size", 1))
+    grid = np.linspace(max(0.5 * first, 1e-6 * last), hi, _count(size, "grid size", 1))
+    if not (grid[0] > 0.0 and np.all(np.diff(grid) > 0.0)):
+        raise DomainError(f"no default grid of {grid.size} increasing positive points for a "
+                          f"sample from {first!r} to {last!r}; rescale the data")
+    return grid
 
 
 def _grid_points(grid) -> np.ndarray:
@@ -392,7 +397,7 @@ def _estimate_batch(values: np.ndarray, kernel: Kernel, b: np.ndarray,
     """Estimates of R samples on one grid: an (R, G) array.
 
     ``values`` is (R, n), one sorted sample per row, ``b`` holds the R
-    bandwidths and ``grid`` has passed ``_grid_points``, its first point
+    bandwidths and ``grid`` would pass ``_grid_points``, its first point
     ``_validate_point``.  The location terms are computed once for all
     (sample, grid point) pairs and the data terms once per datum.  Each row
     goes through the operations of a single-sample call, so a sample's

@@ -32,8 +32,10 @@ with ``e = (z - x)/x``.  Each reciprocal is a per-datum (``1/z``,
 ``1/(2 b z)``) or per-location (``1/x``, ``1/(2b)``) term, so an entry
 costs a subtraction and multiplications.  Every factor is a ratio that
 overflows only where the exponent nearly does, and the exponent is exactly
-0 at z = s.  A location whose reciprocal term would overflow raises
-:class:`DomainError`.
+0 at z = s.  A location that fails a guard (a reciprocal term that would
+overflow, say) raises :class:`DomainError` from the one-location build,
+where every guard is written; of several, the first in row-major order is
+reported, with its first failing guard.
 
 One evaluator serves every caller.  It takes a column of locations x and a
 row of data z and works in three steps: the terms that depend on x alone
@@ -81,7 +83,7 @@ from scipy.special import gammaln as _gammaln
 
 from .errors import (BoundaryDegeneracyError, DomainError, _finite_array, _nonnegative,
                      _positive, _real, _scalar_or_array)
-from .specfun import EULER_GAMMA, inverse_digamma, log_gamma
+from .specfun import EULER_GAMMA, inverse_digamma
 
 __all__ = [
     "Kernel",
@@ -235,14 +237,6 @@ def _rescale_at(kernel, what, x: float, b: float):
     return DomainError(f"{kernel.value} kernel: {what} at x = {x!r}, b = {b!r}; rescale the data")
 
 
-def _reject(kernel, what, bad, x, b):
-    """Raise :func:`_rescale_at` for ``what`` at the first (x, b) where the mask ``bad`` holds."""
-    if bad.any():
-        at = np.argwhere(bad)[0]
-        b_at = b if np.ndim(b) == 0 else b.ravel()[at[0]]
-        raise _rescale_at(kernel, what, float(x[at[-1]]), float(b_at))
-
-
 class _LogKernel:
     """log K_{x,b}(z) for a column of locations x against a row of data z.
 
@@ -274,12 +268,15 @@ class _LogKernel:
     do not depend on how a grid or a stack is split into blocks.  Locations
     must already be validated for the kernel and data must be positive and
     finite.  A location where x/b or c0 overflows (every kernel but ``ig``;
-    c0 of ``gam1``, ``gam2`` at shapes beyond about 1e305), 2*b*x underflows
-    or 1/x overflows (``ig``), or 1/(x - b) or 1/(2b) overflows (``rig``)
-    raises :class:`DomainError`.  The ``ig`` and ``rig`` combine is a
-    subtraction and multiplications, and its factors are ratios; at z = x
-    (``ig``) or z = x - b (``rig``) these guards keep every factor finite,
-    so the quadratic term there is exactly 0, never ``0 * inf``.
+    c0 of ``gam1``, ``gam2`` at shapes beyond about 1e305), x/b underflows
+    (``ge2``), 2*b*x underflows or 1/x overflows (``ig``), or 1/(x - b) or
+    1/(2b) overflows (``rig``) raises :class:`DomainError` from
+    :meth:`_terms_at`, where the guards are written: an array build rebuilds
+    its first failing location, row-major over sample and then grid point,
+    there.  The ``ig`` and ``rig`` combine is a subtraction and
+    multiplications, and its factors are ratios; at z = x (``ig``) or
+    z = x - b (``rig``) these guards keep every factor finite, so the
+    quadratic term there is exactly 0, never ``0 * inf``.
     """
 
     __slots__ = ("kernel", "b", "loc", "mat", "regroup", "special")
@@ -295,52 +292,48 @@ class _LogKernel:
                 self.mat = np.array([[terms[1], terms[0], 1.0]])
             return
         log_b = _log_each(b)
-        if kernel is not Kernel.IG:
-            with np.errstate(over="ignore"):
-                r = x / b
-            _reject(kernel, "x/b overflows", ~np.isfinite(r), x, b)
-        if kernel in _GE_FAMILY:
-            if kernel is Kernel.GE:
-                log_shape = r
-                with np.errstate(over="ignore"):
-                    shape_m1 = np.expm1(log_shape)
-            else:
-                nu, log_shape = _ge2_shape(r)
-                _reject(kernel, "x/b underflows", nu <= 0.0, x, b)
-                shape_m1 = nu - 1.0
-            # beyond exp(700) the product (shape - 1) * log1p(-e^-u) is
-            # regrouped; at shape 1 it is 0 even where z/b underflows and
-            # log1p(-e^-u) is -inf
-            big = log_shape > _LOG_SHAPE_DIRECT_MAX
-            special = big | (shape_m1 == 0.0)
-            self.special = bool(special.any())
-            self.regroup = self.special and bool(big.any())
-            terms = (log_shape - log_b, shape_m1, log_shape, special)
-        elif kernel in _GAMMA_FAMILY:
-            shape = r + 1.0 if kernel is Kernel.GAM1 else _gam2_shape(x, b)
-            with np.errstate(over="ignore", invalid="ignore"):  # inf - inf: checked next
-                c0 = -(shape * log_b + log_gamma(shape))
-            _reject(kernel, "shape*log(b) + log Gamma(shape) overflows", ~np.isfinite(c0), x, b)
-            terms = (c0, shape - 1.0)
-        elif kernel is Kernel.IG:
-            # 2*b*x >= tiny keeps 1/(2 b z) finite at z = x, where the
-            # quadratic term is 0
-            with np.errstate(over="ignore"):  # an infinite 2*b*x passes the check
+        # a location that fails a guard shows as a non-finite term or a tiny
+        # 2 b x; _terms_at rebuilds the first of them and raises its error
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            r = x / b
+            if kernel in _GE_FAMILY:
+                if kernel is Kernel.GE:
+                    log_shape, shape_m1 = r, np.expm1(r)
+                else:
+                    nu, log_shape = _ge2_shape(r)
+                    shape_m1 = nu - 1.0
+                c0 = log_shape - log_b
+                bad = ~np.isfinite(c0)
+                # beyond exp(700) the product (shape - 1) * log1p(-e^-u) is
+                # regrouped; at shape 1 it is 0 even where z/b underflows and
+                # log1p(-e^-u) is -inf
+                big = log_shape > _LOG_SHAPE_DIRECT_MAX
+                special = big | (shape_m1 == 0.0)
+                self.special = bool(special.any())
+                self.regroup = self.special and bool(big.any())
+                terms = (c0, shape_m1, log_shape, special)
+            elif kernel in _GAMMA_FAMILY:
+                shape = r + 1.0 if kernel is Kernel.GAM1 else _gam2_shape(x, b)
+                c0 = -(shape * log_b + _gammaln(shape))
+                bad = ~np.isfinite(c0)
+                terms = (c0, shape - 1.0)
+            elif kernel is Kernel.IG:
+                # 2*b*x >= tiny keeps 1/(2 b z) finite at z = x, where the
+                # quadratic term is 0; an infinite 2*b*x passes
                 denom = 2.0 * b * x
-            _reject(kernel, "2*b*x underflows", denom < _TINY, x, b)
-            with np.errstate(over="ignore"):
                 inv_x = np.broadcast_to(1.0 / x, denom.shape)
-            _reject(kernel, "1/x overflows", np.isinf(inv_x), x, b)
-            terms = (np.broadcast_to(x, denom.shape), inv_x)
-        else:
-            # a finite 1/(x - b) keeps 1/z finite at z = x - b, where the
-            # quadratic term is 0, and a finite 1/(2b) keeps it 0 there
-            s = x - b
-            with np.errstate(over="ignore"):
-                _reject(kernel, "1/(x - b) overflows", np.isinf(1.0 / s), x, b)
+                bad = (denom < _TINY) | np.isinf(inv_x)
+                terms = (np.broadcast_to(x, denom.shape), inv_x)
+            else:
+                # a finite 1/(x - b) keeps 1/z finite at z = x - b, where the
+                # quadratic term is 0, and a finite 1/(2b) keeps it 0 there
+                s = x - b
                 half_inv_b = np.broadcast_to(0.5 / b, s.shape)
-            _reject(kernel, "1/(2b) overflows", np.isinf(half_inv_b), x, b)
-            terms = (s, half_inv_b)
+                bad = ~(np.isfinite(r) & np.isfinite(1.0 / s) & np.isfinite(half_inv_b))
+                terms = (s, half_inv_b)
+        if bad.any():
+            at = np.argwhere(bad)[0]  # row-major: sample, then grid point
+            self._terms_at(float(x[at[-1]]), float(b if np.ndim(b) == 0 else b.ravel()[at[0]]))
         self.loc = tuple(t[..., None] for t in terms)  # columns, broadcast against data rows
         if kernel in _EXP_FAMILIES:
             c0, shape_m1 = self.loc[:2]
@@ -351,8 +344,9 @@ class _LogKernel:
 
         Each mask is an ``if`` and each ufunc the one the array build applies
         (on a float it runs the same loop), so every term has the bits of a
-        one-location array build, and each check raises the same error; the
-        GE kernels also set ``special`` and ``regroup`` here.  The branches
+        one-location array build.  Its checks are the location guards of
+        every build: an array build calls it on its first failing location.
+        The GE kernels also set ``special`` and ``regroup`` here.  The branches
         keep ``np.expm1`` from overflowing below r = 709, so only beyond it is
         an ``np.errstate`` needed.
         """

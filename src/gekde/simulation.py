@@ -50,10 +50,9 @@ from .estimator import (
     _domain_start,
     _estimate_batch,
     _family_b,
-    _grid_points,
     _silverman_h,
 )
-from .kernels import _TINY, DEFAULT_KERNELS, Kernel, _as_kernel, _validate_point
+from .kernels import _TINY, DEFAULT_KERNELS, Kernel, _as_kernel
 from .specfun import log_gamma
 
 __all__ = [
@@ -599,16 +598,16 @@ def _fit_cell(values: np.ndarray, kernels: tuple, grid: np.ndarray,
     """ISEs and truncation flags of each kernel on a stack of samples: two (kernels, R) arrays.
 
     ``values`` is (R, n), one sorted sample per row, and ``kernels`` holds
-    distinct kernels.  Silverman's h is computed, and the grid checked
-    (``_grid_points``), once for all the rows.  Each kernel maps h to its
-    scale (``_family_b``) and cuts the grid where its domain starts
-    (``_domain_start``; only ``rig`` cuts).  Replications with the same cut
-    share one batched estimate, after a check of the cut grid's first point
-    alone (``_validate_point``); those left with fewer than 2 points record
-    ``inf``.  The estimates on the whole grid, of every
-    kernel, share one row-wise trapezoid; a cut grid takes its own.  With
-    ``replication`` (a single sample), a :class:`GekdeError` is raised with
-    "replication r, kernel k: " before its message.
+    distinct kernels; ``grid`` is ``run_experiment``'s, positive and
+    increasing.  Silverman's h is computed once for all the rows.  Each
+    kernel maps h to its scale (``_family_b``, which checks it) and cuts the
+    grid where its domain starts (``_domain_start``; only ``rig`` cuts, at
+    the first point above each b), so no point is checked again.
+    Replications with the same cut share one batched estimate; those left
+    with fewer than 2 points record ``inf``.  The estimates on the whole
+    grid, of every kernel, share one row-wise trapezoid; a cut grid takes
+    its own.  With ``replication`` (a single sample), a :class:`GekdeError`
+    is raised with "replication r, kernel k: " before its message.
     """
     ise = np.full((len(kernels), values.shape[0]), math.inf)
     cut = np.empty(ise.shape, dtype=np.intp)
@@ -618,7 +617,6 @@ def _fit_cell(values: np.ndarray, kernels: tuple, grid: np.ndarray,
         try:
             if h is None:  # kernel-independent: once for the stack, in the first kernel's context
                 h = _silverman_h(values)
-                grid = _grid_points(grid)
             b = _family_b(kernel, h)
             cut[i] = _domain_start(kernel, grid, b)
             for k in np.unique(cut[i]):
@@ -626,7 +624,6 @@ def _fit_cell(values: np.ndarray, kernels: tuple, grid: np.ndarray,
                     continue  # estimator undefined on the whole range: rank worst
                 rows = cut[i] == k
                 cut_grid = grid[k:]
-                _validate_point(kernel, float(cut_grid[0]), float(b[rows].max()))
                 est = _estimate_batch(values[rows], kernel, b[rows], cut_grid)
                 if k:
                     ise[i, rows] = _ise_rows(est, f_true[k:], cut_grid)
@@ -652,16 +649,16 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list:
     ``_BATCH_ELEMENTS``).  A chunk checks and sorts its (R, n) stack of
     draws once, as ``Sample`` checks and sorts one, computes every sample's
     Silverman h in one vectorised pass and, per kernel, one batched
-    estimate of all its samples on the quantile-spanning grid; one row-wise
-    ISE then serves every kernel's estimates on the whole grid.  The means
-    and variances of all kernels come from one pass over the (kernels,
-    replications) ISE stack (``_ise_stats``).  Each replication's ISE has
-    the bits of a one-sample ``estimate_density`` and
-    ``integrated_squared_error``, and each statistic those of
-    ``MiseReport.from_ises``, so the output is bit-identical for any
-    ``threads`` value, which sets how many chunks run at once (never more
-    than there are chunks).  A kernel listed twice is fitted once and
-    reported twice.
+    estimate of all its samples on the quantile-spanning grid, unchecked as
+    it is valid by construction; one row-wise ISE then serves every kernel's
+    estimates on the whole grid.  The means and variances of all kernels
+    come from one pass over the (kernels, replications) ISE stack
+    (``_ise_stats``).  Each replication's ISE has the bits of a one-sample
+    ``estimate_density`` and ``integrated_squared_error``, and each
+    statistic those of ``MiseReport.from_ises``, so the output is
+    bit-identical for any ``threads`` value, which sets how many chunks run
+    at once (never more than there are chunks).  A kernel listed twice is
+    fitted once and reported twice.
 
     A :class:`GekdeError` in a chunk is raised for its lowest failing
     replication, found by running the chunk's replications one at a time,

@@ -8,11 +8,12 @@ guess that puts every starting point within a handful of quadratically
 convergent steps of the root; on arrays, each entry stops as soon as it has
 converged.  It stops at an absolute residual of ``_NEWTON_TOL``, or of two
 units in the last place of y where that is coarser (|y| >= 4096), and gives
-up after ``_NEWTON_MAX_ITER`` steps.  A Python float runs a float
-transcription of the array solve: scipy's ufuncs on floats and the same
-arithmetic in the same order, so it has the bits of a one-entry array
-without building one (the ``ge2`` shape of a single kernel location is
-solved this way).
+up after ``_NEWTON_MAX_ITER`` steps; its iterates are positive and finite,
+so it calls scipy's ``digamma`` and ``zeta(2, .)`` unvalidated.  A Python
+float runs a float transcription of the array solve: the same ufuncs on
+floats and the same arithmetic in the same order, so it has the bits of a
+one-entry array without building one (the ``ge2`` shape of a single kernel
+location is solved this way).
 
 All functions accept scalars or numpy arrays and are pure; they can be called
 concurrently.
@@ -116,19 +117,19 @@ def inverse_digamma(y):
     upper = target >= -2.22
     w[upper] = np.exp(np.minimum(target[upper], 709.0)) + 0.5
     w[~upper] = -1.0 / (target[~upper] + EULER_GAMMA)
-    resid = digamma(w) - target
+    resid = _scipy_digamma(w) - target
     active = np.flatnonzero(~(np.abs(resid) <= tol))
     for _ in range(_NEWTON_MAX_ITER):
         if not active.size:
             return _scalar_or_array(w.reshape(arr.shape))
         wa = w[active]
         with np.errstate(over="ignore", invalid="ignore"):
-            nxt = wa - resid[active] / trigamma(wa)
+            nxt = wa - resid[active] / _scipy_zeta(2.0, wa)
         bad = ~np.isfinite(nxt) | (nxt <= 0.0)
         if bad.any():
             nxt[bad] = 0.5 * wa[bad]
         w[active] = nxt
-        r = digamma(nxt) - target[active]
+        r = _scipy_digamma(nxt) - target[active]
         resid[active] = r
         active = active[~(np.abs(r) <= tol[active])]
     worst = int(np.argmax(np.abs(resid)))

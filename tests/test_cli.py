@@ -219,12 +219,13 @@ class TestPlugInScale:
     def test_power_of_two_scaling(self, narrow_sample_csv, tmp_path, capsys, method, k):
         values = np.loadtxt(narrow_sample_csv, skiprows=1)
 
-        def run(scale):
+        def run(scale, kernels=("ge", "gam1")):
             data = tmp_path / f"obs{scale}.csv"
             write_csv(data, np.ldexp(values, scale))
-            out = tmp_path / f"out{scale}"
-            rc = main(["estimate", str(data), "--kernel", "ge", "--kernel", "gam1",
-                       "--bandwidth-method", method, "--output", str(out)])
+            out = tmp_path / f"out{scale}_{len(kernels)}"
+            flags = [arg for kernel in kernels for arg in ("--kernel", kernel)]
+            rc = main(["estimate", str(data), *flags, "--bandwidth-method", method,
+                       "--output", str(out)])
             bws = {p.stem.split("_")[-1]: json.loads(p.read_text())["bandwidth"]
                    for p in out.glob("*.json")}
             return rc, bws
@@ -232,14 +233,16 @@ class TestPlugInScale:
         rc, unit = run(0)
         assert rc == 0
         rc, got = run(k)
-        assert got["ge"] == math.ldexp(unit["ge"], k)
         if abs(k) < 500:
             assert rc == 0
             assert got["gam1"] == math.ldexp(unit["gam1"], 2 * k)
-        else:  # h**2 leaves the double range
-            assert rc == 2 and "gam1" not in got
+        else:  # h**2 leaves the double range: the run fails and writes no kernel's file
+            assert rc == 2 and got == {}
             err = capsys.readouterr().err
             assert "h**2" in err and "rescale the data" in err
+            rc, got = run(k, ("ge",))
+            assert rc == 0
+        assert got["ge"] == math.ldexp(unit["ge"], k)
 
 
 class TestPlugInReferenceShape:
@@ -418,6 +421,30 @@ class TestExitPaths:
         assert rc == 4
         assert "quadrature error estimate exceeds tolerance" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_default_grid_of_subnormal_data_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "tiny.csv"
+        write_csv(data, ["5e-324", "1e-323", "2e-323"])
+        out = tmp_path / "out"
+        for kernel in ("ge", "gam1"):
+            rc = main(["estimate", str(data), "--kernel", kernel, "--bandwidth", "1e-300",
+                       "--output", str(out)])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert "no default grid of 512 increasing positive points for a sample from " \
+                   "5e-324 to 2e-323; rescale the data" in err
+        assert not out.exists()
+
+    def test_failed_estimate_writes_nothing(self, tmp_path, capsys):
+        # ge, ge2, gam1 and gam2 estimate; then the rig bandwidth, about 1e79,
+        # leaves no point of the automatic grid: no kernel's file is written
+        data = tmp_path / "huge.csv"
+        write_csv(data, np.random.default_rng(7).gamma(3.0, 1.0, 50) * 1e40)
+        out = tmp_path / "out"
+        rc = main(["estimate", str(data), "--output", str(out)])
+        assert rc == 3
+        assert "rig bandwidth" in capsys.readouterr().err
+        assert not out.exists()
 
     @staticmethod
     def _run_module(*args):

@@ -417,6 +417,20 @@ class TestDefaultGrid:
         assert np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0.0)
         assert grid[0] == 5e307 and grid[-1] == np.finfo(float).max
 
+    def test_subnormal_data_are_rejected(self):
+        # 1e-6 of the top and half the bottom round to 0, and linspace's
+        # steps round past 1.1 times the top: no increasing grid above 0
+        with pytest.raises(DomainError, match=r"no default grid of 8 increasing positive points "
+                           r"for a sample from 5e-324 to 2e-323; rescale the data"):
+            default_grid(Sample([5e-324, 1e-323, 2e-323]), 8)
+
+    def test_data_near_1e_310_keep_their_grid(self):
+        values = [1e-310, 2e-310, 5e-310]
+        got = default_grid(Sample(values))
+        assert got.size == 512 and got[0] == 5e-311 and np.all(np.diff(got) > 0.0)
+        want = np.linspace(5e-311, 1.1 * 5e-310, 512)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_ordinary_grid_keeps_its_bits(self):
         values = np.random.default_rng(3).gamma(2.0, 1.5, 200)
         want = np.linspace(max(0.5 * values.min(), 1e-6 * values.max()), 1.1 * values.max(), 512)

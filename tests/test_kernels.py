@@ -249,7 +249,7 @@ class TestGe2ShapeOneLocation:
         assert _hex(one.mat) == _hex(many.mat[37])
 
     def test_one_location_runs_no_array_newton(self, monkeypatch):
-        import gekde.specfun as specfun
+        import gekde.kernels as kernels
 
         x = np.array([2.0])
         expected = _LogKernel(Kernel.GE2, np.linspace(1.0, 3.0, 3), 0.1).loc
@@ -257,8 +257,7 @@ class TestGe2ShapeOneLocation:
         def no_array(*args, **kwargs):
             raise AssertionError("one location went through the array Newton solve")
 
-        monkeypatch.setattr(specfun, "digamma", no_array)
-        monkeypatch.setattr(specfun, "trigamma", no_array)
+        monkeypatch.setattr(kernels, "_ge2_shape", no_array)  # the array shape solve
         got = _LogKernel(Kernel.GE2, x, 0.1).loc
         assert [_hex(t) for t in got] == [_hex(t[1]) for t in expected]
         assert type(ge2_shape(2.0, 0.1)) is float
@@ -408,6 +407,47 @@ class TestFloatLocationBuild:
         b = np.array([[0.5]])
         ev = _LogKernel(Kernel.GE2, np.array([2.0]), b)
         assert ev.loc[0].shape == (1, 1, 1)
+
+
+def _stack_guard_cases():
+    """Each guard of ``_guard_cases``, a bandwidth b0 at which its x passes, and the (x, b) named.
+
+    In a stack of the rows b0 and b, the guard's (x, b) fails and every
+    other location passes, except where the guard depends on x or b alone:
+    1/x fails in both rows at x, where the row-major first is row 0, and
+    1/(2b) fails at every point of row 1, where the first is the grid's.
+    """
+    b0 = {"x/b overflows": 1.0, "x/b underflows": 0.5, "2*b*x underflows": 2.0,
+          "1/x overflows": 1e299, "1/(x - b) overflows": 5e-301, "1/(2b) overflows": 1e-301}
+    cases = []
+    for p in _guard_cases():
+        kernel, x, b, what = p.values
+        named = {"1/x overflows": (x, b0[what]), "1/(2b) overflows": (0.01, b)}.get(what, (x, b))
+        cases.append(pytest.param(kernel, x, b, what, b0[what], named, id=p.id))
+    return cases
+
+
+class TestStackGuardReport:
+    """A stack whose locations fail reports the row-major first, with its first failing guard."""
+
+    @pytest.mark.parametrize("kernel, x, b, what, b0, named", _stack_guard_cases())
+    def test_failing_location_of_row_one(self, kernel, x, b, what, b0, named):
+        xs = np.array([0.01, 0.02, x, 0.03, 0.04])  # x at an interior grid point
+        for row in (b0, b):  # each row alone: x fails only with b (or 1/x with either)
+            one_row = _build(kernel, xs, row)
+            assert isinstance(one_row, tuple) == (row == b or what == "1/x overflows")
+        got = _build(kernel, xs, np.array([[b0], [b]]))
+        x_at, b_at = named
+        assert got == (DomainError, f"{kernel.value} kernel: {what} at x = {x_at!r}, "
+                       f"b = {b_at!r}; rescale the data")
+
+    def test_two_failures_report_the_row_major_first(self):
+        # row 0 underflows x/b at x = 5e-324, row 1 overflows it at x = 1e300:
+        # the first location in row-major order is named, not the first guard
+        xs = np.array([5e-324, 1.0, 1e300])
+        got = _build(Kernel.GE2, xs, np.array([[4.0], [1e-10]]))
+        assert got == (DomainError, "ge2 kernel: x/b underflows at x = 5e-324, b = 4.0; "
+                       "rescale the data")
 
 
 class TestGam2Shape:
