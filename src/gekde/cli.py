@@ -7,8 +7,11 @@ Three subcommands::
     gekde diagnose --kernel ge2 --density gamma:3,1 --x 2 \\
         --bandwidth 0.04 --bandwidth 0.02 --output out/
 
-All artifacts are CSV/JSON with 17 significant digits, written atomically;
-identical flags (and seed) produce byte-identical files.
+All artifacts are CSV/JSON with 17 significant digits.  Each subcommand
+computes every result first, then hands its files to ``_write_files``, which
+creates the output directory and writes each file atomically: a failed
+computation writes no file.  Identical flags (and seed) produce
+byte-identical files.
 
 Exit codes: 0 success, 2 input validation, 3 kernel-domain error,
 4 numerical failure.
@@ -67,8 +70,12 @@ class CliInputError(ValueError):
     """Invalid command-line input (exit code 2)."""
 
 
-_VALIDATION_ERRORS = (CliInputError, DomainError, DegenerateSampleError, CoverageError)
-_NUMERICAL_ERRORS = (ConvergenceError, IntegrationError, OptimizationError)
+# the exit code of each error type, the table in the module docstring
+_EXIT_CODES = {
+    CliInputError: 2, DomainError: 2, DegenerateSampleError: 2, CoverageError: 2,
+    BoundaryDegeneracyError: 3,
+    ConvergenceError: 4, IntegrationError: 4, OptimizationError: 4,
+}
 
 
 def _fmt(v: float) -> str:
@@ -97,12 +104,29 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+def _write_files(output, files) -> list[Path]:
+    """Create the directory ``output`` and write each ``(name, text)`` of ``files`` in it.
+
+    Every file of every subcommand goes through here, after all its results
+    are computed.  Each file is written with :func:`_atomic_write`, in order,
+    and a name given twice is written twice.  Returns the paths written.
+    """
+    outdir = Path(output)
+    outdir.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for name, text in files:
+        paths.append(outdir / name)
+        _atomic_write(paths[-1], text)
+    return paths
+
+
 def _read_positive_column(path: Path, column: str | None) -> np.ndarray:
     """Read one column of positive reals from a CSV file.
 
     Without ``column`` the file must hold a single value per row (an
-    optional non-numeric first row is treated as a header).  Row numbers
-    in error messages are 1-based file lines.
+    optional non-numeric first row is treated as a header), and a row with
+    more than one non-empty cell is an error.  Row numbers in error
+    messages are 1-based file lines.
     """
     import csv
 
@@ -127,6 +151,8 @@ def _read_positive_column(path: Path, column: str | None) -> np.ndarray:
         except ValueError:
             numbered = numbered[1:]  # single-column file with a header row
     for i, row in numbered:
+        if column is None and sum(1 for cell in row if cell.strip()) > 1:
+            raise CliInputError(f"row {i}: more than one value; pass --column NAME to pick one")
         if idx >= len(row):
             raise CliInputError(f"row {i}: missing column value")
         cell = row[idx].strip()
@@ -148,7 +174,7 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise CliInputError(f"grid spec {spec!r} must be min:max:count") from None
     if n < 1 or hi < lo or (n > 1 and hi == lo):
         raise CliInputError(f"grid spec {spec!r} is not a valid range")
-    return np.array([lo]) if n == 1 else np.linspace(lo, hi, n)
+    return np.linspace(lo, hi, n)
 
 
 def _parse_density(spec: str):
@@ -216,9 +242,7 @@ def cmd_estimate(args) -> int:
                     f"{kernel.value} bandwidth {bw.value!r} leaves no valid grid point"
                 )
         estimates.append(estimate_density(sample, kernel, bw, kgrid))
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written = []
+    files = []
     for est in estimates:
         meta = {
             "kernel": est.kernel.value,
@@ -235,18 +259,12 @@ def cmd_estimate(args) -> int:
         if args.format == "json":
             payload = dict(meta, x=[_fmt(v) for v in est.grid],
                            fhat=[_fmt(v) for v in est.values])
-            target = outdir / f"{stem}.json"
-            _atomic_write(target, _json_text(payload))
-            written.append(target)
+            files.append((f"{stem}.json", _json_text(payload)))
         else:
             lines = ["x,fhat"]
             lines += [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(est.grid, est.values)]
-            target = outdir / f"{stem}.csv"
-            _atomic_write(target, "\n".join(lines) + "\n")
-            sidecar = outdir / f"{stem}.json"
-            _atomic_write(sidecar, _json_text(meta))
-            written.extend([target, sidecar])
-    for p in written:
+            files += [(f"{stem}.csv", "\n".join(lines) + "\n"), (f"{stem}.json", _json_text(meta))]
+    for p in _write_files(args.output, files):
         print(p)
     return 0
 
@@ -274,17 +292,10 @@ def cmd_simulate(args) -> int:
         grid_size=args.grid_size,
     )
     reports = run_experiment(config, threads=args.threads)
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
     stem = f"mise_{config_id}_n{args.n}"
-    written = []
-    if args.format != "json":
-        target = outdir / f"{stem}.csv"
-        _atomic_write(target, mise_records_csv(reports))
-        written.append(target)
-    summary = outdir / f"{stem}_summary.json"
-    _atomic_write(summary, mise_summary_json(reports))
-    written.append(summary)
+    files = [] if args.format == "json" else [(f"{stem}.csv", mise_records_csv(reports))]
+    files.append((f"{stem}_summary.json", mise_summary_json(reports)))
+    written = _write_files(args.output, files)
     _print_mise_table(reports)
     for p in written:
         print(p)
@@ -347,14 +358,8 @@ def cmd_diagnose(args) -> int:
     lines = [",".join(cols)]
     lines += [",".join(_fmt(row[c]) for c in cols) for row in rows]
     text = "\n".join(lines) + "\n"
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    if args.format == "json":
-        target = outdir / f"diagnose_{kernel.value}.json"
-        _atomic_write(target, _json_text({"kernel": kernel.value, "rows": rows}))
-    else:
-        target = outdir / f"diagnose_{kernel.value}.csv"
-        _atomic_write(target, text)
+    body = _json_text({"kernel": kernel.value, "rows": rows}) if args.format == "json" else text
+    [target] = _write_files(args.output, [(f"diagnose_{kernel.value}.{args.format}", body)])
     print(text, end="")
     print(target)
     return 0
@@ -378,8 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--bandwidth-method", choices=["silverman", "optimal-ge2", "numeric-ge"],
                        default=None, help="bandwidth selection rule (default: silverman)")
     p_est.add_argument("--grid", default=None, help="evaluation grid as min:max:count")
-    p_est.add_argument("--output", default=".", help="output directory")
-    p_est.add_argument("--format", choices=["csv", "json"], default="csv")
     p_est.set_defaults(func=cmd_estimate)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo MISE experiment")
@@ -392,8 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--grid-size", type=int, default=256, help="ISE grid size")
     p_sim.add_argument("--threads", type=int, default=1,
                        help="chunks of replications run at once (at least 1)")
-    p_sim.add_argument("--output", default=".", help="output directory")
-    p_sim.add_argument("--format", choices=["csv", "json"], default="csv")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_diag = sub.add_parser("diagnose", help="exact bias/variance convergence table")
@@ -405,26 +406,21 @@ def build_parser() -> argparse.ArgumentParser:
                         help="bandwidth value (repeatable)")
     p_diag.add_argument("--boundary", type=float, default=None,
                         help="boundary constant c (evaluates at x = c*b)")
-    p_diag.add_argument("--output", default=".", help="output directory")
-    p_diag.add_argument("--format", choices=["csv", "json"], default="csv")
     p_diag.set_defaults(func=cmd_diagnose)
+
+    for p in (p_est, p_sim, p_diag):  # after each parser's own flags
+        p.add_argument("--output", default=".", help="output directory")
+        p.add_argument("--format", choices=["csv", "json"], default="csv")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _VALIDATION_ERRORS as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BoundaryDegeneracyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except _NUMERICAL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -134,6 +134,23 @@ class TestEstimate:
         data.write_text("a,b\n1.0,5.0\n2.0,6.0\n")
         assert main(["estimate", str(data), "--column", "zz"]) == 2
 
+    @pytest.mark.parametrize("header, row", [("a,b\n", 2), ("", 1)], ids=["header", "no_header"])
+    def test_wider_file_without_column_exit_2(self, tmp_path, capsys, header, row):
+        data = tmp_path / "wide.csv"
+        data.write_text(header + "1.0,5.0\n2.0,6.0\n3.0,7.5\n4.5,8.0\n")
+        out = tmp_path / "out"
+        assert main(["estimate", str(data), "--kernel", "ge", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"row {row}: more than one value; pass --column NAME to pick one" in err
+        assert not out.exists()
+
+    def test_trailing_empty_cell_is_one_value(self, tmp_path):
+        data = tmp_path / "trail.csv"
+        data.write_text("value,\n1.0,\n2.0,\n3.0,\n")
+        out = tmp_path / "out"
+        assert main(["estimate", str(data), "--kernel", "ge", "--output", str(out)]) == 0
+        assert json.loads((out / "trail_ge.json").read_text())["n"] == 3
+
     def test_json_format(self, narrow_sample_csv, tmp_path):
         out = tmp_path / "out"
         rc = main(["estimate", str(narrow_sample_csv), "--kernel", "ge",

@@ -1336,6 +1336,31 @@ class TestQuadratureFailure:
             exact_estimator_moments(Kernel.GE2, 0.03, 0.1, GammaDensity(1.0, 1.0), 10)
         assert err.value.achieved > 1e-6
 
+    @pytest.mark.parametrize("c", [1.0, 2.0 ** 20, 2.0 ** 40])
+    def test_error_estimate_is_relative(self, c):
+        # ge2 at x/b = 0.62 against f(0) = 1/c: the variance is finite, but the
+        # two rules part by about 26% of the second moment at every scale
+        with pytest.raises(IntegrationError, match="exceeds tolerance") as err:
+            exact_estimator_moments(Kernel.GE2, 0.062 * c, 0.1 * c, GammaDensity(1.0, c), 1)
+        assert err.value.achieved == pytest.approx(0.2618, rel=1e-3)
+
+
+class TestBracketOverflow:
+    """A typed error where the z rule's last tail panel, (hi - lo) 2**16 past hi, overflows."""
+
+    @pytest.mark.parametrize("kernel, x, b", [(Kernel.GE, 1e307, 1e306),
+                                              (Kernel.GE2, 1e307, 1e306),
+                                              (Kernel.GAM1, 1e307, 1e300),
+                                              (Kernel.RIG, 1e300, 1e10),
+                                              (Kernel.RIG, 1e200, 1e150)])
+    def test_raises_a_rescale_error_without_a_warning(self, kernel, x, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError) as err:
+                exact_estimator_moments(kernel, x, b, GammaDensity(3.0, 1.0), 100)
+        assert str(err.value) == (f"{kernel.value} kernel: the quadrature bracket overflows "
+                                  f"at x = {x!r}, b = {b!r}; rescale the data")
+
 
 class TestIgBracketOverflow:
     """The ``ig`` bracket's spread sqrt(b x**3): a typed error where b x**3 overflows."""

@@ -6,6 +6,7 @@ change: the value at a grid point does not depend on which other points
 share the call or the block, nor on the order of the data; for the GE
 kernels it scales as 1/c when data, bandwidth and grid are scaled by c; and
 it agrees with per-point evaluation and with the reference per-row formulas.
+The exact moments of ``exact_estimator_moments`` scale in the same way.
 """
 
 import functools
@@ -21,10 +22,12 @@ import gekde.estimator
 from gekde import (
     CONFIGURATIONS,
     EULER_GAMMA,
+    GammaDensity,
     Kernel,
     Sample,
     default_grid,
     estimate_density,
+    exact_estimator_moments,
     gam2_shape,
     inverse_digamma,
     log_kernel,
@@ -95,6 +98,21 @@ def test_scale_equivariance(config_id, kernel, k):
     kept = base >= 1e-30
     assert np.count_nonzero(kept) >= grid.size // 2
     np.testing.assert_allclose(scaled[kept] * c, base[kept], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("k", [-60, -40, -20, 20, 40, 60])
+@pytest.mark.parametrize("kernel", [Kernel.GE, Kernel.GE2, Kernel.GAM1, Kernel.GAM2, Kernel.RIG],
+                         ids=lambda kernel: kernel.value)
+def test_exact_moments_scale_equivariance(kernel, k):
+    # x, b and the density's scale times c = 2**k: the mean scales as 1/c, the
+    # variance as 1/c**2, and the rule accepts at every c.  ig is left out:
+    # its b is not a length
+    c = math.ldexp(1.0, k)
+    for x, b in [(2.0, 0.1), (1.0, 0.05), (3.0, 0.5), (0.5, 0.2)]:
+        base = exact_estimator_moments(kernel, x, b, GammaDensity(3.0, 1.0), 1)
+        scaled = exact_estimator_moments(kernel, x * c, b * c, GammaDensity(3.0, c), 1)
+        assert scaled.mean * c == pytest.approx(base.mean, rel=1e-10, abs=0.0)
+        assert scaled.variance * c * c == pytest.approx(base.variance, rel=1e-10, abs=0.0)
 
 
 def _wide_case():
