@@ -50,7 +50,7 @@ from scipy.optimize import brentq
 from .errors import (DegenerateSampleError, DomainError, IntegrationError, OptimizationError,
                      _count, _finite_array, _nonnegative, _positive, _real)
 from .kernels import (_DBL_MAX, _GAMMA_FAMILY, _GE_FAMILY, _TINY, Kernel, _as_kernel,
-                      _ge_quantiles, _LogKernel, _rescale_at, _validate_point, gam2_shape)
+                      _gam2_shape, _ge_quantiles, _LogKernel, _rescale_at, _validate_point)
 from .specfun import EULER_GAMMA, digamma
 
 __all__ = [
@@ -209,12 +209,6 @@ def boundary_regime(c: float) -> AsymptoticRegime:
 class Moments(NamedTuple):
     mean: float
     variance: float
-
-
-def _coerce_bandwidth(bandwidth) -> Bandwidth:
-    if isinstance(bandwidth, Bandwidth):
-        return bandwidth
-    return Bandwidth(bandwidth)  # converts, and raises DomainError on a non-number
 
 
 def _sorted_quantile(v: np.ndarray, q: float) -> np.ndarray:
@@ -479,7 +473,8 @@ def estimate_density(sample: Sample, kernel: Kernel, bandwidth, grid) -> Density
     the bits of ``np.exp`` and of the full row sum, so the choice of path
     affects only speed.
     """
-    kernel, bw = _as_kernel(kernel), _coerce_bandwidth(bandwidth)
+    kernel = _as_kernel(kernel)
+    bw = bandwidth if isinstance(bandwidth, Bandwidth) else Bandwidth(bandwidth)
     grid = _grid_points(grid)
     _validate_point(kernel, float(grid[0]), bw.value)
     values = _estimate_batch(sample.values[None, :], kernel, np.array([bw.value]), grid)[0]
@@ -702,26 +697,30 @@ def asymptotic_variance(regime: AsymptoticRegime, b: float, n: int, fx: float) -
     return base / (1.0 - 0.5 * math.exp(-regime.c))
 
 
+def _ig_spread(x: float, b: float) -> float:
+    """The ``ig`` kernel's spread sqrt(b x**3) as x sqrt(b x): no x**3 to overflow."""
+    return x * math.sqrt(b * x)
+
+
 def _quad_window(kernel: Kernel, x: float, b: float):
-    """(lo, hi) bracket holding essentially all kernel mass."""
+    """(lo, hi) bracket holding essentially all kernel mass at a valid (x, b).
+
+    The one overflow rule: a bracket whose last tail panel ends beyond the
+    double range, hi + (hi - lo) 2**16, raises the rescale DomainError.
+    """
     if kernel in _GE_FAMILY:
-        return max(0.0, x - 30.0 * b), x + 60.0 * b
-    if kernel in _GAMMA_FAMILY:
-        k = (x / b + 1.0) if kernel is Kernel.GAM1 else gam2_shape(x, b)
+        lo, hi = x - 30.0 * b, x + 60.0 * b
+    elif kernel in _GAMMA_FAMILY:
+        k = (x / b + 1.0) if kernel is Kernel.GAM1 else float(_gam2_shape(x, b))
         m, sd = k * b, math.sqrt(k) * b
-        return max(0.0, m - 15.0 * sd), m + 15.0 * sd + 15.0 * b
-    if kernel is Kernel.IG:
-        try:
-            var = b * x ** 3
-        except OverflowError:  # float ** raises where * gives inf
-            raise _rescale_at(kernel, "x**3 overflows", x, b) from None
-        if var == math.inf:
-            raise _rescale_at(kernel, "b*x**3 overflows", x, b)
-        sd = math.sqrt(var)
-        return max(0.0, x - 15.0 * sd), x + 20.0 * sd
-    # RIG
-    sd = math.sqrt(b * x + 2.0 * b * b)
-    return max(0.0, x - 15.0 * sd), x + 20.0 * sd
+        lo, hi = m - 15.0 * sd, m + 15.0 * sd + 15.0 * b
+    else:
+        sd = _ig_spread(x, b) if kernel is Kernel.IG else math.sqrt(b * x + 2.0 * b * b)
+        lo, hi = x - 15.0 * sd, x + 20.0 * sd
+    lo = max(0.0, lo)
+    if not math.isfinite(hi + (hi - lo) * 2.0 ** _TAIL_PANELS):
+        raise _rescale_at(kernel, "the quadrature bracket overflows", x, b)
+    return lo, hi
 
 
 def _panels(edges: np.ndarray):
@@ -809,8 +808,9 @@ def exact_estimator_moments(kernel: Kernel, x: float, b: float, density, n: int)
     The rule lives in z, around ``_quad_window``'s bracket [lo, hi]: 30
     geometric panels halving toward 0 on [0, a], 64 uniform panels on
     [a, hi] and 16 tail panels from hi, of widths (hi - lo) 2**k, k = 0..15.
-    a is lo if lo > 0, else min(b, hi/2): the GE and gamma kernels are not
-    smooth at 0, like (z/b)**(shape - 1), over a scale of b.  The ``ge2``
+    a is lo if lo > 0, else the smaller of hi/2 and b, over which the GE and
+    gamma kernels are not smooth at 0, like (z/b)**(shape - 1); for ``ig``,
+    whose b is not a length, its spread x sqrt(b x) stands for b.  The ``ge2``
     kernel with x < b has shape nu(x/b) < 1 and is singular like
     z**(nu - 1) at 0, where no z-space rule converges; it is integrated in
     its own probability u instead, through the closed-form GE quantile
@@ -835,7 +835,7 @@ def exact_estimator_moments(kernel: Kernel, x: float, b: float, density, n: int)
         If ``n`` is not a whole number of at least 1, x or b is not a number,
         b is not positive and finite, or x or b lies outside the kernel's
         domain (x <= 0 for every kernel but ``ge``), or the quadrature
-        bracket's tail panels overflow the double range.
+        bracket's tail panels overflow the double range (``_quad_window``).
     BoundaryDegeneracyError
         For the ``rig`` kernel at 0 < x <= b.
     IntegrationError
@@ -844,9 +844,8 @@ def exact_estimator_moments(kernel: Kernel, x: float, b: float, density, n: int)
         the second moment falls below the squared mean; ``achieved`` is set.
     """
     kernel, n = _as_kernel(kernel), _count(n, "n", 1)
-    b = _coerce_bandwidth(b).value
-    # validates (x, b) before the bracket takes square roots of them
-    x, b = _validate_point(kernel, x, b)
+    # the one check of (x, b), before the bracket takes square roots of them
+    x, b = _validate_point(kernel, x, b.value if isinstance(b, Bandwidth) else b)
     ev = _LogKernel(kernel, np.array([x]), b)
     singular = kernel is Kernel.GE2 and x < b  # shape nu(x/b) < 1
     if singular:
@@ -854,9 +853,8 @@ def exact_estimator_moments(kernel: Kernel, x: float, b: float, density, n: int)
         z, log_k = _ge_quantiles(ev, _LOG_U)
     else:
         lo, hi = _quad_window(kernel, x, b)
-        if not math.isfinite(hi + (hi - lo) * 2.0 ** _TAIL_PANELS):
-            raise _rescale_at(kernel, "the quadrature bracket overflows", x, b)
-        a = lo if lo > 0.0 else min(b, 0.5 * hi)
+        near_zero = _ig_spread(x, b) if kernel is Kernel.IG else b
+        a = lo if lo > 0.0 else min(near_zero, 0.5 * hi)
         length = np.array([a, hi - a, hi - lo]).take(_Z_SEGMENT)
         z = np.array([0.0, a, hi]).take(_Z_SEGMENT) + length * _Z_UNIT
         weights, (i, j) = length * _Z_WEIGHTS, _Z_CUTS

@@ -83,7 +83,7 @@ from scipy.special import gammaln as _gammaln
 
 from .errors import (BoundaryDegeneracyError, DomainError, _finite_array, _nonnegative,
                      _positive, _real, _scalar_or_array)
-from .specfun import EULER_GAMMA, inverse_digamma
+from .specfun import EULER_GAMMA, _inverse_digamma_float, inverse_digamma
 
 __all__ = [
     "Kernel",
@@ -208,9 +208,9 @@ def _ge2_shape_at(r: float) -> tuple:
 
     Each ``np.where`` and mask is an ``if``, each ufunc the one the array
     path applies (on a scalar it runs the same loop), the series is
-    ``np.polyval``'s Horner sum, and the Newton branch is the float
-    :func:`inverse_digamma`.  The branches keep ``np.exp`` from overflowing
-    and ``np.log`` off 0, so no ``np.errstate`` is needed.
+    ``np.polyval``'s Horner sum, and the Newton branch is the float solve
+    ``specfun._inverse_digamma_float``.  The branches keep ``np.exp`` from
+    overflowing and ``np.log`` off 0, so no ``np.errstate`` is needed.
     """
     y = r - EULER_GAMMA
     if r < _SERIES_R:
@@ -220,7 +220,7 @@ def _ge2_shape_at(r: float) -> tuple:
         nu = r * poly
         return nu, float(np.log(nu)) if nu > 0.0 else -math.inf
     if y < _ASYMPTOTIC_Y:
-        nu = inverse_digamma(y) - 1.0
+        nu = _inverse_digamma_float(y) - 1.0
         return nu, float(np.log(nu))
     nu = math.inf if y > 709.7 else float(np.exp(y)) - 0.5
     return nu, y + float(np.log1p(-0.5 * float(np.exp(-y))))

@@ -109,7 +109,7 @@ def inverse_digamma(y):
         residual.
     """
     if type(y) is float:
-        return _inverse_digamma_float(y)
+        return _inverse_digamma_float(_real(y, "inverse_digamma argument"))
     arr = _finite_array(y, "inverse_digamma argument")
     target = arr.ravel()
     tol = np.maximum(_NEWTON_TOL, 2.0 * np.spacing(np.abs(target)))
@@ -146,9 +146,9 @@ def _inverse_digamma_float(y: float) -> float:
     arithmetic in the array path's order.  Every iterate is positive and
     finite, where both special functions are finite and the trigamma is
     positive, so nothing here divides by zero or needs an ``np.errstate``;
-    an overflowing step is inf, as in numpy, and is halved.
+    an overflowing step is inf, as in numpy, and is halved.  y is finite:
+    its callers check it, or take it from a finite r = x/b.
     """
-    _real(y, "inverse_digamma argument")
     tol = max(_NEWTON_TOL, 2.0 * float(np.spacing(abs(y))))
     if y >= -2.22:
         w = float(np.exp(min(y, 709.0))) + 0.5
