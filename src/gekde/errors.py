@@ -110,6 +110,14 @@ def _count(value, what: str, minimum: int):
     return value
 
 
+def _count_float(value, what: str, minimum: int) -> float:
+    """A ``_count`` below 2**1020, as a float: 16 times it stays in the double range."""
+    value = _count(value, what, minimum)
+    if value >= 2 ** 1020:
+        raise DomainError(f"{what} must be below 2**1020")
+    return float(value)
+
+
 def _real_array(values, what: str) -> np.ndarray:
     """``values`` as a float array, converted as ``np.asarray`` does; NaN and inf pass.
 

@@ -83,7 +83,7 @@ from scipy.special import gammaln as _gammaln
 
 from .errors import (BoundaryDegeneracyError, DomainError, _finite_array, _nonnegative,
                      _positive, _real, _scalar_or_array)
-from .specfun import EULER_GAMMA, _inverse_digamma_float, inverse_digamma
+from .specfun import EULER_GAMMA, _inverse_digamma_array, _inverse_digamma_float
 
 __all__ = [
     "Kernel",
@@ -192,7 +192,7 @@ def _ge2_shape(r):
     newton = (y < _ASYMPTOTIC_Y) & ~series
     with np.errstate(divide="ignore", invalid="ignore"):
         if newton.any():
-            nu_n = inverse_digamma(y[newton]) - 1.0
+            nu_n = _inverse_digamma_array(y[newton]) - 1.0
             nu[newton] = nu_n
             log_nu[newton] = np.log(nu_n)
         if series.any():
@@ -549,26 +549,6 @@ def _validate_point(kernel, x, b):
     return x, b
 
 
-def _point_log_kernel(kernel: Kernel, x: float, b: float):
-    """Validate the kernel and the point (x, b) and return ``z -> log K_{x,b}(z)``.
-
-    The location terms are computed here, once; each call of the returned
-    function checks its data and computes only the per-datum terms and the
-    combine.  A single datum (a float, a numpy scalar or a 0-d array) runs
-    the same block combine as an array and comes back as a Python float.
-    """
-    kernel = _as_kernel(kernel)
-    x, b = _validate_point(kernel, x, b)
-    ev = _LogKernel(kernel, np.array([x]), b)
-
-    def log_k(z):
-        zarr = _finite_array(z, "kernel argument z", positive=True)
-        out = ev.rows(ev.data(zarr.ravel()))[0]
-        return _scalar_or_array(out.reshape(zarr.shape))
-
-    return log_k
-
-
 def log_kernel(kernel: Kernel, x: float, b: float, z):
     """Log of the kernel density K at datum z, for the kernel located at x.
 
@@ -590,8 +570,15 @@ def log_kernel(kernel: Kernel, x: float, b: float, z):
     float or ndarray
         ln K(z).  ``exp`` of the result matches the closed-form density
         wherever the latter is evaluable in doubles.
+
+    The one location is checked and built before z is checked; a single
+    datum (a float, a numpy scalar or a 0-d array) comes back as a float.
     """
-    return _point_log_kernel(kernel, x, b)(z)
+    kernel = _as_kernel(kernel)
+    x, b = _validate_point(kernel, x, b)
+    ev = _LogKernel(kernel, np.array([x]), b)
+    zarr = _finite_array(z, "kernel argument z", positive=True)
+    return _scalar_or_array(ev.rows(ev.data(zarr.ravel()))[0].reshape(zarr.shape))
 
 
 def kernel_pdf(kernel: Kernel, x: float, b: float, z):

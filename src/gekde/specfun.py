@@ -110,7 +110,15 @@ def inverse_digamma(y):
     """
     if type(y) is float:
         return _inverse_digamma_float(_real(y, "inverse_digamma argument"))
-    arr = _finite_array(y, "inverse_digamma argument")
+    return _scalar_or_array(_inverse_digamma_array(_finite_array(y, "inverse_digamma argument")))
+
+
+def _inverse_digamma_array(arr: np.ndarray) -> np.ndarray:
+    """``inverse_digamma`` of a float array of finite entries, as an array of its shape.
+
+    Its callers check the entries: the public function, or the array ``ge2``
+    shape solve, whose entries come from a checked grid.
+    """
     target = arr.ravel()
     tol = np.maximum(_NEWTON_TOL, 2.0 * np.spacing(np.abs(target)))
     w = np.empty_like(target)
@@ -121,7 +129,7 @@ def inverse_digamma(y):
     active = np.flatnonzero(~(np.abs(resid) <= tol))
     for _ in range(_NEWTON_MAX_ITER):
         if not active.size:
-            return _scalar_or_array(w.reshape(arr.shape))
+            return w.reshape(arr.shape)
         wa = w[active]
         with np.errstate(over="ignore", invalid="ignore"):
             nxt = wa - resid[active] / _scipy_zeta(2.0, wa)

@@ -22,7 +22,6 @@ from gekde import (
     InverseWeibullDensity,
     Kernel,
     MixtureDensity,
-    OptimizationError,
     Sample,
     asymptotic_bias,
     asymptotic_variance,
@@ -147,9 +146,9 @@ def test_every_real_rejects_an_int_beyond_double_range(call):
 def test_integer_counts_pass_unchanged():
     assert type(ExperimentConfig("A", n=np.int64(20)).n) is np.int64
     assert type(ExperimentConfig("A", replications=2.0).replications) is int
-    # an int never goes through a float: 10**700 reaches the optimiser, which
-    # finds no optimum in the double range
-    with pytest.raises(OptimizationError):
+    # an int never goes through a float: 10**700 reaches the count check,
+    # which keeps a sample size below 2**1020
+    with pytest.raises(DomainError, match=r"n must be below 2\*\*1020"):
         numeric_bandwidth_ge(1.0, 1e300, 10 ** 700)
 
 

@@ -380,6 +380,31 @@ class TestDiagnose:
                    "--x", "2", "--bandwidth", "0.05", "--output", str(tmp_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--kernel", "gam1", "--x", "2", "--bandwidth", "0.05"],
+         "diagnose supports the ge and ge2 kernels only"),
+        (["--kernel", "ge", "--x", "2"], "diagnose needs at least one --bandwidth value"),
+        (["--kernel", "ge", "--x", "2", "--bandwidth=-0.05"],
+         "bandwidths must be positive and finite"),
+        (["--kernel", "ge", "--x", "2", "--bandwidth", "inf"],
+         "bandwidths must be positive and finite"),
+        (["--kernel", "ge", "--bandwidth", "0.05"],
+         "diagnose needs --x unless --boundary is given"),
+    ], ids=["kernel", "no-bandwidth", "negative-bandwidth", "inf-bandwidth", "no-x"])
+    def test_input_error_exit_2(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        rc = main(["diagnose", "--density", "gamma:3,1", *flags, "--output", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_far_beyond_the_density(self, tmp_path):
+        # x = 600 is 50 times Gamma(3, 1)'s 99.95% quantile: both quadrature
+        # rules give a negligible mean, which the rule's tolerance accepts
+        rc = main(["diagnose", "--kernel", "ge", "--density", "gamma:3,1",
+                   "--x", "600", "--bandwidth", "30", "--output", str(tmp_path)])
+        assert rc == 0
+
 
 class TestAtomicWrite:
     def test_concurrent_writers_leave_one_full_payload(self, tmp_path):

@@ -47,7 +47,7 @@ from gekde.estimator import (
     _quad_window,
     _silverman_h,
 )
-from gekde.kernels import _LogKernel, _point_log_kernel, log_kernel
+from gekde.kernels import _LogKernel, log_kernel
 from test_metamorphic import _wide_case
 
 G = EULER_GAMMA
@@ -746,13 +746,15 @@ class TestOptimalGe2Bandwidth:
         assert b2 == pytest.approx(b1 / 2.0, rel=1e-12)
 
     def test_count_beyond_double_range(self):
+        # n converts to a float below 2**1020 and is rejected from there on
         mp = pytest.importorskip("mpmath")
         with mp.workdps(40):
-            want = float((9 / mp.pi ** 4) ** (mp.mpf(1) / 5) * mp.mpf(10) ** -80)
-        got = optimal_bandwidth_ge2(1.0, 10 ** 400).value
+            want = float((9 / mp.pi ** 4) ** (mp.mpf(1) / 5) * mp.mpf(10) ** -60)
+        got = optimal_bandwidth_ge2(1.0, 10 ** 300).value
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
-        with pytest.raises(OptimizationError, match="underflows the double range"):
-            optimal_bandwidth_ge2(1.0, 10 ** 2000)
+        for n in (2 ** 1020, 10 ** 400, 10 ** 2000):
+            with pytest.raises(DomainError, match=r"n must be below 2\*\*1020"):
+                optimal_bandwidth_ge2(1.0, n)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -858,8 +860,9 @@ class TestNumericGeBandwidth:
         assert abs(self._exact_residual(a1, 1e-3, 100, b)) <= 1e-13
 
     def test_optimum_outside_double_range(self):
-        # b0 = (8 n c2)**(-1/3) is about 7e-334, below the smallest subnormal
-        with pytest.raises(OptimizationError, match="underflows the double range"):
+        # b0 = (8 n c2)**(-1/3) would be about 7e-334, below the smallest
+        # subnormal; no n from 2**1020 on reaches the optimiser
+        with pytest.raises(DomainError, match=r"n must be below 2\*\*1020"):
             numeric_bandwidth_ge(1.0, 1e300, 10 ** 700)
 
     @staticmethod
@@ -873,19 +876,19 @@ class TestNumericGeBandwidth:
             kappa = 12 * n * c3 * b0 ** 4
             return float(b0 * mp.findroot(lambda t: kappa * t ** 4 + t ** 3 - 1, 1))
 
-    # 8 n overflows, and n itself is beyond the double range: n is factored out
+    # from 2**1020 on, where 8 n or 12 n g c could overflow, n is rejected
     @pytest.mark.parametrize("n", [10 ** 308, 10 ** 400], ids=["1e308", "1e400"])
     def test_count_past_overflow(self, n):
-        b = numeric_bandwidth_ge(1.0, 1.0, n).value
-        assert b == pytest.approx(self._mp_optimum(1.0, 1.0, n), rel=4e-16, abs=0.0)
+        with pytest.raises(DomainError, match=r"n must be below 2\*\*1020"):
+            numeric_bandwidth_ge(1.0, 1.0, n)
 
     def test_closed_form_count_past_overflow(self):
-        # kappa > 2**72 with n beyond the double range: b = (12 n c3)**(-1/4)
-        b = numeric_bandwidth_ge(1e-10, 1e-300, 10 ** 400).value
+        # kappa, about 4e290, is far above 2**72: b = (12 n c3)**(-1/4)
+        b = numeric_bandwidth_ge(1e-10, 1e-300, 10 ** 300).value
         mp = pytest.importorskip("mpmath")
         with mp.workdps(60):
             g = +mp.euler
-            want = (12 * mp.mpf(10) ** 400 * g * (g * g + mp.pi ** 2 / 6) * mp.mpf(1e-10)) ** -0.25
+            want = (12 * mp.mpf(10) ** 300 * g * (g * g + mp.pi ** 2 / 6) * mp.mpf(1e-10)) ** -0.25
         assert b == pytest.approx(float(want), rel=1e-15, abs=0.0)
 
 
@@ -1037,12 +1040,13 @@ class TestAsymptoticFormulas:
         assert asymptotic_variance(INTERIOR, 0.1, 100, 1.0) == pytest.approx(1.0 / 40.0)
 
     def test_variance_count_beyond_double_range(self):
-        # below 2**1020 n divides as a float; beyond it the variance is f/(4 b m) 2**(-60 j)
-        for n in (100, 10 ** 300):
+        # below 2**1020 n divides as a float; from there on it is rejected
+        for n in (100, 10 ** 300, 2 ** 1019 + 1):
             want = 1.0 / (4.0 * 0.1 * n)
             assert asymptotic_variance(INTERIOR, 0.1, n, 1.0).hex() == want.hex()
-        assert asymptotic_variance(INTERIOR, 0.1, 10 ** 400, 1.0) == 0.0
-        assert asymptotic_variance(INTERIOR, 2.0 ** -40, 2 ** 1030, 1.0) == 2.0 ** -992
+        for n in (2 ** 1020, 10 ** 400):
+            with pytest.raises(DomainError, match=r"n must be below 2\*\*1020"):
+                asymptotic_variance(INTERIOR, 2.0 ** -40, n, 1.0)
 
     def test_variance_boundary_zero(self):
         got = asymptotic_variance(boundary_regime(0.0), 0.1, 100, 1.0)
@@ -1095,11 +1099,9 @@ class TestExactMoments:
         for n in (10 ** 300, 2 ** 1019 + 1):  # divided as a float, with the same bits
             assert exact_estimator_moments(Kernel.GE, 1.0, 1.0, f, n).variance.hex() == (
                 one.variance / n).hex()
-        big = exact_estimator_moments(Kernel.GE, 1.0, 1.0, f, 10 ** 400)
-        assert (big.mean, big.variance) == (one.mean, 0.0)
-        tiny_b = exact_estimator_moments(Kernel.GE, 1.0, 1e-3, f, 1)
-        assert exact_estimator_moments(Kernel.GE, 1.0, 1e-3, f, 2 ** 1030).variance == (
-            math.ldexp(tiny_b.variance, -1030))
+        for n in (2 ** 1020, 10 ** 400):
+            with pytest.raises(DomainError, match=r"n must be below 2\*\*1020"):
+                exact_estimator_moments(Kernel.GE, 1.0, 1.0, f, n)
 
     @pytest.mark.parametrize("n", [0, -5])
     def test_n_below_one_rejected(self, n):
@@ -1149,10 +1151,9 @@ def _quad_moments(kernel, x, b, density, n):
     """
     lo, hi = _quad_window(kernel, x, b)
     cuts = sorted({0.0, min(x, b) if x > 0.0 else b, x, lo, hi})
-    log_k = _point_log_kernel(kernel, x, b)
 
     def k_at(z):
-        return math.exp(log_k(z))
+        return math.exp(log_kernel(kernel, x, b, z))
 
     out = []
     for g in (k_at, lambda z: k_at(z) * density.pdf(z),
@@ -1343,6 +1344,40 @@ class TestQuadratureFailure:
         with pytest.raises(IntegrationError, match="exceeds tolerance") as err:
             exact_estimator_moments(Kernel.GE2, 0.062 * c, 0.1 * c, GammaDensity(1.0, c), 1)
         assert err.value.achieved == pytest.approx(0.2618, rel=1e-3)
+
+
+class TestFarFromDensity:
+    """Moments far beyond a density's mass, where both rules give almost 0.
+
+    At x = 1000, 80 times the 99.95% quantile of Gamma(3, 1), the fine and
+    coarse moments part by 6e-6 to 1.3e-2 of themselves; each difference is
+    measured against 1e-12 of its scale instead (the largest f at the nodes
+    for the mean, that times the largest K for the second moment), which
+    keeps the verdict free of the data's units.
+    """
+
+    _WANT = {Kernel.GE: ("0x1.daae13e2b1079p-902", "0x1.54e16057fa5e7p-1003"),
+             Kernel.GE2: ("0x1.813f9a0bd8235p-819", "0x1.3652a620f14d3p-920"),
+             Kernel.RIG: ("0x1.0f9e449318825p-164", "0x1.31252077e9c66p-235")}
+
+    @pytest.mark.parametrize("kernel", list(_WANT), ids=lambda k: k.value)
+    def test_negligible_moments_return(self, kernel):
+        m = exact_estimator_moments(kernel, 1000.0, 100.0, GammaDensity(3.0, 1.0), 1)
+        assert (m.mean.hex(), m.variance.hex()) == self._WANT[kernel]
+
+    @pytest.mark.parametrize("c", [2.0 ** -40, 2.0 ** 40], ids=["c=2**-40", "c=2**40"])
+    @pytest.mark.parametrize("kernel", list(_WANT), ids=lambda k: k.value)
+    def test_verdict_is_free_of_units(self, kernel, c):
+        m = exact_estimator_moments(kernel, 1000.0 * c, 100.0 * c, GammaDensity(3.0, c), 1)
+        want = float.fromhex(self._WANT[kernel][0])
+        assert m.mean * c == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("b, mean", [(1e6, 2.9e-107), (1e7, 9.8e-23)])
+    def test_ig_far_below_config_c(self, b, mean):
+        # config C's pdf is 0.0 at x = 1e-3; the kernel's right tail reaches its mass
+        m = exact_estimator_moments(Kernel.IG, 1e-3, b, CONFIGURATIONS["C"], 1)
+        assert m.mean == pytest.approx(mean, rel=0.02)
+        assert m.variance > 0.0
 
 
 class TestBracketOverflow:

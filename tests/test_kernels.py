@@ -26,7 +26,7 @@ from gekde import (
     log_kernel,
     trigamma,
 )
-from gekde.kernels import _LogKernel, _ge2_shape, _point_log_kernel
+from gekde.kernels import _LogKernel, _ge2_shape
 
 
 def kernel_mass(kernel, x, b, weight=None):
@@ -576,25 +576,26 @@ class TestLocationOverflow:
 
 # --- a single datum (a scalar) against a one-element array, one combine ------
 
-def _block_value(kernel, x, b, z):
-    """log K through ``rows(data([z]))``, or the GekdeError type it raises."""
-    try:
-        log_k = _point_log_kernel(kernel, x, b)  # an array datum runs the block combine
-    except GekdeError as exc:
-        return type(exc)
-    with np.errstate(all="ignore"):  # the block path may warn at these extremes
-        return float(log_k(np.array([z]))[0]).hex()
+def _array_datum_value(kernel, x, b, z):
+    """``log_kernel`` of z as a one-element array, or the GekdeError type it raises."""
+    with np.errstate(all="ignore"):  # the combine may warn at these extremes
+        try:
+            return float(log_kernel(kernel, x, b, np.array([z]))[0]).hex()
+        except GekdeError as exc:
+            return type(exc)
 
 
-def _float_value(kernel, x, b, z):
-    """log K of a scalar datum, a float out of the block combine; any RuntimeWarning fails."""
+def _scalar_datum_value(kernel, x, b, z):
+    """``log_kernel`` of a scalar datum, a float, or the GekdeError type it raises.
+
+    Any RuntimeWarning fails.
+    """
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            log_k = _point_log_kernel(kernel, x, b)
+            got = log_kernel(kernel, x, b, z)
         except GekdeError as exc:
             return type(exc)
-        got = log_k(z)
     assert type(got) is float
     return got.hex()
 
@@ -629,16 +630,19 @@ def _edge_cases():
 
 
 class TestFloatPath:
+    """A scalar datum and a one-element array go through one combine: the same bits."""
+
     @pytest.mark.parametrize("kernel, x, b, z", list(_edge_cases()))
     def test_edge_cases_match_block_path(self, kernel, x, b, z):
-        assert _float_value(kernel, x, b, z) == _block_value(kernel, x, b, z)
+        assert _scalar_datum_value(kernel, x, b, z) == _array_datum_value(kernel, x, b, z)
 
     @pytest.mark.parametrize("kernel", list(Kernel), ids=lambda k: k.value)
     def test_around_the_location_matches_block_path(self, kernel):
         b = _B_GE if kernel in (Kernel.GE, Kernel.GE2) else _B_SQ
         for x in (0.37, 2.0, 9.0):
             for z in x * np.geomspace(0.2, 5.0, 101):
-                assert _float_value(kernel, x, b, z) == _block_value(kernel, x, b, z), (x, z)
+                got = _scalar_datum_value(kernel, x, b, z)
+                assert got == _array_datum_value(kernel, x, b, z), (x, z)
 
     @settings(max_examples=400, deadline=None)
     @given(kernel=st.sampled_from(list(Kernel)),
@@ -652,14 +656,13 @@ class TestFloatPath:
         x = b * (1.0 + r) if kernel is Kernel.RIG else b * r
         z = x * math.exp(log_zx) if raw_z is None else raw_z
         assume(0.0 < z < math.inf)
-        assert _float_value(kernel, x, b, z) == _block_value(kernel, x, b, z)
+        assert _scalar_datum_value(kernel, x, b, z) == _array_datum_value(kernel, x, b, z)
 
     @pytest.mark.parametrize("kernel", list(Kernel), ids=lambda k: k.value)
     def test_scalar_builds_no_block(self, kernel):
-        log_k = _point_log_kernel(kernel, 2.0, 0.1)
-        expected = log_k(np.array([1.5, 2.5]))
+        expected = log_kernel(kernel, 2.0, 0.1, np.array([1.5, 2.5]))
         for z, want in zip((1.5, np.float64(2.5), np.array(1.5)), (*expected, expected[0])):
-            got = log_k(z)
+            got = log_kernel(kernel, 2.0, 0.1, z)
             assert type(got) is float
             assert got.hex() == float(want).hex()
             assert type(kernel_pdf(kernel, 2.0, 0.1, z)) is float
@@ -667,16 +670,15 @@ class TestFloatPath:
     @pytest.mark.parametrize("z", [0.0, -1.0, math.inf, math.nan])
     def test_scalar_outside_domain(self, z):
         with pytest.raises(DomainError):
-            _point_log_kernel(Kernel.GAM1, 2.0, 0.1)(z)
+            log_kernel(Kernel.GAM1, 2.0, 0.1, z)
 
 
 # --- the ig/rig quadratic term: accuracy, and exactly 0 at the location ------
 
-def _both_paths(kernel, x, b, z):
-    """log K of z as a one-element array and as a scalar, each without a warning."""
-    log_k = _quietly(lambda: _point_log_kernel(kernel, x, b))
-    block = _quietly(lambda: float(log_k(np.array([z]))[0]))
-    return block, _quietly(lambda: log_k(z))
+def _array_and_scalar_datum(kernel, x, b, z):
+    """``log_kernel`` of z as a one-element array and as a scalar, each without a warning."""
+    block = _quietly(lambda: float(log_kernel(kernel, x, b, np.array([z]))[0]))
+    return block, _quietly(lambda: log_kernel(kernel, x, b, z))
 
 
 def _mp_terms(kernel, x, b, z):
@@ -710,7 +712,7 @@ class TestIgRigQuadraticTerm:
             terms = _mp_terms(kernel, x, b, z)
             want = float(sum(terms))
             tol = 4.0 * math.ulp(max(abs(float(t)) for t in terms))
-            for got in _both_paths(kernel, x, b, z):
+            for got in _array_and_scalar_datum(kernel, x, b, z):
                 assert abs(got - want) <= tol, (s, got, want)
 
     @pytest.mark.parametrize("kernel, x, b", [
@@ -727,7 +729,7 @@ class TestIgRigQuadraticTerm:
         k = 1.5 if kernel is Kernel.IG else 0.5
         want = -0.5 * math.log(2.0 * math.pi * b) - k * float(np.log(z))
         assert math.isfinite(want)
-        assert _both_paths(kernel, x, b, z) == (want, want)
+        assert _array_and_scalar_datum(kernel, x, b, z) == (want, want)
 
     @pytest.mark.parametrize("kernel", [Kernel.IG, Kernel.RIG], ids=lambda k: k.value)
     def test_data_terms_quiet_where_the_reciprocal_overflows(self, kernel):
@@ -739,7 +741,7 @@ class TestIgRigQuadraticTerm:
     def test_ig_where_2bz_overflows(self):
         # 1/(2 b z) is kept above 0, so an infinite (z - x)/x gives log K =
         # -inf, the exact value's overflow, not inf * 0
-        assert _both_paths(Kernel.IG, 0.1, 1.0, 1e308) == (-math.inf, -math.inf)
+        assert _array_and_scalar_datum(Kernel.IG, 0.1, 1.0, 1e308) == (-math.inf, -math.inf)
 
     @pytest.mark.parametrize("kernel, x, b, what", [
         (Kernel.IG, 1e-310, 1e300, "1/x overflows"),
@@ -789,7 +791,7 @@ class TestGammaLogKernelAccuracy:
                                  -mp.loggamma(kk))
                         want = sum(terms)
                         tol = 4.0 * eps * float(sum(abs(t) for t in terms))
-                    for got in _both_paths(kernel, x, b, z):
+                    for got in _array_and_scalar_datum(kernel, x, b, z):
                         assert abs(float(mp.mpf(got) - want)) <= tol, (b0, scale, m, got)
 
 
@@ -847,9 +849,8 @@ class TestUnitShape:
     @pytest.mark.parametrize("z", [5e-324, 1e-320, 1e-300, 0.5, 3.0])
     def test_exponential_kernel(self, kernel, x, b, z):
         want = -math.log(b) - z / b
-        log_k = _point_log_kernel(kernel, x, b)
-        block = _quietly(lambda: log_k(np.array([z])))[0]
-        assert _float_value(kernel, x, b, z) == float(block).hex() == want.hex()
+        block = _quietly(lambda: log_kernel(kernel, x, b, np.array([z])))[0]
+        assert _scalar_datum_value(kernel, x, b, z) == float(block).hex() == want.hex()
 
     def test_estimate_at_origin(self):
         sample = Sample([5e-324, 1e-300, 0.5, 2.0])

@@ -221,8 +221,7 @@ class TestFloatSolve:
         def no_array(*args, **kwargs):
             raise AssertionError("a float went through the array Newton solve")
 
-        monkeypatch.setattr(specfun, "digamma", no_array)
-        monkeypatch.setattr(specfun, "trigamma", no_array)
+        monkeypatch.setattr(specfun, "_inverse_digamma_array", no_array)
         for y, want in zip(ys, expected):
             got = inverse_digamma(y)
             assert type(got) is float
