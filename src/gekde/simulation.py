@@ -501,13 +501,11 @@ def integrated_squared_error(estimate: DensityEstimate, density: TrueDensity,
         lo_q, hi_q = density._ise_range
         slack = 1e-9
         if grid[0] > lo_q * (1.0 + slack) + 1e-12:
-            raise CoverageError(
-                f"grid starts at {grid[0]!r}, above the {_ISE_QUANTILES[0]:.2%} quantile {lo_q!r}"
-            )
+            raise CoverageError(f"grid starts at {float(grid[0])!r}, above the "
+                                f"{_ISE_QUANTILES[0]:.2%} quantile {lo_q!r}")
         if grid[-1] < hi_q * (1.0 - slack):
-            raise CoverageError(
-                f"grid ends at {grid[-1]!r}, below the {_ISE_QUANTILES[1]:.2%} quantile {hi_q!r}"
-            )
+            raise CoverageError(f"grid ends at {float(grid[-1])!r}, below the "
+                                f"{_ISE_QUANTILES[1]:.2%} quantile {hi_q!r}")
     return float(_ise_rows(estimate.values, density.pdf(grid), grid))
 
 

@@ -105,6 +105,11 @@ class TestTruePdf:
         with pytest.raises(DomainError):
             MixtureDensity((1.0,), (CONFIGURATIONS["D"],))
 
+    @pytest.mark.parametrize("weights, count", [((0.5, 0.5), 1), ((1.0,), 2), ((), 0)])
+    def test_mixture_lengths_must_match(self, weights, count):
+        with pytest.raises(DomainError, match="match in length"):
+            MixtureDensity(weights, (GammaDensity(2.0, 1.0),) * count)
+
 
 # --- reference: the pdfs with log Gamma(k) and k log(theta) per call ---------
 
@@ -364,6 +369,14 @@ class TestQuantiles:
         # forced-uniform hook: u = e^-1 maps exactly to the scale
         assert d.quantile(math.exp(-1.0)) == pytest.approx(800.0, rel=1e-14)
 
+    @pytest.mark.parametrize("shape", [0.5, 1.0])
+    def test_mixture_of_heavy_inverse_gammas(self, shape):
+        # an inverse gamma of shape <= 1 has no mean: its scale starts the root search
+        d = MixtureDensity((0.5, 0.5), (InverseGammaDensity(shape, 2.0),
+                                        InverseGammaDensity(3.0, 3.0)))
+        for p in (0.0005, 0.5, 0.9995):
+            assert d.cdf(d.quantile(p)) == pytest.approx(p, abs=1e-12)
+
     @pytest.mark.parametrize("name", sorted(ALL_DENSITIES))
     @pytest.mark.parametrize("p", [0.0005, 0.25, 0.9, 0.9995])
     def test_round_trip(self, name, p):
@@ -489,6 +502,20 @@ class TestIse:
             integrated_squared_error(est, d)
         assert integrated_squared_error(est, d, require_coverage=False) == 0.0
 
+    @pytest.mark.parametrize("grid, error, match", [
+        ([2.0], DomainError, "at least 2 points"),
+        (np.linspace(0.05, 7.0, 50), CoverageError,
+         r"^grid ends at 7\.0, below the 99\.95% quantile 12\.05"),
+        (np.linspace(0.5, 20.0, 50), CoverageError,
+         r"^grid starts at 0\.5, above the 0\.05% quantile 0\.149"),
+    ], ids=["one-point", "short-top", "late-start"])
+    def test_grid_rejected(self, grid, error, match):
+        d = GammaDensity(3.0, 1.0)
+        est = DensityEstimate(np.asarray(grid), np.asarray(d.pdf(grid)), Kernel.GE,
+                              Bandwidth(0.1), 10)
+        with pytest.raises(error, match=match):
+            integrated_squared_error(est, d)
+
     def test_coverage_quantiles_solved_once_per_density(self, monkeypatch):
         # a fresh mixture, so no earlier call has cached its ISE range
         ref = CONFIGURATIONS["F"]
@@ -514,6 +541,11 @@ class TestIse:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("kernels", [(), []], ids=["tuple", "list"])
+    def test_a_kernel_is_required(self, kernels):
+        with pytest.raises(DomainError, match="at least one kernel"):
+            ExperimentConfig("A", kernels=kernels)
+
     def test_single_replication(self):
         cfg = ExperimentConfig("A", kernels=(Kernel.GE,), n=50, replications=1, seed=5)
         rep, = run_experiment(cfg)

@@ -18,11 +18,14 @@ with the masked exp and some with the plain one).  ``exact_moments`` holds
 the moments that the ``diagnose_exact`` catalogue does not reach, under
 Gamma(3, 1) and config D: ``ge2`` at x < b (the rule in the kernel's
 probability, through ``kernels._ge_quantiles``) and the one-location
-``gam2`` (both sides of x = 2b) and ``ig`` builds.  Each line gives one
-workload and kernel, the number of values and the SHA-256 of their float64
-bytes in catalogue order, so two checkouts whose outputs keep every bit
-print the same lines: 30 lines after the first, which names the machine:
-nproc and the Python, numpy and scipy versions.
+``gam2`` (both sides of x = 2b) and ``ig`` builds; and ``ge`` and ``ge2``
+on config F at x = 331.7, b = 142.7, near F's Silverman bandwidth, and
+``ge``, ``ge2`` and ``rig`` at x = 1000, b = 100, far beyond the mass of
+Gamma(3, 1).  Each line gives one workload and kernel, the number of
+values and the SHA-256 of their float64 bytes in catalogue order, so two
+checkouts whose outputs keep every bit print the same lines: 32 lines after
+the first, which names the machine: nproc and the Python, numpy and scipy
+versions.
 
 With ``--against``, a kernel whose digest differs from the dump's also gets
 its largest deviation: for an estimate, the largest ``|fhat - fhat_ref|``
@@ -81,11 +84,15 @@ def _collect(workloads) -> dict:
         gekde.Kernel.GAM2: [(x, 0.1) for x in (0.05, 0.15, 0.3, 2.0)],
         gekde.Kernel.IG: [(x, b) for x in (0.5, 2.0, 5.0) for b in (0.001, 0.01)],
     }
-    for density in (gekde.GammaDensity(3.0, 1.0), gekde.CONFIGURATIONS["D"]):
-        for kernel, cases in points.items():
-            for x, b in cases:
-                m = gekde.exact_estimator_moments(kernel, x, b, density, 100)
-                out["exact_moments", kernel.value].append(np.array([m.mean, m.variance]))
+    gamma3, config_f = gekde.GammaDensity(3.0, 1.0), gekde.CONFIGURATIONS["F"]
+    cases = [(density, kernel, x, b) for density in (gamma3, gekde.CONFIGURATIONS["D"])
+             for kernel, at in points.items() for x, b in at]
+    cases += [(config_f, kernel, 331.7, 142.7) for kernel in (gekde.Kernel.GE, gekde.Kernel.GE2)]
+    cases += [(gamma3, kernel, 1000.0, 100.0)
+              for kernel in (gekde.Kernel.GE, gekde.Kernel.GE2, gekde.Kernel.RIG)]
+    for density, kernel, x, b in cases:
+        m = gekde.exact_estimator_moments(kernel, x, b, density, 100)
+        out["exact_moments", kernel.value].append(np.array([m.mean, m.variance]))
     return out
 
 
