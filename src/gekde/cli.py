@@ -326,7 +326,7 @@ def cmd_diagnose(args) -> int:
             raise CliInputError("no boundary bias expansion is defined for the ge2 kernel")
         regime = boundary_regime(args.boundary)
 
-    eps = 1e-12
+    eps = 1e-12 * density.quantile(0.5)  # f, f' and f'' at 0+, on the density's own scale
     rows = []
     for b in b_list:
         x_eval = args.x if regime.kind == "interior" else regime.c * b

@@ -491,7 +491,11 @@ def optimal_bandwidth_ge2(roughness: float, n: int) -> Bandwidth:
     roughness) raises :class:`OptimizationError`.
     """
     roughness, n = _positive(roughness, "roughness"), _count_float(n, "n", 2)
-    value = (9.0 / (math.pi ** 4 * roughness)) ** 0.2 * n ** -0.2
+    # where pi**4 * roughness overflows (roughness above about 1.85e306): b* of
+    # roughness / 2**1000, times 2**-200; elsewhere both scalings are by 2**0
+    e = 200 if math.pi ** 4 * roughness == math.inf else 0
+    value = math.ldexp((9.0 / (math.pi ** 4 * math.ldexp(roughness, -5 * e))) ** 0.2
+                       * n ** -0.2, -e)
     if not 0.0 < value < math.inf:
         raise OptimizationError(
             f"optimal ge2 bandwidth {'underflows' if value == 0.0 else 'overflows'} the "

@@ -95,12 +95,6 @@ def _store_params(density, gamma_constants: bool = False):
         object.__setattr__(density, "_log_gamma_shape", log_gamma(density.shape))
 
 
-#: Binary exponent of the scale hint beyond which ``roughness`` integrates a
-#: rescaled density.  Within it f''**2, of order scale**-6, stays far inside
-#: the double range, and the integral keeps the bits of the unscaled
-#: quadrature.
-_ROUGHNESS_EXP_MAX = 32
-
 #: What a density's argument is called in the DomainError of a non-number.
 _X = "density argument x"
 
@@ -190,9 +184,6 @@ class TrueDensity:
         """Second derivative of the pdf: f * (s1**2 + s2)."""
         return self._times_pdf(x, lambda s1, s2: s1 * s1 + s2)
 
-    def _scale_hint(self) -> float:
-        raise NotImplementedError
-
     def _draw(self, n: int, ss: np.random.SeedSequence) -> np.ndarray:
         raise NotImplementedError
 
@@ -211,18 +202,8 @@ class TrueDensity:
         return float(self._quantile(p))
 
     def _quantile(self, p):
-        """Root of cdf(x) = p by brentq; closed-form families override this."""
-        scale = self._scale_hint()
-        lo = hi = scale
-        for _ in range(2000):
-            if self.cdf(lo) < p:
-                break
-            lo *= 0.5
-        for _ in range(2000):
-            if self.cdf(hi) > p:
-                break
-            hi *= 2.0
-        return brentq(lambda x: self.cdf(x) - p, lo, hi, xtol=1e-12 * scale, rtol=1e-13)
+        """The p-quantile, for p in (0, 1) (see ``quantile``)."""
+        raise NotImplementedError
 
     @functools.cached_property
     def _ise_range(self) -> tuple:
@@ -239,14 +220,14 @@ class TrueDensity:
     def roughness(self) -> float:
         """Curvature functional: integral of f''(x)**2 over (0, inf), by ``quad``.
 
-        A density whose scale hint lies beyond 2**(+-``_ROUGHNESS_EXP_MAX``)
-        is integrated as the density of X / 2**e, with its scale near 1, and
-        the result is scaled back by 2**(-5 e): f''**2 itself would overflow
-        or underflow there.  Scaling by a power of two is exact.  A value
-        outside the normal double range raises :class:`DomainError`.
+        The density is integrated as that of X / 2**e, with 2**e the power of
+        two of its median, and the result is scaled back by 2**(-5 e).
+        Scaling by a power of two is exact, so the roughness of X * 2**k is
+        2**(-5 k) times that of X, bit for bit.  A value outside the normal
+        double range raises :class:`DomainError`.
         """
-        e = math.frexp(self._scale_hint())[1]
-        density = self if abs(e) <= _ROUGHNESS_EXP_MAX else self._rescaled(-e)
+        e = math.frexp(self.quantile(0.5))[1]
+        density = self._rescaled(-e)
         cuts = [density.quantile(q) for q in (1e-7, 0.25, 0.5, 0.75, 1.0 - 1e-7)]
         pts = [0.0] + cuts + [math.inf]
         value = 0.0
@@ -254,8 +235,6 @@ class TrueDensity:
             v, _ = quad(lambda x: float(density.pdf_d2(x)) ** 2, a, b,
                         epsabs=1e-12, epsrel=1e-10, limit=200)
             value += v
-        if density is self:
-            return value
         try:
             value = math.ldexp(value, -5 * e)
         except OverflowError:
@@ -311,9 +290,6 @@ class GammaDensity(TrueDensity):
             return -1.0 / self.scale, 0.0
         return (self.shape - 1.0) / x - 1.0 / self.scale, -(self.shape - 1.0) / (x * x)
 
-    def _scale_hint(self):
-        return self.shape * self.scale
-
     def _draw(self, n, ss):
         # Marsaglia-Tsang squeeze/transformation rejection, via numpy
         return _rng(ss).standard_gamma(self.shape, n) * self.scale
@@ -348,11 +324,6 @@ class InverseGammaDensity(TrueDensity):
         s1 = self.scale / (x * x) - (self.shape + 1.0) / x
         s2 = -2.0 * self.scale / np.power(x, 3) + (self.shape + 1.0) / (x * x)
         return s1, s2
-
-    def _scale_hint(self):
-        if self.shape > 1.0:
-            return self.scale / (self.shape - 1.0)
-        return self.scale
 
     def _draw(self, n, ss):
         # reciprocal of gamma draws with the matching rate
@@ -401,9 +372,6 @@ class InverseWeibullDensity(TrueDensity):
         s1 = (k * t - (k + 1.0)) / x
         s2 = ((k + 1.0) - k * (k + 1.0) * t) / (x * x)
         return s1, s2
-
-    def _scale_hint(self):
-        return self.scale
 
     def _draw(self, n, ss):
         # inverse-cdf: x = theta * E**(-1/k) with E standard exponential
@@ -455,8 +423,21 @@ class MixtureDensity(TrueDensity):
     def pdf_d2(self, x):
         return self._combine("pdf_d2", x)
 
-    def _scale_hint(self):
-        return sum(w * c._scale_hint() for w, c in zip(self.weights, self.components))
+    def _quantile(self, p):
+        """Root of cdf(x) = p by ``brentq``, bracketed by the components' p-quantiles.
+
+        The mixture cdf, a weighted mean of the component cdfs, is at most p
+        at the smallest of them and at least p at the largest.  An end whose
+        cdf already meets p (equal components, or closed forms a few ulps
+        apart) is returned as it is.  The tolerance is relative only.
+        """
+        qs = [c._quantile(p) for c in self.components]
+        lo, hi = min(qs), max(qs)
+        if self.cdf(lo) >= p:
+            return lo
+        if self.cdf(hi) <= p:
+            return hi
+        return brentq(lambda x: self.cdf(x) - p, lo, hi, xtol=_TINY, rtol=1e-13)
 
     def _rescaled(self, e):
         return MixtureDensity(self.weights, tuple(c._rescaled(e) for c in self.components))
@@ -500,7 +481,7 @@ def integrated_squared_error(estimate: DensityEstimate, density: TrueDensity,
     if require_coverage:
         lo_q, hi_q = density._ise_range
         slack = 1e-9
-        if grid[0] > lo_q * (1.0 + slack) + 1e-12:
+        if grid[0] > lo_q * (1.0 + slack):
             raise CoverageError(f"grid starts at {float(grid[0])!r}, above the "
                                 f"{_ISE_QUANTILES[0]:.2%} quantile {lo_q!r}")
         if grid[-1] < hi_q * (1.0 - slack):

@@ -360,6 +360,20 @@ class TestDiagnose:
         b, bias = arr[0, 0], arr[0, 2]
         assert bias / b == pytest.approx(-1.0, rel=0.05)  # f'(0) of the unit exponential
 
+    def test_boundary_table_at_any_scale(self, tmp_path):
+        # f(0), f'(0) and f''(0) are read at a fixed fraction of the median:
+        # at scale 2**-40 the table is the unit-scale one, each column scaled
+        tables = []
+        for theta in (1.0, 2.0 ** -40):
+            bandwidths = [a for b in (0.01, 0.02) for a in ("--bandwidth", repr(b * theta))]
+            out = tmp_path / repr(theta)
+            assert main(["diagnose", "--kernel", "ge", "--density", f"gamma:2,{theta!r}",
+                         "--boundary", "1", *bandwidths, "--output", str(out)]) == 0
+            tables.append(np.loadtxt(out / "diagnose_ge.csv", delimiter=",", skiprows=1))
+        # b and x in data units, the rest in density units
+        powers = np.array([-40, -40, 40, 40, 40, 40, 40])
+        np.testing.assert_allclose(tables[1], np.ldexp(tables[0], powers), rtol=1e-9, atol=0.0)
+
     def test_interior_precondition_exit_2(self, tmp_path):
         rc = main(["diagnose", "--kernel", "ge", "--density", "gamma:3,1",
                    "--x", "0.1", "--bandwidth", "0.05", "--output", str(tmp_path)])

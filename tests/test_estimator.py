@@ -768,6 +768,12 @@ class TestOptimalGe2Bandwidth:
         with pytest.raises(DomainError):
             optimal_bandwidth_ge2(-1.0, 100)
 
+    def test_roughness_where_pi4_times_it_overflows(self):
+        # 40-digit mpmath; pi**4 * 1.9e306 is beyond the double range, b* is not
+        want = float.fromhex("0x1.693dadcdd2948p-206")
+        assert optimal_bandwidth_ge2(1.9e306, 100).value == pytest.approx(want, rel=1e-14,
+                                                                          abs=0.0)
+
     @pytest.mark.parametrize("roughness", [5e-324, 1e-311])
     def test_subnormal_roughness_overflows(self, roughness):
         with pytest.raises(OptimizationError, match="overflows the double range"):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 import gekde.simulation
 from gekde import (
@@ -34,7 +35,7 @@ from gekde import (
 )
 from gekde.estimator import _BLOCK_ELEMENTS, _estimate_batch
 from gekde.kernels import _LogKernel
-from gekde.simulation import TrueDensity, _json_text, _labels, _rng
+from gekde.simulation import _json_text, _labels, _rng
 from gekde.specfun import log_gamma
 
 ALL_DENSITIES = {
@@ -356,7 +357,13 @@ class TestQuantiles:
     @pytest.mark.parametrize("p", [1e-7, 0.0005, 0.25, 0.75, 0.9995, 1.0 - 1e-7])
     def test_closed_form_agrees_with_root_finding(self, name, p):
         d = GAMMA_FAMILIES[name]
-        assert d.quantile(p) == pytest.approx(TrueDensity._quantile(d, p), rel=1e-10)
+        lo = hi = 1.0
+        while d.cdf(lo) >= p:
+            lo *= 0.5
+        while d.cdf(hi) <= p:
+            hi *= 2.0
+        root = brentq(lambda x: d.cdf(x) - p, lo, hi, xtol=1e-300, rtol=1e-13)
+        assert d.quantile(p) == pytest.approx(root, rel=1e-10)
 
     @pytest.mark.parametrize("name", sorted(ALL_DENSITIES))
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, math.nan])
@@ -371,11 +378,33 @@ class TestQuantiles:
 
     @pytest.mark.parametrize("shape", [0.5, 1.0])
     def test_mixture_of_heavy_inverse_gammas(self, shape):
-        # an inverse gamma of shape <= 1 has no mean: its scale starts the root search
         d = MixtureDensity((0.5, 0.5), (InverseGammaDensity(shape, 2.0),
                                         InverseGammaDensity(3.0, 3.0)))
         for p in (0.0005, 0.5, 0.9995):
             assert d.cdf(d.quantile(p)) == pytest.approx(p, abs=1e-12)
+
+    @pytest.mark.parametrize("ulps", [0, 1, 3])
+    def test_mixture_of_nearly_equal_components(self, ulps):
+        # the components' quantiles are equal or a few ulps apart: an end of
+        # the bracket already meets p, and no brentq sign error is raised
+        theta = 2.0
+        for _ in range(ulps):
+            theta = math.nextafter(theta, math.inf)
+        one = GammaDensity(3.0, 2.0)
+        d = MixtureDensity((0.5, 0.5), (one, GammaDensity(3.0, theta)))
+        for p in (1e-7, 0.0005, 0.25, 0.5, 0.9995, 1.0 - 1e-7):
+            assert d.quantile(p) == pytest.approx(one.quantile(p), rel=1e-14, abs=0.0)
+
+    # mpmath roots of the mixture cdf, with its double weights, at 50 digits
+    @pytest.mark.parametrize("name, p, expected", ids=repr, argvalues=[
+        ("D", 0.0005, 1.622614680109193612), ("D", 0.5, 11.727452154353278077),
+        ("D", 0.9995, 28.503418409353570572), ("E", 0.0005, 0.10230328499163366269),
+        ("E", 0.5, 5.3254181125933203776), ("E", 0.9995, 12.418653299294374718),
+        ("F", 0.0005, 331.70602249018117135), ("F", 0.5, 749.8121520845638221),
+        ("F", 0.9995, 3373.2240177108419749),
+    ])
+    def test_mixture_against_mpmath(self, name, p, expected):
+        assert CONFIGURATIONS[name].quantile(p) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("name", sorted(ALL_DENSITIES))
     @pytest.mark.parametrize("p", [0.0005, 0.25, 0.9, 0.9995])
@@ -392,7 +421,7 @@ class TestRoughness:
     def test_unit_exponential(self):
         assert GammaDensity(1.0, 1.0).roughness() == pytest.approx(0.5, abs=1e-8)
 
-    _SCALES = [1e-60, 1e-20, 1.0, 1e20, 1e60]
+    _SCALES = [1e-60, 1e-20, 2.0 ** -20, 1.0, 2.0 ** 20, 1e20, 1e60]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("theta", _SCALES)
@@ -414,6 +443,22 @@ class TestRoughness:
         else:
             d, scaled = family(3.0, 1.0), family(3.0, theta)
         assert scaled.roughness() == pytest.approx(d.roughness() * theta ** -5, rel=1e-9)
+
+    @pytest.mark.parametrize("k", [3, -3, 20, -20, 40, -40])
+    @pytest.mark.parametrize("family", [GammaDensity, InverseGammaDensity,
+                                        InverseWeibullDensity, "D"],
+                             ids=["gamma", "inverse_gamma", "inverse_weibull", "D"])
+    def test_power_of_two_scale_is_exact(self, family, k):
+        # both are integrated as the same density of median in [0.5, 1)
+        d = CONFIGURATIONS["D"] if family == "D" else family(3.0, 1.0)
+        assert d._rescaled(k).roughness().hex() == math.ldexp(d.roughness(), -5 * k).hex()
+
+    # 30-digit mpmath integrals of f''**2
+    @pytest.mark.parametrize("name, expected", [("C", "0x1.66c394a5fb0d1p-38"),
+                                                ("F", "0x1.a8c004f8e8014p-32")])
+    def test_configuration_against_mpmath(self, name, expected):
+        assert CONFIGURATIONS[name].roughness() == pytest.approx(float.fromhex(expected),
+                                                                 rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("theta, what", [(1e-70, "overflows"), (1e70, "underflows")])
     def test_value_outside_double_range(self, theta, what):
@@ -501,6 +546,16 @@ class TestIse:
         with pytest.raises(CoverageError, match="quantile"):
             integrated_squared_error(est, d)
         assert integrated_squared_error(est, d, require_coverage=False) == 0.0
+
+    def test_coverage_is_relative(self):
+        # hundreds of medians beyond the mass of Gamma(3, 1e-15), as the same
+        # grid times 1e15 is on Gamma(3, 1)
+        for theta in (1e-15, 1.0):
+            d = GammaDensity(3.0, theta)
+            grid = np.linspace(900.0, 2000.0, 50) * theta
+            est = DensityEstimate(grid, np.asarray(d.pdf(grid)), Kernel.GE, Bandwidth(0.1), 10)
+            with pytest.raises(CoverageError, match="grid starts at"):
+                integrated_squared_error(est, d)
 
     @pytest.mark.parametrize("grid, error, match", [
         ([2.0], DomainError, "at least 2 points"),
