@@ -7,8 +7,10 @@ is its one-sample case, with the same bits.  The kernel terms that depend
 on the grid point alone and those that depend on the datum alone are
 computed once per call.  The grid then goes, sample by sample, through one
 block loop, described in ``_estimate_batch``'s docstring: blocks of whole
-rows within a fixed element budget and, for a large sample, rows cut to
-their data window, each exponentiated in place and summed along its rows.
+rows within a fixed element budget, exponentiated in place and summed along
+their rows, and, for a large sample, blocks of rows cut to the union of
+their data windows, each row exponentiated on its own window and summed
+over the node of numpy's pairwise sum that holds it.
 For the GE and gamma kernels a block's log K is one BLAS product of the
 location matrix and the data matrix (see ``kernels._LogKernel``); a data
 window or a set of probe columns indexes the last axis of a sample's data
@@ -79,8 +81,8 @@ BANDWIDTH_METHODS = ("silverman", "optimal_ge2", "numeric_ge", "fixed")
 #: IG/RIG combine works on two such arrays, which stay in the L2 cache; at
 #: 1 << 17 they spill it and take about 1.5 times as long.  A sample with
 #: more than half this many data, whose blocks would be one row, gets twice
-#: this budget for its blocks of whole rows (see ``_estimate_batch``).  The
-#: limit on those is not the cache: a freshly allocated temporary above about
+#: this budget for its blocks (see ``_estimate_batch``).  The limit on
+#: those is not the cache: a freshly allocated temporary above about
 #: 256 KB page-faults back in on every call (124 minor faults for a 2-row
 #: ``rig`` combine at n = 20000, 2.9 times the time of one row), which the
 #: buffers that ``_estimate_batch`` reuses for every block avoid.  Blocks
@@ -370,6 +372,28 @@ def _data_windows(ev: _LogKernel, dat: np.ndarray, n: int):
     return start, stop
 
 
+def _pairwise_node(n: int, j0: int, j1: int) -> tuple[int, int]:
+    """The smallest node [a0, a1) of numpy's pairwise sum of n entries that holds [j0, j1).
+
+    ``np.add.reduce`` of a contiguous row splits n > 128 entries at
+    n//2 - (n//2) % 8 and sums each part the same way, down to leaves of at
+    most 128.  A node's slice reduced alone runs the same tree as in the
+    row; with every entry outside [j0, j1) +0.0, each other node sums to
+    +0.0, and s + 0.0 = s for every s >= +0.0 and for NaN, so the node's sum
+    has the bits of the row's.
+    """
+    a0 = 0
+    while n > 128:
+        half = n // 2 - n // 2 % 8
+        if j1 <= a0 + half:
+            n = half
+        elif j0 >= a0 + half:
+            a0, n = a0 + half, n - half
+        else:
+            break
+    return a0, a0 + n
+
+
 def _block_buffers(height: int, n: int) -> np.ndarray:
     """An empty (2, height, n) array whose two layers each start on a 64-byte cache line.
 
@@ -402,7 +426,7 @@ def _estimate_batch(values: np.ndarray, kernel: Kernel, b: np.ndarray,
     ``_BLOCK_ELEMENTS // 2`` data, the rows whose log K reaches the cut at
     a probe column get a data window (see ``_data_windows``); the windowed
     rows split the grid into runs of whole rows.  With fewer data, no row is windowed
-    and the grid is one run.  A run goes in blocks of up to ``height`` rows:
+    and the grid is one run.  A run of whole rows goes in blocks of up to ``height`` rows:
     ``_BLOCK_ELEMENTS // n``, or twice that budget for a large sample (3
     rows at n = 20000), at least one.  Each block is one combine, written
     into a buffer allocated once per call with the ``ig``/``rig`` scratch
@@ -410,15 +434,18 @@ def _estimate_batch(values: np.ndarray, kernel: Kernel, b: np.ndarray,
     ``_exp_rows``, masked if some row is at or below ``_EXP_ZERO`` at the
     probe columns (see ``_PROBE_DIVISOR``), and one row sum.
 
-    A windowed row is a block of its own: the combine and ``np.exp`` run
-    only on its window, written into a row buffer, made once per call, that
-    is +0.0 outside it; the entries outside are those ``np.exp`` would round
-    to +0.0.  The buffer holds +0.0 outside the last window written, so
-    each window zeroes only the part of the previous one it does not cover:
-    far fewer entries than the rest of the row.  The whole row is then
-    summed: numpy's pairwise sum groups entries by position, so summing the
-    window alone would change the bits.  The sums are divided by n once,
-    after the last block.
+    A run of windowed rows also goes in blocks: a row joins the block while
+    rows times the width of the union of their windows fits one layer of the
+    buffer (``height`` rows of n), and the block is one combine on the data
+    of that union.  Each row then exponentiates only its own window, into a
+    row buffer made once per call that is +0.0 outside it; the union's
+    entries outside the window are those ``np.exp`` would round to +0.0.
+    The buffer holds +0.0 outside the last window written, so each window
+    zeroes only the part of the previous one it does not cover.  numpy's
+    pairwise sum groups entries by position, so the window alone would sum
+    to other bits; the row is summed over the smallest node of that sum's
+    tree that holds its window (``_pairwise_node``), which gives the bits of
+    the whole row.  The sums are divided by n once, after the last block.
     """
     n, size = values.shape[1], grid.size
     ev = _LogKernel(kernel, grid, b[:, None])
@@ -428,9 +455,10 @@ def _estimate_batch(values: np.ndarray, kernel: Kernel, b: np.ndarray,
     k = n // _PROBE_DIVISOR
     probe = slice(k, None, n - 1 - 2 * k)  # the columns k and n - 1 - k, as a view
     out = np.empty((b.size, size))
-    # every whole-row block of every sample is written into this: the block,
-    # and the ig/rig scratch (see _LogKernel.rows)
+    # every block of every sample is written into this: the block, and the
+    # ig/rig scratch (see _LogKernel.rows); a windowed block is (rows, width)
     buf = _block_buffers(min(height, size), n)
+    layers, budget = buf.reshape(2, -1), buf[0].size
     # the windowed rows' buffer: +0.0 outside [p0, p1), the last window written
     row, p0, p1 = np.zeros((1, n)), 0, 0
     windowed = []
@@ -440,20 +468,36 @@ def _estimate_batch(values: np.ndarray, kernel: Kernel, b: np.ndarray,
         if large:
             start, stop = _data_windows(sub, dat, n)
             windowed = np.flatnonzero(stop - start < n).tolist()
-        lo = 0
-        for w in windowed + [size]:
+            start, stop = start.tolist(), stop.tolist()
+        lo, i = 0, 0
+        while lo < size:
+            w = windowed[i] if i < len(windowed) else size
             for a in range(lo, w, height):  # the whole rows before w
                 hi = min(a + height, w)
                 block = sub.rows(dat, a, hi, out=buf[:, :hi - a])
                 _exp_rows(block, masked=not block[:, probe].min() > _EXP_ZERO)
                 np.add.reduce(block, axis=1, out=dest[a:hi])
-            if w < size:
-                j0, j1 = int(start[w]), int(stop[w])
-                row[:, p0:min(p1, j0)] = 0.0  # the old window left of the new
-                row[:, max(p0, j1):p1] = 0.0  # and right of it
-                np.exp(sub.rows(dat[..., j0:j1], w, w + 1), out=row[:, j0:j1])
-                np.add.reduce(row, axis=1, out=dest[w:w + 1])
-                p0, p1, lo = j0, j1, w + 1
+            if w == size:
+                break
+            # the windowed rows from w on, while rows x union width fit a layer
+            j0, j1, hi, i = start[w], stop[w], w + 1, i + 1
+            while i < len(windowed) and windowed[i] == hi:
+                u0, u1 = min(j0, start[hi]), max(j1, stop[hi])
+                if (hi + 1 - w) * (u1 - u0) > budget:
+                    break
+                j0, j1, hi, i = u0, u1, hi + 1, i + 1
+            entries = (hi - w) * (j1 - j0)
+            block = sub.rows(dat[..., j0:j1], w, hi,
+                             out=layers[:, :entries].reshape(2, hi - w, j1 - j0))
+            for g in range(w, hi):
+                s0, s1 = start[g], stop[g]
+                row[:, p0:min(p1, s0)] = 0.0  # the old window left of the new
+                row[:, max(p0, s1):p1] = 0.0  # and right of it
+                np.exp(block[g - w, s0 - j0:s1 - j0], out=row[0, s0:s1])
+                a0, a1 = _pairwise_node(n, s0, s1)
+                np.add.reduce(row[:, a0:a1], axis=1, out=dest[g:g + 1])
+                p0, p1 = s0, s1
+            lo = hi
     out /= n
     return out
 

@@ -42,8 +42,8 @@ from scipy.optimize import brentq
 from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv
 from scipy.integrate import quad
 
-from .errors import (CoverageError, DomainError, GekdeError, _count, _finite_array, _positive,
-                     _real, _real_array, _scalar_or_array)
+from .errors import (ConvergenceError, CoverageError, DomainError, GekdeError, _count,
+                     _finite_array, _positive, _real, _real_array, _scalar_or_array)
 from .estimator import (
     DensityEstimate,
     Sample,
@@ -97,6 +97,15 @@ def _store_params(density, gamma_constants: bool = False):
 
 #: What a density's argument is called in the DomainError of a non-number.
 _X = "density argument x"
+
+#: Beyond this x, x**3 may overflow (the cube root of the largest double is
+#: about 5.64e102).
+_CUBE_MAX = 5.6e102
+
+#: ``brentq`` iterations for a mixture quantile: bisection takes a bracket as
+#: wide as the double range, DBL_MAX, down to the smallest normal double,
+#: ``xtol``, in 2046 halvings.
+_QUANTILE_MAXITER = 2100
 
 #: Quantile levels that an ISE grid must span.
 _ISE_QUANTILES = (0.0005, 0.9995)
@@ -321,6 +330,15 @@ class InverseGammaDensity(TrueDensity):
         return self.scale / gammainccinv(self.shape, p)
 
     def _log_slopes(self, x):
+        if type(x) is np.float64 and x > _CUBE_MAX:
+            # pdf_d2's float path runs without np.errstate; here x**3 (and
+            # beyond about 1.3e154, x * x) overflows to inf, quietly, as it
+            # does on an array
+            with np.errstate(over="ignore"):
+                return self._slopes(x)
+        return self._slopes(x)
+
+    def _slopes(self, x):
         s1 = self.scale / (x * x) - (self.shape + 1.0) / x
         s2 = -2.0 * self.scale / np.power(x, 3) + (self.shape + 1.0) / (x * x)
         return s1, s2
@@ -429,7 +447,10 @@ class MixtureDensity(TrueDensity):
         The mixture cdf, a weighted mean of the component cdfs, is at most p
         at the smallest of them and at least p at the largest.  An end whose
         cdf already meets p (equal components, or closed forms a few ulps
-        apart) is returned as it is.  The tolerance is relative only.
+        apart) is returned as it is.  The tolerance is relative only, and
+        ``brentq`` may take ``_QUANTILE_MAXITER`` steps: components many
+        decades apart need hundreds.  A search that still fails raises
+        :class:`ConvergenceError`.
         """
         qs = [c._quantile(p) for c in self.components]
         lo, hi = min(qs), max(qs)
@@ -437,7 +458,13 @@ class MixtureDensity(TrueDensity):
             return lo
         if self.cdf(hi) <= p:
             return hi
-        return brentq(lambda x: self.cdf(x) - p, lo, hi, xtol=_TINY, rtol=1e-13)
+        root, info = brentq(lambda x: self.cdf(x) - p, lo, hi, xtol=_TINY, rtol=1e-13,
+                            maxiter=_QUANTILE_MAXITER, full_output=True, disp=False)
+        if not info.converged:
+            raise ConvergenceError(
+                f"mixture quantile at level {p!r} did not converge in {info.iterations} steps",
+                last_iterate=root, residual=float(self.cdf(root)) - p)
+        return root
 
     def _rescaled(self, e):
         return MixtureDensity(self.weights, tuple(c._rescaled(e) for c in self.components))

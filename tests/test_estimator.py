@@ -45,6 +45,7 @@ from gekde.estimator import (
     _exp_rows,
     _domain_start,
     _gamma_functional,
+    _pairwise_node,
     _quad_window,
     _silverman_h,
 )
@@ -375,8 +376,8 @@ class TestExpUnderflow:
         assert set(paths) == {False, True}
 
 
-#: The smallest sample that takes the data-window path: a windowed row is a
-#: block of its own, and whole rows go in blocks of up to 3 rows.
+#: The smallest sample that takes the data-window path: blocks hold up to 3
+#: whole rows, or windowed rows up to 3 rows of entries on their windows' union.
 _WINDOW_N = gekde.estimator._BLOCK_ELEMENTS // 2 + 1
 
 
@@ -683,6 +684,55 @@ class TestDataWindow:
                  for piece in np.split(grid, [1, 7, 20, 21])]
         assert np.array_equal(whole, np.concatenate(parts))
 
+    @pytest.mark.parametrize("n, config, kernel", [
+        (20000, "E", Kernel.GE), (20000, "E", Kernel.RIG), (_WINDOW_N, "D", Kernel.GE2),
+    ], ids=["20000-E-ge", "20000-E-rig", "window_n-D-ge2"])
+    def test_windowed_runs_in_blocks(self, n, config, kernel, monkeypatch):
+        # a run of windowed rows is combined in blocks on the union of their
+        # windows: a row joins while rows x union width fits one layer of
+        # height rows of n, so fewer calls than rows, and the run splits
+        # where the next row would not fit
+        calls, windows = [], []
+
+        def recording_rows(ev, dat, lo=0, hi=None, out=None):
+            if out is not None:  # a block of the loop, not a probe of _data_windows
+                calls.append((lo, hi, dat.shape[-1]))
+            return rows(ev, dat, lo, hi, out)
+
+        def recording_windows(ev, dat, size):
+            windows.append(_data_windows(ev, dat, size))
+            return windows[-1]
+
+        rows = _LogKernel.rows
+        sample = CONFIGURATIONS[config].sample(n, 31)
+        b = silverman_bandwidth(sample, kernel).value
+        grid = default_grid(sample, 96)
+        grid = grid[grid > b] if kernel is Kernel.RIG else grid
+        ev = _LogKernel(kernel, grid, b)
+        with np.errstate(over="ignore"):
+            expect = np.exp(ev.rows(ev.data(sample.values))).mean(axis=1)
+        monkeypatch.setattr(_LogKernel, "rows", recording_rows)
+        monkeypatch.setattr(gekde.estimator, "_data_windows", recording_windows)
+        got = estimate_density(sample, kernel, b, grid).values
+        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+        (start, stop), = windows
+        windowed = stop - start < n
+        budget = (2 * gekde.estimator._BLOCK_ELEMENTS // n) * n
+        blocks = [(lo, hi, width) for lo, hi, width in calls if windowed[lo]]
+        his = [hi for _, hi, _ in calls]
+        assert [lo for lo, _, _ in calls] == [0] + his[:-1] and his[-1] == grid.size
+        assert sum(hi - lo for lo, hi, _ in blocks) == windowed.sum()
+        assert 0 < len(blocks) < windowed.sum()
+        splits = 0
+        for lo, hi, width in blocks:
+            assert windowed[lo:hi].all()
+            assert width == stop[lo:hi].max() - start[lo:hi].min()
+            assert (hi - lo) * width <= budget
+            if hi < grid.size and windowed[hi]:  # the run goes on in another block
+                assert (hi + 1 - lo) * (max(stop[lo:hi + 1]) - min(start[lo:hi + 1])) > budget
+                splits += 1
+        assert splits > 0
+
     def test_reached_only_by_one_row_blocks(self, monkeypatch):
         calls = []
 
@@ -702,6 +752,65 @@ class TestDataWindow:
         assert calls == []
 
 
+def _tree_nodes(a, n):
+    """Every node [a, a + n) of numpy's pairwise sum of n entries from a, root first."""
+    yield a, a + n
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        yield from _tree_nodes(a, half)
+        yield from _tree_nodes(a + half, n - half)
+
+
+class TestPairwiseNode:
+    """A row that is +0.0 outside its window sums over ``_pairwise_node`` to its own bits.
+
+    If a numpy upgrade changes the blocking of its pairwise sum, this is
+    where it shows.
+    """
+
+    @staticmethod
+    def _windows(n, rng):
+        # random windows, and windows on and next to the edges of every node
+        windows = []
+        for _ in range(12):
+            j0 = int(rng.integers(0, n))
+            windows.append((j0, int(rng.integers(j0 + 1, n + 1))))
+        for a0, a1 in _tree_nodes(0, n):
+            windows += [(a0, a1), (a0, min(a1 + 1, n)), (max(a0 - 1, 0), a1),
+                        (a0, a0 + 1), (a1 - 1, a1), (max(a0 - 3, 0), min(a0 + 3, n))]
+        return windows
+
+    @staticmethod
+    def _check(n, rng):
+        nodes = set(_tree_nodes(0, n))
+        row = np.zeros((1, n))
+        full, node = np.empty(1), np.empty(1)
+        for i, (j0, j1) in enumerate(TestPairwiseNode._windows(n, rng)):
+            a0, a1 = _pairwise_node(n, j0, j1)
+            # a node of the tree that holds the window, and no child of it does
+            assert (a0, a1) in nodes and a0 <= j0 and j1 <= a1, (n, j0, j1)
+            half = (a1 - a0) // 2 - (a1 - a0) // 2 % 8
+            assert a1 - a0 <= 128 or j0 < a0 + half < j1, (n, j0, j1)
+            row[:] = 0.0
+            row[0, j0:j1] = rng.uniform(0.5, 1.0, j1 - j0) * np.exp2(rng.integers(-30, 30, j1 - j0))
+            if i % 7 == 5:
+                row[0, rng.integers(j0, j1)] = np.inf
+            elif i % 7 == 6:
+                row[0, rng.integers(j0, j1)] = np.nan
+            np.add.reduce(row, axis=1, out=full)
+            np.add.reduce(row[:, a0:a1], axis=1, out=node)
+            assert full.view(np.uint64)[0] == node.view(np.uint64)[0], (n, j0, j1)
+
+    def test_every_small_row(self):
+        rng = np.random.default_rng(33)
+        for n in range(2, 301):
+            self._check(n, rng)
+
+    @pytest.mark.parametrize("n", [16385, 20000, 20001, 32769])
+    def test_large_rows(self, n):
+        self._check(n, np.random.default_rng(n))
+
+
 @pytest.mark.parametrize("height, n", [(3, 20000), (1, _WINDOW_N), (256, 100), (5, 7), (1, 2)])
 def test_block_buffers_start_on_cache_lines(height, n):
     # both layers of the reused block buffer are C-ordered and start on a
@@ -717,8 +826,8 @@ class TestGridSplitToOnePoint:
 
     A one-point grid is a one-row block, whose combine is a one-row matrix
     product; with n = 100 the whole grid spans two blocks of several rows,
-    with n = 16385 a windowed row is a block of its own and whole rows go
-    in blocks of up to 3.
+    with n = 16385 windowed rows go in blocks on the union of their
+    windows and whole rows in blocks of up to 3.
     """
 
     @pytest.mark.parametrize("kernel", [Kernel.GE, Kernel.GE2, Kernel.GAM1, Kernel.GAM2],

@@ -395,6 +395,20 @@ class TestQuantiles:
         for p in (1e-7, 0.0005, 0.25, 0.5, 0.9995, 1.0 - 1e-7):
             assert d.quantile(p) == pytest.approx(one.quantile(p), rel=1e-14, abs=0.0)
 
+    def test_mixture_of_components_200_decades_apart(self):
+        # brentq bisects in x: from a bracket of 200 decades it takes 426
+        # steps to the root, 1e-100 times the Gamma(3, 1) median
+        d = MixtureDensity((0.5, 0.5), (GammaDensity(3.0, 1e-100), GammaDensity(3.0, 1e100)))
+        root = 1e-100 * 2.6740603137235603179
+        assert d.quantile(0.25) == pytest.approx(root, rel=1e-12, abs=0.0)
+
+    def test_mixture_search_that_fails_names_its_level(self, monkeypatch):
+        monkeypatch.setattr(gekde.simulation, "_QUANTILE_MAXITER", 5)
+        d = MixtureDensity((0.5, 0.5), (GammaDensity(3.0, 1e-100), GammaDensity(3.0, 1e100)))
+        with pytest.raises(ConvergenceError, match="level 0.25 ") as info:
+            d.quantile(0.25)
+        assert 1e-100 < info.value.last_iterate < 1e100 and info.value.residual != 0.0
+
     # mpmath roots of the mixture cdf, with its double weights, at 50 digits
     @pytest.mark.parametrize("name, p, expected", ids=repr, argvalues=[
         ("D", 0.0005, 1.622614680109193612), ("D", 0.5, 11.727452154353278077),
@@ -459,6 +473,16 @@ class TestRoughness:
     def test_configuration_against_mpmath(self, name, expected):
         assert CONFIGURATIONS[name].roughness() == pytest.approx(float.fromhex(expected),
                                                                  rel=1e-13, abs=0.0)
+
+    def test_inverse_gamma_far_tail_is_quiet(self):
+        # the 1 - 1e-7 quantile of InverseGamma(0.05, 1) is 1.7e140: quad's
+        # nodes beyond it reach the float path of pdf_d2 where x**3 overflows
+        d = InverseGammaDensity(0.05, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert d.roughness() == pytest.approx(0.0199033254096860, rel=1e-14, abs=0.0)
+            for x in (1e103, 1e150, 1e200):
+                assert d.pdf_d2(x) == float(d.pdf_d2(np.array([x]))[0])
 
     @pytest.mark.parametrize("theta, what", [(1e-70, "overflows"), (1e70, "underflows")])
     def test_value_outside_double_range(self, theta, what):

@@ -14,7 +14,16 @@ and variance).  Two more estimates per kernel, at Silverman's bandwidth on
 512 grid points, reach block-loop branches that no workload does:
 ``estimate_n32769`` (config D at n = 32769, whose whole-row blocks are one
 row) and ``estimate_n2000`` (config E at n = 2000, blocks of 16 rows, some
-with the masked exp and some with the plain one).  ``exact_moments`` holds
+with the masked exp and some with the plain one).  The windowed rows'
+branches are reached by ``estimate_large`` and by ``estimate_n32769``,
+whose blocks hold at most 32769 entries: blocks of several windowed rows,
+runs of windowed rows that the budget splits, and rows summed over a
+pairwise-sum node narrower than the row.  Counted by recording each block
+of the row loop: ``estimate_large`` ``ge`` puts 6747 windowed rows in 694
+blocks, all of several rows, 678 of them split from the next by the budget,
+and sums 4711 rows over a narrower node; ``estimate_n32769`` ``ge`` puts 425
+in 106 blocks, 21 of several rows, and sums 340 over a narrower node.
+``exact_moments`` holds
 the moments that the ``diagnose_exact`` catalogue does not reach, under
 Gamma(3, 1) and config D: ``ge2`` at x < b (the rule in the kernel's
 probability, through ``kernels._ge_quantiles``) and the one-location
