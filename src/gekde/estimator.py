@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 from scipy.optimize import brentq
 
 from .errors import (DegenerateSampleError, DomainError, IntegrationError, OptimizationError,
@@ -344,7 +345,8 @@ def _data_windows(ev: _LogKernel, dat: np.ndarray, n: int):
     the last coarse point keeps the data after it.  The 0.87 between
     the cut and -745.13, where ``np.exp`` stops rounding to +0.0, absorbs the
     rounding wobble of a flank.  A row with a NaN or a non-finite coarse
-    maximum is whole.
+    maximum is whole too.  Returns start, stop and ``whole``, the rows above
+    the cut at both probe columns.
     """
     k = n // _PROBE_DIVISOR
     whole = (ev.rows(dat[..., [k, n - 1 - k]]) > _EXP_ZERO).all(axis=1)
@@ -352,7 +354,7 @@ def _data_windows(ev: _LogKernel, dat: np.ndarray, n: int):
     stop = np.full(whole.size, n, dtype=np.intp)
     need = np.flatnonzero(~whole)
     if not need.size:
-        return start, stop
+        return start, stop, whole
     cols = np.arange(0, n, _WINDOW_STRIDE)
     coarse_dat = dat[..., cols]
     last = cols.size - 1
@@ -369,7 +371,7 @@ def _data_windows(ev: _LogKernel, dat: np.ndarray, n: int):
         windowed = np.isfinite(peak) & ~whole[lo:lo + chunk]
         start[lo:lo + chunk] = np.where(windowed, j0, 0)
         stop[lo:lo + chunk] = np.where(windowed, j1, n)
-    return start, stop
+    return start, stop, whole
 
 
 def _pairwise_node(n: int, j0: int, j1: int) -> tuple[int, int]:
@@ -432,7 +434,8 @@ def _estimate_batch(values: np.ndarray, kernel: Kernel, b: np.ndarray,
     into a buffer allocated once per call with the ``ig``/``rig`` scratch
     beside it (``out`` of :meth:`_LogKernel.rows`, ``_block_buffers``), one
     ``_exp_rows``, masked if some row is at or below ``_EXP_ZERO`` at the
-    probe columns (see ``_PROBE_DIVISOR``), and one row sum.
+    probe columns (see ``_PROBE_DIVISOR``; a large sample reads the probe
+    that ``_data_windows`` made), and one row sum.
 
     A run of windowed rows also goes in blocks: a row joins the block while
     rows times the width of the union of their windows fits one layer of the
@@ -466,16 +469,18 @@ def _estimate_batch(values: np.ndarray, kernel: Kernel, b: np.ndarray,
         sub, dest = ev.take(r), out[r]
         dat = data[r]
         if large:
-            start, stop = _data_windows(sub, dat, n)
+            start, stop, whole = _data_windows(sub, dat, n)
             windowed = np.flatnonzero(stop - start < n).tolist()
-            start, stop = start.tolist(), stop.tolist()
+            start, stop, whole = start.tolist(), stop.tolist(), whole.tolist()
         lo, i = 0, 0
         while lo < size:
             w = windowed[i] if i < len(windowed) else size
             for a in range(lo, w, height):  # the whole rows before w
                 hi = min(a + height, w)
                 block = sub.rows(dat, a, hi, out=buf[:, :hi - a])
-                _exp_rows(block, masked=not block[:, probe].min() > _EXP_ZERO)
+                # a large sample's probe was made by _data_windows
+                plain = all(whole[a:hi]) if large else block[:, probe].min() > _EXP_ZERO
+                _exp_rows(block, masked=not plain)
                 np.add.reduce(block, axis=1, out=dest[a:hi])
             if w == size:
                 break
@@ -771,8 +776,9 @@ def _z_rule():
     Segment 0 is [0, a] in panels halving toward 0, segment 1 [a, hi] in
     uniform panels, and segment 2 the tail from hi in panels of width
     (hi - lo) 2**k; a call maps each segment's unit nodes and weights
-    affinely.  The coarse rule has half the uniform panels and stops after
-    half the tail panels, which it shares with the fine rule.
+    affinely, as one product with the basis ``_z_basis`` makes of them at
+    import (see ``_z_nodes``).  The coarse rule has half the uniform panels
+    and stops after half the tail panels, which it shares with the fine rule.
     """
     geometric = np.concatenate(([0.0], np.exp2(np.arange(1.0 - _GEOMETRIC_PANELS, 1.0))))
     tail = np.exp2(np.arange(_TAIL_PANELS + 1.0)) - 1.0
@@ -806,8 +812,42 @@ def _log_u_rule():
     return np.where(segment == 0, np.log(t), np.log1p(-t)), weights, cuts
 
 
+def _z_basis(unit: np.ndarray, weights: np.ndarray, segment: np.ndarray) -> np.ndarray:
+    """The z rule as an (8, N) basis, of which a call's nodes and weights are one product.
+
+    Its rows are the unit nodes of segments 0, 1 and 2, the indicators of
+    segments 1 and 2, and the unit weights of segments 0, 1 and 2, each
+    +0.0 off its own segment (see ``_z_nodes``).
+    """
+    on = segment == np.arange(3)[:, None]
+    return np.concatenate((unit * on, on[1:], weights * on))
+
+
 _Z_UNIT, _Z_WEIGHTS, _Z_SEGMENT, _Z_CUTS = _z_rule()
+_Z_BASIS = _z_basis(_Z_UNIT, _Z_WEIGHTS, _Z_SEGMENT)
 _LOG_U, _U_WEIGHTS, _U_CUTS = _log_u_rule()
+
+
+def _z_nodes(lo: float, hi: float, a: float) -> np.ndarray:
+    """The z rule mapped onto ``_quad_window``'s (lo, hi, a): a (2, N) array of nodes and weights.
+
+    Segment s has offset (0, a, hi)[s] and length (a, hi - a, hi - lo)[s];
+    a node is offset + length * unit node and a weight length * unit weight.
+    Both rows are one ``dgemm`` of the coefficients against ``_Z_BASIS``.
+    Each node has at most two nonzero products, the length's first in
+    gemm's k order, and every other product is +0.0, so the bits are those
+    of the affine map (all coefficients are finite: ``_quad_window`` saw to
+    that).  ``np.matmul`` would send this to gemv, which sums in another order.
+    """
+    span = [a, hi - a, hi - lo]
+    coef = np.array([span + [a, hi, 0.0, 0.0, 0.0], [0.0] * 5 + span])
+    return dgemm(1.0, _Z_BASIS.T, coef.T).T
+
+
+def _rule_sums(terms: np.ndarray, i: int, j: int):
+    """The fine and the coarse rule's sums of each row of ``terms``, given their cuts (i, j)."""
+    shared = terms[:, :i].sum(axis=1)
+    return shared + terms[:, i:j].sum(axis=1), shared + terms[:, j:].sum(axis=1)
 
 
 def _achieved(fine: np.ndarray, coarse: np.ndarray) -> float:
@@ -885,16 +925,15 @@ def exact_estimator_moments(kernel: Kernel, x: float, b: float, density, n: int)
         weights, (i, j) = _U_WEIGHTS, _U_CUTS
         z, log_k = _ge_quantiles(ev, _LOG_U)
     else:
-        lo, hi, a = _quad_window(kernel, x, b)
-        length = np.array([a, hi - a, hi - lo]).take(_Z_SEGMENT)
-        z = np.array([0.0, a, hi]).take(_Z_SEGMENT) + length * _Z_UNIT
-        weights, (i, j) = length * _Z_WEIGHTS, _Z_CUTS
+        (z, weights), (i, j) = _z_nodes(*_quad_window(kernel, x, b)), _Z_CUTS
         log_k = ev.rows(ev.data(z))[0]
     f = np.asarray(density.pdf(z), dtype=float)
     # rows: the weights of the kernel mass, the mean and the second moment; in
     # u the measure already holds K.  K f is 0 where f is, also where K
-    # overflows (z = 0 where u**(1/nu) underflows), so where some K is inf
-    # the product's 0 * inf = nan at f = 0 is set to 0
+    # overflows (z = 0 where u**(1/nu) underflows): there the product's
+    # 0 * inf is nan, so a second moment that sums to nan where some K is
+    # inf has those entries set to 0 and is summed again.  Elsewhere at
+    # f = 0 the entry is +0.0 already
     terms = np.empty((3, z.size))
     with np.errstate(over="ignore", invalid="ignore"):
         k = np.exp(log_k)
@@ -904,10 +943,10 @@ def exact_estimator_moments(kernel: Kernel, x: float, b: float, density, n: int)
             np.multiply(weights, k, out=terms[0])
         np.multiply(terms[0], f, out=terms[1])
         np.multiply(terms[1], k, out=terms[2])
-        if np.isinf(k).any():
+        fine, coarse = _rule_sums(terms, i, j)
+        if (math.isnan(fine[2]) or math.isnan(coarse[2])) and np.isinf(k).any():
             terms[2, f == 0.0] = 0.0
-        shared = terms[:, :i].sum(axis=1)
-        fine, coarse = shared + terms[:, i:j].sum(axis=1), shared + terms[:, j:].sum(axis=1)
+            fine, coarse = _rule_sums(terms, i, j)
     mass, mean, second = fine.tolist()
     off = abs(mass - 1.0)
     if not off <= 1e-8:

@@ -145,18 +145,24 @@ _GAMMA_FAMILY = (Kernel.GAM1, Kernel.GAM2)
 _EXP_FAMILIES = _GE_FAMILY + _GAMMA_FAMILY
 
 
-def _log1mexp(u):
+def _log1mexp(u, out=None):
     """log(1 - exp(-u)) for an array u >= 0, accurate across the whole range.
 
-    ``log1p(-exp(-u))`` above log 2 and ``log(-expm1(-u))`` at or below it,
-    each evaluated only on its own entries.
+    ``log1p(-exp(-u))`` above log 2 and ``log(-expm1(-u))`` at or below it
+    (NaN included), each evaluated only on its own entries: every ufunc but
+    the two negations runs with ``where=`` on its form's mask, in place in
+    ``out`` (a new array if None; it may be u itself), with no gather or
+    scatter, and with the bits of each form evaluated on its entries alone.
     """
-    out = np.empty_like(u)
     big = u > _LOG2
-    out[big] = np.log1p(-np.exp(-u[big]))
     small = ~big
+    out = np.negative(u, out=out)
+    np.exp(out, out=out, where=big)
+    np.expm1(out, out=out, where=small)
+    np.negative(out, out=out)
+    np.log1p(out, out=out, where=big)
     with np.errstate(divide="ignore"):  # log(0) = -inf at u = 0
-        out[small] = np.log(-np.expm1(-u[small]))
+        np.log(out, out=out, where=small)
     return out
 
 
@@ -416,7 +422,7 @@ class _LogKernel:
             if kernel in _GAMMA_FAMILY:
                 np.log(z, out=L)
             else:
-                L[...] = _log1mexp(u)
+                _log1mexp(u, out=L)
                 if self.regroup:
                     terms[..., 3, :] = np.where(
                         u > _ASYMPTOTIC_U,

@@ -29,6 +29,7 @@ estimator ranks strictly worst rather than disappearing from comparisons.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
@@ -102,6 +103,10 @@ _X = "density argument x"
 #: about 5.64e102).
 _CUBE_MAX = 5.6e102
 
+#: Beyond this x, x * x may overflow (the square root of the largest double
+#: is about 1.3408e154).
+_SQUARE_MAX = 1.34e154
+
 #: ``brentq`` iterations for a mixture quantile: bisection takes a bracket as
 #: wide as the double range, DBL_MAX, down to the smallest normal double,
 #: ``xtol``, in 2046 halvings.
@@ -115,6 +120,12 @@ class TrueDensity:
     """A closed-form density on (0, inf) with pdf, cdf, derivative and sampler access."""
 
     family = "abstract"
+
+    #: Beyond this x the float path of ``pdf_d1`` and ``pdf_d2`` runs under
+    #: ``np.errstate(over="ignore")``: a power of x in ``_log_slopes`` may
+    #: overflow there to inf, quietly, as it does on an array.  Below it no
+    #: ``errstate`` is entered, so every finite bit stays.
+    _slopes_overflow_x = math.inf
 
     def _log_pdf(self, x):
         """Log of the pdf, by one formula for a float and for an array.
@@ -133,17 +144,19 @@ class TrueDensity:
         arithmetic warns where float arithmetic is quiet.  Both paths run
         the same numpy ufuncs and the same arithmetic, so a float gets the
         bits of a 0-d array.  f is 0.0 below 0 and at +inf, where no formula
-        is evaluated; an array with no such point (every set of quadrature
-        nodes) is not masked, with the same bits.
+        is evaluated.  An array whose entries are all positive and finite
+        (every set of quadrature nodes), tested by one ``min`` and one
+        ``max``, goes to ``_log_pdf`` as it is; any other array (empty, or
+        holding 0, -0.0, inf or NaN) is masked, with the same bits.
         """
         if type(x) is float and 0.0 < x < math.inf:
             return float(np.exp(self._log_pdf(x)))
         x = _real_array(x, _X)
-        off = (x < 0.0) | (x == math.inf)  # where a formula may take log(-x) or read inf - inf
         with np.errstate(divide="ignore", over="ignore"):  # log(0) at x = 0, x/theta = inf
+            if x.size and x.min() > 0.0 and x.max() < math.inf:  # NaN fails the first test
+                return _scalar_or_array(np.exp(self._log_pdf(x)))
+            off = (x < 0.0) | (x == math.inf)  # where a formula may take log(-x) or read inf - inf
             # abs: -0.0 is 0, not a theta/x of -inf
-            if not off.any():
-                return _scalar_or_array(np.exp(self._log_pdf(np.abs(x))))
             out = np.exp(self._log_pdf(np.where(off, 1.0, np.abs(x))))
         return _scalar_or_array(np.where(off, 0.0, out))
 
@@ -175,12 +188,15 @@ class TrueDensity:
         slopes may overflow or divide by a zero ``x * x``, and 0 * inf is
         nan; the derivative is 0 there.  Wherever the product is a number it
         is kept, so a positive pdf gives the bits of the plain product (a
-        scalar with a positive pdf takes it directly).
+        scalar with a positive pdf takes it directly, under ``np.errstate``
+        only beyond ``_slopes_overflow_x``).
         """
         f = self.pdf(x)
         x = _scalar_or_asarray(x)
         if isinstance(f, float) and f > 0.0:
-            return float(f * slopes(*self._log_slopes(x)))
+            with (np.errstate(over="ignore") if x > self._slopes_overflow_x
+                  else contextlib.nullcontext()):
+                return float(f * slopes(*self._log_slopes(x)))
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             out = f * slopes(*self._log_slopes(x))
         return _scalar_or_array(np.where((f == 0.0) & np.isnan(out), 0.0, out))
@@ -311,6 +327,7 @@ class InverseGammaDensity(TrueDensity):
     shape: float
     scale: float
     family = "inverse_gamma"
+    _slopes_overflow_x = _CUBE_MAX  # np.power(x, 3)
 
     def __post_init__(self):
         _store_params(self, gamma_constants=True)
@@ -330,15 +347,6 @@ class InverseGammaDensity(TrueDensity):
         return self.scale / gammainccinv(self.shape, p)
 
     def _log_slopes(self, x):
-        if type(x) is np.float64 and x > _CUBE_MAX:
-            # pdf_d2's float path runs without np.errstate; here x**3 (and
-            # beyond about 1.3e154, x * x) overflows to inf, quietly, as it
-            # does on an array
-            with np.errstate(over="ignore"):
-                return self._slopes(x)
-        return self._slopes(x)
-
-    def _slopes(self, x):
         s1 = self.scale / (x * x) - (self.shape + 1.0) / x
         s2 = -2.0 * self.scale / np.power(x, 3) + (self.shape + 1.0) / (x * x)
         return s1, s2
@@ -355,6 +363,7 @@ class InverseWeibullDensity(TrueDensity):
     shape: float
     scale: float
     family = "inverse_weibull"
+    _slopes_overflow_x = _SQUARE_MAX  # x * x
 
     def __post_init__(self):
         _store_params(self)

@@ -40,7 +40,13 @@ from gekde import (
 )
 from gekde.estimator import (
     _EXP_ZERO,
+    _LOG_U,
+    _U_CUTS,
+    _U_WEIGHTS,
     _WINDOW_STRIDE,
+    _Z_SEGMENT,
+    _Z_UNIT,
+    _Z_WEIGHTS,
     _data_windows,
     _exp_rows,
     _domain_start,
@@ -48,8 +54,9 @@ from gekde.estimator import (
     _pairwise_node,
     _quad_window,
     _silverman_h,
+    _z_nodes,
 )
-from gekde.kernels import _LogKernel, log_kernel
+from gekde.kernels import _LogKernel, _ge_quantiles, log_kernel
 from test_metamorphic import _wide_case
 
 G = EULER_GAMMA
@@ -461,7 +468,7 @@ class TestDataWindow:
             expect = np.exp(log_k).mean(axis=1)
         got = estimate_density(sample, kernel, b, grid).values
         assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
-        start, stop = _data_windows(ev, dat, sample.n)
+        start, stop, _ = _data_windows(ev, dat, sample.n)
         for g in range(grid.size):
             assert np.all(log_k[g, :start[g]] <= _EXP_ZERO), g
             assert np.all(log_k[g, stop[g]:] <= _EXP_ZERO), g
@@ -472,7 +479,7 @@ class TestDataWindow:
         underflow_rows = 0
         for _, kernel, sample, b, grid in _window_cases():
             ev, dat, log_k = self._full(kernel, sample, b, grid)
-            start, stop = _data_windows(ev, dat, n)
+            start, stop, _ = _data_windows(ev, dat, n)
             seen |= {(bool(j0 == 0), bool(j1 == n)) for j0, j1 in zip(start, stop)}
             flat = np.max(log_k, axis=1) <= _EXP_ZERO
             underflow_rows += int(flat.sum())
@@ -504,7 +511,7 @@ class TestDataWindow:
         # from datum 162, and nowhere
         log_k[4] = -20.0 * (n - 1.0 - np.arange(n))
         log_k[5] = log_k[4] - 800.0
-        start, stop = _data_windows(Rows(log_k), np.arange(n)[None, :], n)
+        start, stop, _ = _data_windows(Rows(log_k), np.arange(n)[None, :], n)
         # the coarse data are 0, 32, ..., 192
         assert (start[0], stop[0]) == (33, 160)
         assert start[1:4].tolist() == [0, 0, 0] and stop[1:4].tolist() == [n, n, n]
@@ -549,7 +556,8 @@ class TestDataWindow:
 
         def windows_of(ev, dat, size):
             assert size == n
-            return tuple(np.array(w, dtype=np.intp) for w in zip(*ev.windows))
+            start, stop = (np.array(w, dtype=np.intp) for w in zip(*ev.windows))
+            return start, stop, stop - start == n
 
         monkeypatch.setattr(gekde.estimator, "_LogKernel", lambda kernel, grid, b: Stack())
         monkeypatch.setattr(gekde.estimator, "_data_windows", windows_of)
@@ -558,15 +566,57 @@ class TestDataWindow:
         expect = np.exp(log_k).mean(axis=2)
         assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
 
+    def test_whole_row_blocks_read_the_windows_probe(self, monkeypatch):
+        # with n > 16384 a block of whole rows is exponentiated masked or
+        # plain by the probe that _data_windows made, which is the verdict of
+        # the block's own probe columns.  Rows: above the cut (0, 2, 3, 7),
+        # above it only near the probes (1), an inf at a coarse datum and
+        # the rest below the cut (4), all -inf (5), and a data window (6)
+        n = _WINDOW_N
+        k = n // gekde.estimator._PROBE_DIVISOR
+        log_k = np.random.default_rng(9).uniform(-30.0, 0.0, (8, n))
+        log_k[1, k + 1:n - 1 - k] = -1000.0
+        log_k[4] = -1000.0
+        log_k[4, 64] = np.inf
+        log_k[5] = -np.inf
+        log_k[6] = -1000.0
+        log_k[6, 100:3000] = -1.0
+
+        class Rows:
+            def rows(self, dat, lo=0, hi=None, out=None):
+                # C-ordered, as the evaluator's blocks are: the pairwise row sum
+                return log_k[lo:hi].take(dat[0], axis=1)
+
+        class Stack:
+            def data(self, values):
+                return np.arange(n)[None, None, :]
+
+            def take(self, r):
+                return Rows()
+
+        seen = []
+
+        def recording(block, masked):
+            seen.append((masked, not block[:, [k, n - 1 - k]].min() > _EXP_ZERO))
+            _exp_rows(block, masked)
+
+        monkeypatch.setattr(gekde.estimator, "_LogKernel", lambda kernel, grid, b: Stack())
+        monkeypatch.setattr(gekde.estimator, "_exp_rows", recording)
+        grid = np.arange(1.0, 9.0)
+        got = gekde.estimator._estimate_batch(np.ones((1, n)), Kernel.GE, np.ones(1), grid)
+        assert np.array_equal(got[0].view(np.uint64), np.exp(log_k).mean(axis=1).view(np.uint64))
+        # blocks of 3 rows: 0-2, 3-5 (masked: rows 4 and 5), then row 7
+        assert seen == [(False, False), (True, True), (False, False)]
+
     @staticmethod
     def _recording_windows(monkeypatch):
         """Record each sample's whole-row mask as ``_estimate_batch`` gets its windows."""
         masks = []
 
         def recording(ev, dat, n):
-            start, stop = _data_windows(ev, dat, n)
+            start, stop, whole = _data_windows(ev, dat, n)
             masks.append(stop - start == n)
-            return start, stop
+            return start, stop, whole
 
         monkeypatch.setattr(gekde.estimator, "_data_windows", recording)
         return masks
@@ -583,7 +633,7 @@ class TestDataWindow:
         b = silverman_bandwidth(sample, kernel).value
         fine = default_grid(sample, 256)
         ev = _LogKernel(kernel, fine, b)
-        start, stop = _data_windows(ev, ev.data(sample.values), n)
+        start, stop, _ = _data_windows(ev, ev.data(sample.values), n)
         last = np.flatnonzero(stop - start == n)[-1]  # the last whole row, before windowed ones
         assert last >= height and not (stop - start == n)[last + 1:last + 3].any()
         masks = self._recording_windows(monkeypatch)
@@ -606,7 +656,7 @@ class TestDataWindow:
         sample, b = _window_sample("D"), 0.02
         fine = default_grid(sample, 256)
         ev = _LogKernel(kernel, fine, b)
-        start, stop = _data_windows(ev, ev.data(sample.values), n)
+        start, stop, _ = _data_windows(ev, ev.data(sample.values), n)
         whole = stop - start == n
         first = np.flatnonzero(whole)[0]
         assert first > 0 and whole[first:first + height + 1].all()
@@ -715,7 +765,7 @@ class TestDataWindow:
         monkeypatch.setattr(gekde.estimator, "_data_windows", recording_windows)
         got = estimate_density(sample, kernel, b, grid).values
         assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
-        (start, stop), = windows
+        (start, stop, _), = windows
         windowed = stop - start < n
         budget = (2 * gekde.estimator._BLOCK_ELEMENTS // n) * n
         blocks = [(lo, hi, width) for lo, hi, width in calls if windowed[lo]]
@@ -1277,16 +1327,25 @@ class TestExactMoments:
 
 # --- reference: scipy quad over (0, inf), independent of the node rule -------
 
+@functools.cache
+def _density_cuts(density):
+    """The density's 1e-7, 0.25, 0.5, 0.75 and 1 - 1e-7 quantiles."""
+    return tuple(density.quantile(p) for p in (1e-7, 0.25, 0.5, 0.75, 1.0 - 1e-7))
+
+
 def _quad_moments(kernel, x, b, density, n):
     """Kernel mass, mean and variance by adaptive quadrature over (0, inf).
 
     Three independent ``quad`` passes, each node through the kernel's and
-    the density's float paths, on pieces split at 0, min(x, b), x and the
-    bracket's ends, then [hi, inf).  This shares nothing with the node rule
-    of ``exact_estimator_moments`` but the bracket's two ends.
+    the density's float paths, on pieces split at 0, min(x, b), x, the
+    bracket's ends and the density's ``_density_cuts``, the last piece
+    running to inf.  Far from the density's mass the peak of K f is the
+    density's, narrow against the kernel's bracket, and ``quad`` on the
+    bracket's pieces alone may miss it.  This shares nothing with the node
+    rule of ``exact_estimator_moments`` but the bracket's two ends.
     """
     lo, hi, _ = _quad_window(kernel, x, b)
-    cuts = sorted({0.0, min(x, b) if x > 0.0 else b, x, lo, hi})
+    cuts = sorted({0.0, min(x, b) if x > 0.0 else b, x, lo, hi, *_density_cuts(density)})
 
     def k_at(z):
         return math.exp(log_kernel(kernel, x, b, z))
@@ -1294,9 +1353,8 @@ def _quad_moments(kernel, x, b, density, n):
     out = []
     for g in (k_at, lambda z: k_at(z) * density.pdf(z),
               lambda z: k_at(z) ** 2 * density.pdf(z)):
-        total = sum(quad(g, a, c, epsabs=1e-16, epsrel=1e-11, limit=500)[0]
-                    for a, c in zip(cuts[:-1], cuts[1:]))
-        out.append(total + quad(g, hi, math.inf, epsabs=1e-16, epsrel=1e-11, limit=500)[0])
+        out.append(sum(quad(g, a, c, epsabs=1e-16, epsrel=1e-11, limit=500)[0]
+                       for a, c in zip(cuts, cuts[1:] + [math.inf])))
     mass, mean, second = out
     return mass, mean, (second - mean * mean) / n
 
@@ -1392,6 +1450,29 @@ class TestInfiniteVariance:
         m = exact_estimator_moments(Kernel.GE2, 0.005, 0.1, GammaDensity(3.0, 1.0), 1)
         assert math.isfinite(m.mean) and m.variance >= 0.0
 
+    @pytest.mark.parametrize("density", [GammaDensity(3.0, 1.0), CONFIGURATIONS["D"]],
+                             ids=["gamma3", "D"])
+    @pytest.mark.parametrize("r", [0.01, 0.1])
+    def test_inf_kernel_fix_runs_only_on_a_nan_sum(self, density, r):
+        # the K = inf entries at f = 0 are set to 0 after a second moment sums
+        # to nan; the moments are those of setting them before summing, as
+        # soon as some K is inf
+        ev = _LogKernel(Kernel.GE2, np.array([r]), 1.0)
+        z, log_k = _ge_quantiles(ev, _LOG_U)
+        f = density.pdf(z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            k = np.exp(log_k)
+            terms = np.stack([_U_WEIGHTS, _U_WEIGHTS * f, _U_WEIGHTS * f * k])
+        assert np.isnan(terms[2]).any()  # the fix is reached
+        assert np.isinf(k).any()
+        terms[2, f == 0.0] = 0.0
+        i, j = _U_CUTS
+        shared = terms[:, :i].sum(axis=1)
+        _, mean, second = (shared + terms[:, i:j].sum(axis=1)).tolist()
+        m = exact_estimator_moments(Kernel.GE2, r, 1.0, density, 100)
+        assert m.mean.hex() == mean.hex()
+        assert m.variance.hex() == ((second - mean * mean) / 100.0).hex()
+
 
 class _CountingDensity:
     """Records every call of ``pdf`` and its nodes."""
@@ -1455,6 +1536,28 @@ class TestNodeReuse:
         (z,), (nodes,) = kernel_nodes, density.calls
         assert np.array_equal(z, nodes)
         assert np.unique(z).size == z.size
+
+
+class TestNodeMap:
+    """The z rule's nodes and weights, one product with its basis, against the affine map."""
+
+    @pytest.mark.parametrize("kernel", list(Kernel), ids=lambda k: k.value)
+    def test_product_has_the_bits_of_the_affine_map(self, kernel):
+        rng = np.random.default_rng(21)
+        where = set()
+        for b in 10.0 ** rng.uniform(-100.0, 100.0, 40):
+            for r in (0.01, 0.5, 1.5, 3.0, 50.0, 1e3, float(rng.uniform(1.0, 1e4))):
+                x = r * b
+                if kernel is Kernel.RIG and x <= b:
+                    continue
+                lo, hi, a = _quad_window(kernel, x, b)
+                z, weights = _z_nodes(lo, hi, a)
+                length = np.array([a, hi - a, hi - lo]).take(_Z_SEGMENT)
+                want = np.array([0.0, a, hi]).take(_Z_SEGMENT) + length * _Z_UNIT
+                assert z.tobytes() == want.tobytes(), (x, b)
+                assert weights.tobytes() == (length * _Z_WEIGHTS).tobytes(), (x, b)
+                where.add(lo > 0.0)
+        assert where == {False, True}  # brackets from 0 and from lo > 0
 
 
 class TestQuadratureFailure:

@@ -26,7 +26,7 @@ from gekde import (
     log_kernel,
     trigamma,
 )
-from gekde.kernels import _LogKernel, _ge2_shape
+from gekde.kernels import _LogKernel, _ge2_shape, _log1mexp
 
 
 def kernel_mass(kernel, x, b, weight=None):
@@ -1093,3 +1093,51 @@ class TestDataTerms:
             assert dat.shape == (3, 3)
         cols = dat[..., [0, 2]]
         assert isinstance(cols, np.ndarray) and cols.shape == dat.shape[:-1] + (2,)
+
+
+def _log1mexp_gathered(u):
+    """log(1 - exp(-u)) by gathering each form's entries and scattering them back."""
+    out = np.empty_like(u)
+    big = u > math.log(2.0)
+    out[big] = np.log1p(-np.exp(-u[big]))
+    small = ~big
+    with np.errstate(divide="ignore"):
+        out[small] = np.log(-np.expm1(-u[small]))
+    return out
+
+
+class TestLog1mexp:
+    """The masked, in-place ``_log1mexp`` against the gather form, hex for hex."""
+
+    @staticmethod
+    def _values():
+        log2 = math.log(2.0)
+        edges = [0.0, 5e-324, 1e-320, 2.2250738585072014e-308, np.nextafter(log2, 0.0), log2,
+                 np.nextafter(log2, 1.0), 1e300, np.inf, np.nan]
+        rng = np.random.default_rng(4)
+        return np.concatenate([edges, np.linspace(36.0, 37.0, 257), np.linspace(745.0, 746.0, 257),
+                               rng.exponential(2.0, 400), 10.0 ** rng.uniform(-320.0, 300.0, 400)])
+
+    @pytest.mark.parametrize("order", ["as_made", "sorted", "shuffled"])
+    @pytest.mark.parametrize("shape", [(-1,), (6, -1)], ids=["1-d", "R-by-n"])
+    def test_bits_of_the_gather_form(self, order, shape):
+        u = self._values()
+        if order == "sorted":
+            u = np.sort(u)
+        elif order == "shuffled":
+            u = np.random.default_rng(5).permutation(u)
+        u = u[:u.size // 6 * 6].reshape(shape)
+        want = _log1mexp_gathered(u).tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _log1mexp(u).tobytes() == want
+            out = np.full_like(u, 7.0)
+            assert _log1mexp(u, out=out) is out and out.tobytes() == want
+            inplace = u.copy()
+            _log1mexp(inplace, out=inplace)
+            assert inplace.tobytes() == want
+            # a strided row, as the data terms of a stack of samples are
+            rows = np.full(u.shape[:-1] + (3, u.shape[-1]), 7.0)
+            _log1mexp(u, out=rows[..., 0, :])
+            assert rows[..., 0, :].tobytes() == want
+

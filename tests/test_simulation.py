@@ -220,6 +220,22 @@ class TestFloatPath:
             assert type(got) is float and type(via_numpy_scalar) is float
             assert got.hex() == ref.hex() == via_numpy_scalar.hex(), (name, method, x)
 
+    @pytest.mark.parametrize("d", [InverseGammaDensity(0.05, 1.0),
+                                   InverseWeibullDensity(0.05, 1.0)],
+                             ids=["inverse_gamma", "inverse_weibull"])
+    @pytest.mark.parametrize("method", ["pdf_d1", "pdf_d2"])
+    def test_derivatives_far_out_are_quiet(self, d, method):
+        # the pdf is still positive where x**3 (beyond 5.6e102) or x * x
+        # (beyond 1.34e154) overflows in the log slopes: to inf, quietly, as
+        # on an array
+        f = getattr(d, method)
+        for x in (1e103, 1e155, 1e200, 1e300):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = f(x)
+            assert d.pdf(x) > 0.0
+            assert got.hex() == float(f(np.array([x]))[0]).hex(), x
+
     @pytest.mark.parametrize("name", sorted(EVERY_DENSITY))
     @pytest.mark.parametrize("method", ["pdf", "cdf", "pdf_d1", "pdf_d2"])
     def test_non_number_x_is_domain_error(self, name, method):
@@ -1069,3 +1085,36 @@ class TestBelowSupport:
             beside = d.pdf(np.concatenate(([-1.0, -0.0, math.inf], nodes)))
         assert np.array_equal(_bits(alone), _bits(beside[3:]))
         assert np.array_equal(_bits(beside[:3]), _bits([0.0, d.pdf(0.0), 0.0]))
+
+
+def _masked_pdf(d, x):
+    """The array pdf with its masks: 0.0 below 0 and at inf, the formula at |x| elsewhere."""
+    if isinstance(d, MixtureDensity):
+        return sum(w * _masked_pdf(c, x) for w, c in zip(d.weights, d.components))
+    off = (x < 0.0) | (x == math.inf)
+    with np.errstate(divide="ignore", over="ignore"):
+        out = np.exp(d._log_pdf(np.where(off, 1.0, np.abs(x))))
+    return np.where(off, 0.0, out)
+
+
+class TestPdfPositivityTest:
+    """An array of positive finite points skips the masks, with the bits of the masked path."""
+
+    @pytest.mark.parametrize("name", list(EVERY_DENSITY))
+    def test_bits_of_the_masked_path(self, name):
+        d = EVERY_DENSITY[name]
+        lo, hi = d._ise_range
+        inside = np.concatenate(([5e-324, 1e-310, 2.2250738585072014e-308, 1e-300],
+                                 np.geomspace(lo / 64.0, 64.0 * hi, 61), [1.7e308]))
+        for extra in ([], [0.0], [-0.0], [math.inf], [math.nan], [-1.0],
+                      [0.0, -0.0, math.inf, -math.inf, math.nan]):
+            for x in (np.concatenate((inside, extra)), np.concatenate((extra, inside)),
+                      np.array(extra + [2.0])):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = d.pdf(x)
+                assert got.tobytes() == _masked_pdf(d, x).tobytes(), extra
+        for x in (5e-324, 2.0, 0.0, -0.0, math.inf, math.nan):  # 0-d arrays
+            assert _bits(d.pdf(np.array(x))) == _bits(_masked_pdf(d, np.array(x))), x
+        assert d.pdf(np.array([])).shape == (0,)
+

@@ -30,13 +30,16 @@ probability, through ``kernels._ge_quantiles``) and the one-location
 ``gam2`` (both sides of x = 2b) and ``ig`` builds; and ``ge`` and ``ge2``
 on config F at x = 331.7, b = 142.7, near F's Silverman bandwidth, and
 ``ge``, ``ge2`` and ``rig`` at x = 1000, b = 100, far beyond the mass of
-Gamma(3, 1).  ``densities`` holds the roughness and the 0.05%, 50% and
-99.95% quantiles of configs A-F, on which the theorem-2 bandwidths and the
-ISE grids rest.  Each line gives one workload and kernel, the number of
-values and the SHA-256 of their float64 bytes in catalogue order, so two
-checkouts whose outputs keep every bit print the same lines: 33 lines after
-the first, which names the machine: nproc and the Python, numpy and scipy
-versions.
+Gamma(3, 1).  ``exact_inf_k`` holds ``ge2`` at x = 0.01 b and 0.1 b, b = 1,
+under Gamma(3, 1) and config D: there some u-rule nodes have K = inf where
+f = 0, the second moment first sums to nan, and the entries are set to 0
+(no other input reaches that branch).  ``densities`` holds the roughness
+and the 0.05%, 50% and 99.95% quantiles of configs A-F, on which the
+theorem-2 bandwidths and the ISE grids rest.  Each line gives one workload
+and kernel, the number of values and the SHA-256 of their float64 bytes in
+catalogue order, so two checkouts whose outputs keep every bit print the
+same lines: 34 lines after the first, which names the machine: nproc and
+the Python, numpy and scipy versions.
 
 With ``--against``, a kernel whose digest differs from the dump's also gets
 its largest deviation: for an estimate, the largest ``|fhat - fhat_ref|``
@@ -104,6 +107,10 @@ def _collect(workloads) -> dict:
     for density, kernel, x, b in cases:
         m = gekde.exact_estimator_moments(kernel, x, b, density, 100)
         out["exact_moments", kernel.value].append(np.array([m.mean, m.variance]))
+    for density in (gamma3, gekde.CONFIGURATIONS["D"]):
+        for x in (0.01, 0.1):
+            m = gekde.exact_estimator_moments(gekde.Kernel.GE2, x, 1.0, density, 100)
+            out["exact_inf_k", "ge2"].append(np.array([m.mean, m.variance]))
     for density in gekde.CONFIGURATIONS.values():
         out["densities", "A-F"].append(np.array(
             [density.roughness()] + [density.quantile(p) for p in (0.0005, 0.5, 0.9995)]))
