@@ -257,8 +257,7 @@ def cmd_estimate(args) -> int:
         }
         stem = f"{path.stem}_{est.kernel.value}"
         if args.format == "json":
-            payload = dict(meta, x=[_fmt(v) for v in est.grid],
-                           fhat=[_fmt(v) for v in est.values])
+            payload = dict(meta, x=est.grid.tolist(), fhat=est.values.tolist())
             files.append((f"{stem}.json", _json_text(payload)))
         else:
             lines = ["x,fhat"]

@@ -9,8 +9,7 @@ computed once per call.  The grid then goes, sample by sample, through one
 block loop, described in ``_estimate_batch``'s docstring: blocks of whole
 rows within a fixed element budget, exponentiated in place and summed along
 their rows, and, for a large sample, blocks of rows cut to the union of
-their data windows, each row exponentiated on its own window and summed
-over the node of numpy's pairwise sum that holds it.
+their data windows, each row exponentiated and summed on its own window.
 For the GE and gamma kernels a block's log K is one BLAS product of the
 location matrix and the data matrix (see ``kernels._LogKernel``); a data
 window or a set of probe columns indexes the last axis of a sample's data
@@ -374,28 +373,6 @@ def _data_windows(ev: _LogKernel, dat: np.ndarray, n: int):
     return start, stop, whole
 
 
-def _pairwise_node(n: int, j0: int, j1: int) -> tuple[int, int]:
-    """The smallest node [a0, a1) of numpy's pairwise sum of n entries that holds [j0, j1).
-
-    ``np.add.reduce`` of a contiguous row splits n > 128 entries at
-    n//2 - (n//2) % 8 and sums each part the same way, down to leaves of at
-    most 128.  A node's slice reduced alone runs the same tree as in the
-    row; with every entry outside [j0, j1) +0.0, each other node sums to
-    +0.0, and s + 0.0 = s for every s >= +0.0 and for NaN, so the node's sum
-    has the bits of the row's.
-    """
-    a0 = 0
-    while n > 128:
-        half = n // 2 - n // 2 % 8
-        if j1 <= a0 + half:
-            n = half
-        elif j0 >= a0 + half:
-            a0, n = a0 + half, n - half
-        else:
-            break
-    return a0, a0 + n
-
-
 def _block_buffers(height: int, n: int) -> np.ndarray:
     """An empty (2, height, n) array whose two layers each start on a 64-byte cache line.
 
@@ -440,15 +417,12 @@ def _estimate_batch(values: np.ndarray, kernel: Kernel, b: np.ndarray,
     A run of windowed rows also goes in blocks: a row joins the block while
     rows times the width of the union of their windows fits one layer of the
     buffer (``height`` rows of n), and the block is one combine on the data
-    of that union.  Each row then exponentiates only its own window, into a
-    row buffer made once per call that is +0.0 outside it; the union's
-    entries outside the window are those ``np.exp`` would round to +0.0.
-    The buffer holds +0.0 outside the last window written, so each window
-    zeroes only the part of the previous one it does not cover.  numpy's
-    pairwise sum groups entries by position, so the window alone would sum
-    to other bits; the row is summed over the smallest node of that sum's
-    tree that holds its window (``_pairwise_node``), which gives the bits of
-    the whole row.  The sums are divided by n once, after the last block.
+    of that union.  Each row then exponentiates only its own window, in
+    place in the block, and its sum is one ``np.add.reduce`` of the window.
+    Every entry of the row outside the window is one that ``np.exp`` rounds
+    to +0.0, so the window sum adds the same terms as the whole row, in
+    another order: it can differ from the full-row sum by rounding, a few
+    ulps.  The sums are divided by n once, after the last block.
     """
     n, size = values.shape[1], grid.size
     ev = _LogKernel(kernel, grid, b[:, None])
@@ -462,8 +436,6 @@ def _estimate_batch(values: np.ndarray, kernel: Kernel, b: np.ndarray,
     # ig/rig scratch (see _LogKernel.rows); a windowed block is (rows, width)
     buf = _block_buffers(min(height, size), n)
     layers, budget = buf.reshape(2, -1), buf[0].size
-    # the windowed rows' buffer: +0.0 outside [p0, p1), the last window written
-    row, p0, p1 = np.zeros((1, n)), 0, 0
     windowed = []
     for r in range(b.size):
         sub, dest = ev.take(r), out[r]
@@ -495,13 +467,8 @@ def _estimate_batch(values: np.ndarray, kernel: Kernel, b: np.ndarray,
             block = sub.rows(dat[..., j0:j1], w, hi,
                              out=layers[:, :entries].reshape(2, hi - w, j1 - j0))
             for g in range(w, hi):
-                s0, s1 = start[g], stop[g]
-                row[:, p0:min(p1, s0)] = 0.0  # the old window left of the new
-                row[:, max(p0, s1):p1] = 0.0  # and right of it
-                np.exp(block[g - w, s0 - j0:s1 - j0], out=row[0, s0:s1])
-                a0, a1 = _pairwise_node(n, s0, s1)
-                np.add.reduce(row[:, a0:a1], axis=1, out=dest[g:g + 1])
-                p0, p1 = s0, s1
+                win = block[g - w, start[g] - j0:stop[g] - j0]
+                dest[g] = np.add.reduce(np.exp(win, out=win))
             lo = hi
     out /= n
     return out
@@ -517,10 +484,13 @@ def estimate_density(sample: Sample, kernel: Kernel, bandwidth, grid) -> Density
     one-sample case of the batched evaluator that ``run_experiment`` runs
     on all the replications of a cell, with the same bits.
 
-    The grid goes through the block loop of ``_estimate_batch``, whose
-    paths (a masked or plain exp, a whole row or a data window) all give
-    the bits of ``np.exp`` and of the full row sum, so the choice of path
-    affects only speed.
+    The grid goes through the block loop of ``_estimate_batch``.  A whole
+    row, masked or plain exp, has the bits of ``np.exp`` and the full row
+    sum.  Only a sample of more than ``_BLOCK_ELEMENTS // 2`` data has
+    windowed rows; each is the sum of exp over its data window, the same
+    terms as the full row in another order, so it may differ from the full
+    row sum by rounding.  Which rows are windowed depends on the row alone,
+    never on the grid's split or the batch.
     """
     kernel = _as_kernel(kernel)
     bw = bandwidth if isinstance(bandwidth, Bandwidth) else Bandwidth(bandwidth)
@@ -712,7 +682,12 @@ def asymptotic_variance(regime: AsymptoticRegime, b: float, n: int, fx: float) -
 
     In the boundary regime the factor ``e^c / (e^c - 1/2)`` applies; it
     decreases strictly in c and tends to 1, recovering the interior value.
-    The same expression serves both GE estimators.  n must be below 2**1020.
+    The interior value serves both GE estimators; the boundary factor is the
+    ``ge`` kernel's.  For ``ge2`` at x = c b, exact moments on Gamma(1, 1)
+    give about 1.61-1.63 times this value at c = 1 and 1.05-1.08 times at
+    c = 2 (b from 0.01 to 0.000625); ``asymptotic_bias`` and ``gekde
+    diagnose`` refuse ``ge2`` in the boundary regime.  n must be below
+    2**1020.
     """
     b, n, fx = _positive(b, "b"), _count_float(n, "n", 1), _nonnegative(fx, "fx")
     base = fx / (4.0 * b * n)

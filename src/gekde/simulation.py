@@ -29,7 +29,6 @@ estimator ranks strictly worst rather than disappearing from comparisons.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
 import json
@@ -99,14 +98,6 @@ def _store_params(density, gamma_constants: bool = False):
 #: What a density's argument is called in the DomainError of a non-number.
 _X = "density argument x"
 
-#: Beyond this x, x**3 may overflow (the cube root of the largest double is
-#: about 5.64e102).
-_CUBE_MAX = 5.6e102
-
-#: Beyond this x, x * x may overflow (the square root of the largest double
-#: is about 1.3408e154).
-_SQUARE_MAX = 1.34e154
-
 #: ``brentq`` iterations for a mixture quantile: bisection takes a bracket as
 #: wide as the double range, DBL_MAX, down to the smallest normal double,
 #: ``xtol``, in 2046 halvings.
@@ -120,12 +111,6 @@ class TrueDensity:
     """A closed-form density on (0, inf) with pdf, cdf, derivative and sampler access."""
 
     family = "abstract"
-
-    #: Beyond this x the float path of ``pdf_d1`` and ``pdf_d2`` runs under
-    #: ``np.errstate(over="ignore")``: a power of x in ``_log_slopes`` may
-    #: overflow there to inf, quietly, as it does on an array.  Below it no
-    #: ``errstate`` is entered, so every finite bit stays.
-    _slopes_overflow_x = math.inf
 
     def _log_pdf(self, x):
         """Log of the pdf, by one formula for a float and for an array.
@@ -188,14 +173,14 @@ class TrueDensity:
         slopes may overflow or divide by a zero ``x * x``, and 0 * inf is
         nan; the derivative is 0 there.  Wherever the product is a number it
         is kept, so a positive pdf gives the bits of the plain product (a
-        scalar with a positive pdf takes it directly, under ``np.errstate``
-        only beyond ``_slopes_overflow_x``).
+        scalar with a positive pdf takes it directly).  Far out a power of x
+        in ``_log_slopes`` may overflow to inf; both paths let it, quietly,
+        under ``np.errstate(over="ignore")``, which changes no value.
         """
         f = self.pdf(x)
         x = _scalar_or_asarray(x)
         if isinstance(f, float) and f > 0.0:
-            with (np.errstate(over="ignore") if x > self._slopes_overflow_x
-                  else contextlib.nullcontext()):
+            with np.errstate(over="ignore"):
                 return float(f * slopes(*self._log_slopes(x)))
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             out = f * slopes(*self._log_slopes(x))
@@ -327,7 +312,6 @@ class InverseGammaDensity(TrueDensity):
     shape: float
     scale: float
     family = "inverse_gamma"
-    _slopes_overflow_x = _CUBE_MAX  # np.power(x, 3)
 
     def __post_init__(self):
         _store_params(self, gamma_constants=True)
@@ -363,7 +347,6 @@ class InverseWeibullDensity(TrueDensity):
     shape: float
     scale: float
     family = "inverse_weibull"
-    _slopes_overflow_x = _SQUARE_MAX  # x * x
 
     def __post_init__(self):
         _store_params(self)

@@ -152,12 +152,21 @@ class TestEstimate:
         assert json.loads((out / "trail_ge.json").read_text())["n"] == 3
 
     def test_json_format(self, narrow_sample_csv, tmp_path):
+        from gekde import Sample, default_grid, estimate_density, silverman_bandwidth
+
         out = tmp_path / "out"
         rc = main(["estimate", str(narrow_sample_csv), "--kernel", "ge",
                    "--format", "json", "--output", str(out)])
         assert rc == 0
         payload = json.loads((out / "obs_ge.json").read_text())
         assert len(payload["x"]) == len(payload["fhat"]) == 512
+        # numbers, as the bandwidth is, with the estimate's bits
+        assert all(type(v) is float for v in payload["x"] + payload["fhat"])
+        sample = Sample(np.loadtxt(narrow_sample_csv, skiprows=1))
+        est = estimate_density(sample, "ge", silverman_bandwidth(sample, "ge"),
+                               default_grid(sample))
+        assert payload["x"] == est.grid.tolist()
+        assert payload["fhat"] == est.values.tolist()
 
     def test_plug_in_bandwidth_methods(self, narrow_sample_csv, tmp_path):
         for method in ("optimal-ge2", "numeric-ge"):

@@ -51,7 +51,6 @@ from gekde.estimator import (
     _exp_rows,
     _domain_start,
     _gamma_functional,
-    _pairwise_node,
     _quad_window,
     _silverman_h,
     _z_nodes,
@@ -387,6 +386,10 @@ class TestExpUnderflow:
 #: whole rows, or windowed rows up to 3 rows of entries on their windows' union.
 _WINDOW_N = gekde.estimator._BLOCK_ELEMENTS // 2 + 1
 
+#: A windowed row's relative distance from the full row's mean is at most
+#: this times log2 n: both are pairwise sums of the same nonnegative terms.
+_WINDOW_ROUNDING = 2 * np.finfo(float).eps
+
 
 @functools.cache
 def _window_sample(config_id):
@@ -452,6 +455,25 @@ class TestDefaultGrid:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def _window_means(log_k, start, stop):
+    """Row g: the pairwise sum of exp over ``log_k[g, start[g]:stop[g]]``, over n.
+
+    This is the estimate's contract; a whole row's window is (0, n), which
+    gives the full row's mean.
+    """
+    with np.errstate(over="ignore"):
+        sums = [np.add.reduce(np.exp(row[j0:j1])) for row, j0, j1 in zip(log_k, start, stop)]
+    return np.array(sums) / log_k.shape[1]
+
+
+def _window_oracle(kernel, values, b, grid):
+    """``_window_means`` of a one-sample estimate, from its full log K and data windows."""
+    ev = _LogKernel(kernel, grid, b)
+    dat = ev.data(values)
+    start, stop, _ = _data_windows(ev, dat, values.size)
+    return _window_means(ev.rows(dat), start, stop)
+
+
 class TestDataWindow:
     """The data-window path, windowed rows and blocks of whole rows, against the full matrix."""
 
@@ -464,14 +486,21 @@ class TestDataWindow:
     def test_bit_identical_and_skips_only_underflow(self, case):
         _, kernel, sample, b, grid = case
         ev, dat, log_k = self._full(kernel, sample, b, grid)
-        with np.errstate(over="ignore"):
-            expect = np.exp(log_k).mean(axis=1)
-        got = estimate_density(sample, kernel, b, grid).values
-        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
         start, stop, _ = _data_windows(ev, dat, sample.n)
+        got = estimate_density(sample, kernel, b, grid).values
+        expect = _window_means(log_k, start, stop)
+        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
         for g in range(grid.size):
             assert np.all(log_k[g, :start[g]] <= _EXP_ZERO), g
             assert np.all(log_k[g, stop[g]:] <= _EXP_ZERO), g
+        # the window sum adds the full row's terms in another order: a few
+        # ulps of pairwise-sum rounding from the full row's mean
+        with np.errstate(over="ignore"):
+            full = np.exp(log_k).mean(axis=1)
+        finite = np.isfinite(full)
+        assert np.array_equal(got[~finite], full[~finite], equal_nan=True)
+        bound = _WINDOW_ROUNDING * np.log2(sample.n) * full[finite]
+        assert np.all(np.abs(got[finite] - full[finite]) <= bound)
 
     def test_window_shapes_covered(self):
         n = _WINDOW_N
@@ -518,11 +547,14 @@ class TestDataWindow:
         assert start[4:].tolist() == [161, 161] and stop[4:].tolist() == [n, n]
 
     def test_row_buffer_zeroed_between_windows(self, monkeypatch):
-        # the windowed row buffer is re-zeroed only where the last window
-        # written is not covered by the next; a stale entry there would enter
-        # the row sum.  Consecutive windows shrink, grow, shift right and
-        # left, jump to a disjoint range on either side, start at 0, end at
-        # n, repeat, follow a whole row, and come first in a sample
+        # each windowed row sums its own window of the block on the union of
+        # its block's windows, and nothing outside it: no entry of a
+        # neighbour's window, of the union or of an earlier block.  The
+        # entries outside the windows are far above the cut here, so one
+        # that entered a sum would show.  Consecutive windows shrink, grow,
+        # shift right and left, jump to a disjoint range on either side,
+        # start at 0, end at n, repeat, follow a whole row, and come first
+        # in a sample
         n = _WINDOW_N
         windows = [(100, 5000), (200, 4000), (50, 6000), (3000, 9000), (1000, 7000),
                    (10000, 12000), (500, 900), (0, 3000), (14000, n), (0, n), (8000, 8100),
@@ -530,8 +562,7 @@ class TestDataWindow:
         # the second sample starts with the whole row and takes the rest reversed
         per_sample = [windows, [windows[9]] + windows[:9][::-1] + windows[10:][::-1]]
         rng = np.random.default_rng(8)
-        log_k = rng.uniform(-1000.0, _EXP_ZERO, (2, len(windows), n))
-        log_k[:, :, ::7] = -np.inf
+        log_k = rng.uniform(-60.0, -31.0, (2, len(windows), n))
         for r, sample_windows in enumerate(per_sample):
             for g, (j0, j1) in enumerate(sample_windows):
                 log_k[r, g, j0:j1] = rng.uniform(-30.0, 0.0, j1 - j0)
@@ -563,8 +594,10 @@ class TestDataWindow:
         monkeypatch.setattr(gekde.estimator, "_data_windows", windows_of)
         grid = np.arange(1.0, len(windows) + 1.0)
         got = gekde.estimator._estimate_batch(np.ones((2, n)), Kernel.GE, np.ones(2), grid)
-        expect = np.exp(log_k).mean(axis=2)
-        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+        for r, sample_windows in enumerate(per_sample):
+            start, stop = zip(*sample_windows)
+            expect = _window_means(log_k[r], start, stop)
+            assert np.array_equal(got[r].view(np.uint64), expect.view(np.uint64)), r
 
     def test_whole_row_blocks_read_the_windows_probe(self, monkeypatch):
         # with n > 16384 a block of whole rows is exponentiated masked or
@@ -604,7 +637,10 @@ class TestDataWindow:
         monkeypatch.setattr(gekde.estimator, "_exp_rows", recording)
         grid = np.arange(1.0, 9.0)
         got = gekde.estimator._estimate_batch(np.ones((1, n)), Kernel.GE, np.ones(1), grid)
-        assert np.array_equal(got[0].view(np.uint64), np.exp(log_k).mean(axis=1).view(np.uint64))
+        start, stop, _ = _data_windows(Rows(), np.arange(n)[None, :], n)
+        assert (stop - start < n).tolist() == [False] * 6 + [True, False]
+        expect = _window_means(log_k, start, stop)
+        assert np.array_equal(got[0].view(np.uint64), expect.view(np.uint64))
         # blocks of 3 rows: 0-2, 3-5 (masked: rows 4 and 5), then row 7
         assert seen == [(False, False), (True, True), (False, False)]
 
@@ -639,9 +675,7 @@ class TestDataWindow:
         masks = self._recording_windows(monkeypatch)
         for m in (1, 2, height, height + 1):
             grid = fine[last + 1 - m:last + 3]
-            ev = _LogKernel(kernel, grid, b)
-            with np.errstate(over="ignore"):
-                expect = np.exp(ev.rows(ev.data(sample.values))).mean(axis=1)
+            expect = _window_oracle(kernel, sample.values, b, grid)
             got = estimate_density(sample, kernel, b, grid).values
             assert masks[-1].tolist() == [True] * m + [False] * 2  # the run was seen
             assert np.array_equal(got.view(np.uint64), expect.view(np.uint64)), m
@@ -663,8 +697,7 @@ class TestDataWindow:
         masks = self._recording_windows(monkeypatch)
         for m in (1, 2, height, height + 1):
             grid = fine[first - 1:first + m]
-            ev = _LogKernel(kernel, grid, b)
-            expect = np.exp(ev.rows(ev.data(sample.values))).mean(axis=1)
+            expect = _window_oracle(kernel, sample.values, b, grid)
             got = estimate_density(sample, kernel, b, grid).values
             assert masks[-1].tolist() == [False] + [True] * m
             assert np.array_equal(got.view(np.uint64), expect.view(np.uint64)), m
@@ -692,8 +725,7 @@ class TestDataWindow:
         b = b or silverman_bandwidth(sample, kernel).value
         grid = default_grid(sample, size)
         grid = (grid[grid > b] if kernel is Kernel.RIG else grid)[rows]
-        ev = _LogKernel(kernel, grid, b)
-        expect = np.exp(ev.rows(ev.data(sample.values))).mean(axis=1)
+        expect = _window_oracle(kernel, sample.values, b, grid)
         got = estimate_density(sample, kernel, b, grid).values
         assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
         runs = "".join(".W"[w] for w in masks[0].tolist()).split(".")
@@ -758,9 +790,7 @@ class TestDataWindow:
         b = silverman_bandwidth(sample, kernel).value
         grid = default_grid(sample, 96)
         grid = grid[grid > b] if kernel is Kernel.RIG else grid
-        ev = _LogKernel(kernel, grid, b)
-        with np.errstate(over="ignore"):
-            expect = np.exp(ev.rows(ev.data(sample.values))).mean(axis=1)
+        expect = _window_oracle(kernel, sample.values, b, grid)
         monkeypatch.setattr(_LogKernel, "rows", recording_rows)
         monkeypatch.setattr(gekde.estimator, "_data_windows", recording_windows)
         got = estimate_density(sample, kernel, b, grid).values
@@ -800,65 +830,6 @@ class TestDataWindow:
         # a benchmark-sized Monte Carlo cell: n = 100 on a 256-point grid
         run_experiment(ExperimentConfig("F", n=100, replications=8, seed=3, grid_size=256))
         assert calls == []
-
-
-def _tree_nodes(a, n):
-    """Every node [a, a + n) of numpy's pairwise sum of n entries from a, root first."""
-    yield a, a + n
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        yield from _tree_nodes(a, half)
-        yield from _tree_nodes(a + half, n - half)
-
-
-class TestPairwiseNode:
-    """A row that is +0.0 outside its window sums over ``_pairwise_node`` to its own bits.
-
-    If a numpy upgrade changes the blocking of its pairwise sum, this is
-    where it shows.
-    """
-
-    @staticmethod
-    def _windows(n, rng):
-        # random windows, and windows on and next to the edges of every node
-        windows = []
-        for _ in range(12):
-            j0 = int(rng.integers(0, n))
-            windows.append((j0, int(rng.integers(j0 + 1, n + 1))))
-        for a0, a1 in _tree_nodes(0, n):
-            windows += [(a0, a1), (a0, min(a1 + 1, n)), (max(a0 - 1, 0), a1),
-                        (a0, a0 + 1), (a1 - 1, a1), (max(a0 - 3, 0), min(a0 + 3, n))]
-        return windows
-
-    @staticmethod
-    def _check(n, rng):
-        nodes = set(_tree_nodes(0, n))
-        row = np.zeros((1, n))
-        full, node = np.empty(1), np.empty(1)
-        for i, (j0, j1) in enumerate(TestPairwiseNode._windows(n, rng)):
-            a0, a1 = _pairwise_node(n, j0, j1)
-            # a node of the tree that holds the window, and no child of it does
-            assert (a0, a1) in nodes and a0 <= j0 and j1 <= a1, (n, j0, j1)
-            half = (a1 - a0) // 2 - (a1 - a0) // 2 % 8
-            assert a1 - a0 <= 128 or j0 < a0 + half < j1, (n, j0, j1)
-            row[:] = 0.0
-            row[0, j0:j1] = rng.uniform(0.5, 1.0, j1 - j0) * np.exp2(rng.integers(-30, 30, j1 - j0))
-            if i % 7 == 5:
-                row[0, rng.integers(j0, j1)] = np.inf
-            elif i % 7 == 6:
-                row[0, rng.integers(j0, j1)] = np.nan
-            np.add.reduce(row, axis=1, out=full)
-            np.add.reduce(row[:, a0:a1], axis=1, out=node)
-            assert full.view(np.uint64)[0] == node.view(np.uint64)[0], (n, j0, j1)
-
-    def test_every_small_row(self):
-        rng = np.random.default_rng(33)
-        for n in range(2, 301):
-            self._check(n, rng)
-
-    @pytest.mark.parametrize("n", [16385, 20000, 20001, 32769])
-    def test_large_rows(self, n):
-        self._check(n, np.random.default_rng(n))
 
 
 @pytest.mark.parametrize("height, n", [(3, 20000), (1, _WINDOW_N), (256, 100), (5, 7), (1, 2)])

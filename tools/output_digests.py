@@ -17,13 +17,13 @@ row) and ``estimate_n2000`` (config E at n = 2000, blocks of 16 rows, some
 with the masked exp and some with the plain one).  The windowed rows'
 branches are reached by ``estimate_large`` and by ``estimate_n32769``,
 whose blocks hold at most 32769 entries: blocks of several windowed rows,
-runs of windowed rows that the budget splits, and rows summed over a
-pairwise-sum node narrower than the row.  Counted by recording each block
-of the row loop: ``estimate_large`` ``ge`` puts 6747 windowed rows in 694
-blocks, all of several rows, 678 of them split from the next by the budget,
-and sums 4711 rows over a narrower node; ``estimate_n32769`` ``ge`` puts 425
-in 106 blocks, 21 of several rows, and sums 340 over a narrower node.
-``exact_moments`` holds
+and runs of windowed rows that the budget splits.  Counted by recording
+each block of the row loop: ``estimate_large`` puts 6747 windowed rows in
+694 blocks for ``ge``, all of several rows, 678 of them split from the next
+by the budget, 6660 in 695 for ``ge2``, 2522 in 663 for ``rig`` and 33 in
+14 for ``ig``; ``estimate_n32769`` puts 425 in 106 blocks for ``ge``, 21 of
+several rows, 422 in 106 for ``ge2`` and 34 one-row blocks for ``rig``.  No
+gamma-kernel row has a window.  ``exact_moments`` holds
 the moments that the ``diagnose_exact`` catalogue does not reach, under
 Gamma(3, 1) and config D: ``ge2`` at x < b (the rule in the kernel's
 probability, through ``kernels._ge_quantiles``) and the one-location
