@@ -344,8 +344,7 @@ def _data_windows(ev: _LogKernel, dat: np.ndarray, n: int):
     the last coarse point keeps the data after it.  The 0.87 between
     the cut and -745.13, where ``np.exp`` stops rounding to +0.0, absorbs the
     rounding wobble of a flank.  A row with a NaN or a non-finite coarse
-    maximum is whole too.  Returns start, stop and ``whole``, the rows above
-    the cut at both probe columns.
+    maximum is whole too.  Returns start and stop.
     """
     k = n // _PROBE_DIVISOR
     whole = (ev.rows(dat[..., [k, n - 1 - k]]) > _EXP_ZERO).all(axis=1)
@@ -353,7 +352,7 @@ def _data_windows(ev: _LogKernel, dat: np.ndarray, n: int):
     stop = np.full(whole.size, n, dtype=np.intp)
     need = np.flatnonzero(~whole)
     if not need.size:
-        return start, stop, whole
+        return start, stop
     cols = np.arange(0, n, _WINDOW_STRIDE)
     coarse_dat = dat[..., cols]
     last = cols.size - 1
@@ -370,7 +369,7 @@ def _data_windows(ev: _LogKernel, dat: np.ndarray, n: int):
         windowed = np.isfinite(peak) & ~whole[lo:lo + chunk]
         start[lo:lo + chunk] = np.where(windowed, j0, 0)
         stop[lo:lo + chunk] = np.where(windowed, j1, n)
-    return start, stop, whole
+    return start, stop
 
 
 def _block_buffers(height: int, n: int) -> np.ndarray:
@@ -410,9 +409,9 @@ def _estimate_batch(values: np.ndarray, kernel: Kernel, b: np.ndarray,
     rows at n = 20000), at least one.  Each block is one combine, written
     into a buffer allocated once per call with the ``ig``/``rig`` scratch
     beside it (``out`` of :meth:`_LogKernel.rows`, ``_block_buffers``), one
-    ``_exp_rows``, masked if some row is at or below ``_EXP_ZERO`` at the
-    probe columns (see ``_PROBE_DIVISOR``; a large sample reads the probe
-    that ``_data_windows`` made), and one row sum.
+    ``_exp_rows``, masked if some row of the block is at or below
+    ``_EXP_ZERO`` at the probe columns (see ``_PROBE_DIVISOR``), and one row
+    sum.
 
     A run of windowed rows also goes in blocks: a row joins the block while
     rows times the width of the union of their windows fits one layer of the
@@ -441,18 +440,16 @@ def _estimate_batch(values: np.ndarray, kernel: Kernel, b: np.ndarray,
         sub, dest = ev.take(r), out[r]
         dat = data[r]
         if large:
-            start, stop, whole = _data_windows(sub, dat, n)
+            start, stop = _data_windows(sub, dat, n)
             windowed = np.flatnonzero(stop - start < n).tolist()
-            start, stop, whole = start.tolist(), stop.tolist(), whole.tolist()
+            start, stop = start.tolist(), stop.tolist()
         lo, i = 0, 0
         while lo < size:
             w = windowed[i] if i < len(windowed) else size
             for a in range(lo, w, height):  # the whole rows before w
                 hi = min(a + height, w)
                 block = sub.rows(dat, a, hi, out=buf[:, :hi - a])
-                # a large sample's probe was made by _data_windows
-                plain = all(whole[a:hi]) if large else block[:, probe].min() > _EXP_ZERO
-                _exp_rows(block, masked=not plain)
+                _exp_rows(block, masked=block[:, probe].min() <= _EXP_ZERO)
                 np.add.reduce(block, axis=1, out=dest[a:hi])
             if w == size:
                 break

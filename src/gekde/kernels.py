@@ -213,17 +213,14 @@ def _ge2_shape_at(r: float) -> tuple:
     """``_ge2_shape`` at one float r: the same branches on floats, bit for bit.
 
     Each ``np.where`` and mask is an ``if``, each ufunc the one the array
-    path applies (on a scalar it runs the same loop), the series is
-    ``np.polyval``'s Horner sum, and the Newton branch is the float solve
+    path applies (on a scalar it runs the same loop), the series is the
+    same ``np.polyval`` call, and the Newton branch is the float solve
     ``specfun._inverse_digamma_float``.  The branches keep ``np.exp`` from
     overflowing and ``np.log`` off 0, so no ``np.errstate`` is needed.
     """
     y = r - EULER_GAMMA
     if r < _SERIES_R:
-        poly = 0.0
-        for c in _SERIES_NU:
-            poly = poly * r + c
-        nu = r * poly
+        nu = r * float(np.polyval(_SERIES_NU, r))
         return nu, float(np.log(nu)) if nu > 0.0 else -math.inf
     if y < _ASYMPTOTIC_Y:
         nu = _inverse_digamma_float(y) - 1.0

@@ -71,16 +71,6 @@ __all__ = [
     "mise_summary_json",
 ]
 
-def _scalar_or_asarray(x):
-    """A float as a numpy scalar, anything else as a float array.
-
-    numpy scalar arithmetic has the bits and the warnings of 0-d array
-    arithmetic, without building the array; a Python float would raise on
-    division by zero and on ``**`` overflow instead.
-    """
-    return np.float64(x) if isinstance(x, float) else _real_array(x, _X)
-
-
 def _store_params(density, gamma_constants: bool = False):
     """Store (shape, scale) as positive finite floats, converted as ``float`` does.
 
@@ -169,19 +159,16 @@ class TrueDensity:
     def _times_pdf(self, x, slopes):
         """f * slopes(s1, s2), and 0.0 where the pdf is 0 and the product nan.
 
-        Where the pdf has underflowed to 0 (x near 0 or far out) the log
-        slopes may overflow or divide by a zero ``x * x``, and 0 * inf is
-        nan; the derivative is 0 there.  Wherever the product is a number it
-        is kept, so a positive pdf gives the bits of the plain product (a
-        scalar with a positive pdf takes it directly).  Far out a power of x
-        in ``_log_slopes`` may overflow to inf; both paths let it, quietly,
-        under ``np.errstate(over="ignore")``, which changes no value.
+        A float for a scalar, else an array, by one array path.  Where the
+        pdf has underflowed to 0 (x near 0 or far out) the log slopes may
+        overflow or divide by a zero ``x * x``, and 0 * inf is nan; the
+        derivative is 0 there.  Wherever the product is a number it is kept,
+        so a positive pdf gives the bits of the plain product.  Far out a
+        power of x in ``_log_slopes`` may overflow to inf, quietly, under
+        ``np.errstate``, which changes no value.
         """
         f = self.pdf(x)
-        x = _scalar_or_asarray(x)
-        if isinstance(f, float) and f > 0.0:
-            with np.errstate(over="ignore"):
-                return float(f * slopes(*self._log_slopes(x)))
+        x = _real_array(x, _X)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             out = f * slopes(*self._log_slopes(x))
         return _scalar_or_array(np.where((f == 0.0) & np.isnan(out), 0.0, out))
@@ -415,7 +402,7 @@ class MixtureDensity(TrueDensity):
         object.__setattr__(self, "_label_cdf", cdf)
 
     def _combine(self, method, x):
-        if type(x) is not float:  # a float stays one, for the components' float paths
+        if type(x) is not float:  # a float stays one, for the components' float pdf path
             x = _real_array(x, _X)
         out = sum(w * getattr(c, method)(x) for w, c in zip(self.weights, self.components))
         return _scalar_or_array(out)

@@ -470,7 +470,7 @@ def _window_oracle(kernel, values, b, grid):
     """``_window_means`` of a one-sample estimate, from its full log K and data windows."""
     ev = _LogKernel(kernel, grid, b)
     dat = ev.data(values)
-    start, stop, _ = _data_windows(ev, dat, values.size)
+    start, stop = _data_windows(ev, dat, values.size)
     return _window_means(ev.rows(dat), start, stop)
 
 
@@ -486,7 +486,7 @@ class TestDataWindow:
     def test_bit_identical_and_skips_only_underflow(self, case):
         _, kernel, sample, b, grid = case
         ev, dat, log_k = self._full(kernel, sample, b, grid)
-        start, stop, _ = _data_windows(ev, dat, sample.n)
+        start, stop = _data_windows(ev, dat, sample.n)
         got = estimate_density(sample, kernel, b, grid).values
         expect = _window_means(log_k, start, stop)
         assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
@@ -508,7 +508,7 @@ class TestDataWindow:
         underflow_rows = 0
         for _, kernel, sample, b, grid in _window_cases():
             ev, dat, log_k = self._full(kernel, sample, b, grid)
-            start, stop, _ = _data_windows(ev, dat, n)
+            start, stop = _data_windows(ev, dat, n)
             seen |= {(bool(j0 == 0), bool(j1 == n)) for j0, j1 in zip(start, stop)}
             flat = np.max(log_k, axis=1) <= _EXP_ZERO
             underflow_rows += int(flat.sum())
@@ -540,7 +540,7 @@ class TestDataWindow:
         # from datum 162, and nowhere
         log_k[4] = -20.0 * (n - 1.0 - np.arange(n))
         log_k[5] = log_k[4] - 800.0
-        start, stop, _ = _data_windows(Rows(log_k), np.arange(n)[None, :], n)
+        start, stop = _data_windows(Rows(log_k), np.arange(n)[None, :], n)
         # the coarse data are 0, 32, ..., 192
         assert (start[0], stop[0]) == (33, 160)
         assert start[1:4].tolist() == [0, 0, 0] and stop[1:4].tolist() == [n, n, n]
@@ -587,8 +587,7 @@ class TestDataWindow:
 
         def windows_of(ev, dat, size):
             assert size == n
-            start, stop = (np.array(w, dtype=np.intp) for w in zip(*ev.windows))
-            return start, stop, stop - start == n
+            return tuple(np.array(w, dtype=np.intp) for w in zip(*ev.windows))
 
         monkeypatch.setattr(gekde.estimator, "_LogKernel", lambda kernel, grid, b: Stack())
         monkeypatch.setattr(gekde.estimator, "_data_windows", windows_of)
@@ -599,10 +598,10 @@ class TestDataWindow:
             expect = _window_means(log_k[r], start, stop)
             assert np.array_equal(got[r].view(np.uint64), expect.view(np.uint64)), r
 
-    def test_whole_row_blocks_read_the_windows_probe(self, monkeypatch):
-        # with n > 16384 a block of whole rows is exponentiated masked or
-        # plain by the probe that _data_windows made, which is the verdict of
-        # the block's own probe columns.  Rows: above the cut (0, 2, 3, 7),
+    def test_whole_row_blocks_read_their_own_probe(self, monkeypatch):
+        # with n > 16384, as with fewer data, a block of whole rows is
+        # exponentiated masked or plain by its own probe columns, whatever
+        # the rows' data windows are.  Rows: above the cut (0, 2, 3, 7),
         # above it only near the probes (1), an inf at a coarse datum and
         # the rest below the cut (4), all -inf (5), and a data window (6)
         n = _WINDOW_N
@@ -637,7 +636,7 @@ class TestDataWindow:
         monkeypatch.setattr(gekde.estimator, "_exp_rows", recording)
         grid = np.arange(1.0, 9.0)
         got = gekde.estimator._estimate_batch(np.ones((1, n)), Kernel.GE, np.ones(1), grid)
-        start, stop, _ = _data_windows(Rows(), np.arange(n)[None, :], n)
+        start, stop = _data_windows(Rows(), np.arange(n)[None, :], n)
         assert (stop - start < n).tolist() == [False] * 6 + [True, False]
         expect = _window_means(log_k, start, stop)
         assert np.array_equal(got[0].view(np.uint64), expect.view(np.uint64))
@@ -650,9 +649,9 @@ class TestDataWindow:
         masks = []
 
         def recording(ev, dat, n):
-            start, stop, whole = _data_windows(ev, dat, n)
+            start, stop = _data_windows(ev, dat, n)
             masks.append(stop - start == n)
-            return start, stop, whole
+            return start, stop
 
         monkeypatch.setattr(gekde.estimator, "_data_windows", recording)
         return masks
@@ -669,7 +668,7 @@ class TestDataWindow:
         b = silverman_bandwidth(sample, kernel).value
         fine = default_grid(sample, 256)
         ev = _LogKernel(kernel, fine, b)
-        start, stop, _ = _data_windows(ev, ev.data(sample.values), n)
+        start, stop = _data_windows(ev, ev.data(sample.values), n)
         last = np.flatnonzero(stop - start == n)[-1]  # the last whole row, before windowed ones
         assert last >= height and not (stop - start == n)[last + 1:last + 3].any()
         masks = self._recording_windows(monkeypatch)
@@ -690,7 +689,7 @@ class TestDataWindow:
         sample, b = _window_sample("D"), 0.02
         fine = default_grid(sample, 256)
         ev = _LogKernel(kernel, fine, b)
-        start, stop, _ = _data_windows(ev, ev.data(sample.values), n)
+        start, stop = _data_windows(ev, ev.data(sample.values), n)
         whole = stop - start == n
         first = np.flatnonzero(whole)[0]
         assert first > 0 and whole[first:first + height + 1].all()
@@ -795,7 +794,7 @@ class TestDataWindow:
         monkeypatch.setattr(gekde.estimator, "_data_windows", recording_windows)
         got = estimate_density(sample, kernel, b, grid).values
         assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
-        (start, stop, _), = windows
+        (start, stop), = windows
         windowed = stop - start < n
         budget = (2 * gekde.estimator._BLOCK_ELEMENTS // n) * n
         blocks = [(lo, hi, width) for lo, hi, width in calls if windowed[lo]]
