@@ -48,16 +48,18 @@ product for the GE and gamma kernels, a broadcast for ``ig`` and ``rig``.
 The bandwidth may also be a column of R bandwidths, one per sample of a
 stack of R samples (the replications of a Monte Carlo cell): the location
 terms are then (R, locations) and the data terms (R, rows, data), and the
-combine takes one sample of the stack at a time, each entry through
-the same operations as with a scalar bandwidth.  The estimator runs the
-combine over blocks of grid rows; ``log_kernel`` and
-``exact_estimator_moments`` are the single-location case, whose location
-terms are built on Python floats through the same branches and ufuncs, with
-the bits of a one-location array build and without its fixed array cost,
-and a single datum is a one-entry row through the same combine.  The GE
-kernels also invert their cdf in closed form (``_ge_quantiles``), with no
-special function; ``exact_estimator_moments`` integrates a ``ge2`` kernel
-of shape below 1 in its probability through it.
+combine takes one sample of the stack at a time, or the whole grids of
+consecutive samples at once (one stacked matrix product for the GE and
+gamma kernels), each entry through the same operations as with a scalar
+bandwidth.  The estimator runs the combine over blocks of grid rows, or
+of samples; ``log_kernel`` and ``exact_estimator_moments`` are the
+single-location case, whose location terms are built on Python floats
+through the same branches and ufuncs, with the bits of a one-location array
+build and without its fixed array cost, and a single datum is a one-entry
+row through the same combine.  The GE kernels also invert their cdf in
+closed form (``_ge_quantiles``), with no special function;
+``exact_estimator_moments`` integrates a ``ge2`` kernel of shape below 1
+in its probability through it.
 
 References
 ----------
@@ -257,11 +259,13 @@ class _LogKernel:
     The GE and gamma families share one combine, ``(c0 + (shape - 1) L) -
     z/b``, computed as the product of the location matrix ``mat``, rows
     ``[shape - 1, c0, 1]``, and the data matrix, rows ``[L, 1, -z/b]``:
-    one ``dgemm`` per block, with the bits of the formula.
-    numpy's ``matmul`` would not do: it sends a one-row product to gemv,
-    which sums in another order.  Only GE shapes reach the shape-1 and
-    regrouped rows (``special``), whose rows of the product are written
-    over.
+    one ``dgemm`` per block, with the bits of the formula.  numpy's
+    ``matmul`` would not do for one block: it sends a one-row product to
+    gemv, which sums in another order.  It does for a stack of samples'
+    whole grids of at least 2 points each (:meth:`grids`): numpy sends each
+    slice to gemm, with the bits of ``dgemm``.  Only GE shapes reach the
+    shape-1 and regrouped rows (``special``), whose rows of the product are
+    written over.
 
     ``b`` is a float, or an (R, 1) column of bandwidths for a stack of R
     samples: the location terms are then (R, G) and :meth:`data` takes an
@@ -457,6 +461,25 @@ class _LogKernel:
         if self.kernel in _EXP_FAMILIES:
             sub.mat = self.mat[r]
         return sub
+
+    def grids(self, data: np.ndarray, r0: int, r1: int, out: np.ndarray) -> np.ndarray:
+        """log K for the whole grids of samples ``r0:r1`` of a stack: a (samples, G, n) array.
+
+        ``data`` is the stack's :meth:`data`, and ``out`` a (2, r1 - r0, G, n)
+        array whose layers are C-ordered; the block is written into ``out[0]``
+        and returned.  Each grid must have at least 2 points.  For the GE and
+        gamma kernels with no special row the block is one ``np.matmul`` of
+        the (samples, G, 3) location stack against the (samples, 3, n) data
+        stack.  Each slice has at least 2 rows and 2 data, so numpy sends it
+        to gemm, or to its own loop, k in order, and every entry has the bits
+        of :meth:`rows`' ``dgemm``.  Otherwise each sample's :meth:`rows` is
+        written into its slot of the block, with ``out[1]`` as its scratch.
+        """
+        if self.kernel in _EXP_FAMILIES and not self.special:
+            return np.matmul(self.mat[r0:r1], data[r0:r1, :3], out=out[0])
+        for j, r in enumerate(range(r0, r1)):
+            self.take(r).rows(data[r], out=out[:, j])
+        return out[0]
 
     def rows(self, dat: np.ndarray, lo: int = 0, hi: int | None = None,
              out: np.ndarray | None = None) -> np.ndarray:

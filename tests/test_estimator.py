@@ -831,7 +831,8 @@ class TestDataWindow:
         assert calls == []
 
 
-@pytest.mark.parametrize("height, n", [(3, 20000), (1, _WINDOW_N), (256, 100), (5, 7), (1, 2)])
+@pytest.mark.parametrize("height, n", [(3, 20000), (1, _WINDOW_N), (256, 100), (512, 100),
+                                       (5, 7), (1, 2)])
 def test_block_buffers_start_on_cache_lines(height, n):
     # both layers of the reused block buffer are C-ordered and start on a
     # 64-byte line, also where height * n is not a multiple of 8
@@ -864,6 +865,66 @@ class TestGridSplitToOnePoint:
                      for piece in np.split(grid, cuts)]
             got = np.concatenate(parts)
             assert np.array_equal(got.view(np.uint64), whole.view(np.uint64))
+
+
+class TestGroupedBlocks:
+    """Whole grids of several samples of a stack share a block, with one-sample bits.
+
+    At n = 100 a 256-point grid is 25600 entries, and two of them fit one
+    layer of 2 * ``_BLOCK_ELEMENTS``: a stack of 5 samples goes in blocks of
+    2, 2 and 1 samples.  Each estimate is compared with its one-sample
+    ``estimate_density``, which has a stack of one and keeps the row blocks.
+    """
+
+    @staticmethod
+    def _batch_and_singles(kernel, b, grid, reps, n=100):
+        samples = [CONFIGURATIONS["B"].sample(n, seed) for seed in range(reps)]
+        b = np.array([silverman_bandwidth(s, kernel).value for s in samples]) if b is None else b
+        singles = [estimate_density(s, kernel, bw, grid).values for s, bw in zip(samples, b)]
+        return np.stack([s.values for s in samples]), b, singles
+
+    @staticmethod
+    def _assert_one_sample_bits(got, singles):
+        for r, one in enumerate(singles):
+            assert _hexes(got[r]) == _hexes(one), r
+
+    @pytest.mark.parametrize("kernel", list(Kernel), ids=lambda k: k.value)
+    def test_blocks_of_two_samples(self, kernel, monkeypatch):
+        grid = np.linspace(1.0, 12.0, 256)  # above every rig b of these samples
+        values, b, singles = self._batch_and_singles(kernel, None, grid, 5)
+        assert grid[0] > b.max()
+        shapes = []
+
+        def recording(block, masked):
+            shapes.append(block.shape)
+            _exp_rows(block, masked)
+
+        monkeypatch.setattr(gekde.estimator, "_exp_rows", recording)
+        got = gekde.estimator._estimate_batch(values, kernel, b, grid)
+        assert shapes == [(2, 256, 100), (2, 256, 100), (1, 256, 100)]
+        self._assert_one_sample_bits(got, singles)
+
+    @pytest.mark.parametrize("kernel", list(Kernel), ids=lambda k: k.value)
+    def test_one_point_grids_stay_row_blocks(self, kernel):
+        # a stacked product of one-row slices would go to gemv, which sums
+        # in another order than gemm
+        for x in np.linspace(2.0, 12.0, 9):
+            grid = np.array([x])
+            values, b, singles = self._batch_and_singles(kernel, None, grid, 3)
+            self._assert_one_sample_bits(
+                gekde.estimator._estimate_batch(values, kernel, b, grid), singles)
+
+    @pytest.mark.parametrize("b", [None, np.array([0.01, 0.015, 0.02])],
+                             ids=["shape_one", "regrouped"])
+    def test_ge_special_rows(self, b):
+        # the grid starts at x = 0, where the ge shape is 1; at the small b
+        # the last rows also have x/b beyond 700 and are regrouped
+        grid = np.linspace(0.0, 12.0, 256)
+        values, b, singles = self._batch_and_singles(Kernel.GE, b, grid, 3)
+        ev = _LogKernel(Kernel.GE, grid, b[:, None])
+        assert ev.special and ev.regroup == (b.max() < 0.1)
+        self._assert_one_sample_bits(
+            gekde.estimator._estimate_batch(values, Kernel.GE, b, grid), singles)
 
 
 class TestOptimalGe2Bandwidth:

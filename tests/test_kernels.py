@@ -1053,6 +1053,37 @@ class TestOutputBuffer:
                 assert _same_bits(buf[0, :height], want), (height, lo)
 
 
+class TestGrids:
+    """``grids`` of samples of a stack has, sample by sample, the bits of ``rows``."""
+
+    @pytest.mark.parametrize("kernel", list(Kernel), ids=lambda k: k.value)
+    @pytest.mark.parametrize("size, n", [(2, 2), (3, 7), (5, 100), (64, 300)])
+    def test_matches_rows(self, kernel, size, n):
+        # grids of at least 2 points: numpy sends each slice of the stacked
+        # product to gemm; the block's old contents never reach it
+        rng = np.random.default_rng(size * n)
+        values = np.sort(rng.gamma(3.0, 1.0, (4, n)), axis=1)
+        b = np.array([0.2, 0.3, 0.5, 0.9])
+        ev = _LogKernel(kernel, np.linspace(1.0, 9.0, size), b[:, None])
+        data = ev.data(values)
+        got = ev.grids(data, 1, 4, out=np.resize([np.nan, np.inf, -np.inf, -0.0],
+                                                  (2, 3, size, n)))
+        assert got.shape == (3, size, n)
+        for j in range(3):
+            assert _same_bits(got[j], ev.take(j + 1).rows(data[j + 1])), j
+
+    def test_special_ge_rows(self):
+        # shape 1 at x = 0 and x/b beyond 700: each sample's rows are written over
+        z = np.geomspace(0.01, 300.0, 50)
+        values = np.stack([z, 2.0 * z])
+        ev = _LogKernel(Kernel.GE, np.array([0.0, 1.0, 90.0]), np.array([[0.1], [0.2]]))
+        assert ev.special and ev.regroup
+        data = _quietly(lambda: ev.data(values))
+        got = _quietly(lambda: ev.grids(data, 0, 2, out=np.empty((2, 2, 3, 50))))
+        for r in range(2):
+            assert _same_bits(got[r], _quietly(lambda: ev.take(r).rows(data[r]))), r
+
+
 class TestGe2ShapeUnderflow:
     """x > 0 whose x/b underflows to 0 (a ge2 shape of 0): a rescale error naming x and b."""
 

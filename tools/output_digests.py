@@ -10,10 +10,13 @@ Run from the repository root::
 It evaluates every catalogue input of the benchmark (``bench/workloads.py``,
 imported read-only): the 96 ``estimate_large`` estimates, the per-replication
 ISEs of the 128 ``mc_cells`` cells, and the ``diagnose_exact`` moments (mean
-and variance).  Two more estimates per kernel, at Silverman's bandwidth on
-512 grid points, reach block-loop branches that no workload does:
-``estimate_n32769`` (config D at n = 32769, whose whole-row blocks are one
-row) and ``estimate_n2000`` (config E at n = 2000, blocks of 16 rows, some
+and variance).  ``mc_odd`` holds the per-replication ISEs of configs B and F
+at n = 100 with 5 replications, every default kernel: their whole grids go
+in blocks of 2, 2 and 1 samples, where the 8 replications of an
+``mc_cells`` cell leave no odd block.  Two more estimates per kernel, at
+Silverman's bandwidth on 512 grid points, reach block-loop branches that no
+workload does: ``estimate_n32769`` (config D at n = 32769, whose whole-row
+blocks are one row) and ``estimate_n2000`` (config E at n = 2000, blocks of 16 rows, some
 with the masked exp and some with the plain one).  The windowed rows'
 branches are reached by ``estimate_large`` and by ``estimate_n32769``,
 whose blocks hold at most 32769 entries: blocks of several windowed rows,
@@ -38,7 +41,7 @@ and the 0.05%, 50% and 99.95% quantiles of configs A-F, on which the
 theorem-2 bandwidths and the ISE grids rest.  Each line gives one workload
 and kernel, the number of values and the SHA-256 of their float64 bytes in
 catalogue order, so two checkouts whose outputs keep every bit print the
-same lines: 34 lines after the first, which names the machine: nproc and
+same lines: 35 lines after the first, which names the machine: nproc and
 the Python, numpy and scipy versions.
 
 With ``--against``, a kernel whose digest differs from the dump's also gets
@@ -81,6 +84,10 @@ def _collect(workloads) -> dict:
         for report in op.run():
             out["mc_cells", report.kernel.value].append(
                 np.asarray(report.per_replication_ise, dtype=float))
+    for config in ("B", "F"):
+        cell = gekde.ExperimentConfig(config, n=100, replications=5, seed=1, grid_size=256)
+        for report in gekde.run_experiment(cell):
+            out["mc_odd", "B,F"].append(np.asarray(report.per_replication_ise, dtype=float))
     for op in workloads.DiagnoseExact.catalogue(refs):
         inp, m = op.run()
         out["diagnose_exact", inp.kernel.value].append(np.array([m.mean, m.variance]))
