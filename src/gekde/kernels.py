@@ -30,12 +30,16 @@ or ``s = x - b``, are formed without that sum, which cancels near z = s:
 ``rig`` takes ``((z - s)/z) ((z - s)/(2b))`` and ``ig`` takes ``e * e/(2 b z)``
 with ``e = (z - x)/x``.  Each reciprocal is a per-datum (``1/z``,
 ``1/(2 b z)``) or per-location (``1/x``, ``1/(2b)``) term, so an entry
-costs a subtraction and multiplications.  Every factor is a ratio that
-overflows only where the exponent nearly does, and the exponent is exactly
-0 at z = s.  A location that fails a guard (a reciprocal term that would
-overflow, say) raises :class:`DomainError` from the one-location build,
-where every guard is written; of several, the first in row-major order is
-reported, with its first failing guard.
+costs a subtraction and multiplications.  For a block of several samples'
+grids the subtraction is one matrix product of rank 2, the location rows
+``[1, -x]`` (``ig``) or ``[1, -s]`` (``rig``) against the data columns
+``[z, 1]``: both products are exact and their one addition is
+``z + (-s)``, so the difference has the bits of ``z - s``.  Every factor
+is a ratio that overflows only where the exponent nearly does, and the
+exponent is exactly 0 at z = s.  A location that fails a guard (a
+reciprocal term that would overflow, say) raises :class:`DomainError` from
+the one-location build, where every guard is written; of several, the
+first in row-major order is reported, with its first failing guard.
 
 One evaluator serves every caller.  It takes a column of locations x and a
 row of data z and works in three steps: the terms that depend on x alone
@@ -44,15 +48,17 @@ inverse-digamma solve) are computed once per location, the terms that
 depend on z alone (``log z``, ``z/b``, ``log(1 - exp(-z/b))``) once per
 datum, as the rows of one array with the data along its last axis, and the
 combine forms the (locations, data) block of log kernel values: a matrix
-product for the GE and gamma kernels, a broadcast for ``ig`` and ``rig``.
+product for the GE and gamma kernels, a broadcast for ``ig`` and ``rig``
+(whose difference ``z - s`` is a rank-2 product in a block of samples).
 The bandwidth may also be a column of R bandwidths, one per sample of a
 stack of R samples (the replications of a Monte Carlo cell): the location
 terms are then (R, locations) and the data terms (R, rows, data), and the
 combine takes one sample of the stack at a time, or the whole grids of
 consecutive samples at once (one stacked matrix product for the GE and
-gamma kernels), each entry through the same operations as with a scalar
-bandwidth.  The estimator runs the combine over blocks of grid rows, or
-of samples; ``log_kernel`` and ``exact_estimator_moments`` are the
+gamma kernels, and for the ``ig`` and ``rig`` difference), each entry
+through the same operations as with a scalar bandwidth.  The estimator
+runs the combine over blocks of grid rows, or of samples; ``log_kernel``
+and ``exact_estimator_moments`` are the
 single-location case, whose location terms are built on Python floats
 through the same branches and ufuncs, with the bits of a one-location array
 build and without its fixed array cost, and a single datum is a one-entry
@@ -265,7 +271,11 @@ class _LogKernel:
     whole grids of at least 2 points each (:meth:`grids`): numpy sends each
     slice to gemm, with the bits of ``dgemm``.  Only GE shapes reach the
     shape-1 and regrouped rows (``special``), whose rows of the product are
-    written over.
+    written over.  For ``ig`` and ``rig`` ``mat`` has the rows ``[1, -x]``
+    and ``[1, -s]``, which :meth:`grids` multiplies by the data rows
+    ``[z; 1]``: the stacked product gives each entry's ``z - s``, bit for
+    bit, and the factors then run on the whole stack in the order of
+    :meth:`rows`.
 
     ``b`` is a float, or an (R, 1) column of bandwidths for a stack of R
     samples: the location terms are then (R, G) and :meth:`data` takes an
@@ -345,6 +355,9 @@ class _LogKernel:
         if kernel in _EXP_FAMILIES:
             c0, shape_m1 = self.loc[:2]
             self.mat = np.concatenate((shape_m1, c0, np.ones_like(c0)), axis=-1)
+        else:
+            shift = self.loc[0]  # x (ig) or s (rig): the rows [1, -shift]
+            self.mat = np.concatenate((np.ones_like(shift), -shift), axis=-1)
 
     def _terms_at(self, x: float, b: float) -> tuple:
         """The location terms of one x with a float b: the array build on floats.
@@ -408,13 +421,15 @@ class _LogKernel:
 
         The GE and gamma kernels have the rows ``[L, 1, -z/b]``, the data
         matrix of the product, and a fourth row ``log(-L)`` if some GE rows
-        are regrouped; ``ig`` and ``rig`` have the rows ``[z, base, w]``.
+        are regrouped; ``ig`` and ``rig`` have the rows ``[z, base, w, 1]``,
+        whose rows 0 and 3 are the data matrix of :meth:`grids`.
         The result is (rows, n), or (R, rows, n), each row written in place;
         a sample of a stack is ``data[r]``, a data window ``dat[..., j0:j1]``
         and a set of columns ``dat[..., cols]``.
         """
         kernel, b = self.kernel, self.b
-        terms = np.empty(z.shape[:-1] + (3 + self.regroup, z.shape[-1]))
+        height = 3 + self.regroup if kernel in _EXP_FAMILIES else 4
+        terms = np.empty(z.shape[:-1] + (height, z.shape[-1]))
         if kernel in _EXP_FAMILIES:
             L, u = terms[..., 0, :], terms[..., 2, :]
             with np.errstate(over="ignore"):  # z/b = inf is right: log K = -inf
@@ -433,6 +448,7 @@ class _LogKernel:
             np.negative(u, out=u)
             return terms
         terms[..., 0, :] = z
+        terms[..., 3, :] = 1.0
         base, w = terms[..., 1, :], terms[..., 2, :]
         c = -0.5 * _log_each(2.0 * math.pi * b)
         with np.errstate(over="ignore", divide="ignore"):  # an infinite reciprocal is log K = -inf
@@ -458,8 +474,7 @@ class _LogKernel:
         sub.kernel, sub.regroup, sub.special = self.kernel, self.regroup, self.special
         sub.b = self.b[r]
         sub.loc = tuple(t[r] for t in self.loc)
-        if self.kernel in _EXP_FAMILIES:
-            sub.mat = self.mat[r]
+        sub.mat = self.mat[r]
         return sub
 
     def grids(self, data: np.ndarray, r0: int, r1: int, out: np.ndarray) -> np.ndarray:
@@ -472,14 +487,36 @@ class _LogKernel:
         the (samples, G, 3) location stack against the (samples, 3, n) data
         stack.  Each slice has at least 2 rows and 2 data, so numpy sends it
         to gemm, or to its own loop, k in order, and every entry has the bits
-        of :meth:`rows`' ``dgemm``.  Otherwise each sample's :meth:`rows` is
-        written into its slot of the block, with ``out[1]`` as its scratch.
+        of :meth:`rows`' ``dgemm``.  GE stacks with special rows write each
+        sample's :meth:`rows` into its slot of the block, with ``out[1]`` as
+        its scratch.  For ``ig`` and ``rig`` the difference ``z - s`` is one
+        ``np.matmul`` of the (samples, G, 2) stack ``[1, -x]`` (``ig``) or
+        ``[1, -s]`` (``rig``) against the (samples, 2, n) stack ``[z; 1]``,
+        into ``out[1]``: its products are exact and its one addition is
+        ``z + (-s)``.  The factors then run on the whole block in the order
+        of :meth:`rows`: ``rig`` takes ``q = (d w) (d h)`` with
+        ``h = 1/(2b)``, ``ig`` ``q = (e w) e`` with ``e = d (1/x)``, and
+        log K is ``base - q``.
         """
-        if self.kernel in _EXP_FAMILIES and not self.special:
+        if self.special:
+            for j, r in enumerate(range(r0, r1)):
+                self.take(r).rows(data[r], out=out[:, j])
+            return out[0]
+        if self.kernel in _EXP_FAMILIES:
             return np.matmul(self.mat[r0:r1], data[r0:r1, :3], out=out[0])
-        for j, r in enumerate(range(r0, r1)):
-            self.take(r).rows(data[r], out=out[:, j])
-        return out[0]
+        # [1, -x] (ig) or [1, -s] (rig) against the data rows [z; 1]: 1 z + (-s) 1
+        d = np.matmul(self.mat[r0:r1], data[r0:r1, ::3], out=out[1])
+        base, w, scale = data[r0:r1, 1:2], data[r0:r1, 2:3], self.loc[1][r0:r1]
+        with np.errstate(over="ignore"):  # an overflowing product is log K = -inf
+            if self.kernel is Kernel.IG:
+                d *= scale  # e = (z - x)/x
+                q = np.multiply(d, w, out=out[0])
+                q *= d
+            else:
+                q = np.multiply(d, w, out=out[0])
+                d *= scale  # (z - s)/(2b)
+                q *= d
+        return np.subtract(base, q, out=q)
 
     def rows(self, dat: np.ndarray, lo: int = 0, hi: int | None = None,
              out: np.ndarray | None = None) -> np.ndarray:

@@ -42,8 +42,8 @@ from scipy.optimize import brentq
 from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv
 from scipy.integrate import quad
 
-from .errors import (ConvergenceError, CoverageError, DomainError, GekdeError, _count,
-                     _finite_array, _positive, _real, _real_array, _scalar_or_array)
+from .errors import (ConvergenceError, CoverageError, DomainError, GekdeError, IntegrationError,
+                     _count, _finite_array, _positive, _real, _real_array, _scalar_or_array)
 from .estimator import (
     DensityEstimate,
     Sample,
@@ -221,7 +221,10 @@ class TrueDensity:
         two of its median, and the result is scaled back by 2**(-5 e).
         Scaling by a power of two is exact, so the roughness of X * 2**k is
         2**(-5 k) times that of X, bit for bit.  A value outside the normal
-        double range raises :class:`DomainError`.
+        double range raises :class:`DomainError`.  A piece on which ``quad``
+        reports trouble (no convergence, roundoff, a divergent integral)
+        raises :class:`IntegrationError`, whose ``achieved`` is that piece's
+        error estimate over its value.
         """
         e = math.frexp(self.quantile(0.5))[1]
         density = self._rescaled(-e)
@@ -229,8 +232,15 @@ class TrueDensity:
         pts = [0.0] + cuts + [math.inf]
         value = 0.0
         for a, b in zip(pts[:-1], pts[1:]):
-            v, _ = quad(lambda x: float(density.pdf_d2(x)) ** 2, a, b,
-                        epsabs=1e-12, epsrel=1e-10, limit=200)
+            # with full_output, quad appends its message instead of warning
+            v, err, _, *trouble = quad(lambda x: float(density.pdf_d2(x)) ** 2, a, b,
+                                       epsabs=1e-12, epsrel=1e-10, limit=200, full_output=1)
+            if trouble:
+                raise IntegrationError(
+                    f"roughness of {self!r}: quad on the piece [{a!r}, {b!r}] of the "
+                    f"density rescaled by 2**{-e}: {trouble[0].split('.')[0].lower()}",
+                    achieved=err / v if v > 0.0 else math.inf,
+                )
             value += v
         try:
             value = math.ldexp(value, -5 * e)

@@ -1373,7 +1373,10 @@ def _quad_moments(kernel, x, b, density, n):
     running to inf.  Far from the density's mass the peak of K f is the
     density's, narrow against the kernel's bracket, and ``quad`` on the
     bracket's pieces alone may miss it.  This shares nothing with the node
-    rule of ``exact_estimator_moments`` but the bracket's two ends.
+    rule of ``exact_estimator_moments`` but the bracket's two ends.  With no
+    absolute tolerance every piece meets the relative one on its own, also
+    where the moments are far below 1e-16; a piece on which ``quad`` reports
+    trouble (its message, a fourth item) must be too small to move the sum.
     """
     lo, hi, _ = _quad_window(kernel, x, b)
     cuts = sorted({0.0, min(x, b) if x > 0.0 else b, x, lo, hi, *_density_cuts(density)})
@@ -1384,8 +1387,11 @@ def _quad_moments(kernel, x, b, density, n):
     out = []
     for g in (k_at, lambda z: k_at(z) * density.pdf(z),
               lambda z: k_at(z) ** 2 * density.pdf(z)):
-        out.append(sum(quad(g, a, c, epsabs=1e-16, epsrel=1e-11, limit=500)[0]
-                       for a, c in zip(cuts, cuts[1:] + [math.inf])))
+        pieces = [quad(g, a, c, epsabs=0.0, epsrel=1e-11, limit=500, full_output=1)
+                  for a, c in zip(cuts, cuts[1:] + [math.inf])]
+        total = sum(p[0] for p in pieces)
+        assert all(len(p) == 3 or p[0] + p[1] < 0.5 * math.ulp(total) for p in pieces)
+        out.append(total)
     mass, mean, second = out
     return mass, mean, (second - mean * mean) / n
 
@@ -1450,6 +1456,19 @@ class TestQuadReference:
     def test_ig_heavy_tail(self):
         # the kernel's tail decays on a scale of 2 b x**2 = 200, beyond hi = 201
         self._check(Kernel.IG, 1.0, 100.0, GammaDensity(3.0, 1.0))
+
+    def test_rig_far_beyond_the_mass(self):
+        # the mean is 9.7e-75: quad with epsabs 1e-16 stopped early there and
+        # read 6.50e-75.  The reference against a 40-digit mpmath integral,
+        # then the node rule against it: the mean within 1e-8, the variance
+        # within the rule's verdict, 1e-6 (it is 1.9e-7 off)
+        kernel, x, b, density = Kernel.RIG, 5000.0, 1000.0, GammaDensity(3.0, 1.0)
+        _, mean, variance = _quad_moments(kernel, x, b, density, 100)
+        assert mean == pytest.approx(9.7113574424285456e-75, rel=1e-13, abs=0.0)
+        assert variance == pytest.approx(7.1742989254925890e-110, rel=1e-13, abs=0.0)
+        m = exact_estimator_moments(kernel, x, b, density, 100)
+        assert m.mean == pytest.approx(mean, rel=1e-8, abs=0.0)
+        assert m.variance == pytest.approx(variance, rel=1e-6, abs=0.0)
 
     def test_ig_tail_is_quiet(self):
         # point 151 of config C's 256-point ISE grid: quad leaked an

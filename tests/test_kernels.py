@@ -1056,6 +1056,22 @@ class TestOutputBuffer:
 class TestGrids:
     """``grids`` of samples of a stack has, sample by sample, the bits of ``rows``."""
 
+    @staticmethod
+    def _matches_rows(ev, values):
+        """``grids`` of samples 1-3 of a stack of 4, written over NaN and inf, against ``rows``.
+
+        Returns the block and the data terms.
+        """
+        data = _quietly(lambda: ev.data(values))
+        size, n = ev.loc[0].shape[1], values.shape[1]
+        got = _quietly(lambda: ev.grids(data, 1, 4, out=np.resize(
+            [np.nan, np.inf, -np.inf, -0.0], (2, 3, size, n))))
+        assert got.shape == (3, size, n)
+        for j in range(3):
+            want = _quietly(lambda: ev.take(j + 1).rows(data[j + 1]))
+            assert _same_bits(got[j], want), j
+        return got, data
+
     @pytest.mark.parametrize("kernel", list(Kernel), ids=lambda k: k.value)
     @pytest.mark.parametrize("size, n", [(2, 2), (3, 7), (5, 100), (64, 300)])
     def test_matches_rows(self, kernel, size, n):
@@ -1064,13 +1080,43 @@ class TestGrids:
         rng = np.random.default_rng(size * n)
         values = np.sort(rng.gamma(3.0, 1.0, (4, n)), axis=1)
         b = np.array([0.2, 0.3, 0.5, 0.9])
-        ev = _LogKernel(kernel, np.linspace(1.0, 9.0, size), b[:, None])
-        data = ev.data(values)
-        got = ev.grids(data, 1, 4, out=np.resize([np.nan, np.inf, -np.inf, -0.0],
-                                                  (2, 3, size, n)))
-        assert got.shape == (3, size, n)
+        self._matches_rows(_LogKernel(kernel, np.linspace(1.0, 9.0, size), b[:, None]), values)
+
+    @staticmethod
+    def _with_shifts(kernel, grid, b, others):
+        """An ig or rig stack whose sample r has each x (ig) or x - b[r] (rig) among ``others``."""
+        ev = _LogKernel(kernel, grid, b[:, None])
+        shift = np.broadcast_to(ev.loc[0][..., 0], (b.size, grid.size))
+        return ev, shift, np.sort(np.concatenate([shift, others], axis=1), axis=1)
+
+    @pytest.mark.parametrize("kernel", [Kernel.IG, Kernel.RIG], ids=lambda k: k.value)
+    @pytest.mark.parametrize("b", [[0.0625, 0.125, 0.25, 0.5], [1e-12, 3e-12, 1e-11, 1e-10]],
+                             ids=["b", "small-b"])
+    def test_zero_at_the_shift(self, kernel, b):
+        # at z = x (ig) or z = x - b (rig) the product's z + (-s) is exactly
+        # 0, and so is the quadratic term, also where 1/(2b) is 5e11: log K
+        # is the data term base there
+        b = np.array(b)
+        rng = np.random.default_rng(38)
+        ev, shift, values = self._with_shifts(
+            kernel, np.array([1.0, 2.0, 3.0, 7.5]), b, rng.gamma(3.0, 1.0, (4, 20)))
+        got, data = self._matches_rows(ev, values)
         for j in range(3):
-            assert _same_bits(got[j], ev.take(j + 1).rows(data[j + 1])), j
+            for g in range(4):
+                at = np.flatnonzero(values[j + 1] == shift[j + 1, g])
+                assert at.size
+                assert _same_bits(got[j, g, at], data[j + 1, 1, at]), (j, g)
+
+    @pytest.mark.parametrize("kernel", [Kernel.IG, Kernel.RIG], ids=lambda k: k.value)
+    def test_overflow_near_1e300(self, kernel):
+        # z - s near 1e300 times 1/x (ig) or 1/(2b) (rig) overflows: log K is -inf
+        b = np.array([1e-13, 2e-13, 5e-13, 1e-12])
+        big = np.broadcast_to([1e299, 1e300, 3e300, 1e302], (4, 4))
+        ev, _, values = self._with_shifts(kernel, np.array([1e-3, 1.0, 3.0]), b,
+                                          np.concatenate([big, np.full((4, 2), 2.5)], axis=1))
+        got, _ = self._matches_rows(ev, values)
+        assert (got[..., -4:] == -np.inf).all()
+        assert np.isfinite(got[..., :-4]).all()
 
     def test_special_ge_rows(self):
         # shape 1 at x = 0 and x/b beyond 700: each sample's rows are written over
@@ -1121,7 +1167,9 @@ class TestDataTerms:
             assert ev.regroup == (kernel in (Kernel.GE, Kernel.GE2) and x_max > 700.0)
             assert ev.mat.shape == (5, 3)
         else:
-            assert dat.shape == (3, 3)
+            # [z, base, w, 1]: rows 0 and 3 are the data matrix of ``grids``
+            assert dat.shape == (4, 3) and (dat[3] == 1.0).all()
+            assert ev.mat.shape == (5, 2)
         cols = dat[..., [0, 2]]
         assert isinstance(cols, np.ndarray) and cols.shape == dat.shape[:-1] + (2,)
 

@@ -492,6 +492,16 @@ class TestRoughness:
             for x in (1e103, 1e150, 1e200):
                 assert d.pdf_d2(x) == float(d.pdf_d2(np.array([x]))[0])
 
+    def test_quad_trouble_raises(self):
+        # InverseWeibull(0.05, 1): f'' reaches about 1e70 near 0, and quad
+        # does not converge on the three pieces below the median; it once
+        # warned thrice and returned 2.64e126
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError, match="does not converge") as err:
+                InverseWeibullDensity(0.05, 1.0).roughness()
+        assert err.value.achieved > 1.0
+
     @pytest.mark.parametrize("theta, what", [(1e-70, "overflows"), (1e70, "underflows")])
     def test_value_outside_double_range(self, theta, what):
         with pytest.raises(DomainError, match=f"roughness of .* {what} the double range"):

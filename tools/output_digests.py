@@ -11,9 +11,10 @@ It evaluates every catalogue input of the benchmark (``bench/workloads.py``,
 imported read-only): the 96 ``estimate_large`` estimates, the per-replication
 ISEs of the 128 ``mc_cells`` cells, and the ``diagnose_exact`` moments (mean
 and variance).  ``mc_odd`` holds the per-replication ISEs of configs B and F
-at n = 100 with 5 replications, every default kernel: their whole grids go
-in blocks of 2, 2 and 1 samples, where the 8 replications of an
-``mc_cells`` cell leave no odd block.  Two more estimates per kernel, at
+at n = 100 with 5 replications, every default kernel (line ``B,F``) and
+``ig`` alone (line ``ig``, a kernel that no ``mc_cells`` cell fits): their
+whole grids go in blocks of 2, 2 and 1 samples, where the 8 replications of
+an ``mc_cells`` cell leave no odd block.  Two more estimates per kernel, at
 Silverman's bandwidth on 512 grid points, reach block-loop branches that no
 workload does: ``estimate_n32769`` (config D at n = 32769, whose whole-row
 blocks are one row) and ``estimate_n2000`` (config E at n = 2000, blocks of 16 rows, some
@@ -41,7 +42,7 @@ and the 0.05%, 50% and 99.95% quantiles of configs A-F, on which the
 theorem-2 bandwidths and the ISE grids rest.  Each line gives one workload
 and kernel, the number of values and the SHA-256 of their float64 bytes in
 catalogue order, so two checkouts whose outputs keep every bit print the
-same lines: 35 lines after the first, which names the machine: nproc and
+same lines: 36 lines after the first, which names the machine: nproc and
 the Python, numpy and scipy versions.
 
 With ``--against``, a kernel whose digest differs from the dump's also gets
@@ -84,10 +85,12 @@ def _collect(workloads) -> dict:
         for report in op.run():
             out["mc_cells", report.kernel.value].append(
                 np.asarray(report.per_replication_ise, dtype=float))
-    for config in ("B", "F"):
-        cell = gekde.ExperimentConfig(config, n=100, replications=5, seed=1, grid_size=256)
-        for report in gekde.run_experiment(cell):
-            out["mc_odd", "B,F"].append(np.asarray(report.per_replication_ise, dtype=float))
+    for kernels, key in ((gekde.DEFAULT_KERNELS, "B,F"), ((gekde.Kernel.IG,), "ig")):
+        for config in ("B", "F"):
+            cell = gekde.ExperimentConfig(config, kernels, n=100, replications=5, seed=1,
+                                          grid_size=256)
+            for report in gekde.run_experiment(cell):
+                out["mc_odd", key].append(np.asarray(report.per_replication_ise, dtype=float))
     for op in workloads.DiagnoseExact.catalogue(refs):
         inp, m = op.run()
         out["diagnose_exact", inp.kernel.value].append(np.array([m.mean, m.variance]))
