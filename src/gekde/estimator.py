@@ -108,10 +108,19 @@ _EXP_ZERO = -746.0
 #: about 1.2 ns on every entry: below a 1/16 share the plain exp is as fast.
 _PROBE_DIVISOR = 32
 
-#: A row of a large sample finds its data window from log K at every 32nd
-#: datum: the coarse pass costs 1/32 of the row, and the window is at most
-#: 31 data wider on each side than the entries ``np.exp`` would not round to 0.
-_WINDOW_STRIDE = 32
+#: A row of a large sample finds its data window from log K at every 128th
+#: datum: the coarse pass costs 1/128 of the row, and the window is at most
+#: 127 data wider on each side than the entries above the row's cut.  On the
+#: ``estimate_large`` calls with windowed rows (``ge``, ``ge2``, config E
+#: ``rig``; numpy 2.4, one thread of a 2-core AVX-512 Xeon), stride 128 took
+#: about 1.5% less time than 64 and 7% less than 32.
+_WINDOW_STRIDE = 128
+
+#: A windowed row keeps the data whose log K is above its cut,
+#: max(peak - (``_WINDOW_DEPTH`` + ln n), ``_EXP_ZERO``), where peak is the
+#: row's largest coarse value, never above its true peak.  The n terms below
+#: the cut then add less than e**-40 of the row sum, a fraction of an ulp.
+_WINDOW_DEPTH = 40.0
 
 #: The 16-point Gauss-Legendre rule on [-1, 1], the panel rule of
 #: ``exact_estimator_moments``.
@@ -335,23 +344,28 @@ def _exp_rows(block: np.ndarray, masked: bool) -> None:
 
 
 def _data_windows(ev: _LogKernel, dat: np.ndarray, n: int):
-    """Per grid row, the data window [start, stop) outside which log K <= ``_EXP_ZERO``.
+    """Per grid row, the data window [start, stop) outside which log K is at or below the row's cut.
 
     ``ev`` and ``dat`` are one sample's evaluator and data terms, the data
     sorted.  A row of log K is a log density in the datum, so it is unimodal
     in the sorted data, and its entries above any level form one run.  A row
-    above the cut at the probe columns of ``_PROBE_DIVISOR`` has at most 1/16
-    of its entries below it and is whole, [0, n).  The other rows are
-    evaluated at every ``_WINDOW_STRIDE``-th datum, from the first, in row
-    chunks of ``_BLOCK_ELEMENTS // 2`` entries, fewer than one grid row
-    holds, so the pass needs less memory than a row's combine.  The
-    coarse points at or below the cut on either side of those above it (or,
-    with none above, of the coarse maximum) lie on the row's flanks, so
-    every datum beyond them is at or below the cut too; a run that reaches
-    the last coarse point keeps the data after it.  The 0.87 between
-    the cut and -745.13, where ``np.exp`` stops rounding to +0.0, absorbs the
-    rounding wobble of a flank.  A row with a NaN or a non-finite coarse
-    maximum is whole too.  Returns start and stop.
+    above ``_EXP_ZERO`` at the probe columns of ``_PROBE_DIVISOR`` has at
+    most 1/16 of its entries below it and is whole, [0, n).  The other rows
+    are evaluated at every ``_WINDOW_STRIDE``-th datum, from the first, in
+    row chunks of ``_BLOCK_ELEMENTS // 2`` entries, fewer than one grid row
+    holds, so the pass needs less memory than a row's combine.  A row's cut
+    is max(peak - (``_WINDOW_DEPTH`` + ln n), ``_EXP_ZERO``), peak its
+    coarse maximum: the dropped terms, at most n of them, add less than
+    e**-40 of the row sum, and a row that peaks within 40 + ln n of
+    ``_EXP_ZERO`` keeps the window of the entries that ``np.exp`` does not
+    round to +0.0.  The coarse points at or below the cut on either side of
+    those above it (or, with none above, of the coarse maximum) lie on the
+    row's flanks, so every datum beyond them is at or below the cut too; a
+    run that reaches the last coarse point keeps the data after it.  At the
+    floor, the 0.87 between the cut and -745.13, where ``np.exp`` stops
+    rounding to +0.0, absorbs the rounding wobble of a flank.  A row with a
+    NaN or a non-finite coarse maximum is whole too.  Returns start and
+    stop.
     """
     k = n // _PROBE_DIVISOR
     whole = (ev.rows(dat[..., [k, n - 1 - k]]) > _EXP_ZERO).all(axis=1)
@@ -364,10 +378,11 @@ def _data_windows(ev: _LogKernel, dat: np.ndarray, n: int):
     coarse_dat = dat[..., cols]
     last = cols.size - 1
     chunk = max(1, _BLOCK_ELEMENTS // 2 // cols.size)
+    depth = _WINDOW_DEPTH + math.log(n)
     for lo in range(need[0], need[-1] + 1, chunk):
         coarse = ev.rows(coarse_dat, lo, lo + chunk)
-        top = coarse > _EXP_ZERO
         peak = coarse.max(axis=1)
+        top = coarse > np.maximum(peak - depth, _EXP_ZERO)[:, None]
         top |= ~top.any(axis=1, keepdims=True) & (coarse == peak[:, None])
         first = top.argmax(axis=1)
         final = last - top[:, ::-1].argmax(axis=1)
@@ -436,9 +451,10 @@ def _estimate_batch(values: np.ndarray, kernel: Kernel, b: np.ndarray,
     buffer (``height`` rows of n), and the block is one combine on the data
     of that union.  Each row then exponentiates only its own window, in
     place in the block, and its sum is one ``np.add.reduce`` of the window.
-    Every entry of the row outside the window is one that ``np.exp`` rounds
-    to +0.0, so the window sum adds the same terms as the whole row, in
-    another order: it can differ from the full-row sum by rounding, a few
+    The entries of the row outside the window are at or below its cut, so
+    together they add less than e**-40 of the row sum (nothing at all where
+    the cut is ``_EXP_ZERO``): the window sum adds the terms that matter in
+    another order, and can differ from the full-row sum by rounding, a few
     ulps.  The sums are divided by n once, after the last block.
     """
     n, size = values.shape[1], grid.size
@@ -513,9 +529,10 @@ def estimate_density(sample: Sample, kernel: Kernel, bandwidth, grid) -> Density
     The grid goes through the block loop of ``_estimate_batch``.  A whole
     row, masked or plain exp, has the bits of ``np.exp`` and the full row
     sum.  Only a sample of more than ``_BLOCK_ELEMENTS // 2`` data has
-    windowed rows; each is the sum of exp over its data window, the same
-    terms as the full row in another order, so it may differ from the full
-    row sum by rounding.  Which rows are windowed depends on the row alone,
+    windowed rows; each is the sum of exp over its data window, which drops
+    only terms that add less than e**-40 of the row sum and adds the rest in
+    another order, so it may differ from the full row sum by rounding.
+    Which rows are windowed, and their windows, depend on the row alone,
     never on the grid's split or the batch.
     """
     kernel = _as_kernel(kernel)

@@ -413,6 +413,8 @@ def _window_cases():
     d, e = _window_sample("D"), _window_sample("E")
     cases = (_silverman_cases("D", d) + _silverman_cases("E", e)
              + _silverman_cases("E*2^40", e, 40) + _silverman_cases("E*2^-40", e, -40)
+             # row peaks between -746 and -696: windows cut at the -746 floor
+             + _silverman_cases("E*2^1008", e, 1008)
              + _silverman_cases("D-tied", Sample(np.ceil(d.values * 4.0) / 4.0)))
     # x = 0 (shape 1), x/b past 700 from x = 28, and rows beyond the data
     # (up to x = 50), all of whose log K underflow
@@ -466,12 +468,31 @@ def _window_means(log_k, start, stop):
     return np.array(sums) / log_k.shape[1]
 
 
+def _row_cut(row):
+    """The cut of a row of log K from its true peak: max(peak - 40 - ln n, -746).
+
+    A windowed row drops only entries at or below it, which add less than
+    e**-40 of the row sum.
+    """
+    return max(row.max() - 40.0 - math.log(row.size), _EXP_ZERO)
+
+
 def _window_oracle(kernel, values, b, grid):
     """``_window_means`` of a one-sample estimate, from its full log K and data windows."""
     ev = _LogKernel(kernel, grid, b)
     dat = ev.data(values)
     start, stop = _data_windows(ev, dat, values.size)
     return _window_means(ev.rows(dat), start, stop)
+
+
+class _MatrixRows:
+    """Stands in for an evaluator: log K rows given as a matrix, indexed by datum."""
+
+    def __init__(self, log_k):
+        self.log_k = log_k
+
+    def rows(self, dat, lo=0, hi=None):
+        return self.log_k[lo:hi][:, dat[0]]
 
 
 class TestDataWindow:
@@ -491,8 +512,9 @@ class TestDataWindow:
         expect = _window_means(log_k, start, stop)
         assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
         for g in range(grid.size):
-            assert np.all(log_k[g, :start[g]] <= _EXP_ZERO), g
-            assert np.all(log_k[g, stop[g]:] <= _EXP_ZERO), g
+            cut = _row_cut(log_k[g])
+            assert np.all(log_k[g, :start[g]] <= cut), g
+            assert np.all(log_k[g, stop[g]:] <= cut), g
         # the window sum adds the full row's terms in another order: a few
         # ulps of pairwise-sum rounding from the full row's mean
         with np.errstate(over="ignore"):
@@ -530,21 +552,53 @@ class TestDataWindow:
                 # dat is one row of datum indices, at the columns the caller took
                 return self.log_k[lo:hi][:, dat[0]]
 
-        n = 200
-        # unimodal rows peaking at datum 100, above the cut from 63 to 137
-        log_k = np.tile(-20.0 * np.abs(np.arange(n) - 100.0), (6, 1))
+        n = 1000
+        # unimodal rows peaking at datum 500; the coarse peak, -240 at datum
+        # 512, puts the cut at -240 - 40 - ln 1000 = -286.9
+        log_k = np.tile(-20.0 * np.abs(np.arange(n) - 500.0), (6, 1))
         log_k[1, 0] = np.nan      # NaN at a coarse datum
-        log_k[2, 96] = np.inf     # an infinite coarse maximum
+        log_k[2, 512] = np.inf    # an infinite coarse maximum
         log_k[3] = -np.inf
-        # rising to the last datum, past the last coarse one: above the cut
-        # from datum 162, and nowhere
+        # rising to the last datum, past the last coarse one: above the -746
+        # floor from datum 962, and nowhere
         log_k[4] = -20.0 * (n - 1.0 - np.arange(n))
         log_k[5] = log_k[4] - 800.0
         start, stop = _data_windows(Rows(log_k), np.arange(n)[None, :], n)
-        # the coarse data are 0, 32, ..., 192
-        assert (start[0], stop[0]) == (33, 160)
+        # the coarse data are 0, 128, ..., 896
+        assert (start[0], stop[0]) == (385, 640)
         assert start[1:4].tolist() == [0, 0, 0] and stop[1:4].tolist() == [n, n, n]
-        assert start[4:].tolist() == [161, 161] and stop[4:].tolist() == [n, n]
+        assert start[4:].tolist() == [769, 769] and stop[4:].tolist() == [n, n]
+
+    @pytest.mark.parametrize("peak, left, right", [
+        (0.0, 20.0, 20.0),    # every coarse datum at or below the floor
+        (0.0, 2.0, 2.0),
+        (-300.0, 0.5, 8.0),
+        (-650.0, 1.0, 0.25),  # a coarse peak within 40 + ln n of the floor
+    ])
+    def test_narrow_peak_between_coarse_data(self, peak, left, right):
+        # the row peaks at datum 576, midway between the coarse data 512 and
+        # 640, so its coarse maximum is below its true peak and the cut is
+        # lower than the true peak's: the window holds every entry above
+        # true peak - 40 - ln n
+        n, p = 1000, 576
+        i = np.arange(n)
+        row = peak - np.where(i < p, left * (p - i), right * (i - p))
+        start, stop = _data_windows(_MatrixRows(row[None, :]), i[None, :], n)
+        assert row[::_WINDOW_STRIDE].max() < peak and stop[0] - start[0] < n
+        above = np.flatnonzero(row > peak - 40.0 - math.log(n))
+        assert start[0] <= above[0] and above[-1] < stop[0]
+
+    def test_low_peak_keeps_the_floor(self):
+        # a row whose peak lies within 40 + ln n of -746 is cut at -746;
+        # 100 higher, the same row's cut follows its peak.  The coarse data
+        # 384 and 640 are at -758.4 (low row), between -746 and
+        # -720 - 40 - ln 1000 = -766.9, and at -658.4 (high row), above
+        # -620 - 46.9; 256 and 768 are below both rows' cuts
+        n = 1000
+        i = np.arange(n)
+        low = -720.0 - 0.3 * np.abs(i - 512.0)
+        start, stop = _data_windows(_MatrixRows(np.stack([low, low + 100.0])), i[None, :], n)
+        assert start.tolist() == [385, 257] and stop.tolist() == [640, 768]
 
     def test_row_buffer_zeroed_between_windows(self, monkeypatch):
         # each windowed row sums its own window of the block on the union of

@@ -23,14 +23,17 @@ branches are reached by ``estimate_large`` and by ``estimate_n32769``,
 whose blocks hold at most 32769 entries: blocks of several windowed rows,
 and runs of windowed rows that the budget splits.  Counted by recording
 each block of the row loop: ``estimate_large`` puts 6747 windowed rows in
-694 blocks for ``ge``, all of several rows, 678 of them split from the next
-by the budget, 6660 in 695 for ``ge2``, 2522 in 663 for ``rig`` and 33 in
-14 for ``ig``; ``estimate_n32769`` puts 425 in 106 blocks for ``ge``, 21 of
-several rows, 422 in 106 for ``ge2`` and 34 one-row blocks for ``rig``.  No
-gamma-kernel row has a window.  ``exact_moments`` holds
-the moments that the ``diagnose_exact`` catalogue does not reach, under
-Gamma(3, 1) and config D: ``ge2`` at x < b (the rule in the kernel's
-probability, through ``kernels._ge_quantiles``) and the one-location
+582 blocks for ``ge``, all of several rows, 566 of them split from the next
+by the budget, 6660 in 581 for ``ge2``, 2522 in 590 for ``rig`` and 33 in
+8 for ``ig``; ``estimate_n32769`` puts 425 in 93 blocks for ``ge``, 21 of
+several rows, 422 in 93 for ``ge2`` and its 34 ``rig`` rows in one block.
+A windowed row is cut at the -746 floor where its coarse peak lies within
+40 + ln n of it: 10 ``ge`` and 9 ``ge2`` rows of ``estimate_large`` and one
+of each in ``estimate_n32769`` peak above -746 there, and 1861, 1774, 14
+and 11 rows at or below it.  No gamma-kernel row has a window.
+``exact_moments`` holds the moments that the ``diagnose_exact`` catalogue
+does not reach, under Gamma(3, 1) and config D: ``ge2`` at x < b (the
+rule in the kernel's probability, through ``kernels._ge_quantiles``) and the one-location
 ``gam2`` (both sides of x = 2b) and ``ig`` builds; and ``ge`` and ``ge2``
 on config F at x = 331.7, b = 142.7, near F's Silverman bandwidth, and
 ``ge``, ``ge2`` and ``rig`` at x = 1000, b = 100, far beyond the mass of
