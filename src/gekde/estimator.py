@@ -5,22 +5,23 @@ routine, ``_estimate_batch``, does this for a stack of R samples with R
 bandwidths (the replications of a Monte Carlo cell); ``estimate_density``
 is its one-sample case, with the same bits.  The kernel terms that depend
 on the grid point alone and those that depend on the datum alone are
-computed once per call.  Where several samples' whole grids, of at least
-2 points each, fit one block, consecutive samples share a block: the
-replications of a Monte Carlo cell at n = 100 go two at a time.  Otherwise
-the grid goes, sample by sample, through one block loop, described in
-``_estimate_batch``'s docstring: blocks of whole rows within a fixed
-element budget, exponentiated in place and summed along their rows, and,
-for a large sample, blocks of rows cut to the union of their data windows,
-each row exponentiated and summed on its own window.  For the GE and gamma
-kernels a block's log K is one BLAS product of the location matrix and the
-data matrix, or of their stacks for a block of samples; ``ig`` and ``rig``
-combine by a broadcast, except that in a block of samples their difference
-``z - s`` is one stacked product of rank 2 (see ``kernels._LogKernel``).  A
-data window or a set of probe columns indexes the last axis of a sample's
-data terms, one array.  Every grid value goes through the same operations
-whatever block it lands in, so the result does not depend on how the grid
-or the stack is split.
+computed once per call.  Every block, of whatever kind, holds up to one
+element budget and goes through the one combine, ``_LogKernel.rows``.
+Where several samples' whole grids, of at least 2 points each, fit one
+block, consecutive samples share a block: the replications of a Monte
+Carlo cell at n = 100 go two at a time.  Otherwise the grid goes, sample
+by sample, through one block loop, described in ``_estimate_batch``'s
+docstring: blocks of whole rows, exponentiated in place and summed along
+their rows, and, for a large sample, blocks of rows cut to the union of
+their data windows, each row exponentiated and summed on its own window.
+For the GE and gamma kernels a block's log K is one BLAS product of the
+location matrix and the data matrix, or of their stacks for a block of
+samples; ``ig`` and ``rig`` combine by a broadcast, except that in a block
+of samples their difference ``z - s`` is one stacked product of rank 2
+(see ``kernels._LogKernel``).  A data window or a set of probe columns
+indexes the last axis of a sample's data terms, one array.  Every grid
+value goes through the same operations whatever block it lands in, so the
+result does not depend on how the grid or the stack is split.
 
 Bandwidth selection offers Silverman's rule-of-thumb (one vectorised pass
 serves a stack of samples), the closed-form optimum for the
@@ -82,18 +83,17 @@ __all__ = [
 
 BANDWIDTH_METHODS = ("silverman", "optimal_ge2", "numeric_ge", "fixed")
 
-#: Elements per block of the (grid rows, data) kernel matrix: 256 KB.  The
-#: IG/RIG combine works on two such arrays, which stay in the L2 cache; at
-#: 1 << 17 they spill it and take about 1.5 times as long.  A sample with
-#: more than half this many data, whose blocks would be one row, gets twice
-#: this budget for its blocks (see ``_estimate_batch``).  The limit on
-#: those is not the cache: a freshly allocated temporary above about
-#: 256 KB page-faults back in on every call (124 minor faults for a 2-row
-#: ``rig`` combine at n = 20000, 2.9 times the time of one row), which the
-#: buffers that ``_estimate_batch`` reuses for every block avoid.  Blocks
-#: of 2-3 rows at n = 20000 are fastest; 8 rows spill the cache.  Blocks of
-#: several samples' whole grids take the same large budget: 2 x 256 x 100
-#: entries at n = 100 on a 256-point grid, 400 KB a layer.
+#: Every block of the (grid rows, data) kernel matrix, or of several
+#: samples' whole grids, holds up to twice this many entries, 512 KB a
+#: layer of ``_estimate_batch``'s buffers, which every block reuses: a
+#: freshly allocated temporary above about 256 KB would page-fault back in
+#: on every call.  Blocks of 2-3 rows at n = 20000 are fastest, and 8 rows
+#: spill the cache; at 1000-16000 data ``estimate_density`` with every
+#: kernel took about 4-12% less time than with half the budget (numpy 2.4, one
+#: thread of a 2-core AVX-512 Xeon).  A stack of samples shares blocks when
+#: two whole grids fit this many entries (2 x 256 x 100 at n = 100 on a
+#: 256-point grid), and a sample with more than half this many data takes
+#: data windows (see ``_data_windows``).
 _BLOCK_ELEMENTS = 1 << 15
 
 #: log K at or below this exponentiates to exactly +0.0 in doubles: exp
@@ -422,11 +422,12 @@ def _estimate_batch(values: np.ndarray, kernel: Kernel, b: np.ndarray,
     estimate does not depend on which others share the batch, nor on how
     the grid is split.
 
-    With R >= 2 and a grid of G >= 2 points whose G x n entries fit
-    ``_BLOCK_ELEMENTS``, consecutive samples share blocks of their whole
-    grids: p = ``2 * _BLOCK_ELEMENTS // (G * n)`` samples a block (2 at
-    n = 100 on a 256-point grid), the last block holding the rest.  A
-    block's log K is one (p, G, n) array (``_LogKernel.grids``: one stacked
+    Every block holds up to ``2 * _BLOCK_ELEMENTS`` entries.  With R >= 2
+    and a grid of G >= 2 points whose G x n entries fit ``_BLOCK_ELEMENTS``,
+    consecutive samples share blocks of their whole grids:
+    p = ``2 * _BLOCK_ELEMENTS // (G * n)`` samples a block (2 at n = 100 on
+    a 256-point grid), the last block holding the rest.  A block's log K is
+    one (p, G, n) array, ``rows`` of ``ev.take(slice(r0, r1))`` (one stacked
     product for the GE and gamma kernels, and for the ``ig`` and ``rig``
     difference ``z - s``), taken by one ``_exp_rows``, masked if some row of
     the block is at or below ``_EXP_ZERO`` at the probe columns, and one row
@@ -438,13 +439,13 @@ def _estimate_batch(values: np.ndarray, kernel: Kernel, b: np.ndarray,
     the cut at a probe column get a data window (see ``_data_windows``);
     the windowed rows split the grid into runs of whole rows.  With fewer
     data, no row is windowed and the grid is one run.  A run of whole rows
-    goes in blocks of up to ``height`` rows: ``_BLOCK_ELEMENTS // n``, or
-    twice that budget for a large sample (3 rows at n = 20000), at least
-    one.  Each block is one combine, written into a buffer allocated once
-    per call with the ``ig``/``rig`` scratch beside it (``out`` of
-    :meth:`_LogKernel.rows`, ``_block_buffers``), one ``_exp_rows``, masked
-    if some row of the block is at or below ``_EXP_ZERO`` at the probe
-    columns (see ``_PROBE_DIVISOR``), and one row sum.
+    goes in blocks of up to ``height`` rows, ``2 * _BLOCK_ELEMENTS // n``
+    (32 at n = 2000, 3 at n = 20000), at least one.  Each block is one
+    combine, written into a buffer allocated once per call with the
+    ``ig``/``rig`` scratch beside it (``out`` of :meth:`_LogKernel.rows`,
+    ``_block_buffers``), one ``_exp_rows``, masked if some row of the block
+    is at or below ``_EXP_ZERO`` at the probe columns (see
+    ``_PROBE_DIVISOR``), and one row sum.
 
     A run of windowed rows also goes in blocks: a row joins the block while
     rows times the width of the union of their windows fits one layer of the
@@ -461,7 +462,7 @@ def _estimate_batch(values: np.ndarray, kernel: Kernel, b: np.ndarray,
     ev = _LogKernel(kernel, grid, b[:, None])
     data = ev.data(values)
     large = n > _BLOCK_ELEMENTS // 2
-    height = max(1, (2 * _BLOCK_ELEMENTS if large else _BLOCK_ELEMENTS) // n)
+    height = max(1, 2 * _BLOCK_ELEMENTS // n)
     k = n // _PROBE_DIVISOR
     probe = slice(k, None, n - 1 - 2 * k)  # the columns k and n - 1 - k, as a view
     out = np.empty((b.size, size))
@@ -471,7 +472,7 @@ def _estimate_batch(values: np.ndarray, kernel: Kernel, b: np.ndarray,
         buf = _block_buffers(group * size, n).reshape(2, group, size, n)
         for r0 in range(0, b.size, group):
             r1 = min(r0 + group, b.size)
-            block = ev.grids(data, r0, r1, out=buf[:, :r1 - r0])
+            block = ev.take(slice(r0, r1)).rows(data[r0:r1], out=buf[:, :r1 - r0])
             _exp_rows(block, masked=block[..., probe].min() <= _EXP_ZERO)
             np.add.reduce(block, axis=-1, out=out[r0:r1])
         out /= n

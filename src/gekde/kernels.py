@@ -30,16 +30,12 @@ or ``s = x - b``, are formed without that sum, which cancels near z = s:
 ``rig`` takes ``((z - s)/z) ((z - s)/(2b))`` and ``ig`` takes ``e * e/(2 b z)``
 with ``e = (z - x)/x``.  Each reciprocal is a per-datum (``1/z``,
 ``1/(2 b z)``) or per-location (``1/x``, ``1/(2b)``) term, so an entry
-costs a subtraction and multiplications.  For a block of several samples'
-grids the subtraction is one matrix product of rank 2, the location rows
-``[1, -x]`` (``ig``) or ``[1, -s]`` (``rig``) against the data columns
-``[z, 1]``: both products are exact and their one addition is
-``z + (-s)``, so the difference has the bits of ``z - s``.  Every factor
-is a ratio that overflows only where the exponent nearly does, and the
-exponent is exactly 0 at z = s.  A location that fails a guard (a
-reciprocal term that would overflow, say) raises :class:`DomainError` from
-the one-location build, where every guard is written; of several, the
-first in row-major order is reported, with its first failing guard.
+costs a subtraction and multiplications.  Every factor is a ratio that
+overflows only where the exponent nearly does, and the exponent is exactly
+0 at z = s.  A location that fails a guard (a reciprocal term that would
+overflow, say) raises :class:`DomainError` from the one-location build,
+where every guard is written; of several, the first in row-major order is
+reported, with its first failing guard.
 
 One evaluator serves every caller.  It takes a column of locations x and a
 row of data z and works in three steps: the terms that depend on x alone
@@ -52,20 +48,19 @@ product for the GE and gamma kernels, a broadcast for ``ig`` and ``rig``
 (whose difference ``z - s`` is a rank-2 product in a block of samples).
 The bandwidth may also be a column of R bandwidths, one per sample of a
 stack of R samples (the replications of a Monte Carlo cell): the location
-terms are then (R, locations) and the data terms (R, rows, data), and the
-combine takes one sample of the stack at a time, or the whole grids of
-consecutive samples at once (one stacked matrix product for the GE and
-gamma kernels, and for the ``ig`` and ``rig`` difference), each entry
-through the same operations as with a scalar bandwidth.  The estimator
-runs the combine over blocks of grid rows, or of samples; ``log_kernel``
-and ``exact_estimator_moments`` are the
-single-location case, whose location terms are built on Python floats
-through the same branches and ufuncs, with the bits of a one-location array
-build and without its fixed array cost, and a single datum is a one-entry
-row through the same combine.  The GE kernels also invert their cdf in
-closed form (``_ge_quantiles``), with no special function;
-``exact_estimator_moments`` integrates a ``ge2`` kernel of shape below 1
-in its probability through it.
+terms are then (R, locations) and the data terms (R, rows, data).  The one
+combine, ``_LogKernel.rows``, takes one sample of the stack at a time, or
+the whole grids of consecutive samples at once (one stacked matrix product
+for the GE and gamma kernels, and for the ``ig`` and ``rig`` difference),
+each entry through the same operations as with a scalar bandwidth.  The
+estimator runs it over blocks of grid rows, or of samples; ``log_kernel``
+and ``exact_estimator_moments`` are the single-location case, whose
+location terms are built on Python floats through the same branches and
+ufuncs, with the bits of a one-location array build and without its fixed
+array cost, and a single datum is a one-entry row through the same
+combine.  The GE kernels also invert their cdf in closed form
+(``_ge_quantiles``), with no special function; ``exact_estimator_moments``
+integrates a ``ge2`` kernel of shape below 1 in its probability through it.
 
 References
 ----------
@@ -260,7 +255,8 @@ class _LogKernel:
     2. per-datum terms (:meth:`data`): ``log z``, ``z/b``,
        ``log(1 - exp(-z/b))`` and the reciprocals ``1/z`` (``rig``) and
        ``1/(2 b z)`` (``ig``), once for every z, as the rows of one array;
-    3. the combine (:meth:`rows`) of a block of locations against all data.
+    3. the combine (:meth:`rows`) of a block of locations against all data,
+       for one sample or for a run of samples of a stack (:meth:`take`).
 
     The GE and gamma families share one combine, ``(c0 + (shape - 1) L) -
     z/b``, computed as the product of the location matrix ``mat``, rows
@@ -268,14 +264,12 @@ class _LogKernel:
     one ``dgemm`` per block, with the bits of the formula.  numpy's
     ``matmul`` would not do for one block: it sends a one-row product to
     gemv, which sums in another order.  It does for a stack of samples'
-    whole grids of at least 2 points each (:meth:`grids`): numpy sends each
-    slice to gemm, with the bits of ``dgemm``.  Only GE shapes reach the
-    shape-1 and regrouped rows (``special``), whose rows of the product are
-    written over.  For ``ig`` and ``rig`` ``mat`` has the rows ``[1, -x]``
-    and ``[1, -s]``, which :meth:`grids` multiplies by the data rows
-    ``[z; 1]``: the stacked product gives each entry's ``z - s``, bit for
-    bit, and the factors then run on the whole stack in the order of
-    :meth:`rows`.
+    whole grids of at least 2 points each (:meth:`take` of a slice): numpy
+    sends each slice to gemm, with the bits of ``dgemm``.  Only GE shapes
+    reach the shape-1 and regrouped rows (``special``), whose rows of the
+    product are written over.  For ``ig`` and ``rig`` ``mat`` has the rows
+    ``[1, -x]`` and ``[1, -s]``, whose product with the data rows ``[z; 1]``
+    of a stack is each entry's ``z - s``, bit for bit.
 
     ``b`` is a float, or an (R, 1) column of bandwidths for a stack of R
     samples: the location terms are then (R, G) and :meth:`data` takes an
@@ -422,10 +416,10 @@ class _LogKernel:
         The GE and gamma kernels have the rows ``[L, 1, -z/b]``, the data
         matrix of the product, and a fourth row ``log(-L)`` if some GE rows
         are regrouped; ``ig`` and ``rig`` have the rows ``[z, base, w, 1]``,
-        whose rows 0 and 3 are the data matrix of :meth:`grids`.
+        whose rows 0 and 3 are the data matrix of a stack's :meth:`rows`.
         The result is (rows, n), or (R, rows, n), each row written in place;
-        a sample of a stack is ``data[r]``, a data window ``dat[..., j0:j1]``
-        and a set of columns ``dat[..., cols]``.
+        a sample of a stack is ``data[r]``, a run of samples ``data[r0:r1]``,
+        a data window ``dat[..., j0:j1]`` and a set of columns ``dat[..., cols]``.
         """
         kernel, b = self.kernel, self.b
         height = 3 + self.regroup if kernel in _EXP_FAMILIES else 4
@@ -463,118 +457,97 @@ class _LogKernel:
                 np.divide(1.0, z, out=w)
         return terms
 
-    def take(self, r: int) -> "_LogKernel":
-        """The evaluator of sample ``r`` of a stack, for :meth:`rows`.
+    def take(self, r: int | slice) -> "_LogKernel":
+        """The evaluator of sample ``r`` of a stack, or of the samples of a slice ``r``.
 
-        Its location terms are (G, 1) columns, as with a scalar bandwidth;
-        pass it the data terms of the same sample, ``data[r]`` of
+        With an int its location terms are (G, 1) columns, as with a scalar
+        bandwidth; with a slice they are (samples, G, 1) stacks.  Pass
+        :meth:`rows` the data terms of the same samples, ``data[r]`` of
         :meth:`data`, or columns of them.
         """
         sub = object.__new__(_LogKernel)
         sub.kernel, sub.regroup, sub.special = self.kernel, self.regroup, self.special
         sub.b = self.b[r]
-        sub.loc = tuple(t[r] for t in self.loc)
+        sub.loc = tuple([t[r] for t in self.loc])
         sub.mat = self.mat[r]
         return sub
-
-    def grids(self, data: np.ndarray, r0: int, r1: int, out: np.ndarray) -> np.ndarray:
-        """log K for the whole grids of samples ``r0:r1`` of a stack: a (samples, G, n) array.
-
-        ``data`` is the stack's :meth:`data`, and ``out`` a (2, r1 - r0, G, n)
-        array whose layers are C-ordered; the block is written into ``out[0]``
-        and returned.  Each grid must have at least 2 points.  For the GE and
-        gamma kernels with no special row the block is one ``np.matmul`` of
-        the (samples, G, 3) location stack against the (samples, 3, n) data
-        stack.  Each slice has at least 2 rows and 2 data, so numpy sends it
-        to gemm, or to its own loop, k in order, and every entry has the bits
-        of :meth:`rows`' ``dgemm``.  GE stacks with special rows write each
-        sample's :meth:`rows` into its slot of the block, with ``out[1]`` as
-        its scratch.  For ``ig`` and ``rig`` the difference ``z - s`` is one
-        ``np.matmul`` of the (samples, G, 2) stack ``[1, -x]`` (``ig``) or
-        ``[1, -s]`` (``rig``) against the (samples, 2, n) stack ``[z; 1]``,
-        into ``out[1]``: its products are exact and its one addition is
-        ``z + (-s)``.  The factors then run on the whole block in the order
-        of :meth:`rows`: ``rig`` takes ``q = (d w) (d h)`` with
-        ``h = 1/(2b)``, ``ig`` ``q = (e w) e`` with ``e = d (1/x)``, and
-        log K is ``base - q``.
-        """
-        if self.special:
-            for j, r in enumerate(range(r0, r1)):
-                self.take(r).rows(data[r], out=out[:, j])
-            return out[0]
-        if self.kernel in _EXP_FAMILIES:
-            return np.matmul(self.mat[r0:r1], data[r0:r1, :3], out=out[0])
-        # [1, -x] (ig) or [1, -s] (rig) against the data rows [z; 1]: 1 z + (-s) 1
-        d = np.matmul(self.mat[r0:r1], data[r0:r1, ::3], out=out[1])
-        base, w, scale = data[r0:r1, 1:2], data[r0:r1, 2:3], self.loc[1][r0:r1]
-        with np.errstate(over="ignore"):  # an overflowing product is log K = -inf
-            if self.kernel is Kernel.IG:
-                d *= scale  # e = (z - x)/x
-                q = np.multiply(d, w, out=out[0])
-                q *= d
-            else:
-                q = np.multiply(d, w, out=out[0])
-                d *= scale  # (z - s)/(2b)
-                q *= d
-        return np.subtract(base, q, out=q)
 
     def rows(self, dat: np.ndarray, lo: int = 0, hi: int | None = None,
              out: np.ndarray | None = None) -> np.ndarray:
         """log K for locations ``lo:hi`` against all data: a (rows, n) array.
 
-        The location terms are (G, 1) columns: those of a scalar bandwidth,
-        or of one sample of a stack (see :meth:`take`); ``dat`` is that
-        sample's :meth:`data`, at any of its columns.  For the GE and gamma
-        kernels the block is one ``dgemm`` of the location matrix against the
-        data matrix ``dat[:3]``; the rows of GE special locations are then
-        written over with their own formula.
+        The location terms are (G, 1) columns, those of a scalar bandwidth or
+        of one sample of a stack, and ``dat`` is that sample's :meth:`data`,
+        at any of its columns.  Of a run of samples (:meth:`take` of a slice)
+        they are (samples, G, 1), and ``dat`` and the block (samples, rows, n);
+        with grids of at least 2 points and samples of at least 2 data, numpy
+        sends each slice of a stacked ``np.matmul`` to gemm, or to its own
+        loop, k in order, with the bits of ``dgemm``.
 
-        ``out``, if given, is a (2, rows, n) array whose layers are C-ordered:
-        the block is written into ``out[0]`` and returned, and ``ig`` and
-        ``rig`` use ``out[1]`` as scratch.  Its old contents, NaN and inf
-        included, never reach the result, whose bits are those of a call
-        without it; without it, each call allocates its block.
+        The GE and gamma block is one ``dgemm`` of the location matrix against
+        the data matrix ``dat[:3]``, or their stacked product; the rows of GE
+        special locations are then written over with their own formula.  For
+        ``ig`` and ``rig`` the difference ``d = z - s`` is a broadcast, or the
+        stacked product of ``[1, -s]`` and ``[z; 1]``, whose products are
+        exact and whose one addition is ``z + (-s)``.  Then ``rig`` takes
+        ``q = (d w) (d h)`` with ``h = 1/(2b)``, ``ig`` ``q = (e w) e`` with
+        ``e = d (1/x)``, and log K is ``base - q``.
+
+        ``out``, if given, is a (2, ...) array of two blocks' shape whose
+        layers are C-ordered: the block is written into ``out[0]`` and
+        returned, and ``ig`` and ``rig`` use ``out[1]`` as scratch.  Its old
+        contents, NaN and inf included, never reach the result, whose bits are
+        those of a call without it; without it, each call allocates its block.
         """
-        kernel = self.kernel
-        block, scratch = (None, None) if out is None else out
+        kernel, stacked = self.kernel, self.loc[0].ndim == 3
+        block, scratch = (None, None) if out is None else (out[0], out[1])
         if kernel in _EXP_FAMILIES:
+            mat = self.mat[..., lo:hi, :]
             # gemm takes k in order: ((shape - 1) L + c0 * 1) + 1 * (-z/b),
-            # and the two unit products are exact.  Computed transposed: the
-            # Fortran (n, rows) result is the C-ordered (rows, n) block.  With
-            # beta 0 gemm overwrites out[0] in place; f2py would copy a c that
-            # is not Fortran-ordered, so the block is the return value
-            if block is None:
-                block = dgemm(1.0, dat[:3].T, self.mat[lo:hi].T).T
+            # and the two unit products are exact.  dgemm computes it
+            # transposed: the Fortran (n, rows) result is the C-ordered
+            # (rows, n) block.  With beta 0 gemm overwrites out[0] in place;
+            # f2py would copy a c that is not Fortran-ordered, so the block is
+            # the return value
+            if not stacked:
+                if block is None:
+                    block = dgemm(1.0, dat[:3].T, mat.T).T
+                else:
+                    block = dgemm(1.0, dat[:3].T, mat.T, beta=0.0, c=block.T, overwrite_c=1).T
+            elif self.special:  # special rows may hold inf * 0 until written over
+                with np.errstate(invalid="ignore"):
+                    block = np.matmul(mat, dat[:, :3], out=block)
             else:
-                block = dgemm(1.0, dat[:3].T, self.mat[lo:hi].T, beta=0.0, c=block.T,
-                              overwrite_c=1).T
-            if self.special and self.loc[3][lo:hi].any():
-                c0, _, log_shape, special = (t[lo:hi, 0] for t in self.loc)
-                neg_u = dat[2]
+                block = np.matmul(mat, dat[:, :3], out=block)
+            if self.special and self.loc[3][..., lo:hi, :].any():
+                c0, _, log_shape, special = (t[..., lo:hi, 0] for t in self.loc)
+                # a special row at takes its sample's data terms, dat[at[:-1]]
                 big = special & (log_shape > _LOG_SHAPE_DIRECT_MAX)
-                if big.any():
+                at = np.nonzero(big)
+                if at[0].size:
+                    own = dat[at[:-1]]
                     with np.errstate(over="ignore"):
-                        T = -np.exp(log_shape[big, None] + dat[3])
-                    block[big] = (c0[big, None] + T) + neg_u
+                        T = -np.exp(log_shape[at][:, None] + own[..., 3, :])
+                    block[at] = (c0[at][:, None] + T) + own[..., 2, :]
                 # shape 1: (shape - 1) L is -0.0, even where L is -inf, and
                 # c0 + -0.0 is c0
-                one = special & ~big
-                block[one] = c0[one, None] + neg_u
+                at = np.nonzero(special & ~big)
+                block[at] = c0[at][:, None] + dat[at[:-1]][..., 2, :]
             return block
-        loc = self.loc if hi is None else tuple(t[lo:hi] for t in self.loc)
-        z, base, w = dat[0:1], dat[1:2], dat[2:3]  # (1, n): one location's operands match
+        shift, scale = (t[..., lo:hi, :] for t in self.loc)  # x and 1/x, or s and 1/(2b)
+        base, w = dat[..., 1:2, :], dat[..., 2:3, :]  # rows (1, n), or (samples, 1, n)
         with np.errstate(over="ignore"):  # an overflowing product is log K = -inf
-            if kernel is Kernel.IG:
-                x, inv_x = loc
-                e = np.subtract(z, x, out=scratch)
-                e *= inv_x
-                q = np.multiply(e, w, out=block)
-                q *= e
+            if stacked:  # 1 z + (-s) 1
+                d = np.matmul(self.mat[..., lo:hi, :], dat[:, ::3], out=scratch)
             else:
-                s, half_inv_b = loc
-                d = np.subtract(z, s, out=scratch)
+                d = np.subtract(dat[0:1], shift, out=scratch)
+            if kernel is Kernel.IG:
+                d *= scale  # e = (z - x)/x
                 q = np.multiply(d, w, out=block)
-                d *= half_inv_b
+                q *= d
+            else:
+                q = np.multiply(d, w, out=block)
+                d *= scale  # (z - s)/(2b)
                 q *= d
         return np.subtract(base, q, out=q)
 

@@ -900,25 +900,49 @@ class TestGridSplitToOnePoint:
     """The GE and gamma estimates keep their bits on any split of the grid.
 
     A one-point grid is a one-row block, whose combine is a one-row matrix
-    product; with n = 100 the whole grid spans two blocks of several rows,
+    product; with n = 200 the whole grid spans two blocks of several rows,
     with n = 16385 windowed rows go in blocks on the union of their
     windows and whole rows in blocks of up to 3.
     """
 
     @pytest.mark.parametrize("kernel", [Kernel.GE, Kernel.GE2, Kernel.GAM1, Kernel.GAM2],
                              ids=lambda k: k.value)
-    @pytest.mark.parametrize("n, size", [(100, 400), (_WINDOW_N, 40)])
+    @pytest.mark.parametrize("n, size", [(200, 400), (_WINDOW_N, 40)])
     def test_down_to_one_point_grids(self, kernel, n, size):
         sample = CONFIGURATIONS["D"].sample(n, 12)
         b = silverman_bandwidth(sample, kernel).value
         grid = default_grid(sample, size)
         whole = estimate_density(sample, kernel, b, grid).values
-        assert size > gekde.estimator._BLOCK_ELEMENTS // n
+        assert size > 2 * gekde.estimator._BLOCK_ELEMENTS // n
         for cuts in ([1, 2, 3, size - 1], np.arange(1, size)):
             parts = [estimate_density(sample, kernel, b, piece).values
                      for piece in np.split(grid, cuts)]
             got = np.concatenate(parts)
             assert np.array_equal(got.view(np.uint64), whole.view(np.uint64))
+
+
+@pytest.mark.parametrize("kernel", list(Kernel), ids=lambda k: k.value)
+def test_small_samples_take_the_one_budget(kernel, monkeypatch):
+    # below the window threshold the whole-row blocks also hold up to
+    # 2 * _BLOCK_ELEMENTS entries: 32 rows at n = 2000, where the grid's
+    # split keeps every bit
+    heights = []
+
+    def recording(block, masked):
+        heights.append(block.shape[0])
+        _exp_rows(block, masked)
+
+    monkeypatch.setattr(gekde.estimator, "_exp_rows", recording)
+    sample = CONFIGURATIONS["E"].sample(2000, 31)
+    b = silverman_bandwidth(sample, kernel).value
+    grid = default_grid(sample, 100)
+    grid = grid[grid > b] if kernel is Kernel.RIG else grid
+    whole = estimate_density(sample, kernel, b, grid).values
+    full, rest = divmod(grid.size, 32)
+    assert heights == [32] * full + [rest] * (rest > 0) and full >= 2
+    parts = [estimate_density(sample, kernel, b, piece).values
+             for piece in np.split(grid, [1, 31, 33, 70])]
+    assert np.array_equal(np.concatenate(parts).view(np.uint64), whole.view(np.uint64))
 
 
 class TestGroupedBlocks:

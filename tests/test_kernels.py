@@ -1054,17 +1054,17 @@ class TestOutputBuffer:
 
 
 class TestGrids:
-    """``grids`` of samples of a stack has, sample by sample, the bits of ``rows``."""
+    """``rows`` of a run of samples' grids has, sample by sample, one sample's bits."""
 
     @staticmethod
     def _matches_rows(ev, values):
-        """``grids`` of samples 1-3 of a stack of 4, written over NaN and inf, against ``rows``.
+        """``rows`` of samples 1-3 of a stack of 4, written over NaN and inf, against one sample's.
 
         Returns the block and the data terms.
         """
         data = _quietly(lambda: ev.data(values))
         size, n = ev.loc[0].shape[1], values.shape[1]
-        got = _quietly(lambda: ev.grids(data, 1, 4, out=np.resize(
+        got = _quietly(lambda: ev.take(slice(1, 4)).rows(data[1:4], out=np.resize(
             [np.nan, np.inf, -np.inf, -0.0], (2, 3, size, n))))
         assert got.shape == (3, size, n)
         for j in range(3):
@@ -1075,8 +1075,8 @@ class TestGrids:
     @pytest.mark.parametrize("kernel", list(Kernel), ids=lambda k: k.value)
     @pytest.mark.parametrize("size, n", [(2, 2), (3, 7), (5, 100), (64, 300)])
     def test_matches_rows(self, kernel, size, n):
-        # grids of at least 2 points: numpy sends each slice of the stacked
-        # product to gemm; the block's old contents never reach it
+        # whole grids of at least 2 points: numpy sends each slice of the
+        # stacked product to gemm; the block's old contents never reach it
         rng = np.random.default_rng(size * n)
         values = np.sort(rng.gamma(3.0, 1.0, (4, n)), axis=1)
         b = np.array([0.2, 0.3, 0.5, 0.9])
@@ -1125,7 +1125,7 @@ class TestGrids:
         ev = _LogKernel(Kernel.GE, np.array([0.0, 1.0, 90.0]), np.array([[0.1], [0.2]]))
         assert ev.special and ev.regroup
         data = _quietly(lambda: ev.data(values))
-        got = _quietly(lambda: ev.grids(data, 0, 2, out=np.empty((2, 2, 3, 50))))
+        got = _quietly(lambda: ev.take(slice(0, 2)).rows(data[0:2], out=np.empty((2, 2, 3, 50))))
         for r in range(2):
             assert _same_bits(got[r], _quietly(lambda: ev.take(r).rows(data[r]))), r
 
@@ -1167,7 +1167,7 @@ class TestDataTerms:
             assert ev.regroup == (kernel in (Kernel.GE, Kernel.GE2) and x_max > 700.0)
             assert ev.mat.shape == (5, 3)
         else:
-            # [z, base, w, 1]: rows 0 and 3 are the data matrix of ``grids``
+            # [z, base, w, 1]: rows 0 and 3 are the data matrix of a stack's ``rows``
             assert dat.shape == (4, 3) and (dat[3] == 1.0).all()
             assert ev.mat.shape == (5, 2)
         cols = dat[..., [0, 2]]

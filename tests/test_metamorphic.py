@@ -35,9 +35,9 @@ from gekde import (
 )
 
 # the 200-point grid must span several blocks of the estimator's element budget
-_SAMPLE = CONFIGURATIONS["D"].sample(1500, 2024)
+_SAMPLE = CONFIGURATIONS["D"].sample(3000, 2024)
 _GRID = default_grid(_SAMPLE, 200)
-_ROWS_PER_BLOCK = max(1, gekde.estimator._BLOCK_ELEMENTS // _SAMPLE.n)
+_ROWS_PER_BLOCK = max(1, 2 * gekde.estimator._BLOCK_ELEMENTS // _SAMPLE.n)
 
 
 def test_grid_spans_several_blocks():

@@ -761,11 +761,11 @@ class TestBatchedExperiment:
         assert [math.isinf(v) for v in ises] == [c >= 63 for c in cuts]
         assert got[Kernel.RIG][1]
 
-    @pytest.mark.parametrize("n, replications", [(100, 12), (1500, 3)])
+    @pytest.mark.parametrize("n, replications", [(100, 12), (3200, 3)])
     def test_one_and_several_blocks_per_sample(self, n, replications):
-        # at n = 100 a block holds a sample's whole grid; at n = 1500 one
+        # at n = 100 a block holds a sample's whole grid; at n = 3200 one
         # sample's grid spans several blocks
-        rows_per_block = _BLOCK_ELEMENTS // n
+        rows_per_block = 2 * _BLOCK_ELEMENTS // n
         assert (rows_per_block >= 64) if n == 100 else (rows_per_block * 3 < 64)
         cfg = ExperimentConfig("A", kernels=tuple(Kernel), n=n, replications=replications,
                                seed=5, grid_size=64)

@@ -17,8 +17,8 @@ whole grids go in blocks of 2, 2 and 1 samples, where the 8 replications of
 an ``mc_cells`` cell leave no odd block.  Two more estimates per kernel, at
 Silverman's bandwidth on 512 grid points, reach block-loop branches that no
 workload does: ``estimate_n32769`` (config D at n = 32769, whose whole-row
-blocks are one row) and ``estimate_n2000`` (config E at n = 2000, blocks of 16 rows, some
-with the masked exp and some with the plain one).  The windowed rows'
+blocks are one row) and ``estimate_n2000`` (config E at n = 2000, blocks of
+32 rows, some with the masked exp and some with the plain one).  The windowed rows'
 branches are reached by ``estimate_large`` and by ``estimate_n32769``,
 whose blocks hold at most 32769 entries: blocks of several windowed rows,
 and runs of windowed rows that the budget splits.  Counted by recording
