@@ -8,8 +8,10 @@ inverse-Gaussian and reciprocal inverse-Gaussian kernels (``ig``, ``rig``).
 
 Everything is computed in the log domain: the GE shape ``exp(x/b)`` and the
 gamma normalising constant overflow doubles long before the practically
-useful bandwidth range is exhausted.  For shapes beyond ``exp(700)`` the
-product ``(shape - 1) * log1p(-exp(-z/b))`` is regrouped as
+useful bandwidth range is exhausted.  The GE term ``L = log(1 - exp(-z/b))``
+is finite for every datum: below the smallest normal double z/b has lost
+its digits, and L is ``log z - log b`` there.  For shapes beyond
+``exp(700)`` the product ``(shape - 1) L`` is regrouped as
 ``-exp(log_shape + log(-L))``, with the asymptotic branch
 ``L ~ -exp(-z/b) - exp(-2 z/b)/2`` once ``z/b > 36`` (below double epsilon).
 
@@ -265,11 +267,13 @@ class _LogKernel:
     ``matmul`` would not do for one block: it sends a one-row product to
     gemv, which sums in another order.  It does for a stack of samples'
     whole grids of at least 2 points each (:meth:`take` of a slice): numpy
-    sends each slice to gemm, with the bits of ``dgemm``.  Only GE shapes
-    reach the shape-1 and regrouped rows (``special``), whose rows of the
-    product are written over.  For ``ig`` and ``rig`` ``mat`` has the rows
-    ``[1, -x]`` and ``[1, -s]``, whose product with the data rows ``[z; 1]``
-    of a stack is each entry's ``z - s``, bit for bit.
+    sends each slice to gemm, with the bits of ``dgemm``.  The one kind of
+    special row, a GE log shape past 700 (``special``), is written over from
+    the same data rows, which have one layout per kernel whatever the
+    locations; L is finite, so a shape-1 row is ``c0 - z/b`` bit for bit.
+    For ``ig`` and ``rig`` ``mat`` has the rows ``[1, -x]`` and ``[1, -s]``,
+    whose product with the data rows ``[z; 1]`` of a stack is each entry's
+    ``z - s``, bit for bit.
 
     ``b`` is a float, or an (R, 1) column of bandwidths for a stack of R
     samples: the location terms are then (R, G) and :meth:`data` takes an
@@ -290,12 +294,12 @@ class _LogKernel:
     quadratic term there is exactly 0, never ``0 * inf``.
     """
 
-    __slots__ = ("kernel", "b", "loc", "mat", "regroup", "special")
+    __slots__ = ("kernel", "b", "loc", "mat", "special")
 
     def __init__(self, kernel: Kernel, x: np.ndarray, b):
         self.kernel = kernel
         self.b = b
-        self.regroup = self.special = False
+        self.special = False
         if x.shape == (1,) and not isinstance(b, np.ndarray):
             terms = self._terms_at(x.item(), float(b))
             self.loc = tuple(np.array([[t]]) for t in terms)
@@ -315,14 +319,8 @@ class _LogKernel:
                     shape_m1 = nu - 1.0
                 c0 = log_shape - log_b
                 bad = ~np.isfinite(c0)
-                # beyond exp(700) the product (shape - 1) * log1p(-e^-u) is
-                # regrouped; at shape 1 it is 0 even where z/b underflows and
-                # log1p(-e^-u) is -inf
-                big = log_shape > _LOG_SHAPE_DIRECT_MAX
-                special = big | (shape_m1 == 0.0)
-                self.special = bool(special.any())
-                self.regroup = self.special and bool(big.any())
-                terms = (c0, shape_m1, log_shape, special)
+                self.special = bool((log_shape > _LOG_SHAPE_DIRECT_MAX).any())  # regrouped rows
+                terms = (c0, shape_m1, log_shape)
             elif kernel in _GAMMA_FAMILY:
                 shape = r + 1.0 if kernel is Kernel.GAM1 else _gam2_shape(x, b)
                 c0 = -(shape * log_b + _gammaln(shape))
@@ -360,9 +358,9 @@ class _LogKernel:
         (on a float it runs the same loop), so every term has the bits of a
         one-location array build.  Its checks are the location guards of
         every build: an array build calls it on its first failing location.
-        The GE kernels also set ``special`` and ``regroup`` here.  The branches
-        keep ``np.expm1`` from overflowing below r = 709, so only beyond it is
-        an ``np.errstate`` needed.
+        The GE kernels also set ``special`` here (log shape past 700).  The
+        branches keep ``np.expm1`` from overflowing below r = 709, so only
+        beyond it is an ``np.errstate`` needed.
         """
         kernel = self.kernel
         if kernel is not Kernel.IG:
@@ -382,10 +380,8 @@ class _LogKernel:
                 if nu <= 0.0:
                     raise _rescale_at(kernel, "x/b underflows", x, b)
                 shape_m1 = nu - 1.0
-            big = log_shape > _LOG_SHAPE_DIRECT_MAX
-            self.special = big or shape_m1 == 0.0
-            self.regroup = big
-            return log_shape - math.log(b), shape_m1, log_shape, self.special
+            self.special = log_shape > _LOG_SHAPE_DIRECT_MAX
+            return log_shape - math.log(b), shape_m1, log_shape
         if kernel in _GAMMA_FAMILY:
             if kernel is Kernel.GAM1:
                 shape = r + 1.0
@@ -414,16 +410,16 @@ class _LogKernel:
         """Per-datum terms, one row each: z is 1-D, or (R, n) for a column of R bandwidths.
 
         The GE and gamma kernels have the rows ``[L, 1, -z/b]``, the data
-        matrix of the product, and a fourth row ``log(-L)`` if some GE rows
-        are regrouped; ``ig`` and ``rig`` have the rows ``[z, base, w, 1]``,
-        whose rows 0 and 3 are the data matrix of a stack's :meth:`rows`.
+        matrix of the product, whatever the locations (the GE L is
+        ``log z - log b`` where z/b is below the normal range); ``ig`` and
+        ``rig`` have the rows ``[z, base, w, 1]``, whose rows 0 and 3 are the
+        data matrix of a stack's :meth:`rows`.
         The result is (rows, n), or (R, rows, n), each row written in place;
         a sample of a stack is ``data[r]``, a run of samples ``data[r0:r1]``,
         a data window ``dat[..., j0:j1]`` and a set of columns ``dat[..., cols]``.
         """
         kernel, b = self.kernel, self.b
-        height = 3 + self.regroup if kernel in _EXP_FAMILIES else 4
-        terms = np.empty(z.shape[:-1] + (height, z.shape[-1]))
+        terms = np.empty(z.shape[:-1] + (3 if kernel in _EXP_FAMILIES else 4, z.shape[-1]))
         if kernel in _EXP_FAMILIES:
             L, u = terms[..., 0, :], terms[..., 2, :]
             with np.errstate(over="ignore"):  # z/b = inf is right: log K = -inf
@@ -433,12 +429,9 @@ class _LogKernel:
                 np.log(z, out=L)
             else:
                 _log1mexp(u, out=L)
-                if self.regroup:
-                    terms[..., 3, :] = np.where(
-                        u > _ASYMPTOTIC_U,
-                        -u + np.log1p(0.5 * np.exp(-u)),
-                        np.log(-np.where(L < 0.0, L, -1.0)),
-                    )
+                # z/b below the normal range has lost its digits: L is log(z/b)
+                if u.min() < _TINY:
+                    np.subtract(np.log(z), _log_each(b), out=L, where=u < _TINY)
             np.negative(u, out=u)
             return terms
         terms[..., 0, :] = z
@@ -463,10 +456,10 @@ class _LogKernel:
         With an int its location terms are (G, 1) columns, as with a scalar
         bandwidth; with a slice they are (samples, G, 1) stacks.  Pass
         :meth:`rows` the data terms of the same samples, ``data[r]`` of
-        :meth:`data`, or columns of them.
+        :meth:`data`, or columns of them.  ``special`` is the whole stack's.
         """
         sub = object.__new__(_LogKernel)
-        sub.kernel, sub.regroup, sub.special = self.kernel, self.regroup, self.special
+        sub.kernel, sub.special = self.kernel, self.special
         sub.b = self.b[r]
         sub.loc = tuple([t[r] for t in self.loc])
         sub.mat = self.mat[r]
@@ -485,8 +478,9 @@ class _LogKernel:
         loop, k in order, with the bits of ``dgemm``.
 
         The GE and gamma block is one ``dgemm`` of the location matrix against
-        the data matrix ``dat[:3]``, or their stacked product; the rows of GE
-        special locations are then written over with their own formula.  For
+        the data matrix ``dat[:3]``, or their stacked product; its GE rows of
+        log shape past 700 are then written over with the regrouped form,
+        ``log(-L)`` taken from their sample's rows L and -z/b.  For
         ``ig`` and ``rig`` the difference ``d = z - s`` is a broadcast, or the
         stacked product of ``[1, -s]`` and ``[z; 1]``, whose products are
         exact and whose one addition is ``z + (-s)``.  Then ``rig`` takes
@@ -519,20 +513,17 @@ class _LogKernel:
                     block = np.matmul(mat, dat[:, :3], out=block)
             else:
                 block = np.matmul(mat, dat[:, :3], out=block)
-            if self.special and self.loc[3][..., lo:hi, :].any():
-                c0, _, log_shape, special = (t[..., lo:hi, 0] for t in self.loc)
-                # a special row at takes its sample's data terms, dat[at[:-1]]
-                big = special & (log_shape > _LOG_SHAPE_DIRECT_MAX)
-                at = np.nonzero(big)
+            if self.special:
+                c0, _, log_shape = (t[..., lo:hi, 0] for t in self.loc)
+                at = np.nonzero(log_shape > _LOG_SHAPE_DIRECT_MAX)
                 if at[0].size:
-                    own = dat[at[:-1]]
+                    # a special row at takes its sample's rows L and v = -z/b
+                    L, v = dat[..., 0, :], dat[..., 2, :]
+                    log_neg_l = np.where(v < -_ASYMPTOTIC_U, v + np.log1p(0.5 * np.exp(v)),
+                                         np.log(-np.where(L < 0.0, L, -1.0)))
                     with np.errstate(over="ignore"):
-                        T = -np.exp(log_shape[at][:, None] + own[..., 3, :])
-                    block[at] = (c0[at][:, None] + T) + own[..., 2, :]
-                # shape 1: (shape - 1) L is -0.0, even where L is -inf, and
-                # c0 + -0.0 is c0
-                at = np.nonzero(special & ~big)
-                block[at] = c0[at][:, None] + dat[at[:-1]][..., 2, :]
+                        T = -np.exp(log_shape[at][:, None] + log_neg_l[at[:-1]])
+                    block[at] = (c0[at][:, None] + T) + v[at[:-1]]
             return block
         shift, scale = (t[..., lo:hi, :] for t in self.loc)  # x and 1/x, or s and 1/(2b)
         base, w = dat[..., 1:2, :], dat[..., 2:3, :]  # rows (1, n), or (samples, 1, n)

@@ -315,8 +315,8 @@ def _assert_entry(one, many, g):
     if one.kernel in (Kernel.GE, Kernel.GE2, Kernel.GAM1, Kernel.GAM2):
         assert one.mat.shape == (1, 3)
         assert _hex(one.mat) == _hex(many.mat[g])
-    special = bool(many.loc[3][g, 0]) if one.kernel in (Kernel.GE, Kernel.GE2) else False
-    assert (one.special, one.regroup) == (special, special and many.loc[2][g, 0] > 700.0)
+    special = one.kernel in (Kernel.GE, Kernel.GE2) and many.loc[2][g, 0] > 700.0
+    assert one.special == special
 
 
 class TestFloatLocationBuild:
@@ -324,12 +324,12 @@ class TestFloatLocationBuild:
 
     @pytest.mark.parametrize("kernel, x, b", _location_cases())
     def test_matches_entry_of_many_location_build(self, kernel, x, b):
-        xs = b * np.linspace(2.0, 80.0, 256)  # no special or regrouped location among them
+        xs = b * np.linspace(2.0, 80.0, 256)  # no special location among them
         xs[37] = x
         many = _LogKernel(kernel, xs, b)
         one = _LogKernel(kernel, np.array([x]), b)
         _assert_entry(one, many, 37)
-        assert (one.special, one.regroup) == (many.special, many.regroup)
+        assert one.special == many.special
 
     @pytest.mark.parametrize("kernel, x, b, what", _guard_cases())
     def test_guards_raise_the_array_build_error(self, kernel, x, b, what):
@@ -859,14 +859,56 @@ class TestUnitShape:
         assert est.values[0] == pytest.approx(expect, rel=1e-15)
 
 
+def _mp_ge_log_kernel(kernel, x, b, z):
+    """log K of ``ge`` or ``ge2`` at 50 digits, with L as ``log(-expm1(-z/b))``.
+
+    The shape is that of the double x/b the kernel takes; the ``ge2`` shape
+    is the 50-digit root of ``psi(1 + nu) = x/b - EULER_GAMMA``.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        r, bb, zz = mp.mpf(x / b), mp.mpf(b), mp.mpf(z)
+        if kernel is Kernel.GE:
+            shape = mp.exp(r)
+        else:
+            shape = mp.findroot(lambda v: mp.digamma(1 + v) + mp.euler - r, ge2_shape(x, b))
+        return mp.log(shape) - mp.log(bb) + (shape - 1) * mp.log(-mp.expm1(-zz / bb)) - zz / bb
+
+
+class TestSubnormalZOverB:
+    """z/b below the smallest normal double: L is log z - log b, and log K is finite."""
+
+    @pytest.mark.parametrize("kernel, x, b", [(Kernel.GE2, 0.2, 2.0), (Kernel.GE, 0.5, 1e10),
+                                              (Kernel.GE, 20.0, 10.0)])
+    def test_log_kernel_matches_50_digits(self, kernel, x, b):
+        want = float(_mp_ge_log_kernel(kernel, x, b, 5e-324))
+        got = _quietly(lambda: log_kernel(kernel, x, b, 5e-324))
+        if kernel is Kernel.GE:
+            assert abs(got - want) <= 4.0 * math.ulp(want), (got, want)
+        else:  # the ge2 shape solve stops at an absolute 1e-12
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("kernel, b, data, x, rel", [
+        (Kernel.GE, 1e10, [5e-324, 3.0], 0.5, 1e-14),
+        (Kernel.GE2, 2.0, [5e-324, 1.0], 0.2, 1e-12),
+    ], ids=["ge", "ge2"])
+    def test_estimate_matches_50_digits(self, kernel, b, data, x, rel):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            want = float(sum(mp.exp(_mp_ge_log_kernel(kernel, x, b, z)) for z in data) / 2)
+        got = _quietly(lambda: estimate_density(Sample(data), kernel, b, [x])).values[0]
+        assert got == pytest.approx(want, rel=rel, abs=0.0)
+
+
 # --- the GE/gamma block as one matrix product, against the broadcast ---------
 
 def _broadcast_rows(ev, z, lo=0, hi=None):
     """The broadcast combine ``(c0 + (shape - 1) L) - z/b``, transcribed.
 
     The per-datum terms are computed here from z; the location terms are the
-    evaluator's.  GE special rows take ``-exp(log shape + log(-L))`` (past
-    ``exp(700)``) or ``-0.0`` (shape 1) for the product (shape - 1) L.
+    evaluator's.  The GE L is ``log z - log b`` where z/b is below the normal
+    range, and the rows whose log shape exceeds 700 take
+    ``-exp(log shape + log(-L))`` for the product (shape - 1) L.
     """
     c0, shape_m1 = (t[lo:hi] for t in ev.loc[:2])
     with np.errstate(all="ignore"):
@@ -875,14 +917,14 @@ def _broadcast_rows(ev, z, lo=0, hi=None):
             L = np.log(z)
         else:
             L = np.where(u > math.log(2.0), np.log1p(-np.exp(-u)), np.log(-np.expm1(-u)))
+            L = np.where(u < _TINY, np.log(z) - math.log(ev.b), L)
         T = shape_m1 * L
         if ev.kernel in (Kernel.GE, Kernel.GE2):
-            log_shape, special = ev.loc[2][lo:hi, 0], ev.loc[3][lo:hi, 0]
-            big = special & (log_shape > 700.0)
+            log_shape = ev.loc[2][lo:hi, 0]
+            big = log_shape > 700.0
             log_neg_l = np.where(u > 36.0, -u + np.log1p(0.5 * np.exp(-u)),
                                  np.log(-np.where(L < 0.0, L, -1.0)))
             T[big] = -np.exp(log_shape[big, None] + log_neg_l)
-            T[special & ~big] = -0.0
         return (c0 + T) - u
 
 
@@ -950,9 +992,9 @@ class TestProductCombine:
             grid = np.concatenate([[0.05, b, 0.3], np.linspace(1.0, 69.0, 5), [70.2, 90.0]])
         z = np.concatenate([[5e-324, 1e-300, 1e-5], np.geomspace(0.01, 300.0, 97), [1e300]])
         ev = _LogKernel(kernel, grid, b)
-        assert ev.regroup and ev.special
-        special = ev.loc[3][:, 0]
-        assert special.any() and not special.all()
+        assert ev.special
+        big = ev.loc[2][:, 0] > 700.0
+        assert big.any() and not big.all()
         dat = _quietly(lambda: ev.data(z))
         for lo in range(grid.size):
             for hi in (lo + 1, lo + 2, None):
@@ -964,7 +1006,8 @@ class TestProductCombine:
 
     def test_ge2_shape_below_one(self):
         # x < b gives nu < 1: shape - 1 is negative, and (shape - 1) L is
-        # +inf where z/b underflows to 0
+        # large where z/b underflows to 0, where L is log z - log b: log K is
+        # within 1e-12 of its 50-digit value there, above log DBL_MAX
         b = 2.0
         grid = np.linspace(0.01, 1.9, 40)
         ev = _LogKernel(Kernel.GE2, grid, b)
@@ -972,7 +1015,7 @@ class TestProductCombine:
         z = np.concatenate([[5e-324], np.geomspace(1e-3, 50.0, 60)])
         dat = _quietly(lambda: ev.data(z))
         got = ev.rows(dat)
-        assert got[0, 0] == math.inf
+        assert abs(got[0, 0] - 736.37630385279985) <= 1e-12
         assert _same_bits(got, _broadcast_rows(ev, z))
         for lo in (0, 17, 39):
             assert _same_bits(ev.rows(dat, lo, lo + 1), _broadcast_rows(ev, z, lo, lo + 1))
@@ -989,8 +1032,10 @@ class TestProductCombine:
         u = -dat[2]
         assert (np.isinf(u).any() if b < 1.0 else (u == 0.0).any())
         got = ev.rows(dat)
-        # -inf where z/b is inf, and for GE where L = log(1 - exp(-0)) is -inf
-        assert bool(np.isfinite(got).all()) == (b > 1.0 and kernel in (Kernel.GAM1, Kernel.GAM2))
+        # -inf only where z/b is inf; finite where it is 0, for GE through
+        # L = log z - log b
+        assert np.array_equal(np.isfinite(got), np.broadcast_to(np.isfinite(u), got.shape))
+        assert (got[:, np.isinf(u)] == -math.inf).all()
         assert _same_bits(got, _broadcast_rows(ev, z))
         for lo in range(grid.size):
             assert _same_bits(ev.rows(dat, lo, lo + 1), _broadcast_rows(ev, z, lo, lo + 1))
@@ -1040,8 +1085,8 @@ class TestOutputBuffer:
     def test_same_bits_at_heights_one_to_four(self, kernel):
         z, b, grid = self._case(kernel)
         ev = _LogKernel(kernel, grid, b)
-        if kernel in (Kernel.GE, Kernel.GE2):
-            assert ev.regroup and ev.loc[3][:, 0].sum() == 3  # shape 1, and two past 700
+        if kernel in (Kernel.GE, Kernel.GE2):  # shape 1, and two past 700
+            assert (ev.loc[1][:, 0] == 0.0).sum() == 1 and (ev.loc[2][:, 0] > 700.0).sum() == 2
         dat = _quietly(lambda: ev.data(z))
         junk = np.resize([np.nan, np.inf, -np.inf, -0.0], (2, 4, z.size))
         for height in range(1, 5):
@@ -1123,7 +1168,7 @@ class TestGrids:
         z = np.geomspace(0.01, 300.0, 50)
         values = np.stack([z, 2.0 * z])
         ev = _LogKernel(Kernel.GE, np.array([0.0, 1.0, 90.0]), np.array([[0.1], [0.2]]))
-        assert ev.special and ev.regroup
+        assert ev.special
         data = _quietly(lambda: ev.data(values))
         got = _quietly(lambda: ev.take(slice(0, 2)).rows(data[0:2], out=np.empty((2, 2, 3, 50))))
         for r in range(2):
@@ -1157,14 +1202,15 @@ class TestDataTerms:
     @pytest.mark.parametrize("kernel", list(Kernel), ids=lambda k: k.value)
     @pytest.mark.parametrize("x_max", [3.0, 800.0])
     def test_terms(self, kernel, x_max):
-        # at x/b = 800 the ge and ge2 shapes exceed exp(700): those rows are regrouped
+        # at x/b = 800 the ge and ge2 shapes exceed exp(700): those rows are
+        # regrouped, from the same three data rows
         grid = np.linspace(2.0, x_max, 5)
         ev = _LogKernel(kernel, grid, 1.0)
         dat = _quietly(lambda: ev.data(np.array([0.5, 1.0, 4.0])))
         assert isinstance(dat, np.ndarray) and dat.dtype == np.float64
         if kernel in _PRODUCT_KERNELS:
-            assert dat.shape == (3 + ev.regroup, 3)
-            assert ev.regroup == (kernel in (Kernel.GE, Kernel.GE2) and x_max > 700.0)
+            assert dat.shape == (3, 3)
+            assert ev.special == (kernel in (Kernel.GE, Kernel.GE2) and x_max > 700.0)
             assert ev.mat.shape == (5, 3)
         else:
             # [z, base, w, 1]: rows 0 and 3 are the data matrix of a stack's ``rows``

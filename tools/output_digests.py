@@ -31,6 +31,14 @@ A windowed row is cut at the -746 floor where its coarse peak lies within
 40 + ln n of it: 10 ``ge`` and 9 ``ge2`` rows of ``estimate_large`` and one
 of each in ``estimate_n32769`` peak above -746 there, and 1861, 1774, 14
 and 11 rows at or below it.  No gamma-kernel row has a window.
+``estimate_special`` reaches the GE rows that no catalogue input does: the
+shape-1 row (x = 0 for ``ge``, x = b for ``ge2``) and the regrouped rows,
+whose log shape exceeds 700.  Its estimates take b = 0.01 and 0.1 on 160
+points from that row to 1.1 times the largest datum, for config D samples
+(seed 7) at n = 100, 2000 and 20000 (whose rows take data windows) and for
+a stack of three n = 100 samples (seeds 7, 8 and 9) through the grouped
+blocks of ``gekde.estimator._estimate_batch``.  Every z/b there is a
+normal double.
 ``exact_moments`` holds the moments that the ``diagnose_exact`` catalogue
 does not reach, under Gamma(3, 1) and config D: ``ge2`` at x < b (the
 rule in the kernel's probability, through ``kernels._ge_quantiles``) and the one-location
@@ -45,7 +53,7 @@ and the 0.05%, 50% and 99.95% quantiles of configs A-F, on which the
 theorem-2 bandwidths and the ISE grids rest.  Each line gives one workload
 and kernel, the number of values and the SHA-256 of their float64 bytes in
 catalogue order, so two checkouts whose outputs keep every bit print the
-same lines: 36 lines after the first, which names the machine: nproc and
+same lines: 38 lines after the first, which names the machine: nproc and
 the Python, numpy and scipy versions.
 
 With ``--against``, a kernel whose digest differs from the dump's also gets
@@ -105,6 +113,19 @@ def _collect(workloads) -> dict:
             g = grid[gekde.estimator._domain_start(kernel, grid, b):]
             out[f"estimate_n{n}", kernel.value].append(
                 gekde.estimate_density(sample, kernel, b, g).values)
+    config_d = gekde.CONFIGURATIONS["D"]
+    for kernel in (gekde.Kernel.GE, gekde.Kernel.GE2):
+        for b in (0.01, 0.1):
+            x0 = 0.0 if kernel is gekde.Kernel.GE else b  # the shape-1 location
+            for n in (100, 2000, 20000):
+                sample = config_d.sample(n, 7)
+                grid = np.linspace(x0, 1.1 * sample.values.max(), 160)
+                out["estimate_special", kernel.value].append(
+                    gekde.estimate_density(sample, kernel, b, grid).values)
+            stack = np.stack([config_d.sample(100, seed).values for seed in (7, 8, 9)])
+            grid = np.linspace(x0, 1.1 * stack.max(), 160)
+            out["estimate_special", kernel.value].append(
+                gekde.estimator._estimate_batch(stack, kernel, np.full(3, b), grid).ravel())
     points = {
         gekde.Kernel.GE2: [(x, 0.5) for x in (0.15, 0.3, 0.45)]
         + [(x, 0.2) for x in (0.05, 0.1, 0.19)],
