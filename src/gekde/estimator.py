@@ -14,14 +14,15 @@ by sample, through one block loop, described in ``_estimate_batch``'s
 docstring: blocks of whole rows, exponentiated in place and summed along
 their rows, and, for a large sample, blocks of rows cut to the union of
 their data windows, each row exponentiated and summed on its own window.
-For the GE and gamma kernels a block's log K is one BLAS product of the
-location matrix and the data matrix, or of their stacks for a block of
-samples; ``ig`` and ``rig`` combine by a broadcast, except that in a block
-of samples their difference ``z - s`` is one stacked product of rank 2
-(see ``kernels._LogKernel``).  A data window or a set of probe columns
-indexes the last axis of a sample's data terms, one array.  Every grid
-value goes through the same operations whatever block it lands in, so the
-result does not depend on how the grid or the stack is split.
+Every kernel's block starts with one product step (see
+``kernels._LogKernel``), log K for the GE and gamma kernels and the
+difference ``z - s`` for ``ig`` and ``rig``: one BLAS product of the
+location and data matrices, or of their stacks for a block of samples,
+except that one sample's ``ig``/``rig`` difference is a broadcast.  A data
+window or a set of probe columns indexes the last axis of a sample's data
+terms, one array.  Every grid value goes through the same operations
+whatever block it lands in, so the result does not depend on how the grid
+or the stack is split.
 
 Bandwidth selection offers Silverman's rule-of-thumb (one vectorised pass
 serves a stack of samples), the closed-form optimum for the
@@ -427,12 +428,11 @@ def _estimate_batch(values: np.ndarray, kernel: Kernel, b: np.ndarray,
     consecutive samples share blocks of their whole grids:
     p = ``2 * _BLOCK_ELEMENTS // (G * n)`` samples a block (2 at n = 100 on
     a 256-point grid), the last block holding the rest.  A block's log K is
-    one (p, G, n) array, ``rows`` of ``ev.take(slice(r0, r1))`` (one stacked
-    product for the GE and gamma kernels, and for the ``ig`` and ``rig``
-    difference ``z - s``), taken by one ``_exp_rows``, masked if some row of
-    the block is at or below ``_EXP_ZERO`` at the probe columns, and one row
-    sum.  A one-point grid is left to the row blocks: its stacked product
-    would go to gemv.
+    one (p, G, n) array, ``rows`` of ``ev.take(slice(r0, r1))`` (one
+    stacked product for every kernel), taken by one ``_exp_rows``, masked
+    if some row of the block is at or below ``_EXP_ZERO`` at the probe
+    columns, and one row sum.  A one-point grid is left to the row blocks:
+    its stacked product would go to gemv.
 
     Otherwise one block loop runs over the grid, sample by sample.  With
     more than ``_BLOCK_ELEMENTS // 2`` data, the rows whose log K reaches

@@ -45,24 +45,25 @@ row of data z and works in three steps: the terms that depend on x alone
 inverse-digamma solve) are computed once per location, the terms that
 depend on z alone (``log z``, ``z/b``, ``log(1 - exp(-z/b))``) once per
 datum, as the rows of one array with the data along its last axis, and the
-combine forms the (locations, data) block of log kernel values: a matrix
-product for the GE and gamma kernels, a broadcast for ``ig`` and ``rig``
-(whose difference ``z - s`` is a rank-2 product in a block of samples).
-The bandwidth may also be a column of R bandwidths, one per sample of a
-stack of R samples (the replications of a Monte Carlo cell): the location
-terms are then (R, locations) and the data terms (R, rows, data).  The one
-combine, ``_LogKernel.rows``, takes one sample of the stack at a time, or
-the whole grids of consecutive samples at once (one stacked matrix product
-for the GE and gamma kernels, and for the ``ig`` and ``rig`` difference),
-each entry through the same operations as with a scalar bandwidth.  The
-estimator runs it over blocks of grid rows, or of samples; ``log_kernel``
-and ``exact_estimator_moments`` are the single-location case, whose
-location terms are built on Python floats through the same branches and
-ufuncs, with the bits of a one-location array build and without its fixed
-array cost, and a single datum is a one-entry row through the same
-combine.  The GE kernels also invert their cdf in closed form
-(``_ge_quantiles``), with no special function; ``exact_estimator_moments``
-integrates a ``ge2`` kernel of shape below 1 in its probability through it.
+combine forms the (locations, data) block of log kernel values.  Every
+kernel's data rows lead with its product rows, a row of ones second, so
+the combine starts with one product step for every kernel: the whole log K
+for the GE and gamma kernels, the difference ``z + (-s)`` for ``ig`` and
+``rig``, whose ratios follow.  The bandwidth may also be a column of R
+bandwidths, one per sample of a stack of R samples (the replications of a
+Monte Carlo cell): the location terms are then (R, locations) and the data
+terms (R, rows, data).  The one combine, ``_LogKernel.rows``, takes one
+sample of the stack at a time, or the whole grids of consecutive samples at
+once (one stacked matrix product for every kernel), each entry through the
+same operations as with a scalar bandwidth.  The estimator runs it over
+blocks of grid rows, or of samples; ``log_kernel`` and
+``exact_estimator_moments`` are the single-location case, whose location
+terms are built on Python floats through the same branches and ufuncs,
+with the bits of a one-location array build and without its fixed array
+cost, and a single datum is a one-entry row through the same combine.  The
+GE kernels also invert their cdf in closed form (``_ge_quantiles``), with
+no special function; ``exact_estimator_moments`` integrates a ``ge2``
+kernel of shape below 1 in its probability through it.
 
 References
 ----------
@@ -79,6 +80,7 @@ References
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 
@@ -105,6 +107,7 @@ _ASYMPTOTIC_U = 36.0            # z/b beyond which log1p(-e^-u) = -e^-u to machi
 _ASYMPTOTIC_Y = 36.0            # digamma argument beyond which psi-inverse(y) = e^y + 1/2 exactly
 _DBL_MAX = float(np.finfo(float).max)  # largest double
 _TINY = float(np.finfo(float).tiny)  # smallest normal double
+_NO_ERRSTATE = contextlib.nullcontext()  # reusable, where an np.errstate is not
 
 #: Below this x/b the GE2 shape is the inverted series of
 #: ``psi(1 + nu) + EULER_GAMMA = zeta(2) nu - zeta(3) nu**2 + zeta(4) nu**3 - ...``
@@ -272,8 +275,8 @@ class _LogKernel:
     the same data rows, which have one layout per kernel whatever the
     locations; L is finite, so a shape-1 row is ``c0 - z/b`` bit for bit.
     For ``ig`` and ``rig`` ``mat`` has the rows ``[1, -x]`` and ``[1, -s]``,
-    whose product with the data rows ``[z; 1]`` of a stack is each entry's
-    ``z - s``, bit for bit.
+    one location's build included, and the data lead with the rows
+    ``[z; 1]``: their product is each entry's ``z - s``, bit for bit.
 
     ``b`` is a float, or an (R, 1) column of bandwidths for a stack of R
     samples: the location terms are then (R, G) and :meth:`data` takes an
@@ -303,8 +306,8 @@ class _LogKernel:
         if x.shape == (1,) and not isinstance(b, np.ndarray):
             terms = self._terms_at(x.item(), float(b))
             self.loc = tuple(np.array([[t]]) for t in terms)
-            if kernel in _EXP_FAMILIES:
-                self.mat = np.array([[terms[1], terms[0], 1.0]])
+            self.mat = np.array([[terms[1], terms[0], 1.0] if kernel in _EXP_FAMILIES
+                                 else [1.0, -terms[0]]])
             return
         log_b = _log_each(b)
         # a location that fails a guard shows as a non-finite term or a tiny
@@ -344,12 +347,9 @@ class _LogKernel:
             at = np.argwhere(bad)[0]  # row-major: sample, then grid point
             self._terms_at(float(x[at[-1]]), float(b if np.ndim(b) == 0 else b.ravel()[at[0]]))
         self.loc = tuple(t[..., None] for t in terms)  # columns, broadcast against data rows
-        if kernel in _EXP_FAMILIES:
-            c0, shape_m1 = self.loc[:2]
-            self.mat = np.concatenate((shape_m1, c0, np.ones_like(c0)), axis=-1)
-        else:
-            shift = self.loc[0]  # x (ig) or s (rig): the rows [1, -shift]
-            self.mat = np.concatenate((np.ones_like(shift), -shift), axis=-1)
+        head = self.loc[0]  # c0, or the shift x (ig) or s (rig)
+        self.mat = np.concatenate((self.loc[1], head, np.ones_like(head)) if kernel in _EXP_FAMILIES
+                                  else (np.ones_like(head), -head), axis=-1)
 
     def _terms_at(self, x: float, b: float) -> tuple:
         """The location terms of one x with a float b: the array build on floats.
@@ -409,22 +409,23 @@ class _LogKernel:
     def data(self, z: np.ndarray) -> np.ndarray:
         """Per-datum terms, one row each: z is 1-D, or (R, n) for a column of R bandwidths.
 
-        The GE and gamma kernels have the rows ``[L, 1, -z/b]``, the data
-        matrix of the product, whatever the locations (the GE L is
-        ``log z - log b`` where z/b is below the normal range); ``ig`` and
-        ``rig`` have the rows ``[z, base, w, 1]``, whose rows 0 and 3 are the
-        data matrix of a stack's :meth:`rows`.
+        Every kernel's rows lead with the data matrix of its product, a row
+        of ones second, whatever the locations.  The GE and gamma kernels
+        have the rows ``[L, 1, -z/b]`` (the GE L is ``log z - log b`` where
+        z/b is below the normal range); ``ig`` and ``rig`` have the rows
+        ``[z, 1, base, w]``, with the base term ``c - k log z`` and the
+        reciprocal w, ``1/(2 b z)`` (``ig``) or ``1/z`` (``rig``).
         The result is (rows, n), or (R, rows, n), each row written in place;
         a sample of a stack is ``data[r]``, a run of samples ``data[r0:r1]``,
         a data window ``dat[..., j0:j1]`` and a set of columns ``dat[..., cols]``.
         """
         kernel, b = self.kernel, self.b
         terms = np.empty(z.shape[:-1] + (3 if kernel in _EXP_FAMILIES else 4, z.shape[-1]))
+        terms[..., 1, :] = 1.0
         if kernel in _EXP_FAMILIES:
             L, u = terms[..., 0, :], terms[..., 2, :]
             with np.errstate(over="ignore"):  # z/b = inf is right: log K = -inf
                 np.divide(z, b, out=u)
-            terms[..., 1, :] = 1.0
             if kernel in _GAMMA_FAMILY:
                 np.log(z, out=L)
             else:
@@ -435,8 +436,7 @@ class _LogKernel:
             np.negative(u, out=u)
             return terms
         terms[..., 0, :] = z
-        terms[..., 3, :] = 1.0
-        base, w = terms[..., 1, :], terms[..., 2, :]
+        base, w = terms[..., 2, :], terms[..., 3, :]
         c = -0.5 * _log_each(2.0 * math.pi * b)
         with np.errstate(over="ignore", divide="ignore"):  # an infinite reciprocal is log K = -inf
             np.log(z, out=base)
@@ -477,15 +477,18 @@ class _LogKernel:
         sends each slice of a stacked ``np.matmul`` to gemm, or to its own
         loop, k in order, with the bits of ``dgemm``.
 
-        The GE and gamma block is one ``dgemm`` of the location matrix against
-        the data matrix ``dat[:3]``, or their stacked product; its GE rows of
-        log shape past 700 are then written over with the regrouped form,
-        ``log(-L)`` taken from their sample's rows L and -z/b.  For
-        ``ig`` and ``rig`` the difference ``d = z - s`` is a broadcast, or the
-        stacked product of ``[1, -s]`` and ``[z; 1]``, whose products are
-        exact and whose one addition is ``z + (-s)``.  Then ``rig`` takes
-        ``q = (d w) (d h)`` with ``h = 1/(2b)``, ``ig`` ``q = (e w) e`` with
-        ``e = d (1/x)``, and log K is ``base - q``.
+        One product step serves every kernel: of a run of samples, one
+        stacked ``np.matmul`` of ``mat`` against the data's first k rows, k
+        the width of ``mat``; of one sample, one ``dgemm`` (GE, gamma) or the
+        broadcast ``z + (-s)`` (``ig``, ``rig``), which beats ``dgemm`` on
+        long rows as the product beats it on stacks of short rows (broadcast
+        against product: 16 and 20 us on 3 x 20000, 53 and 16 on 2 x 256 x 100).
+        The products are exact and the one addition is ``z + (-s)``.  GE rows
+        of log shape past 700 are then written over with the regrouped form,
+        ``log(-L)`` from their sample's rows L and -z/b.  ``ig`` and ``rig``
+        share one ratio sequence, log K ``base - (d w) d``, and differ only
+        in where the scale goes: ``ig`` first takes ``d = (z - x) (1/x)``, and
+        ``rig`` scales the last factor by ``1/(2b)``.
 
         ``out``, if given, is a (2, ...) array of two blocks' shape whose
         layers are C-ordered: the block is written into ``out[0]`` and
@@ -493,26 +496,26 @@ class _LogKernel:
         contents, NaN and inf included, never reach the result, whose bits are
         those of a call without it; without it, each call allocates its block.
         """
-        kernel, stacked = self.kernel, self.loc[0].ndim == 3
+        kernel, mat = self.kernel, self.mat[..., lo:hi, :]
         block, scratch = (None, None) if out is None else (out[0], out[1])
-        if kernel in _EXP_FAMILIES:
-            mat = self.mat[..., lo:hi, :]
+        product = kernel in _EXP_FAMILIES
+        # d is the GE and gamma block, or the ig and rig difference z - s
+        if mat.ndim == 3:  # a run of samples
+            # special rows may hold inf * 0 until written over; entering an
+            # np.errstate costs about 2 us, so only a special stack does
+            with np.errstate(invalid="ignore") if self.special else _NO_ERRSTATE:
+                d = np.matmul(mat, dat[:, :mat.shape[-1]], out=block if product else scratch)
+        elif product:
             # gemm takes k in order: ((shape - 1) L + c0 * 1) + 1 * (-z/b),
             # and the two unit products are exact.  dgemm computes it
-            # transposed: the Fortran (n, rows) result is the C-ordered
-            # (rows, n) block.  With beta 0 gemm overwrites out[0] in place;
-            # f2py would copy a c that is not Fortran-ordered, so the block is
-            # the return value
-            if not stacked:
-                if block is None:
-                    block = dgemm(1.0, dat[:3].T, mat.T).T
-                else:
-                    block = dgemm(1.0, dat[:3].T, mat.T, beta=0.0, c=block.T, overwrite_c=1).T
-            elif self.special:  # special rows may hold inf * 0 until written over
-                with np.errstate(invalid="ignore"):
-                    block = np.matmul(mat, dat[:, :3], out=block)
-            else:
-                block = np.matmul(mat, dat[:, :3], out=block)
+            # transposed: the Fortran (n, rows) result is the C-ordered (rows,
+            # n) block.  With beta 0 gemm overwrites out[0] in place; f2py would
+            # copy a c that is not Fortran-ordered, so the block is the return
+            # value.  Keyword arguments would cost f2py 0.4 us a call
+            d = dgemm(1.0, dat[:3].T, mat.T, 0.0, None if block is None else block.T, 0, 0, 1).T
+        else:
+            d = np.add(dat[0:1], mat[:, 1:], out=scratch)  # z + (-s)
+        if product:
             if self.special:
                 c0, _, log_shape = (t[..., lo:hi, 0] for t in self.loc)
                 at = np.nonzero(log_shape > _LOG_SHAPE_DIRECT_MAX)
@@ -523,23 +526,18 @@ class _LogKernel:
                                          np.log(-np.where(L < 0.0, L, -1.0)))
                     with np.errstate(over="ignore"):
                         T = -np.exp(log_shape[at][:, None] + log_neg_l[at[:-1]])
-                    block[at] = (c0[at][:, None] + T) + v[at[:-1]]
-            return block
-        shift, scale = (t[..., lo:hi, :] for t in self.loc)  # x and 1/x, or s and 1/(2b)
-        base, w = dat[..., 1:2, :], dat[..., 2:3, :]  # rows (1, n), or (samples, 1, n)
+                    d[at] = (c0[at][:, None] + T) + v[at[:-1]]
+            return d
+        scale = self.loc[1][..., lo:hi, :]  # 1/x (ig) or 1/(2b) (rig)
+        base, w = dat[..., 2:3, :], dat[..., 3:4, :]  # rows (1, n), or (samples, 1, n)
+        ig = kernel is Kernel.IG
         with np.errstate(over="ignore"):  # an overflowing product is log K = -inf
-            if stacked:  # 1 z + (-s) 1
-                d = np.matmul(self.mat[..., lo:hi, :], dat[:, ::3], out=scratch)
-            else:
-                d = np.subtract(dat[0:1], shift, out=scratch)
-            if kernel is Kernel.IG:
+            if ig:
                 d *= scale  # e = (z - x)/x
-                q = np.multiply(d, w, out=block)
-                q *= d
-            else:
-                q = np.multiply(d, w, out=block)
+            q = np.multiply(d, w, out=block)
+            if not ig:
                 d *= scale  # (z - s)/(2b)
-                q *= d
+            q *= d
         return np.subtract(base, q, out=q)
 
 

@@ -312,9 +312,8 @@ def _assert_entry(one, many, g):
     for t_one, t_many in zip(one.loc, many.loc):
         assert t_one.shape == (1, 1) and t_one.dtype == t_many.dtype
         assert _hex(t_one) == _hex(t_many[g])
-    if one.kernel in (Kernel.GE, Kernel.GE2, Kernel.GAM1, Kernel.GAM2):
-        assert one.mat.shape == (1, 3)
-        assert _hex(one.mat) == _hex(many.mat[g])
+    assert one.mat.shape == (1, 3 if one.kernel in _PRODUCT_KERNELS else 2)
+    assert _hex(one.mat) == _hex(many.mat[g])
     special = one.kernel in (Kernel.GE, Kernel.GE2) and many.loc[2][g, 0] > 700.0
     assert one.special == special
 
@@ -1150,7 +1149,7 @@ class TestGrids:
             for g in range(4):
                 at = np.flatnonzero(values[j + 1] == shift[j + 1, g])
                 assert at.size
-                assert _same_bits(got[j, g, at], data[j + 1, 1, at]), (j, g)
+                assert _same_bits(got[j, g, at], data[j + 1, 2, at]), (j, g)
 
     @pytest.mark.parametrize("kernel", [Kernel.IG, Kernel.RIG], ids=lambda k: k.value)
     def test_overflow_near_1e300(self, kernel):
@@ -1164,11 +1163,15 @@ class TestGrids:
         assert np.isfinite(got[..., :-4]).all()
 
     def test_special_ge_rows(self):
-        # shape 1 at x = 0 and x/b beyond 700: each sample's rows are written over
-        z = np.geomspace(0.01, 300.0, 50)
-        values = np.stack([z, 2.0 * z])
-        ev = _LogKernel(Kernel.GE, np.array([0.0, 1.0, 90.0]), np.array([[0.1], [0.2]]))
-        assert ev.special
+        # x = 90 has x/b = 900 and 750: each sample has a regrouped row, which
+        # takes log(-L) from that sample's own rows L and -z/b, and the two
+        # samples' z/b differ; x = 0 has shape 1, the product as it is
+        values = np.stack([np.geomspace(0.01, 300.0, 50), np.geomspace(0.02, 250.0, 50)])
+        b = np.array([[0.1], [0.12]])
+        ev = _LogKernel(Kernel.GE, np.array([0.0, 1.0, 90.0]), b)
+        assert ev.special and (ev.loc[2][:, 2, 0] > 700.0).all()
+        assert not (ev.loc[2][:, :2, 0] > 700.0).any()
+        assert not np.isin(values[0] / b[0], values[1] / b[1]).any()
         data = _quietly(lambda: ev.data(values))
         got = _quietly(lambda: ev.take(slice(0, 2)).rows(data[0:2], out=np.empty((2, 2, 3, 50))))
         for r in range(2):
@@ -1208,13 +1211,15 @@ class TestDataTerms:
         ev = _LogKernel(kernel, grid, 1.0)
         dat = _quietly(lambda: ev.data(np.array([0.5, 1.0, 4.0])))
         assert isinstance(dat, np.ndarray) and dat.dtype == np.float64
+        # every kernel's data lead with its product rows, the ones row at index 1
+        assert (dat[1] == 1.0).all()
         if kernel in _PRODUCT_KERNELS:
             assert dat.shape == (3, 3)
             assert ev.special == (kernel in (Kernel.GE, Kernel.GE2) and x_max > 700.0)
             assert ev.mat.shape == (5, 3)
         else:
-            # [z, base, w, 1]: rows 0 and 3 are the data matrix of a stack's ``rows``
-            assert dat.shape == (4, 3) and (dat[3] == 1.0).all()
+            # [z, 1, base, w]: rows 0 and 1 are the data matrix of a stack's ``rows``
+            assert dat.shape == (4, 3) and _same_bits(dat[0], np.array([0.5, 1.0, 4.0]))
             assert ev.mat.shape == (5, 2)
         cols = dat[..., [0, 2]]
         assert isinstance(cols, np.ndarray) and cols.shape == dat.shape[:-1] + (2,)
