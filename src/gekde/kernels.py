@@ -42,9 +42,10 @@ reported, with its first failing guard.
 One evaluator serves every caller.  It takes a column of locations x and a
 row of data z and works in three steps: the terms that depend on x alone
 (shapes, the gamma normaliser, the ``ge2`` shape from one array
-inverse-digamma solve) are computed once per location, the terms that
+inverse-digamma solve) are computed once per location and stored once, in
+the location matrix of the product or in one side column; the terms that
 depend on z alone (``log z``, ``z/b``, ``log(1 - exp(-z/b))``) once per
-datum, as the rows of one array with the data along its last axis, and the
+datum, as the rows of one array with the data along its last axis; and the
 combine forms the (locations, data) block of log kernel values.  Every
 kernel's data rows lead with its product rows, a row of ones second, so
 the combine starts with one product step for every kernel: the whole log K
@@ -239,8 +240,7 @@ def _ge2_shape_at(r: float) -> tuple:
 
 def _gam2_shape(x, b):
     r = x / b
-    with np.errstate(over="ignore"):  # the splice overflows only where x >= 2b takes r
-        return np.where(x >= 2.0 * b, r, 0.25 * r * r + 1.0)
+    return np.where(x >= 2.0 * b, r, 0.25 * r * r + 1.0)
 
 
 def _rescale_at(kernel, what, x: float, b: float):
@@ -254,9 +254,9 @@ class _LogKernel:
     The evaluation runs in three steps, so that no term is computed more
     often than the axis it depends on requires:
 
-    1. per-location terms (the constructor): shapes, log-shapes, the GE2
-       shape solve and the constant term c0, once for every x; one location
-       with a float bandwidth takes :meth:`_terms_at`, on floats;
+    1. per-location terms (the constructor), once for every x and each
+       stored once, in ``mat`` or ``side``; one location with a float
+       bandwidth takes :meth:`_terms_at`, on floats;
     2. per-datum terms (:meth:`data`): ``log z``, ``z/b``,
        ``log(1 - exp(-z/b))`` and the reciprocals ``1/z`` (``rig``) and
        ``1/(2 b z)`` (``ig``), once for every z, as the rows of one array;
@@ -270,99 +270,101 @@ class _LogKernel:
     ``matmul`` would not do for one block: it sends a one-row product to
     gemv, which sums in another order.  It does for a stack of samples'
     whole grids of at least 2 points each (:meth:`take` of a slice): numpy
-    sends each slice to gemm, with the bits of ``dgemm``.  The one kind of
-    special row, a GE log shape past 700 (``special``), is written over from
-    the same data rows, which have one layout per kernel whatever the
-    locations; L is finite, so a shape-1 row is ``c0 - z/b`` bit for bit.
-    For ``ig`` and ``rig`` ``mat`` has the rows ``[1, -x]`` and ``[1, -s]``,
-    one location's build included, and the data lead with the rows
-    ``[z; 1]``: their product is each entry's ``z - s``, bit for bit.
+    sends each slice to gemm, with the bits of ``dgemm``.  For ``ig`` and
+    ``rig`` ``mat`` has the rows ``[1, -x]`` and ``[1, -s]``, and the data
+    lead with the rows ``[z; 1]``: their product is each entry's ``z - s``,
+    bit for bit.  ``side`` is the (G, 1) column of the one term that
+    :meth:`rows` reads beside the product: ``ig``'s 1/x, ``rig``'s 1/(2b),
+    or the GE log shape, whose rows past 700 (``special``) are written over
+    from the same data rows; L is finite, so a shape-1 row is ``c0 - z/b``
+    bit for bit.  The gamma kernels have no side term (None).
 
     ``b`` is a float, or an (R, 1) column of bandwidths for a stack of R
-    samples: the location terms are then (R, G) and :meth:`data` takes an
-    (R, n) array, one sample per row.  Every entry of the combined block
-    goes through the same floating-point operations in the same order,
-    whatever the block's size and however many samples share it, so results
-    do not depend on how a grid or a stack is split into blocks.  Locations
-    must already be validated for the kernel and data must be positive and
-    finite.  A location where x/b or c0 overflows (every kernel but ``ig``;
-    c0 of ``gam1``, ``gam2`` at shapes beyond about 1e305), x/b underflows
-    (``ge2``), 2*b*x underflows or 1/x overflows (``ig``), or 1/(x - b) or
-    1/(2b) overflows (``rig``) raises :class:`DomainError` from
-    :meth:`_terms_at`, where the guards are written: an array build rebuilds
-    its first failing location, row-major over sample and then grid point,
-    there.  The ``ig`` and ``rig`` combine is a subtraction and
-    multiplications, and its factors are ratios; at z = x (``ig``) or
-    z = x - b (``rig``) these guards keep every factor finite, so the
-    quadratic term there is exactly 0, never ``0 * inf``.
+    samples: ``mat`` and ``side`` are then (R, G, k) and (R, G, 1), and
+    :meth:`data` takes an (R, n) array, one sample per row.  Every entry of
+    the combined block goes through the same floating-point operations in
+    the same order, whatever the block's size and however many samples share
+    it, so results do not depend on how a grid or a stack is split into
+    blocks.  Locations must already be validated for the kernel and data
+    must be positive and finite.  A location where x/b or c0 overflows
+    (every kernel but ``ig``; c0 of ``gam1``, ``gam2`` at shapes beyond
+    about 1e305), x/b underflows (``ge2``), 2*b*x underflows or 1/x
+    overflows (``ig``), or 1/(x - b) or 1/(2b) overflows (``rig``) raises
+    :class:`DomainError` from :meth:`_terms_at`, where the guards are
+    written: the array build hands it its first failing location, row-major
+    over sample and then grid point.  The ``ig`` and ``rig`` combine is a
+    subtraction and multiplications, and its factors are ratios; at z = x
+    (``ig``) or z = x - b (``rig``) these guards keep every factor finite,
+    so the quadratic term there is exactly 0, never ``0 * inf``.
     """
 
-    __slots__ = ("kernel", "b", "loc", "mat", "special")
+    __slots__ = ("kernel", "b", "mat", "side", "special")
 
     def __init__(self, kernel: Kernel, x: np.ndarray, b):
         self.kernel = kernel
         self.b = b
-        self.special = False
         if x.shape == (1,) and not isinstance(b, np.ndarray):
-            terms = self._terms_at(x.item(), float(b))
-            self.loc = tuple(np.array([[t]]) for t in terms)
-            self.mat = np.array([[terms[1], terms[0], 1.0] if kernel in _EXP_FAMILIES
-                                 else [1.0, -terms[0]]])
+            row, side = self._terms_at(kernel, x.item(), float(b))
+            self.mat = np.array([row])
+            self.side = None if side is None else np.array([[side]])
+            self.special = kernel in _GE_FAMILY and side > _LOG_SHAPE_DIRECT_MAX
             return
         log_b = _log_each(b)
         # a location that fails a guard shows as a non-finite term or a tiny
         # 2 b x; _terms_at rebuilds the first of them and raises its error
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             r = x / b
+            product = kernel in _EXP_FAMILIES
+            mat = np.empty(r.shape + (3 if product else 2,))
+            side = None if kernel in _GAMMA_FAMILY else np.empty(r.shape + (1,))
+            mat[..., 2 if product else 0] = 1.0  # [shape - 1, c0, 1], or [1, -x] or [1, -s]
             if kernel in _GE_FAMILY:
                 if kernel is Kernel.GE:
-                    log_shape, shape_m1 = r, np.expm1(r)
+                    log_shape, mat[..., 0] = r, np.expm1(r)
                 else:
                     nu, log_shape = _ge2_shape(r)
-                    shape_m1 = nu - 1.0
-                c0 = log_shape - log_b
-                bad = ~np.isfinite(c0)
-                self.special = bool((log_shape > _LOG_SHAPE_DIRECT_MAX).any())  # regrouped rows
-                terms = (c0, shape_m1, log_shape)
+                    mat[..., 0] = nu - 1.0
+                mat[..., 1] = log_shape - log_b
+                side[..., 0] = log_shape
+                bad = ~np.isfinite(mat[..., 1])
             elif kernel in _GAMMA_FAMILY:
                 shape = r + 1.0 if kernel is Kernel.GAM1 else _gam2_shape(x, b)
-                c0 = -(shape * log_b + _gammaln(shape))
-                bad = ~np.isfinite(c0)
-                terms = (c0, shape - 1.0)
+                mat[..., 0] = shape - 1.0
+                mat[..., 1] = -(shape * log_b + _gammaln(shape))
+                bad = ~np.isfinite(mat[..., 1])
             elif kernel is Kernel.IG:
                 # 2*b*x >= tiny keeps 1/(2 b z) finite at z = x, where the
                 # quadratic term is 0; an infinite 2*b*x passes
-                denom = 2.0 * b * x
-                inv_x = np.broadcast_to(1.0 / x, denom.shape)
-                bad = (denom < _TINY) | np.isinf(inv_x)
-                terms = (np.broadcast_to(x, denom.shape), inv_x)
+                mat[..., 1] = -x
+                side[..., 0] = 1.0 / x
+                bad = (2.0 * b * x < _TINY) | np.isinf(side[..., 0])
             else:
                 # a finite 1/(x - b) keeps 1/z finite at z = x - b, where the
                 # quadratic term is 0, and a finite 1/(2b) keeps it 0 there
                 s = x - b
-                half_inv_b = np.broadcast_to(0.5 / b, s.shape)
-                bad = ~(np.isfinite(r) & np.isfinite(1.0 / s) & np.isfinite(half_inv_b))
-                terms = (s, half_inv_b)
+                mat[..., 1] = -s
+                side[..., 0] = 0.5 / b
+                bad = ~(np.isfinite(r) & np.isfinite(1.0 / s) & np.isfinite(side[..., 0]))
         if bad.any():
             at = np.argwhere(bad)[0]  # row-major: sample, then grid point
-            self._terms_at(float(x[at[-1]]), float(b if np.ndim(b) == 0 else b.ravel()[at[0]]))
-        self.loc = tuple(t[..., None] for t in terms)  # columns, broadcast against data rows
-        head = self.loc[0]  # c0, or the shift x (ig) or s (rig)
-        self.mat = np.concatenate((self.loc[1], head, np.ones_like(head)) if kernel in _EXP_FAMILIES
-                                  else (np.ones_like(head), -head), axis=-1)
+            self._terms_at(kernel, float(x[at[-1]]),
+                           float(b if np.ndim(b) == 0 else b.ravel()[at[0]]))
+        self.mat, self.side = mat, side
+        self.special = kernel in _GE_FAMILY and bool((side > _LOG_SHAPE_DIRECT_MAX).any())
 
-    def _terms_at(self, x: float, b: float) -> tuple:
+    @staticmethod
+    def _terms_at(kernel: Kernel, x: float, b: float) -> tuple:
         """The location terms of one x with a float b: the array build on floats.
 
-        Each mask is an ``if`` and each ufunc the one the array build applies
-        (on a float it runs the same loop), so every term has the bits of a
-        one-location array build.  Its checks are the location guards of
-        every build: an array build calls it on its first failing location.
-        The GE kernels also set ``special`` here (log shape past 700).  The
-        branches keep ``np.expm1`` from overflowing below r = 709, so only
-        beyond it is an ``np.errstate`` needed.
+        Returns the row of ``mat`` and the ``side`` term (None for the gamma
+        kernels), and sets nothing.  Each mask is an ``if`` and each ufunc
+        the one the array build applies (on a float it runs the same loop), so
+        every term has the bits of a one-location array build.  Its checks
+        are the location guards of every build: an array build calls it on
+        its first failing location.  The branches keep ``np.expm1`` from
+        overflowing below r = 709, so only beyond it is an ``np.errstate``
+        needed.
         """
-        kernel = self.kernel
         if kernel is not Kernel.IG:
             r = x / b
             if not math.isfinite(r):
@@ -370,18 +372,14 @@ class _LogKernel:
         if kernel in _GE_FAMILY:
             if kernel is Kernel.GE:
                 log_shape = r
-                if r < 709.0:
+                with np.errstate(over="ignore") if r >= 709.0 else _NO_ERRSTATE:
                     shape_m1 = float(np.expm1(r))
-                else:
-                    with np.errstate(over="ignore"):
-                        shape_m1 = float(np.expm1(r))
             else:
                 nu, log_shape = _ge2_shape_at(r)
                 if nu <= 0.0:
                     raise _rescale_at(kernel, "x/b underflows", x, b)
                 shape_m1 = nu - 1.0
-            self.special = log_shape > _LOG_SHAPE_DIRECT_MAX
-            return log_shape - math.log(b), shape_m1, log_shape
+            return [shape_m1, log_shape - math.log(b), 1.0], log_shape
         if kernel in _GAMMA_FAMILY:
             if kernel is Kernel.GAM1:
                 shape = r + 1.0
@@ -390,21 +388,21 @@ class _LogKernel:
             c0 = -(shape * math.log(b) + float(_gammaln(shape)))
             if not math.isfinite(c0):
                 raise _rescale_at(kernel, "shape*log(b) + log Gamma(shape) overflows", x, b)
-            return c0, shape - 1.0
+            return [shape - 1.0, c0, 1.0], None
         if kernel is Kernel.IG:
             if 2.0 * b * x < _TINY:
                 raise _rescale_at(kernel, "2*b*x underflows", x, b)
             inv_x = 1.0 / x
             if inv_x == math.inf:
                 raise _rescale_at(kernel, "1/x overflows", x, b)
-            return x, inv_x
+            return [1.0, -x], inv_x
         s = x - b
         if s == 0.0 or math.isinf(1.0 / s):
             raise _rescale_at(kernel, "1/(x - b) overflows", x, b)
         half_inv_b = 0.5 / b
         if half_inv_b == math.inf:
             raise _rescale_at(kernel, "1/(2b) overflows", x, b)
-        return s, half_inv_b
+        return [1.0, -s], half_inv_b
 
     def data(self, z: np.ndarray) -> np.ndarray:
         """Per-datum terms, one row each: z is 1-D, or (R, n) for a column of R bandwidths.
@@ -453,29 +451,28 @@ class _LogKernel:
     def take(self, r: int | slice) -> "_LogKernel":
         """The evaluator of sample ``r`` of a stack, or of the samples of a slice ``r``.
 
-        With an int its location terms are (G, 1) columns, as with a scalar
-        bandwidth; with a slice they are (samples, G, 1) stacks.  Pass
+        With an int ``mat`` and ``side`` are (G, k) and (G, 1), as with a
+        scalar bandwidth; with a slice they are stacks: views, no copy.  Pass
         :meth:`rows` the data terms of the same samples, ``data[r]`` of
         :meth:`data`, or columns of them.  ``special`` is the whole stack's.
         """
         sub = object.__new__(_LogKernel)
         sub.kernel, sub.special = self.kernel, self.special
-        sub.b = self.b[r]
-        sub.loc = tuple([t[r] for t in self.loc])
-        sub.mat = self.mat[r]
+        sub.b, sub.mat = self.b[r], self.mat[r]
+        sub.side = None if self.side is None else self.side[r]
         return sub
 
     def rows(self, dat: np.ndarray, lo: int = 0, hi: int | None = None,
              out: np.ndarray | None = None) -> np.ndarray:
         """log K for locations ``lo:hi`` against all data: a (rows, n) array.
 
-        The location terms are (G, 1) columns, those of a scalar bandwidth or
-        of one sample of a stack, and ``dat`` is that sample's :meth:`data`,
-        at any of its columns.  Of a run of samples (:meth:`take` of a slice)
-        they are (samples, G, 1), and ``dat`` and the block (samples, rows, n);
-        with grids of at least 2 points and samples of at least 2 data, numpy
-        sends each slice of a stacked ``np.matmul`` to gemm, or to its own
-        loop, k in order, with the bits of ``dgemm``.
+        ``mat`` and ``side`` are (G, k) and (G, 1), those of a scalar
+        bandwidth or of one sample of a stack, and ``dat`` is that sample's
+        :meth:`data`, at any of its columns.  Of a run of samples (:meth:`take`
+        of a slice) they are stacks, and ``dat`` and the block (samples, rows,
+        n); with grids of at least 2 points and samples of at least 2 data,
+        numpy sends each slice of a stacked ``np.matmul`` to gemm, or to its
+        own loop, k in order, with the bits of ``dgemm``.
 
         One product step serves every kernel: of a run of samples, one
         stacked ``np.matmul`` of ``mat`` against the data's first k rows, k
@@ -484,10 +481,11 @@ class _LogKernel:
         long rows as the product beats it on stacks of short rows (broadcast
         against product: 16 and 20 us on 3 x 20000, 53 and 16 on 2 x 256 x 100).
         The products are exact and the one addition is ``z + (-s)``.  GE rows
-        of log shape past 700 are then written over with the regrouped form,
-        ``log(-L)`` from their sample's rows L and -z/b.  ``ig`` and ``rig``
-        share one ratio sequence, log K ``base - (d w) d``, and differ only
-        in where the scale goes: ``ig`` first takes ``d = (z - x) (1/x)``, and
+        of log shape (``side``) past 700 are then written over with the
+        regrouped form, from c0 (``mat[..., 1]``) and ``log(-L)`` of their
+        sample's rows L and -z/b.  ``ig`` and ``rig`` share one ratio
+        sequence, log K ``base - (d w) d``, and differ only in where the
+        scale ``side`` goes: ``ig`` first takes ``d = (z - x) (1/x)``, and
         ``rig`` scales the last factor by ``1/(2b)``.
 
         ``out``, if given, is a (2, ...) array of two blocks' shape whose
@@ -517,7 +515,7 @@ class _LogKernel:
             d = np.add(dat[0:1], mat[:, 1:], out=scratch)  # z + (-s)
         if product:
             if self.special:
-                c0, _, log_shape = (t[..., lo:hi, 0] for t in self.loc)
+                c0, log_shape = mat[..., 1], self.side[..., lo:hi, 0]
                 at = np.nonzero(log_shape > _LOG_SHAPE_DIRECT_MAX)
                 if at[0].size:
                     # a special row at takes its sample's rows L and v = -z/b
@@ -528,7 +526,7 @@ class _LogKernel:
                         T = -np.exp(log_shape[at][:, None] + log_neg_l[at[:-1]])
                     d[at] = (c0[at][:, None] + T) + v[at[:-1]]
             return d
-        scale = self.loc[1][..., lo:hi, :]  # 1/x (ig) or 1/(2b) (rig)
+        scale = self.side[..., lo:hi, :]  # 1/x (ig) or 1/(2b) (rig)
         base, w = dat[..., 2:3, :], dat[..., 3:4, :]  # rows (1, n), or (samples, 1, n)
         ig = kernel is Kernel.IG
         with np.errstate(over="ignore"):  # an overflowing product is log K = -inf
@@ -548,9 +546,9 @@ def _ge_quantiles(ev: _LogKernel, log_u: np.ndarray):
     ``z(u) = -b log(1 - u**(1/shape))`` (Gupta & Kundu 1999), and there
     ``log K = log shape - log b + (1 - 1/shape) log u + log(1 - u**(1/shape))``:
     no special function.  Taking log u keeps u near 1 exact.  Where
-    u**(1/shape) underflows, z is +0.0.
+    u**(1/shape) underflows, z is +0.0.  log shape is ``ev.side``.
     """
-    c0, shape_m1, log_shape = (t.item() for t in ev.loc[:3])
+    (shape_m1, c0, _), log_shape = ev.mat[0].tolist(), ev.side.item()
     inv_shape = math.exp(-log_shape)
     log_m = _log1mexp(-inv_shape * log_u)  # log(1 - u**(1/shape))
     return -ev.b * log_m, (c0 + (shape_m1 * inv_shape) * log_u) + log_m

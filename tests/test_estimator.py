@@ -546,7 +546,6 @@ class TestDataWindow:
 
             def __init__(self, log_k):
                 self.log_k = log_k
-                self.loc = (log_k[:, :1],)
 
             def rows(self, dat, lo=0, hi=None):
                 # dat is one row of datum indices, at the columns the caller took
@@ -1000,7 +999,7 @@ class TestGroupedBlocks:
         grid = np.linspace(0.0, 12.0, 256)
         values, b, singles = self._batch_and_singles(Kernel.GE, b, grid, 3)
         ev = _LogKernel(Kernel.GE, grid, b[:, None])
-        assert bool((ev.loc[2] > 700.0).any()) == (b.max() < 0.1)
+        assert bool((ev.side > 700.0).any()) == (b.max() < 0.1)
         self._assert_one_sample_bits(
             gekde.estimator._estimate_batch(values, Kernel.GE, b, grid), singles)
 

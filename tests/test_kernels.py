@@ -242,24 +242,22 @@ class TestGe2ShapeOneLocation:
         xs[37] = x
         many = _LogKernel(Kernel.GE2, xs, b)
         one = _LogKernel(Kernel.GE2, np.array([x]), b)
-        assert len(one.loc) == len(many.loc)
-        for t_one, t_many in zip(one.loc, many.loc):
-            assert t_one.shape == (1, 1)
-            assert _hex(t_one) == _hex(t_many[37])
+        assert one.mat.shape == (1, 3) and one.side.shape == (1, 1)
         assert _hex(one.mat) == _hex(many.mat[37])
+        assert _hex(one.side) == _hex(many.side[37])
 
     def test_one_location_runs_no_array_newton(self, monkeypatch):
         import gekde.kernels as kernels
 
         x = np.array([2.0])
-        expected = _LogKernel(Kernel.GE2, np.linspace(1.0, 3.0, 3), 0.1).loc
+        expected = _LogKernel(Kernel.GE2, np.linspace(1.0, 3.0, 3), 0.1)
 
         def no_array(*args, **kwargs):
             raise AssertionError("one location went through the array Newton solve")
 
         monkeypatch.setattr(kernels, "_ge2_shape", no_array)  # the array shape solve
-        got = _LogKernel(Kernel.GE2, x, 0.1).loc
-        assert [_hex(t) for t in got] == [_hex(t[1]) for t in expected]
+        got = _LogKernel(Kernel.GE2, x, 0.1)
+        assert [_hex(got.mat), _hex(got.side)] == [_hex(expected.mat[1]), _hex(expected.side[1])]
         assert type(ge2_shape(2.0, 0.1)) is float
 
 
@@ -307,14 +305,20 @@ def _build(kernel, x, b):
 
 
 def _assert_entry(one, many, g):
-    """The one-location build ``one`` has the terms and flags of entry g of ``many``."""
-    assert len(one.loc) == len(many.loc)
-    for t_one, t_many in zip(one.loc, many.loc):
-        assert t_one.shape == (1, 1) and t_one.dtype == t_many.dtype
-        assert _hex(t_one) == _hex(t_many[g])
+    """The one-location build ``one`` has the terms and flags of entry g of ``many``.
+
+    Both hold each location term once: the row of ``mat`` and the side term,
+    which the gamma kernels do not have.
+    """
     assert one.mat.shape == (1, 3 if one.kernel in _PRODUCT_KERNELS else 2)
+    assert one.mat.dtype == many.mat.dtype
     assert _hex(one.mat) == _hex(many.mat[g])
-    special = one.kernel in (Kernel.GE, Kernel.GE2) and many.loc[2][g, 0] > 700.0
+    if one.kernel in (Kernel.GAM1, Kernel.GAM2):
+        assert one.side is None and many.side is None
+    else:
+        assert one.side.shape == (1, 1) and one.side.dtype == many.side.dtype
+        assert _hex(one.side) == _hex(many.side[g])
+    special = one.kernel in (Kernel.GE, Kernel.GE2) and many.side[g, 0] > 700.0
     assert one.special == special
 
 
@@ -329,6 +333,18 @@ class TestFloatLocationBuild:
         one = _LogKernel(kernel, np.array([x]), b)
         _assert_entry(one, many, 37)
         assert one.special == many.special
+        # a stack of two samples: each keeps its own mat and side, as one
+        # sample or as a run of samples
+        stack = _LogKernel(kernel, xs, np.array([[b], [b]]))
+        sample, run = stack.take(1), stack.take(slice(1, 2))
+        assert run.mat.shape == (1,) + many.mat.shape
+        assert _hex(sample.mat) == _hex(run.mat) == _hex(many.mat)
+        if many.side is not None:
+            assert run.side.shape == (1,) + many.side.shape
+            assert _hex(sample.side) == _hex(run.side) == _hex(many.side)
+        for ev in (one, many, sample, run):
+            regrouped = ev.side is not None and bool((ev.side > 700.0).any())
+            assert ev.special == (kernel in (Kernel.GE, Kernel.GE2) and regrouped)
 
     @pytest.mark.parametrize("kernel, x, b, what", _guard_cases())
     def test_guards_raise_the_array_build_error(self, kernel, x, b, what):
@@ -391,7 +407,7 @@ class TestFloatLocationBuild:
                         raised += 1
                         continue
                     _assert_entry(one, many, 1)
-                    assert np.isfinite(one.loc[0]).all()
+                    assert np.isfinite(one.mat[:, 1]).all()
                     assert not math.isnan(log_kernel(kernel, x, b, x))
         assert raised > 0
 
@@ -405,7 +421,7 @@ class TestFloatLocationBuild:
     def test_array_bandwidth_keeps_the_array_build(self):
         b = np.array([[0.5]])
         ev = _LogKernel(Kernel.GE2, np.array([2.0]), b)
-        assert ev.loc[0].shape == (1, 1, 1)
+        assert ev.mat.shape == (1, 1, 3) and ev.side.shape == (1, 1, 1)
 
 
 def _stack_guard_cases():
@@ -909,7 +925,7 @@ def _broadcast_rows(ev, z, lo=0, hi=None):
     range, and the rows whose log shape exceeds 700 take
     ``-exp(log shape + log(-L))`` for the product (shape - 1) L.
     """
-    c0, shape_m1 = (t[lo:hi] for t in ev.loc[:2])
+    shape_m1, c0 = ev.mat[lo:hi, 0:1], ev.mat[lo:hi, 1:2]
     with np.errstate(all="ignore"):
         u = z / ev.b
         if ev.kernel in (Kernel.GAM1, Kernel.GAM2):
@@ -919,7 +935,7 @@ def _broadcast_rows(ev, z, lo=0, hi=None):
             L = np.where(u < _TINY, np.log(z) - math.log(ev.b), L)
         T = shape_m1 * L
         if ev.kernel in (Kernel.GE, Kernel.GE2):
-            log_shape = ev.loc[2][lo:hi, 0]
+            log_shape = ev.side[lo:hi, 0]
             big = log_shape > 700.0
             log_neg_l = np.where(u > 36.0, -u + np.log1p(0.5 * np.exp(-u)),
                                  np.log(-np.where(L < 0.0, L, -1.0)))
@@ -992,7 +1008,7 @@ class TestProductCombine:
         z = np.concatenate([[5e-324, 1e-300, 1e-5], np.geomspace(0.01, 300.0, 97), [1e300]])
         ev = _LogKernel(kernel, grid, b)
         assert ev.special
-        big = ev.loc[2][:, 0] > 700.0
+        big = ev.side[:, 0] > 700.0
         assert big.any() and not big.all()
         dat = _quietly(lambda: ev.data(z))
         for lo in range(grid.size):
@@ -1010,7 +1026,7 @@ class TestProductCombine:
         b = 2.0
         grid = np.linspace(0.01, 1.9, 40)
         ev = _LogKernel(Kernel.GE2, grid, b)
-        assert np.all(ev.loc[1] < 0.0)
+        assert np.all(ev.mat[:, 0] < 0.0)
         z = np.concatenate([[5e-324], np.geomspace(1e-3, 50.0, 60)])
         dat = _quietly(lambda: ev.data(z))
         got = ev.rows(dat)
@@ -1085,7 +1101,7 @@ class TestOutputBuffer:
         z, b, grid = self._case(kernel)
         ev = _LogKernel(kernel, grid, b)
         if kernel in (Kernel.GE, Kernel.GE2):  # shape 1, and two past 700
-            assert (ev.loc[1][:, 0] == 0.0).sum() == 1 and (ev.loc[2][:, 0] > 700.0).sum() == 2
+            assert (ev.mat[:, 0] == 0.0).sum() == 1 and (ev.side[:, 0] > 700.0).sum() == 2
         dat = _quietly(lambda: ev.data(z))
         junk = np.resize([np.nan, np.inf, -np.inf, -0.0], (2, 4, z.size))
         for height in range(1, 5):
@@ -1107,7 +1123,7 @@ class TestGrids:
         Returns the block and the data terms.
         """
         data = _quietly(lambda: ev.data(values))
-        size, n = ev.loc[0].shape[1], values.shape[1]
+        size, n = ev.mat.shape[1], values.shape[1]
         got = _quietly(lambda: ev.take(slice(1, 4)).rows(data[1:4], out=np.resize(
             [np.nan, np.inf, -np.inf, -0.0], (2, 3, size, n))))
         assert got.shape == (3, size, n)
@@ -1130,7 +1146,7 @@ class TestGrids:
     def _with_shifts(kernel, grid, b, others):
         """An ig or rig stack whose sample r has each x (ig) or x - b[r] (rig) among ``others``."""
         ev = _LogKernel(kernel, grid, b[:, None])
-        shift = np.broadcast_to(ev.loc[0][..., 0], (b.size, grid.size))
+        shift = -ev.mat[..., 1]
         return ev, shift, np.sort(np.concatenate([shift, others], axis=1), axis=1)
 
     @pytest.mark.parametrize("kernel", [Kernel.IG, Kernel.RIG], ids=lambda k: k.value)
@@ -1169,8 +1185,8 @@ class TestGrids:
         values = np.stack([np.geomspace(0.01, 300.0, 50), np.geomspace(0.02, 250.0, 50)])
         b = np.array([[0.1], [0.12]])
         ev = _LogKernel(Kernel.GE, np.array([0.0, 1.0, 90.0]), b)
-        assert ev.special and (ev.loc[2][:, 2, 0] > 700.0).all()
-        assert not (ev.loc[2][:, :2, 0] > 700.0).any()
+        assert ev.special and (ev.side[:, 2, 0] > 700.0).all()
+        assert not (ev.side[:, :2, 0] > 700.0).any()
         assert not np.isin(values[0] / b[0], values[1] / b[1]).any()
         data = _quietly(lambda: ev.data(values))
         got = _quietly(lambda: ev.take(slice(0, 2)).rows(data[0:2], out=np.empty((2, 2, 3, 50))))

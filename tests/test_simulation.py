@@ -903,7 +903,7 @@ class TestEstimateBatch:
         values = np.sort(rng.uniform(0.02, 13.0, (4, 300)), axis=1)
         b = np.array([0.01, 0.5, 0.012, 2.0])
         grid = np.linspace(0.05, 12.0, 200)
-        regrouped = [bool((_LogKernel(kernel, grid, v).loc[2] > 700.0).any()) for v in b]
+        regrouped = [bool((_LogKernel(kernel, grid, v).side > 700.0).any()) for v in b]
         assert regrouped == [True, False, True, False]
         got = _estimate_batch(values, kernel, b, grid)
         for r in range(b.size):
