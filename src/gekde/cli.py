@@ -311,6 +311,8 @@ def cmd_diagnose(args) -> int:
         raise CliInputError("diagnose needs at least one --bandwidth value")
     if any(b <= 0 or not math.isfinite(b) for b in b_list):
         raise CliInputError("bandwidths must be positive and finite")
+    if args.x is not None and args.boundary is not None:
+        raise CliInputError("diagnose takes --x or --boundary, not both")
     if args.boundary is None:
         if args.x is None:
             raise CliInputError("diagnose needs --x unless --boundary is given")

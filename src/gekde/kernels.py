@@ -23,9 +23,9 @@ term, ``log shape - log b`` for GE and the whole gamma normaliser
 matrix product of rank 3: the location matrix has the rows
 ``[shape - 1, c0, 1]`` and the data matrix the columns ``[L, 1, -z/b]``, and
 BLAS ``dgemm`` adds the three products of an entry in that order.  The two
-unit products are exact, so every entry, infinities included, has the bits
-of ``(c0 + (shape - 1) L) - z/b``.  Chen's gamma kernels need the special
-function Gamma only once per location, never per entry.
+unit products are exact, so every entry has the formula's bits; a regrouped
+row stores 0 for shape - 1, and its ``c0 - z/b`` is written over.  The gamma
+kernels need the special function Gamma once per location, never per entry.
 
 The ``ig`` and ``rig`` exponents, ``(x/(2b)) (z/x - 2 + x/z)`` with scale x
 or ``s = x - b``, are formed without that sum, which cancels near z = s:
@@ -81,7 +81,6 @@ References
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import math
 
@@ -108,7 +107,6 @@ _ASYMPTOTIC_U = 36.0            # z/b beyond which log1p(-e^-u) = -e^-u to machi
 _ASYMPTOTIC_Y = 36.0            # digamma argument beyond which psi-inverse(y) = e^y + 1/2 exactly
 _DBL_MAX = float(np.finfo(float).max)  # largest double
 _TINY = float(np.finfo(float).tiny)  # smallest normal double
-_NO_ERRSTATE = contextlib.nullcontext()  # reusable, where an np.errstate is not
 
 #: Below this x/b the GE2 shape is the inverted series of
 #: ``psi(1 + nu) + EULER_GAMMA = zeta(2) nu - zeta(3) nu**2 + zeta(4) nu**3 - ...``
@@ -275,9 +273,10 @@ class _LogKernel:
     lead with the rows ``[z; 1]``: their product is each entry's ``z - s``,
     bit for bit.  ``side`` is the (G, 1) column of the one term that
     :meth:`rows` reads beside the product: ``ig``'s 1/x, ``rig``'s 1/(2b),
-    or the GE log shape, whose rows past 700 (``special``) are written over
-    from the same data rows; L is finite, so a shape-1 row is ``c0 - z/b``
-    bit for bit.  The gamma kernels have no side term (None).
+    or the GE log shape, whose rows past 700 (``special``) have the ``mat``
+    row ``[0, c0, 1]``, so every location term is finite, and are written
+    over from the same data rows; L is finite, so they and a shape-1 row are
+    ``c0 - z/b`` bit for bit.  The gamma kernels have no side term (None).
 
     ``b`` is a float, or an (R, 1) column of bandwidths for a stack of R
     samples: ``mat`` and ``side`` are then (R, G, k) and (R, G, 1), and
@@ -326,6 +325,8 @@ class _LogKernel:
                     mat[..., 0] = nu - 1.0
                 mat[..., 1] = log_shape - log_b
                 side[..., 0] = log_shape
+                regrouped = log_shape > _LOG_SHAPE_DIRECT_MAX
+                mat[..., 0][regrouped] = 0.0  # rows writes these rows over the product
                 bad = ~np.isfinite(mat[..., 1])
             elif kernel in _GAMMA_FAMILY:
                 shape = r + 1.0 if kernel is Kernel.GAM1 else _gam2_shape(x, b)
@@ -350,7 +351,7 @@ class _LogKernel:
             self._terms_at(kernel, float(x[at[-1]]),
                            float(b if np.ndim(b) == 0 else b.ravel()[at[0]]))
         self.mat, self.side = mat, side
-        self.special = kernel in _GE_FAMILY and bool((side > _LOG_SHAPE_DIRECT_MAX).any())
+        self.special = kernel in _GE_FAMILY and bool(regrouped.any())
 
     @staticmethod
     def _terms_at(kernel: Kernel, x: float, b: float) -> tuple:
@@ -361,9 +362,8 @@ class _LogKernel:
         the one the array build applies (on a float it runs the same loop), so
         every term has the bits of a one-location array build.  Its checks
         are the location guards of every build: an array build calls it on
-        its first failing location.  The branches keep ``np.expm1`` from
-        overflowing below r = 709, so only beyond it is an ``np.errstate``
-        needed.
+        its first failing location.  A regrouped GE row stores 0 for shape - 1,
+        so ``np.expm1`` runs only at r <= 700 and needs no ``np.errstate``.
         """
         if kernel is not Kernel.IG:
             r = x / b
@@ -372,13 +372,12 @@ class _LogKernel:
         if kernel in _GE_FAMILY:
             if kernel is Kernel.GE:
                 log_shape = r
-                with np.errstate(over="ignore") if r >= 709.0 else _NO_ERRSTATE:
-                    shape_m1 = float(np.expm1(r))
+                shape_m1 = float(np.expm1(r)) if r <= _LOG_SHAPE_DIRECT_MAX else 0.0
             else:
                 nu, log_shape = _ge2_shape_at(r)
                 if nu <= 0.0:
                     raise _rescale_at(kernel, "x/b underflows", x, b)
-                shape_m1 = nu - 1.0
+                shape_m1 = nu - 1.0 if log_shape <= _LOG_SHAPE_DIRECT_MAX else 0.0
             return [shape_m1, log_shape - math.log(b), 1.0], log_shape
         if kernel in _GAMMA_FAMILY:
             if kernel is Kernel.GAM1:
@@ -481,12 +480,12 @@ class _LogKernel:
         long rows as the product beats it on stacks of short rows (broadcast
         against product: 16 and 20 us on 3 x 20000, 53 and 16 on 2 x 256 x 100).
         The products are exact and the one addition is ``z + (-s)``.  GE rows
-        of log shape (``side``) past 700 are then written over with the
-        regrouped form, from c0 (``mat[..., 1]``) and ``log(-L)`` of their
-        sample's rows L and -z/b.  ``ig`` and ``rig`` share one ratio
-        sequence, log K ``base - (d w) d``, and differ only in where the
-        scale ``side`` goes: ``ig`` first takes ``d = (z - x) (1/x)``, and
-        ``rig`` scales the last factor by ``1/(2b)``.
+        of log shape (``side``) past 700, ``c0 - z/b``, are then written over
+        with the regrouped form, from c0 (``mat[..., 1]``) and ``log(-L)`` of
+        their sample's rows L and -z/b.  ``ig`` and ``rig`` share one ratio
+        sequence, log K ``base - (d w) d``, and differ only in where the scale
+        ``side`` goes: ``ig`` first takes ``d = (z - x) (1/x)``, and ``rig``
+        scales the last factor by ``1/(2b)``.
 
         ``out``, if given, is a (2, ...) array of two blocks' shape whose
         layers are C-ordered: the block is written into ``out[0]`` and
@@ -499,10 +498,7 @@ class _LogKernel:
         product = kernel in _EXP_FAMILIES
         # d is the GE and gamma block, or the ig and rig difference z - s
         if mat.ndim == 3:  # a run of samples
-            # special rows may hold inf * 0 until written over; entering an
-            # np.errstate costs about 2 us, so only a special stack does
-            with np.errstate(invalid="ignore") if self.special else _NO_ERRSTATE:
-                d = np.matmul(mat, dat[:, :mat.shape[-1]], out=block if product else scratch)
+            d = np.matmul(mat, dat[:, :mat.shape[-1]], out=block if product else scratch)
         elif product:
             # gemm takes k in order: ((shape - 1) L + c0 * 1) + 1 * (-z/b),
             # and the two unit products are exact.  dgemm computes it
@@ -546,7 +542,8 @@ def _ge_quantiles(ev: _LogKernel, log_u: np.ndarray):
     ``z(u) = -b log(1 - u**(1/shape))`` (Gupta & Kundu 1999), and there
     ``log K = log shape - log b + (1 - 1/shape) log u + log(1 - u**(1/shape))``:
     no special function.  Taking log u keeps u near 1 exact.  Where
-    u**(1/shape) underflows, z is +0.0.  log shape is ``ev.side``.
+    u**(1/shape) underflows, z is +0.0.  log shape is ``ev.side`` and shape - 1
+    ``ev.mat``'s, 0 if regrouped: its one caller takes shapes below 1.
     """
     (shape_m1, c0, _), log_shape = ev.mat[0].tolist(), ev.side.item()
     inv_shape = math.exp(-log_shape)

@@ -413,7 +413,10 @@ class TestDiagnose:
          "bandwidths must be positive and finite"),
         (["--kernel", "ge", "--bandwidth", "0.05"],
          "diagnose needs --x unless --boundary is given"),
-    ], ids=["kernel", "no-bandwidth", "negative-bandwidth", "inf-bandwidth", "no-x"])
+        (["--kernel", "ge", "--x", "2", "--boundary", "2", "--bandwidth", "0.1"],
+         "diagnose takes --x or --boundary, not both"),
+    ], ids=["kernel", "no-bandwidth", "negative-bandwidth", "inf-bandwidth", "no-x",
+            "x-and-boundary"])
     def test_input_error_exit_2(self, tmp_path, capsys, flags, message):
         out = tmp_path / "out"
         rc = main(["diagnose", "--density", "gamma:3,1", *flags, "--output", str(out)])

@@ -423,6 +423,24 @@ class TestFloatLocationBuild:
         ev = _LogKernel(Kernel.GE2, np.array([2.0]), b)
         assert ev.mat.shape == (1, 1, 3) and ev.side.shape == (1, 1, 1)
 
+    @pytest.mark.parametrize("kernel", list(Kernel), ids=lambda k: k.value)
+    def test_location_terms_are_finite(self, kernel):
+        # the GE shape overflows from x/b of about 709.78 (ge) or 709.7 + EULER_GAMMA
+        # (ge2) on; a regrouped row (log shape past 700) stores 0 for shape - 1
+        ratios = {Kernel.GE: [0.0, 700.0, 700.5, 709.9, 720.0, 1e5],
+                  Kernel.GE2: [0.5, 1.0, 700.5, 720.0, 1e5]}.get(kernel, [1.5, 3.0, 720.0, 1e5])
+        b = 0.5
+        xs = b * np.array(ratios)
+        stack = _LogKernel(kernel, xs, np.array([[b], [2.0 * b]]))
+        builds = [_LogKernel(kernel, np.array([x]), b) for x in xs]
+        builds += [_LogKernel(kernel, xs, b), stack, stack.take(1), stack.take(slice(0, 2))]
+        for ev in builds:
+            assert np.isfinite(ev.mat).all()
+            if kernel in (Kernel.GAM1, Kernel.GAM2):
+                assert ev.side is None
+            else:
+                assert np.isfinite(ev.side).all()
+
 
 def _stack_guard_cases():
     """Each guard of ``_guard_cases``, a bandwidth b0 at which its x passes, and the (x, b) named.
@@ -915,6 +933,31 @@ class TestSubnormalZOverB:
         assert got == pytest.approx(want, rel=rel, abs=0.0)
 
 
+class TestRegroupingCut:
+    """log K of ``ge`` and ``ge2`` on both sides of the regrouping at log shape 700."""
+
+    @pytest.mark.parametrize("kernel", [Kernel.GE, Kernel.GE2], ids=lambda k: k.value)
+    @pytest.mark.parametrize("r", [650.0, 699.5, 700.5, 709.9, 720.0])
+    @pytest.mark.parametrize("b", [1.0, 0.125, 1e-3, 37.5])
+    def test_matches_60_digits(self, kernel, r, b):
+        # z = (log shape + t) b puts (shape - 1) L near -exp(-t): the product
+        # below the cut, the regrouped form above it.  The reference takes the
+        # evaluator's own log shape, so the ge2 shape solve is not measured
+        mp = pytest.importorskip("mpmath")
+        x = r * b
+        log_shape = _LogKernel(kernel, np.array([x]), b).side.item()
+        z = (log_shape + np.linspace(-3.0, 8.0, 45)) * b
+        got = _quietly(lambda: log_kernel(kernel, x, b, z))
+        c0 = log_shape - math.log(b)
+        with mp.workdps(60):
+            shape_m1 = mp.exp(log_shape) - 1
+            for zj, g in zip(z.tolist(), got.tolist()):
+                u = mp.mpf(zj) / b
+                want = log_shape - mp.log(b) + shape_m1 * mp.log1p(-mp.exp(-u)) - u
+                units = float(abs(g - want)) / (np.finfo(float).eps * max(abs(c0), zj / b))
+                assert units <= 16.0, (zj, units)
+
+
 # --- the GE/gamma block as one matrix product, against the broadcast ---------
 
 def _broadcast_rows(ev, z, lo=0, hi=None):
@@ -1101,7 +1144,7 @@ class TestOutputBuffer:
         z, b, grid = self._case(kernel)
         ev = _LogKernel(kernel, grid, b)
         if kernel in (Kernel.GE, Kernel.GE2):  # shape 1, and two past 700
-            assert (ev.mat[:, 0] == 0.0).sum() == 1 and (ev.side[:, 0] > 700.0).sum() == 2
+            assert (ev.side[:, 0] == 0.0).sum() == 1 and (ev.side[:, 0] > 700.0).sum() == 2
         dat = _quietly(lambda: ev.data(z))
         junk = np.resize([np.nan, np.inf, -np.inf, -0.0], (2, 4, z.size))
         for height in range(1, 5):
