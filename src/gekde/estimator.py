@@ -153,6 +153,9 @@ _HALF_RATIO_K = 400.0
 #: next term, ``-e^-2c / 12``, is below half an ulp of EULER_GAMMA (c > 17.47).
 _BIAS_ASYMPTOTIC_C = 18.0
 
+#: e**700, by which ``_estimate_batch`` undoes the part 700 of a row's shift.
+_EXP_700 = math.exp(700.0)
+
 
 class Sample:
     """Validated sample of strictly positive, finite observations.
@@ -456,7 +459,12 @@ def _estimate_batch(values: np.ndarray, kernel: Kernel, b: np.ndarray,
     together they add less than e**-40 of the row sum (nothing at all where
     the cut is ``_EXP_ZERO``): the window sum adds the terms that matter in
     another order, and can differ from the full-row sum by rounding, a few
-    ulps.  The sums are divided by n once, after the last block.
+    ulps.  The sums are divided by n once, after the last block.  A K past
+    the largest double overflows ``np.exp`` to inf, quietly; an estimate left
+    non-finite whose row of log K has a finite maximum m is summed again as
+    exp(log K - m) and scaled back by e**m after the division by n, and one
+    past the largest double raises :class:`DomainError`.  Finite estimates
+    are not touched.
     """
     n, size = values.shape[1], grid.size
     ev = _LogKernel(kernel, grid, b[:, None])
@@ -466,54 +474,66 @@ def _estimate_batch(values: np.ndarray, kernel: Kernel, b: np.ndarray,
     k = n // _PROBE_DIVISOR
     probe = slice(k, None, n - 1 - 2 * k)  # the columns k and n - 1 - k, as a view
     out = np.empty((b.size, size))
-    # a one-point grid stays with rows: a stacked one-row product goes to gemv
-    if b.size > 1 and 2 <= size <= _BLOCK_ELEMENTS // n:
-        group = min(b.size, 2 * _BLOCK_ELEMENTS // (size * n))
-        buf = _block_buffers(group * size, n).reshape(2, group, size, n)
-        for r0 in range(0, b.size, group):
-            r1 = min(r0 + group, b.size)
-            block = ev.take(slice(r0, r1)).rows(data[r0:r1], out=buf[:, :r1 - r0])
-            _exp_rows(block, masked=block[..., probe].min() <= _EXP_ZERO)
-            np.add.reduce(block, axis=-1, out=out[r0:r1])
+    with np.errstate(over="ignore"):  # a K past the largest double: see below
+        # a one-point grid stays with rows: a stacked one-row product goes to gemv
+        if b.size > 1 and 2 <= size <= _BLOCK_ELEMENTS // n:
+            group = min(b.size, 2 * _BLOCK_ELEMENTS // (size * n))
+            buf = _block_buffers(group * size, n).reshape(2, group, size, n)
+            for r0 in range(0, b.size, group):
+                r1 = min(r0 + group, b.size)
+                block = ev.take(slice(r0, r1)).rows(data[r0:r1], out=buf[:, :r1 - r0])
+                _exp_rows(block, masked=block[..., probe].min() <= _EXP_ZERO)
+                np.add.reduce(block, axis=-1, out=out[r0:r1])
+        else:
+            # every block of every sample is written into this: the block, and the
+            # ig/rig scratch (see _LogKernel.rows); a windowed block is (rows, width)
+            buf = _block_buffers(min(height, size), n)
+            layers, budget = buf.reshape(2, -1), buf[0].size
+            windowed = []
+            for r in range(b.size):
+                sub, dest = ev.take(r), out[r]
+                dat = data[r]
+                if large:
+                    start, stop = _data_windows(sub, dat, n)
+                    windowed = np.flatnonzero(stop - start < n).tolist()
+                    start, stop = start.tolist(), stop.tolist()
+                lo, i = 0, 0
+                while lo < size:
+                    w = windowed[i] if i < len(windowed) else size
+                    for a in range(lo, w, height):  # the whole rows before w
+                        hi = min(a + height, w)
+                        block = sub.rows(dat, a, hi, out=buf[:, :hi - a])
+                        _exp_rows(block, masked=block[:, probe].min() <= _EXP_ZERO)
+                        np.add.reduce(block, axis=1, out=dest[a:hi])
+                    if w == size:
+                        break
+                    # the windowed rows from w on, while rows x union width fit a layer
+                    j0, j1, hi, i = start[w], stop[w], w + 1, i + 1
+                    while i < len(windowed) and windowed[i] == hi:
+                        u0, u1 = min(j0, start[hi]), max(j1, stop[hi])
+                        if (hi + 1 - w) * (u1 - u0) > budget:
+                            break
+                        j0, j1, hi, i = u0, u1, hi + 1, i + 1
+                    entries = (hi - w) * (j1 - j0)
+                    block = sub.rows(dat[..., j0:j1], w, hi,
+                                     out=layers[:, :entries].reshape(2, hi - w, j1 - j0))
+                    for g in range(w, hi):
+                        win = block[g - w, start[g] - j0:stop[g] - j0]
+                        dest[g] = np.add.reduce(np.exp(win, out=win))
+                    lo = hi
         out /= n
-        return out
-    # every block of every sample is written into this: the block, and the
-    # ig/rig scratch (see _LogKernel.rows); a windowed block is (rows, width)
-    buf = _block_buffers(min(height, size), n)
-    layers, budget = buf.reshape(2, -1), buf[0].size
-    windowed = []
-    for r in range(b.size):
-        sub, dest = ev.take(r), out[r]
-        dat = data[r]
-        if large:
-            start, stop = _data_windows(sub, dat, n)
-            windowed = np.flatnonzero(stop - start < n).tolist()
-            start, stop = start.tolist(), stop.tolist()
-        lo, i = 0, 0
-        while lo < size:
-            w = windowed[i] if i < len(windowed) else size
-            for a in range(lo, w, height):  # the whole rows before w
-                hi = min(a + height, w)
-                block = sub.rows(dat, a, hi, out=buf[:, :hi - a])
-                _exp_rows(block, masked=block[:, probe].min() <= _EXP_ZERO)
-                np.add.reduce(block, axis=1, out=dest[a:hi])
-            if w == size:
-                break
-            # the windowed rows from w on, while rows x union width fit a layer
-            j0, j1, hi, i = start[w], stop[w], w + 1, i + 1
-            while i < len(windowed) and windowed[i] == hi:
-                u0, u1 = min(j0, start[hi]), max(j1, stop[hi])
-                if (hi + 1 - w) * (u1 - u0) > budget:
-                    break
-                j0, j1, hi, i = u0, u1, hi + 1, i + 1
-            entries = (hi - w) * (j1 - j0)
-            block = sub.rows(dat[..., j0:j1], w, hi,
-                             out=layers[:, :entries].reshape(2, hi - w, j1 - j0))
-            for g in range(w, hi):
-                win = block[g - w, start[g] - j0:stop[g] - j0]
-                dest[g] = np.add.reduce(np.exp(win, out=win))
-            lo = hi
-    out /= n
+        # where some K passed the largest double, exp overflowed before the
+        # row sum: the row is summed again as exp(log K - m), m its largest
+        # log K (not +inf or nan), and scaled by e**m as e**(m - 700) e**700,
+        # with m - 700 exact (m is at least log(DBL_MAX / n))
+        for r, g in zip(*np.nonzero(~np.isfinite(out))):
+            row = ev.take(r).rows(data[r], g, g + 1)[0]
+            m = row.max()
+            if math.isfinite(m):
+                out[r, g] = np.add.reduce(np.exp(row - m)) / n * np.exp(m - 700.0) * _EXP_700
+                if out[r, g] == math.inf:
+                    raise DomainError(f"{kernel.value} estimate at x={float(grid[g])!r} passes "
+                                      "the largest double; rescale the data")
     return out
 
 

@@ -106,6 +106,7 @@ _LOG_SHAPE_DIRECT_MAX = 700.0   # largest log-shape evaluated without regrouping
 _ASYMPTOTIC_U = 36.0            # z/b beyond which log1p(-e^-u) = -e^-u to machine precision
 _ASYMPTOTIC_Y = 36.0            # digamma argument beyond which psi-inverse(y) = e^y + 1/2 exactly
 _DBL_MAX = float(np.finfo(float).max)  # largest double
+_LOG_DBL_MAX = math.log(_DBL_MAX)      # largest log K whose exp is a double
 _TINY = float(np.finfo(float).tiny)  # smallest normal double
 
 #: Below this x/b the GE2 shape is the inverted series of
@@ -602,8 +603,17 @@ def log_kernel(kernel: Kernel, x: float, b: float, z):
 
 
 def kernel_pdf(kernel: Kernel, x: float, b: float, z):
-    """Kernel density K(z); exp of :func:`log_kernel`."""
-    return _scalar_or_array(np.exp(log_kernel(kernel, x, b, z)))
+    """Kernel density K(z); exp of :func:`log_kernel`.
+
+    A K past the largest double (log K above 709.78) raises
+    :class:`DomainError`; :func:`log_kernel` gives its log.
+    """
+    log_k = log_kernel(kernel, x, b, z)
+    top = float(np.max(log_k))
+    if top > _LOG_DBL_MAX:
+        raise DomainError(f"kernel density at log K = {top!r} passes the largest double; "
+                          "use log_kernel")
+    return _scalar_or_array(np.exp(log_k))
 
 
 def ge2_shape(x: float, b: float) -> float:

@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv
+from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv, gammaln
 from scipy.integrate import quad
 
 from .errors import (ConvergenceError, CoverageError, DomainError, GekdeError, IntegrationError,
@@ -53,7 +53,6 @@ from .estimator import (
     _silverman_h,
 )
 from .kernels import _TINY, DEFAULT_KERNELS, Kernel, _as_kernel
-from .specfun import log_gamma
 
 __all__ = [
     "TrueDensity",
@@ -74,15 +73,15 @@ __all__ = [
 def _store_params(density, gamma_constants: bool = False):
     """Store (shape, scale) as positive finite floats, converted as ``float`` does.
 
-    With ``gamma_constants``, also store k log(theta) and log Gamma(k), once:
-    plain attributes, not dataclass fields, so equality, hashing and repr
-    still see (shape, scale) alone.
+    With ``gamma_constants``, also store k log(theta) and log Gamma(k) (scipy's
+    ``gammaln`` of the shape checked here), once: plain attributes, not
+    dataclass fields, so equality, hashing and repr see (shape, scale) alone.
     """
     for name in ("shape", "scale"):
         object.__setattr__(density, name, _positive(getattr(density, name), name))
     if gamma_constants:
         object.__setattr__(density, "_k_log_scale", density.shape * math.log(density.scale))
-        object.__setattr__(density, "_log_gamma_shape", log_gamma(density.shape))
+        object.__setattr__(density, "_log_gamma_shape", float(gammaln(density.shape)))
 
 
 #: What a density's argument is called in the DomainError of a non-number.
@@ -99,8 +98,6 @@ _ISE_QUANTILES = (0.0005, 0.9995)
 
 class TrueDensity:
     """A closed-form density on (0, inf) with pdf, cdf, derivative and sampler access."""
-
-    family = "abstract"
 
     def _log_pdf(self, x):
         """Log of the pdf, by one formula for a float and for an array.
@@ -159,13 +156,14 @@ class TrueDensity:
     def _times_pdf(self, x, slopes):
         """f * slopes(s1, s2), and 0.0 where the pdf is 0 and the product nan.
 
-        A float for a scalar, else an array, by one array path.  Where the
-        pdf has underflowed to 0 (x near 0 or far out) the log slopes may
-        overflow or divide by a zero ``x * x``, and 0 * inf is nan; the
-        derivative is 0 there.  Wherever the product is a number it is kept,
-        so a positive pdf gives the bits of the plain product.  Far out a
-        power of x in ``_log_slopes`` may overflow to inf, quietly, under
-        ``np.errstate``, which changes no value.
+        A float for a scalar, else an array, by one array path, under
+        ``np.errstate``.  Where the pdf has underflowed to 0 (x near 0 or far
+        out) the log slopes may overflow (a power of x, or the inverse
+        Weibull's k (k + 1) t at the cap of ``_log_t``) or divide by a zero
+        ``x * x``, and 0 * inf is nan; the derivative is 0 there.  Wherever
+        the product is a number it is kept, so a positive pdf gives the bits
+        of the plain product; where the pdf is positive but a slope leaves
+        the double range, the product is inf or nan.
         """
         f = self.pdf(x)
         x = _real_array(x, _X)
@@ -275,7 +273,6 @@ class GammaDensity(TrueDensity):
 
     shape: float
     scale: float
-    family = "gamma"
 
     def __post_init__(self):
         _store_params(self, gamma_constants=True)
@@ -308,7 +305,6 @@ class InverseGammaDensity(TrueDensity):
 
     shape: float
     scale: float
-    family = "inverse_gamma"
 
     def __post_init__(self):
         _store_params(self, gamma_constants=True)
@@ -343,39 +339,32 @@ class InverseWeibullDensity(TrueDensity):
 
     shape: float
     scale: float
-    family = "inverse_weibull"
 
     def __post_init__(self):
         _store_params(self)
 
     def _log_t(self, x):
-        # log of t = (theta/x)**k
-        return self.shape * (math.log(self.scale) - np.log(x))
+        """log t, t = (theta/x)**k, capped at 709 so that t is finite (x = 0 included).
+
+        Past the cap the pdf, the cdf and both derivatives are +0.0, capped or not.
+        """
+        return np.minimum(self.shape * (math.log(self.scale) - np.log(x)), 709.0)
 
     def _log_pdf(self, x):
         k, th = self.shape, self.scale
-        # log(theta/x), capped where t = (theta/x)**k passes e**709: t then
-        # outweighs the other terms and the pdf is +0.0, capped or not, but
-        # exp(k * d) no longer overflows (and x = 0 gives 0.0, not nan)
+        # log(theta/x), capped as _log_t is; not _log_t / k: (k + 1) * d rounds otherwise
         d = np.minimum(math.log(th) - np.log(x), 709.0 / k)
         return math.log(k / th) + (k + 1.0) * d - np.exp(k * d)
 
     def _cdf(self, x):
-        # log t capped at 709, as in _log_pdf: the cdf is +0.0 there either way
-        return np.exp(-np.exp(np.minimum(self._log_t(x), 709.0)))
+        return np.exp(-np.exp(self._log_t(x)))
 
     def _quantile(self, p):
         return self.scale * (-math.log(p)) ** (-1.0 / self.shape)
 
-    def _t_clamped(self, x):
-        # (theta/x)**k; the pdf is identically 0 in doubles once t > 745, so
-        # clamping t there keeps the log-slope factors finite without touching
-        # any point where the density is representable
-        return np.exp(np.minimum(self._log_t(x), 7.0))
-
     def _log_slopes(self, x):
         k = self.shape
-        t = self._t_clamped(x)
+        t = np.exp(self._log_t(x))
         s1 = (k * t - (k + 1.0)) / x
         s2 = ((k + 1.0) - k * (k + 1.0) * t) / (x * x)
         return s1, s2
@@ -392,7 +381,6 @@ class MixtureDensity(TrueDensity):
 
     weights: tuple
     components: tuple
-    family = "mixture"
 
     def __post_init__(self):
         w = tuple(_positive(v, "mixture weights") for v in self.weights)

@@ -1019,6 +1019,45 @@ class TestGroupedBlocks:
             self._assert_one_sample_bits(got, singles)
 
 
+class TestKernelsPastTheLargestDouble:
+    """A K past the largest double whose mean is not: its row is summed shifted by its largest log K."""
+
+    # the datum 5e-324 has log K = 710.92 at x = 0.13, b = 2
+    DATA = [5e-324] + np.linspace(1.0, 5.0, 99).tolist()
+
+    def test_matches_50_digits(self):
+        mp = pytest.importorskip("mpmath")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = estimate_density(Sample(self.DATA), Kernel.GE2, 2.0, [0.13]).values[0]
+            log_k = log_kernel(Kernel.GE2, 0.13, 2.0, np.array(self.DATA))
+        assert log_k[0] > math.log(np.finfo(float).max)
+        with mp.workdps(50):
+            want = float(sum(mp.exp(v) for v in log_k.tolist()) / len(self.DATA))
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_grouped_stack(self, monkeypatch):
+        # one block of three samples; only the second holds 5e-324, and each
+        # row keeps the bits of its one-sample estimate
+        values = np.array([np.linspace(1.0, 5.0, 100), self.DATA, np.linspace(0.5, 6.0, 100)])
+        b, grid = np.array([2.0, 2.0, 1.5]), np.array([0.13, 0.2, 1.0])
+        shapes = []
+
+        def recording(block, masked):
+            shapes.append(block.shape)
+            _exp_rows(block, masked)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            singles = [estimate_density(Sample(v), Kernel.GE2, bw, grid).values
+                       for v, bw in zip(values, b)]
+            monkeypatch.setattr(gekde.estimator, "_exp_rows", recording)
+            got = gekde.estimator._estimate_batch(values, Kernel.GE2, b, grid)
+        assert shapes == [(3, 3, 100)]
+        assert np.isfinite(got).all() and got[1, 0] > 1e306 and got[0, 0] < 1.0
+        TestGroupedBlocks._assert_one_sample_bits(got, singles)
+
+
 class TestOptimalGe2Bandwidth:
     def test_unit_exponential_roughness(self):
         # integral of f''^2 for the unit exponential is 1/2

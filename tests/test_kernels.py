@@ -864,13 +864,19 @@ class TestOverflowIsQuiet:
         assert got[0] == pytest.approx(-1e300, rel=1e-15)
 
     @pytest.mark.parametrize("kernel", [Kernel.GE, Kernel.GAM1])
-    def test_kernel_above_dbl_max_still_warns(self, kernel):
-        # b = 1e-310 puts K near 1/b, above the largest double: that overflow
-        # is not a quotient's and is reported
+    def test_kernel_above_dbl_max_raises(self, kernel):
+        # b = 1e-310 puts K near 1/b, and the estimate itself (log mean about
+        # 712.5) above the largest double: that overflow is not a quotient's
+        # and is raised
         sample = Sample([1e-310, 2e-310, 3e-310])
-        with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
-            est = estimate_density(sample, kernel, 1e-310, [1e-310, 2e-310])
-        assert np.all(np.isinf(est.values))
+        with pytest.raises(DomainError, match=f"{kernel.value} estimate at x=1e-310 passes"):
+            estimate_density(sample, kernel, 1e-310, [1e-310, 2e-310])
+
+    def test_kernel_pdf_above_dbl_max_raises(self):
+        # log K = 710.92 at the datum 5e-324: log_kernel gives it, exp cannot
+        assert _quietly(lambda: log_kernel(Kernel.GE2, 0.13, 2.0, 5e-324)) > 709.79
+        with pytest.raises(DomainError, match=r"log K = 710\.92.* use log_kernel"):
+            _quietly(lambda: kernel_pdf(Kernel.GE2, 0.13, 2.0, np.array([1.0, 5e-324])))
 
 
 class TestUnitShape:

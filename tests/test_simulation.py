@@ -349,6 +349,81 @@ class TestFloatPath:
             assert d.pdf(x).hex() == want.hex()
 
 
+_DBL_MAX = float(np.finfo(float).max)
+_DBL_TINY = float(np.finfo(float).tiny)
+
+
+def _small_shape_cases(k, theta, method):
+    """(x, 50-digit derivative, slopes are doubles) of the inverse Weibull on 41 log t in [6, 8.5].
+
+    x = theta e**(-log t / k) in doubles; a case is kept where x, f and the
+    derivative are normal doubles.  Its slopes are doubles where s1 = f'/f,
+    and for ``pdf_d2`` also s1**2 and s2 (f'' = f (s1**2 + s2)), lie in the
+    double range: only there is ``pdf_d1`` or ``pdf_d2`` a product of
+    doubles.
+    """
+    mp = pytest.importorskip("mpmath")
+    cases = []
+    with mp.workdps(50):
+        kk, th = mp.mpf(k), mp.mpf(theta)
+        for log_t in np.linspace(6.0, 8.5, 41).tolist():
+            x = math.exp(math.log(theta) - log_t / k)
+            if x < _DBL_TINY:
+                continue
+            xx = mp.mpf(x)
+            t = (th / xx) ** kk
+            f = kk / th * (th / xx) ** (kk + 1) * mp.exp(-t)
+            s1 = (kk * t - (kk + 1)) / xx
+            s2 = ((kk + 1) - kk * (kk + 1) * t) / xx ** 2
+            want = f * s1 if method == "pdf_d1" else f * (s1 * s1 + s2)
+            slopes = [s1] if method == "pdf_d1" else [s1 * s1, s2]
+            if _DBL_TINY <= f <= _DBL_MAX and _DBL_TINY <= abs(want) <= _DBL_MAX:
+                cases.append((x, float(want), all(abs(s) <= _DBL_MAX for s in slopes)))
+    return cases
+
+
+class TestInverseWeibullSmallShape:
+    """Below shape 0.011 the pdf stays positive past t = e**7: the slopes read the true t."""
+
+    @staticmethod
+    def _misses(method, doubles):
+        """The cases of the grid, with slopes that are doubles or not, and those off by over 1e-12."""
+        cases, misses = 0, []
+        for k in (0.004, 0.006, 0.008, 0.01, 0.011):
+            for theta in (1.0, 1e100):
+                f = getattr(InverseWeibullDensity(k, theta), method)
+                for x, want, kind in _small_shape_cases(k, theta, method):
+                    if kind != doubles:
+                        continue
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        got = f(x)
+                    cases += 1
+                    if not abs(got - want) <= 1e-12 * abs(want):
+                        misses.append((k, theta, x, got, want))
+        return cases, misses
+
+    @pytest.mark.parametrize("method", ["pdf_d1", "pdf_d2"])
+    def test_derivatives_match_50_digits(self, method):
+        cases, misses = self._misses(method, doubles=True)
+        assert cases and not misses, misses
+
+    def test_known_values(self):
+        # the slopes read t = e**7 here before, and these were 1.067e40 and 2.638e115
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert InverseWeibullDensity(0.011, 1.0).pdf_d1(1e-280) == pytest.approx(
+                1.1787931797265e40, rel=1e-12)
+            assert InverseWeibullDensity(0.01, 1.0).pdf_d1(1e-306) == pytest.approx(
+                2.7747777648534e115, rel=1e-12)
+
+    @pytest.mark.xfail(strict=True, reason="pdf_d1 and pdf_d2 are inf or nan where a log "
+                       "slope leaves the double range though f and the derivative do not")
+    def test_derivatives_where_slopes_leave_the_double_range(self):
+        misses = [self._misses(method, doubles=False)[1] for method in ("pdf_d1", "pdf_d2")]
+        assert misses == [[], []]
+
+
 class TestQuantiles:
     # 40-digit roots of the regularised incomplete gamma function (mpmath)
     @pytest.mark.parametrize("d, p, expected", ids=repr, argvalues=[
